@@ -1,12 +1,15 @@
 //! Criterion benchmarks for the scheduler zoo (experiment E9): per-step
-//! decision cost of every scheduler on the same random interleaving.
+//! decision cost of every scheduler on the same random interleaving, and
+//! the admit / commit cost of the two graph schedulers on a warm table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mvcc_core::{EntityId, Step, TxId};
 use mvcc_scheduler::{
-    run_abort, MvSgtScheduler, MvtoScheduler, SerialScheduler, SgtScheduler, TimestampScheduler,
-    TwoPhaseLockingScheduler,
+    run_abort, MvSgtScheduler, MvtoScheduler, Scheduler, SerialScheduler, SgtScheduler,
+    TimestampScheduler, TwoPhaseLockingScheduler,
 };
 use mvcc_workload::{random_interleaving, random_transaction_system, WorkloadConfig};
+use std::cell::RefCell;
 use std::time::Duration;
 
 fn workload(
@@ -75,5 +78,101 @@ fn bench_schedulers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_schedulers);
+/// A graph scheduler over a pre-warmed table: every entity was written once
+/// by a committed transaction, so MV-SGT holds one settled version per
+/// entity (and SGT, which keeps none, nothing).
+struct WarmTable {
+    scheduler: Box<dyn Scheduler>,
+    entities: u32,
+    /// Full-period generator over `0..entities` (a power of two).
+    cursor: u32,
+    next_tx: u32,
+    open: Vec<TxId>,
+}
+
+impl WarmTable {
+    const IN_FLIGHT: usize = 8;
+    const STEPS: usize = 4;
+
+    fn new(mut scheduler: Box<dyn Scheduler>, entities: u32) -> Self {
+        assert!(entities.is_power_of_two());
+        for e in 0..entities {
+            let tx = TxId(e + 1);
+            assert!(scheduler.offer(Step::write(tx, EntityId(e))).is_accept());
+            scheduler.commit(tx);
+        }
+        WarmTable {
+            scheduler,
+            entities,
+            cursor: 0,
+            next_tx: entities + 1,
+            open: Vec::with_capacity(Self::IN_FLIGHT),
+        }
+    }
+
+    /// Opens eight transactions and offers their steps round-robin: two
+    /// reads, then two writes, each on the generator's next entity.
+    fn admit_round(&mut self) {
+        let first = self.next_tx;
+        self.next_tx += Self::IN_FLIGHT as u32;
+        self.open.extend((first..self.next_tx).map(TxId));
+        for i in 0..Self::STEPS {
+            for &tx in &self.open {
+                self.cursor = (self.cursor.wrapping_mul(5).wrapping_add(1)) % self.entities;
+                let entity = EntityId(self.cursor);
+                let step = if i < Self::STEPS / 2 {
+                    Step::read(tx, entity)
+                } else {
+                    Step::write(tx, entity)
+                };
+                criterion::black_box(self.scheduler.offer(step));
+            }
+        }
+    }
+
+    fn commit_round(&mut self) {
+        for tx in self.open.drain(..) {
+            self.scheduler.commit(tx);
+        }
+    }
+}
+
+/// `scheduler_admit/<kind>/<entities>` times one round of 32 offered steps,
+/// `scheduler_commit/...` the eight commits that end it; the other half of
+/// the round runs untimed in the set-up.  Neither number should move with
+/// the table size (64 vs 4096 entities).
+fn bench_graph_scheduler_layers(c: &mut Criterion) {
+    let kinds: [(&str, fn() -> Box<dyn Scheduler>); 2] = [
+        ("sgt", || Box::new(SgtScheduler::new())),
+        ("mv-sgt", || Box::new(MvSgtScheduler::new())),
+    ];
+    for time_admit in [true, false] {
+        let mut group = c.benchmark_group(if time_admit {
+            "scheduler_admit"
+        } else {
+            "scheduler_commit"
+        });
+        for (name, build) in kinds {
+            for entities in [64u32, 4096] {
+                let table = RefCell::new(WarmTable::new(build(), entities));
+                group.bench_function(BenchmarkId::new(name, entities), |b| {
+                    if time_admit {
+                        b.iter_with_setup(
+                            || table.borrow_mut().commit_round(),
+                            |()| table.borrow_mut().admit_round(),
+                        )
+                    } else {
+                        b.iter_with_setup(
+                            || table.borrow_mut().admit_round(),
+                            |()| table.borrow_mut().commit_round(),
+                        )
+                    }
+                });
+            }
+        }
+        group.finish();
+    }
+}
+
+criterion_group!(benches, bench_schedulers, bench_graph_scheduler_layers);
 criterion_main!(benches);

@@ -7,8 +7,10 @@
 //!   quantity is how much of the input (and whether all of it) is accepted.
 //! * [`run_abort`] — the systems view: a rejected step aborts its
 //!   transaction (the scheduler is told via [`Scheduler::abort`]), the rest
-//!   of that transaction's steps are skipped, and the run continues.  The
-//!   interesting quantities are committed/aborted transaction counts.
+//!   of that transaction's steps are skipped, and the run continues; a
+//!   transaction whose last step is accepted is announced via
+//!   [`Scheduler::commit`].  The interesting quantities are
+//!   committed/aborted transaction counts.
 //!
 //! Experiment E9 (the introduction's "multiversion schedulers have enhanced
 //! performance") is the comparison of these statistics across the scheduler
@@ -113,7 +115,13 @@ pub fn run_abort(scheduler: &mut dyn Scheduler, schedule: &Schedule) -> AbortOut
                 .or_default()
                 .push((pos, step));
             // lint: allow(unwrap) — remaining is seeded with every tx before the loop
-            *remaining.get_mut(&step.tx).expect("tx known") -= 1;
+            let left = remaining.get_mut(&step.tx).expect("tx known");
+            *left -= 1;
+            if *left == 0 {
+                // End of transaction: graph schedulers prune here, which
+                // keeps long interleavings linear and changes no decision.
+                scheduler.commit(step.tx);
+            }
         } else {
             aborted.insert(step.tx);
             scheduler.abort(step.tx);

@@ -33,6 +33,7 @@ pub mod harness;
 pub mod mv_sgt;
 pub mod mvto;
 pub mod serial_sched;
+mod serialization_graph;
 pub mod sgt;
 pub mod timestamp;
 pub mod two_phase_locking;

@@ -28,198 +28,78 @@
 //! serializable version assignments (e.g. [`crate::MvtoScheduler`]) must
 //! accept strictly fewer schedules; that trade-off is the content of
 //! Theorems 4–6.
+//!
+//! **State.**  The MVCG, the per-entity step logs and the pruning of
+//! committed source nodes are the shared `serialization_graph` core (see
+//! that module for the index, the cycle test and the per-step budget); this
+//! file supplies the multiversion conflict rule (only an earlier *read*
+//! conflicts with a later write) and the version choice.  A pruned
+//! transaction's reads go with it; its writes stay behind as *settled*
+//! versions, of which only the newest per entity can ever be served again —
+//! the newest-first scan of `choose_version` stops there at the latest,
+//! because a writer that has left the graph is forced after no reader.
+//! So the retained state is the steps of the transactions still in the
+//! graph plus one settled version per written entity, whatever the length
+//! of the history.  Pruning changes neither a decision nor a served version
+//! (`prunes_never_change_decisions_or_versions`, and the never-pruning
+//! reference in `tests/graph_schedulers.rs`).
 
+use crate::serialization_graph::SerializationGraph;
 use crate::{Decision, Scheduler};
-use mvcc_core::{Action, EntityId, Step, TxId, VersionFunction, VersionSource};
-use std::collections::{HashMap, HashSet};
+use mvcc_core::{Action, EntityId, Schedule, Step, TxId, VersionFunction, VersionSource};
 
 /// Multiversion conflict-graph-testing scheduler.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MvSgtScheduler {
-    /// Accepted steps in order.
-    accepted: Vec<Step>,
-    /// MVCG arcs among accepted transactions.
-    arcs: HashSet<(TxId, TxId)>,
-    /// Versions served to accepted reads, by accepted-step index.
-    read_assignments: HashMap<usize, VersionSource>,
-    /// Committed transactions not yet pruned from the graph.
-    committed: HashSet<TxId>,
-    /// Committed transactions already pruned from the graph whose write
-    /// steps are still retained as servable versions.
-    retired: HashSet<TxId>,
+    graph: SerializationGraph,
+}
+
+impl Default for MvSgtScheduler {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MvSgtScheduler {
     /// Creates an MV-SGT scheduler.
     pub fn new() -> Self {
-        Self::default()
+        MvSgtScheduler {
+            graph: SerializationGraph::new(true),
+        }
     }
 
     /// The accepted prefix as a schedule.
-    pub fn accepted_schedule(&self) -> mvcc_core::Schedule {
-        mvcc_core::Schedule::from_steps(self.accepted.clone())
+    pub fn accepted_schedule(&self) -> Schedule {
+        Schedule::from_steps(self.graph.steps().into_iter().map(|(s, _)| s).collect())
     }
 
     /// The version function assigned to the accepted prefix (ordinary reads
     /// only; final reads follow the standard rule).
     pub fn version_function(&self) -> VersionFunction {
-        let schedule = self.accepted_schedule();
-        let mut vf = VersionFunction::standard(&schedule);
-        for (&pos, &src) in &self.read_assignments {
-            vf.assign(pos, src);
+        let mut vf = VersionFunction::standard(&self.accepted_schedule());
+        for (pos, (_, read_from)) in self.graph.steps().into_iter().enumerate() {
+            if let Some(source) = read_from {
+                vf.assign(pos, source);
+            }
         }
         vf
-    }
-
-    /// Garbage-collects committed *source* nodes (the engine's long-run
-    /// memory bound; mirrors [`crate::SgtScheduler`]'s pruning).
-    ///
-    /// MVCG arcs are only ever added pointing into the transaction taking
-    /// the current (write) step, so a committed transaction never gains
-    /// another incoming arc; with none now it can never lie on a cycle and
-    /// its remaining arcs and *read* steps cannot influence any future
-    /// decision.  Its **write** steps become *retired* versions, retained
-    /// only while still servable: a retired writer is unreachable to every
-    /// current and future reader once a newer retired write of the same
-    /// entity exists — the reverse scan of `choose_version` reaches the
-    /// newer retired write first and always stops there, because
-    /// `precedes(reader, retired)` needs a path into a node that has no
-    /// incoming arcs and never will.  So per entity only the newest
-    /// retired write survives (plus every write by transactions still in
-    /// the graph), which bounds the scheduler's state by the in-flight
-    /// transactions + one settled version per entity instead of the whole
-    /// write history.  The `prunes_never_change_decisions_or_versions`
-    /// test checks both arguments differentially on exhaustive
-    /// interleavings.
-    fn prune_committed_sources(&mut self) {
-        loop {
-            let targets: HashSet<TxId> = self.arcs.iter().map(|&(_, to)| to).collect();
-            let prunable: HashSet<TxId> = self
-                .committed
-                .iter()
-                .copied()
-                .filter(|t| !targets.contains(t))
-                .collect();
-            if prunable.is_empty() {
-                return;
-            }
-            self.committed.retain(|t| !prunable.contains(t));
-            self.arcs.retain(|&(from, _)| !prunable.contains(&from));
-            self.retired.extend(prunable.iter().copied());
-            // Per entity, the position of the newest write by a retired
-            // writer: every older retired write is unreachable.
-            let mut newest_settled: HashMap<EntityId, usize> = HashMap::new();
-            for (idx, step) in self.accepted.iter().enumerate() {
-                if step.action == Action::Write && self.retired.contains(&step.tx) {
-                    newest_settled.insert(step.entity, idx);
-                }
-            }
-            // Drop the pruned transactions' read steps and the superseded
-            // retired writes (re-indexing the read assignments).
-            let mut new_accepted = Vec::with_capacity(self.accepted.len());
-            let mut new_assignments = HashMap::new();
-            for (idx, step) in self.accepted.iter().enumerate() {
-                let retired_tx = self.retired.contains(&step.tx);
-                if step.action == Action::Read && retired_tx {
-                    continue;
-                }
-                if step.action == Action::Write
-                    && retired_tx
-                    && newest_settled.get(&step.entity) != Some(&idx)
-                {
-                    continue;
-                }
-                if let Some(&src) = self.read_assignments.get(&idx) {
-                    new_assignments.insert(new_accepted.len(), src);
-                }
-                new_accepted.push(*step);
-            }
-            self.accepted = new_accepted;
-            self.read_assignments = new_assignments;
-            // Forget retired writers whose last write is gone.
-            let live: HashSet<TxId> = self.accepted.iter().map(|s| s.tx).collect();
-            self.retired.retain(|t| live.contains(t));
-        }
     }
 
     /// Number of accepted steps currently retained (observability for the
     /// pruning tests and the engine's memory accounting).
     pub fn retained_steps(&self) -> usize {
-        self.accepted.len()
-    }
-
-    fn acyclic_with(&self, extra: &[(TxId, TxId)]) -> bool {
-        let mut adj: HashMap<TxId, Vec<TxId>> = HashMap::new();
-        for &(a, b) in self.arcs.iter().chain(extra.iter()) {
-            if a != b {
-                adj.entry(a).or_default().push(b);
-            }
-        }
-        let nodes: HashSet<TxId> = adj
-            .keys()
-            .copied()
-            .chain(adj.values().flatten().copied())
-            .collect();
-        let mut state: HashMap<TxId, u8> = HashMap::new();
-        fn dfs(n: TxId, adj: &HashMap<TxId, Vec<TxId>>, state: &mut HashMap<TxId, u8>) -> bool {
-            state.insert(n, 1);
-            for &m in adj.get(&n).map_or(&[][..], |v| v.as_slice()) {
-                match state.get(&m) {
-                    Some(1) => return false,
-                    Some(_) => {}
-                    None => {
-                        if !dfs(m, adj, state) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            state.insert(n, 2);
-            true
-        }
-        nodes
-            .iter()
-            .all(|&n| state.contains_key(&n) || dfs(n, &adj, &mut state))
-    }
-
-    /// `true` if the MVCG (with current arcs) forces `a` to precede `b`
-    /// (there is a path from `a` to `b`).
-    fn precedes(&self, a: TxId, b: TxId) -> bool {
-        if a == b {
-            return false;
-        }
-        let mut stack = vec![a];
-        let mut seen = HashSet::new();
-        seen.insert(a);
-        while let Some(n) = stack.pop() {
-            for &(from, to) in &self.arcs {
-                if from == n && seen.insert(to) {
-                    if to == b {
-                        return true;
-                    }
-                    stack.push(to);
-                }
-            }
-        }
-        false
+        self.graph.retained_steps()
     }
 
     /// Chooses the version served to a read of `entity` by `reader`:
     /// the most recent accepted write of the entity whose writer is not
-    /// forced *after* the reader in the MVCG, falling back to the initial
-    /// version.
+    /// forced *after* the reader in the MVCG (no path from the reader to
+    /// it), falling back to the initial version.
     fn choose_version(&self, reader: TxId, entity: EntityId) -> VersionSource {
-        for step in self.accepted.iter().rev() {
-            if step.action == Action::Write && step.entity == entity {
-                if step.tx == reader {
-                    return VersionSource::Tx(reader);
-                }
-                if !self.precedes(reader, step.tx) {
-                    return VersionSource::Tx(step.tx);
-                }
-            }
-        }
-        VersionSource::Initial
+        self.graph
+            .writers(entity)
+            .find(|&writer| writer == reader || !self.graph.reaches(reader, |t| t == writer))
+            .map_or(VersionSource::Initial, VersionSource::Tx)
     }
 }
 
@@ -234,81 +114,41 @@ impl Scheduler for MvSgtScheduler {
 
     fn offer(&mut self, step: Step) -> Decision {
         match step.action {
+            // A read has no incoming arcs when it arrives: always accepted.
             Action::Read => {
                 let version = self.choose_version(step.tx, step.entity);
-                self.read_assignments.insert(self.accepted.len(), version);
-                self.accepted.push(step);
+                self.graph.offer(step, Some(version), |_| false);
                 Decision::Accept {
                     read_from: Some(version),
                 }
             }
             Action::Write => {
-                let new_arcs: Vec<(TxId, TxId)> = self
-                    .accepted
-                    .iter()
-                    .filter(|prev| {
-                        prev.action == Action::Read
-                            && prev.entity == step.entity
-                            && prev.tx != step.tx
-                    })
-                    .map(|prev| (prev.tx, step.tx))
-                    .collect();
-                if !self.acyclic_with(&new_arcs) {
-                    return Decision::Reject;
+                if self.graph.offer(step, None, Action::is_read) {
+                    Decision::ACCEPT
+                } else {
+                    Decision::Reject
                 }
-                self.arcs.extend(new_arcs);
-                self.accepted.push(step);
-                Decision::ACCEPT
             }
         }
     }
 
     fn abort(&mut self, tx: TxId) {
-        // Remove the transaction's steps and renumber the read assignments.
-        let mut new_accepted = Vec::with_capacity(self.accepted.len());
-        let mut new_assignments = HashMap::new();
-        for (idx, step) in self.accepted.iter().enumerate() {
-            if step.tx == tx {
-                continue;
-            }
-            if let Some(&src) = self.read_assignments.get(&idx) {
-                // Reads that were served the aborted transaction's version
-                // fall back to the initial version (cascading aborts are out
-                // of scope for the acceptance-rate experiments).
-                let src = match src {
-                    VersionSource::Tx(t) if t == tx => VersionSource::Initial,
-                    other => other,
-                };
-                new_assignments.insert(new_accepted.len(), src);
-            }
-            new_accepted.push(*step);
-        }
-        self.accepted = new_accepted;
-        self.read_assignments = new_assignments;
-        self.arcs.retain(|&(a, b)| a != tx && b != tx);
-        // Removing the aborted node's arcs may turn committed transactions
-        // into sources.
-        self.prune_committed_sources();
+        self.graph.abort(tx);
     }
 
     fn commit(&mut self, tx: TxId) {
-        self.committed.insert(tx);
-        self.prune_committed_sources();
+        self.graph.commit(tx);
     }
 
     fn reset(&mut self) {
-        self.accepted.clear();
-        self.arcs.clear();
-        self.read_assignments.clear();
-        self.committed.clear();
-        self.retired.clear();
+        *self = Self::new();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvcc_core::Schedule;
+    use std::collections::HashMap;
 
     fn run_all(s: &Schedule) -> bool {
         let mut sched = MvSgtScheduler::new();

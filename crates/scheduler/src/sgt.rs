@@ -7,111 +7,47 @@
 //! the upper bound of what single-version conflict-based scheduling can do —
 //! the gap between SGT and [`crate::MvSgtScheduler`] is precisely the gap
 //! between CSR and MVCSR that motivates the paper.
+//!
+//! **State.**  The graph, the per-entity step logs and the pruning of
+//! committed source nodes are the shared `serialization_graph` core
+//! (see that module for the index, the cycle test and the per-step budget);
+//! this file only supplies the single-version conflict rule — an earlier
+//! step of another transaction on the same entity conflicts unless both are
+//! reads.  A pruned transaction leaves nothing behind, so the retained state
+//! is the steps of the active transactions plus those of committed
+//! transactions that still have a predecessor: independent of the history
+//! length *and* of the number of entities.  Pruning never changes a
+//! decision (`prunes_never_change_decisions`, and the never-pruning
+//! reference in `tests/graph_schedulers.rs`).
 
+use crate::serialization_graph::SerializationGraph;
 use crate::{Decision, Scheduler};
-use mvcc_core::conflict::sv_conflicts;
-use mvcc_core::{Step, TxId};
-use std::collections::{HashMap, HashSet};
+use mvcc_core::{Action, Step, TxId};
 
 /// Conflict-graph-testing scheduler.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SgtScheduler {
-    /// Accepted steps, in order.
-    accepted: Vec<Step>,
-    /// Current arcs of the conflict graph.
-    arcs: HashSet<(TxId, TxId)>,
-    /// Committed transactions not yet pruned from the graph.
-    committed: HashSet<TxId>,
+    graph: SerializationGraph,
+}
+
+impl Default for SgtScheduler {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SgtScheduler {
     /// Creates an SGT scheduler.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Garbage-collects committed *source* nodes.
-    ///
-    /// New arcs always point into the transaction taking the current step,
-    /// so a committed transaction (which takes no more steps) never gains
-    /// another incoming arc; if it has none now it can never lie on a
-    /// cycle, and neither its node nor its remaining outgoing arcs nor its
-    /// accepted steps can influence any future accept/reject decision
-    /// (a future cycle using one of its outgoing arcs would need a path
-    /// back into it).  Removing them keeps the scheduler's state bounded by
-    /// the *active* transactions plus committed non-sources under
-    /// long-running engine load, instead of growing with history.  The
-    /// `prunes_never_change_decisions` test checks the argument
-    /// differentially on exhaustive interleavings.
-    fn prune_committed_sources(&mut self) {
-        loop {
-            let targets: HashSet<TxId> = self.arcs.iter().map(|&(_, to)| to).collect();
-            let prunable: HashSet<TxId> = self
-                .committed
-                .iter()
-                .copied()
-                .filter(|t| !targets.contains(t))
-                .collect();
-            if prunable.is_empty() {
-                return;
-            }
-            self.committed.retain(|t| !prunable.contains(t));
-            self.accepted.retain(|s| !prunable.contains(&s.tx));
-            self.arcs.retain(|&(from, _)| !prunable.contains(&from));
+        SgtScheduler {
+            graph: SerializationGraph::new(false),
         }
     }
 
     /// Number of accepted steps currently retained (observability for the
     /// pruning tests and the engine's memory accounting).
     pub fn retained_steps(&self) -> usize {
-        self.accepted.len()
-    }
-
-    /// The arcs the new step would add to the conflict graph.
-    fn induced_arcs(&self, step: &Step) -> Vec<(TxId, TxId)> {
-        self.accepted
-            .iter()
-            .filter(|prev| sv_conflicts(prev, step))
-            .map(|prev| (prev.tx, step.tx))
-            .collect()
-    }
-
-    fn acyclic_with(&self, extra: &[(TxId, TxId)]) -> bool {
-        // Small graphs: simple DFS over the union.
-        let mut adj: HashMap<TxId, Vec<TxId>> = HashMap::new();
-        for &(a, b) in self.arcs.iter().chain(extra.iter()) {
-            if a != b {
-                adj.entry(a).or_default().push(b);
-            }
-        }
-        let nodes: HashSet<TxId> = adj
-            .keys()
-            .copied()
-            .chain(adj.values().flatten().copied())
-            .collect();
-        let mut state: HashMap<TxId, u8> = HashMap::new(); // 1 = in progress, 2 = done
-        fn dfs(n: TxId, adj: &HashMap<TxId, Vec<TxId>>, state: &mut HashMap<TxId, u8>) -> bool {
-            state.insert(n, 1);
-            for &m in adj.get(&n).map_or(&[][..], |v| v.as_slice()) {
-                match state.get(&m) {
-                    Some(1) => return false,
-                    Some(_) => {}
-                    None => {
-                        if !dfs(m, adj, state) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            state.insert(n, 2);
-            true
-        }
-        for &n in &nodes {
-            if !state.contains_key(&n) && !dfs(n, &adj, &mut state) {
-                return false;
-            }
-        }
-        true
+        self.graph.retained_steps()
     }
 }
 
@@ -125,32 +61,24 @@ impl Scheduler for SgtScheduler {
     }
 
     fn offer(&mut self, step: Step) -> Decision {
-        let new_arcs = self.induced_arcs(&step);
-        if !self.acyclic_with(&new_arcs) {
-            return Decision::Reject;
+        let conflicts = |prev: Action| prev.is_write() || step.is_write();
+        if self.graph.offer(step, None, conflicts) {
+            Decision::ACCEPT
+        } else {
+            Decision::Reject
         }
-        self.arcs.extend(new_arcs);
-        self.accepted.push(step);
-        Decision::ACCEPT
     }
 
     fn abort(&mut self, tx: TxId) {
-        self.accepted.retain(|s| s.tx != tx);
-        self.arcs.retain(|&(a, b)| a != tx && b != tx);
-        // Removing the aborted node's arcs may turn committed transactions
-        // into sources.
-        self.prune_committed_sources();
+        self.graph.abort(tx);
     }
 
     fn commit(&mut self, tx: TxId) {
-        self.committed.insert(tx);
-        self.prune_committed_sources();
+        self.graph.commit(tx);
     }
 
     fn reset(&mut self) {
-        self.accepted.clear();
-        self.arcs.clear();
-        self.committed.clear();
+        *self = Self::new();
     }
 }
 
