@@ -1,6 +1,7 @@
 //! Criterion benchmarks for experiment E10: the polynomial classifiers
-//! (CSR, MVCSR) scale with the schedule, while the exact NP-complete
-//! classifiers (VSR, MVSR) are only run on small instances.
+//! (CSR, MVCSR) scale with the schedule — up to audits of 200 000-step
+//! committed histories — while the exact NP-complete classifiers (VSR,
+//! MVSR: one pruned search, two clients) are only run on small instances.
 //!
 //! Also covers experiment E1/E2/E3 costs: classifying the Figure 1 examples
 //! and checking Theorem 1 / Theorem 2 on a fixed small schedule.
@@ -8,6 +9,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mvcc_classify::swaps::serial_reachable_by_swaps;
 use mvcc_classify::{is_csr, is_mvcsr, is_mvsr, is_vsr, taxonomy};
+use mvcc_core::{Schedule, Step};
+use mvcc_scheduler::{run_abort, MvSgtScheduler, Scheduler, SgtScheduler};
 use mvcc_workload::{random_interleaving, random_transaction_system, WorkloadConfig};
 use std::time::Duration;
 
@@ -52,13 +55,75 @@ fn bench_np_classifiers(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1))
         .warm_up_time(Duration::from_millis(300))
         .sample_size(10);
-    for &txns in &[3usize, 4, 5, 6] {
+    for &txns in &[3usize, 4, 5, 6, 8, 12] {
         let s = schedule_of(txns, 4, 6);
         group.bench_with_input(BenchmarkId::new("vsr", txns), &s, |b, s| {
             b.iter(|| is_vsr(s))
         });
         group.bench_with_input(BenchmarkId::new("mvsr", txns), &s, |b, s| {
             b.iter(|| is_mvsr(s))
+        });
+    }
+    group.finish();
+}
+
+/// The history `scheduler` commits when eight sessions offer the steps of
+/// random 4-step transactions round-robin (a rejected transaction aborts):
+/// the shape of history the engine's watchdog and the benchmark's audits
+/// re-prove, about `steps` long.
+fn committed_history(scheduler: &mut dyn Scheduler, steps: usize, entities: usize) -> Schedule {
+    const SESSIONS: usize = 8;
+    const STEPS: usize = 4;
+    let sys = random_transaction_system(&WorkloadConfig {
+        transactions: steps / STEPS,
+        steps_per_transaction: STEPS,
+        entities,
+        read_ratio: 0.5,
+        zipf_theta: 0.0,
+        seed: 0xa0d17,
+    });
+    let mut offered = Vec::with_capacity(steps);
+    for batch in sys.transactions().chunks(SESSIONS) {
+        for k in 0..STEPS {
+            for tx in batch {
+                let (action, entity) = tx.accesses[k];
+                offered.push(Step {
+                    tx: tx.id,
+                    action,
+                    entity,
+                });
+            }
+        }
+    }
+    run_abort(scheduler, &Schedule::from_steps(offered)).committed_schedule
+}
+
+/// Whole-history audits.  The time follows the steps plus the conflicting
+/// pairs, n + Σₓ kₓ² for kₓ steps on entity x — the conflict graph itself
+/// has that many arcs — and no longer the n² step pairs of the whole
+/// history: ten times the steps is ten times the linear part and a hundred
+/// times the pairs, at either entity count.  (200 000 steps over 64
+/// entities is left out: ≈ 230 M conflict arcs, gigabytes of graph.)
+fn bench_audits(c: &mut Criterion) {
+    let mut group = c.benchmark_group("audit");
+    group
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300))
+        .sample_size(10);
+    for &(steps, entities) in &[
+        (20_000usize, 4096usize),
+        (200_000, 4096),
+        (2_000, 64),
+        (20_000, 64),
+    ] {
+        let label = format!("{steps}steps_{entities}ent");
+        let sgt = committed_history(&mut SgtScheduler::new(), steps, entities);
+        group.bench_with_input(BenchmarkId::new("csr", &label), &sgt, |b, s| {
+            b.iter(|| assert!(is_csr(s)))
+        });
+        let mv_sgt = committed_history(&mut MvSgtScheduler::new(), steps, entities);
+        group.bench_with_input(BenchmarkId::new("mvcsr", &label), &mv_sgt, |b, s| {
+            b.iter(|| assert!(is_mvcsr(s)))
         });
     }
     group.finish();
@@ -90,6 +155,7 @@ criterion_group!(
     benches,
     bench_polynomial_classifiers,
     bench_np_classifiers,
+    bench_audits,
     bench_figure1_and_theorems
 );
 criterion_main!(benches);

@@ -8,9 +8,9 @@
 //! locking schedulers [Yannakakis 1981], which is why the paper treats CSR as
 //! the single-version yardstick that MVCSR generalises.
 
-use mvcc_core::conflict::sv_conflict_pairs;
+use mvcc_core::conflict::{sv_conflict_pairs_iter, ConflictPair};
 use mvcc_core::{Schedule, TxId};
-use mvcc_graph::topo::topological_sort;
+use mvcc_graph::topo::{is_acyclic, topological_sort};
 use mvcc_graph::{DiGraph, NodeId};
 use std::collections::HashMap;
 
@@ -27,45 +27,99 @@ pub struct ConflictGraph {
 }
 
 impl ConflictGraph {
-    fn new(txs: &[TxId]) -> Self {
-        let mut graph = DiGraph::new();
-        let mut node_of_tx = HashMap::new();
-        let mut tx_of_node = Vec::new();
-        for &tx in txs {
-            let n = graph.add_node(format!("{tx}"));
-            node_of_tx.insert(tx, n);
-            tx_of_node.push(tx);
-        }
-        ConflictGraph {
-            graph,
-            node_of_tx,
-            tx_of_node,
-        }
-    }
-
     /// Converts a topological order of the graph into a transaction order.
     pub fn order_to_txs(&self, order: &[NodeId]) -> Vec<TxId> {
         order.iter().map(|n| self.tx_of_node[n.index()]).collect()
     }
 }
 
-/// Builds the (single-version) conflict graph of `schedule`.
-pub fn conflict_graph(schedule: &Schedule) -> ConflictGraph {
-    let txs = schedule.tx_ids();
-    let mut cg = ConflictGraph::new(&txs);
-    for pair in sv_conflict_pairs(schedule) {
-        let from = cg.node_of_tx[&pair.first_tx];
-        let to = cg.node_of_tx[&pair.second_tx];
-        if from != to {
-            cg.graph.add_arc(from, to);
+/// The node numbering of the conflict graph and of the MVCG: the
+/// transactions of a schedule in order of first appearance.
+pub(crate) struct TxNodes {
+    pub(crate) node_of_tx: HashMap<TxId, NodeId>,
+    pub(crate) tx_of_node: Vec<TxId>,
+    /// Node of the transaction of each step, by schedule position.
+    node_of_step: Vec<NodeId>,
+}
+
+impl TxNodes {
+    pub(crate) fn of(schedule: &Schedule) -> Self {
+        let mut node_of_tx = HashMap::new();
+        let mut tx_of_node = Vec::new();
+        let node_of_step = schedule
+            .steps()
+            .iter()
+            .map(|step| {
+                *node_of_tx.entry(step.tx).or_insert_with(|| {
+                    tx_of_node.push(step.tx);
+                    NodeId(tx_of_node.len() as u32 - 1)
+                })
+            })
+            .collect();
+        TxNodes {
+            node_of_tx,
+            tx_of_node,
+            node_of_step,
         }
     }
-    cg
+
+    /// The one definition of "conflict arc", for both conflict notions: a
+    /// conflicting pair of steps puts an arc from the earlier step's
+    /// transaction to the later step's.  Yields `(from, to, position of the
+    /// earlier step)` in pair order; the labelled graphs and the bare
+    /// acyclicity test both read this stream.
+    pub(crate) fn arcs<'a>(
+        &'a self,
+        pairs: impl Iterator<Item = ConflictPair> + 'a,
+    ) -> impl Iterator<Item = (NodeId, NodeId, usize)> + 'a {
+        pairs.map(|pair| {
+            (
+                self.node_of_step[pair.first],
+                self.node_of_step[pair.second],
+                pair.first,
+            )
+        })
+    }
+
+    /// `true` iff the graph `pairs` induce on the transactions is acyclic.
+    /// The decision reads neither transaction names on the nodes nor entity
+    /// labels on the arcs, so neither is built.
+    pub(crate) fn acyclic(&self, pairs: impl Iterator<Item = ConflictPair>) -> bool {
+        let mut graph = DiGraph::with_nodes(self.tx_of_node.len());
+        for (from, to, _) in self.arcs(pairs) {
+            graph.add_arc(from, to);
+        }
+        is_acyclic(&graph)
+    }
+
+    /// A graph with one node per transaction, labelled with the
+    /// transaction's name (what the dot export prints).
+    pub(crate) fn labelled_graph(&self) -> DiGraph {
+        let mut graph = DiGraph::new();
+        for tx in &self.tx_of_node {
+            graph.add_node(format!("{tx}"));
+        }
+        graph
+    }
+}
+
+/// Builds the (single-version) conflict graph of `schedule`.
+pub fn conflict_graph(schedule: &Schedule) -> ConflictGraph {
+    let nodes = TxNodes::of(schedule);
+    let mut graph = nodes.labelled_graph();
+    for (from, to, _) in nodes.arcs(sv_conflict_pairs_iter(schedule)) {
+        graph.add_arc(from, to);
+    }
+    ConflictGraph {
+        graph,
+        node_of_tx: nodes.node_of_tx,
+        tx_of_node: nodes.tx_of_node,
+    }
 }
 
 /// `true` iff `schedule` is conflict-serializable.
 pub fn is_csr(schedule: &Schedule) -> bool {
-    topological_sort(&conflict_graph(schedule).graph).is_some()
+    TxNodes::of(schedule).acyclic(sv_conflict_pairs_iter(schedule))
 }
 
 /// Returns a serial order witnessing conflict-serializability (a topological
@@ -156,6 +210,33 @@ mod tests {
     fn csr_example_5_of_figure_1_is_not_csr() {
         let s5 = &mvcc_core::examples::figure1()[4];
         assert!(!is_csr(&s5.schedule));
+    }
+
+    #[test]
+    fn figure1_conflict_graphs_match_the_all_pairs_definition() {
+        use mvcc_core::conflict::sv_conflicts;
+        use std::collections::BTreeSet;
+        for ex in mvcc_core::examples::figure1() {
+            let s = &ex.schedule;
+            let cg = conflict_graph(s);
+            assert_eq!(cg.tx_of_node, s.tx_ids());
+            for (n, tx) in cg.tx_of_node.iter().enumerate() {
+                assert_eq!(cg.node_of_tx[tx], NodeId(n as u32));
+                assert_eq!(cg.graph.label(NodeId(n as u32)), tx.to_string());
+            }
+            let steps = s.steps();
+            let mut expected = BTreeSet::new();
+            for i in 0..steps.len() {
+                for j in (i + 1)..steps.len() {
+                    if sv_conflicts(&steps[i], &steps[j]) {
+                        expected.insert((cg.node_of_tx[&steps[i].tx], cg.node_of_tx[&steps[j].tx]));
+                    }
+                }
+            }
+            let arcs: BTreeSet<_> = cg.graph.arcs().collect();
+            assert_eq!(arcs, expected, "example ({})", ex.number);
+            assert_eq!(is_csr(s), topological_sort(&cg.graph).is_some());
+        }
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //! | MVSR | some version function makes it view-equivalent to a serial schedule | NP-complete | [`mvsr`] |
 //! | DMVSR | MVSR after patching readless writes (\[PK84\]) | NP-complete | [`dmvsr`] |
 //!
-//! Each NP-complete classifier is an exact search with pruning plus, where
-//! available, an independent formulation (the VSR polygraph) used for
-//! cross-validation.  [`taxonomy`] combines the classifiers into the region
+//! The NP-complete classifiers are clients of one exact pruned search over
+//! serial orders ([`serialization`]): MVSR with nothing required, VSR with
+//! the schedule's standard read-froms and final writers pinned, DMVSR as
+//! MVSR of the patched schedule.  VSR also has an independent formulation
+//! (the polygraph of \[P79\]) used for cross-validation.  The polynomial
+//! tests build their conflict graphs from per-entity conflict pairs
+//! (`mvcc_core::conflict`).  [`taxonomy`] combines the classifiers into the region
 //! map of the paper's Figure 1, and [`swaps`] provides the
 //! swap-characterisation of MVCSR (Theorem 2).
 //!

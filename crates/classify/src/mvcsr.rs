@@ -12,7 +12,8 @@
 //! MVSR") is realised by [`mvcsr_version_function`], which builds a version
 //! function serializing the schedule in that order.
 
-use mvcc_core::conflict::mv_conflict_pairs;
+use crate::csr::TxNodes;
+use mvcc_core::conflict::mv_conflict_pairs_iter;
 use mvcc_core::{Schedule, TxId, VersionFunction};
 use mvcc_graph::topo::topological_sort;
 use mvcc_graph::{DiGraph, NodeId};
@@ -41,38 +42,27 @@ impl MvConflictGraph {
 
 /// Builds `MVCG(schedule)`.
 pub fn mv_conflict_graph(schedule: &Schedule) -> MvConflictGraph {
-    let txs = schedule.tx_ids();
-    let mut graph = DiGraph::new();
-    let mut node_of_tx = HashMap::new();
-    let mut tx_of_node = Vec::new();
-    for &tx in &txs {
-        let n = graph.add_node(format!("{tx}"));
-        node_of_tx.insert(tx, n);
-        tx_of_node.push(tx);
-    }
+    let nodes = TxNodes::of(schedule);
+    let mut graph = nodes.labelled_graph();
     let mut labels: HashMap<(NodeId, NodeId), Vec<mvcc_core::EntityId>> = HashMap::new();
-    for pair in mv_conflict_pairs(schedule) {
-        let from = node_of_tx[&pair.first_tx];
-        let to = node_of_tx[&pair.second_tx];
-        if from != to {
-            graph.add_arc(from, to);
-            labels
-                .entry((from, to))
-                .or_default()
-                .push(schedule.steps()[pair.first].entity);
-        }
+    for (from, to, read_pos) in nodes.arcs(mv_conflict_pairs_iter(schedule)) {
+        graph.add_arc(from, to);
+        labels
+            .entry((from, to))
+            .or_default()
+            .push(schedule.steps()[read_pos].entity);
     }
     MvConflictGraph {
         graph,
-        node_of_tx,
-        tx_of_node,
+        node_of_tx: nodes.node_of_tx,
+        tx_of_node: nodes.tx_of_node,
         labels,
     }
 }
 
 /// **Theorem 1** test: `true` iff `schedule` is MVCSR (its MVCG is acyclic).
 pub fn is_mvcsr(schedule: &Schedule) -> bool {
-    topological_sort(&mv_conflict_graph(schedule).graph).is_some()
+    TxNodes::of(schedule).acyclic(mv_conflict_pairs_iter(schedule))
 }
 
 /// Returns the serial order witnessing MVCSR membership (a topological sort
@@ -166,6 +156,39 @@ mod tests {
         let b = g.node_of_tx[&TxId(2)];
         let labels = &g.labels[&(a, b)];
         assert_eq!(labels.len(), 2, "arcs for x and for y");
+    }
+
+    #[test]
+    fn figure1_mvcgs_match_the_all_pairs_definition() {
+        use mvcc_core::conflict::mv_conflicts;
+        use std::collections::BTreeSet;
+        for ex in mvcc_core::examples::figure1() {
+            let s = &ex.schedule;
+            let g = mv_conflict_graph(s);
+            assert_eq!(g.tx_of_node, s.tx_ids());
+            let steps = s.steps();
+            // One label per read-before-write pair, in pair order.
+            let mut expected: HashMap<(NodeId, NodeId), Vec<mvcc_core::EntityId>> = HashMap::new();
+            for i in 0..steps.len() {
+                for j in (i + 1)..steps.len() {
+                    if mv_conflicts(&steps[i], &steps[j]) {
+                        expected
+                            .entry((g.node_of_tx[&steps[i].tx], g.node_of_tx[&steps[j].tx]))
+                            .or_default()
+                            .push(steps[i].entity);
+                    }
+                }
+            }
+            assert_eq!(g.labels, expected, "example ({})", ex.number);
+            let arcs: BTreeSet<_> = g.graph.arcs().collect();
+            assert_eq!(
+                arcs,
+                expected.keys().copied().collect(),
+                "example ({})",
+                ex.number
+            );
+            assert_eq!(is_mvcsr(s), topological_sort(&g.graph).is_some());
+        }
     }
 
     #[test]

@@ -18,6 +18,15 @@
 //! * A set of schedules is **OLS** iff, for every common prefix, the
 //!   restrictions of the serializing assignments intersect
 //!   (see `mvcc-reductions::ols`).
+//!
+//! All three are clients of the one search in this module (`SearchEngine`):
+//! serial orders are grown one transaction at a time, a placement is checked
+//! against the reads it determines, failed states are memoized, and a
+//! `required` read-from map — empty for MVSR, the standard read-froms plus
+//! the final writers for VSR, a committed prefix for the OLS and scheduler
+//! callers — turns into precedence edges, an up-front cycle check and
+//! forward-check propagation.  There is no second search anywhere in the
+//! crate.
 
 use mvcc_core::{Schedule, TransactionSystem, TxId, VersionFunction, VersionSource};
 use std::collections::{BTreeMap, HashMap};
@@ -191,10 +200,35 @@ pub fn serializations_extending(
     required: &HashMap<usize, VersionSource>,
     limit: Option<usize>,
 ) -> Vec<SerialReadFroms> {
+    search_extending(s, required, None, limit)
+}
+
+/// The first serial order (in search order) whose induced read-from
+/// assignment agrees with `required` on every read position it mentions
+/// *and* whose last writer of every entity is the one `final_writers` names
+/// (one entry per written entity).  With the standard read-froms and the
+/// final writers of `s` itself this is the VSR question — [`crate::vsr`] is
+/// that client; MVSR is the same search with nothing required.
+pub(crate) fn serial_order_extending(
+    s: &Schedule,
+    required: &HashMap<usize, VersionSource>,
+    final_writers: &BTreeMap<mvcc_core::EntityId, TxId>,
+) -> Option<Vec<TxId>> {
+    search_extending(s, required, Some(final_writers), Some(1))
+        .pop()
+        .map(|rf| rf.order)
+}
+
+fn search_extending(
+    s: &Schedule,
+    required: &HashMap<usize, VersionSource>,
+    final_writers: Option<&BTreeMap<mvcc_core::EntityId, TxId>>,
+    limit: Option<usize>,
+) -> Vec<SerialReadFroms> {
     let sys = s.tx_system();
     let accept = |pos: usize, src: VersionSource| required.get(&pos).map_or(true, |&r| r == src);
     let mut engine = SearchEngine::build(s, &sys, limit, &accept);
-    engine.apply_required(required);
+    engine.apply_required(required, final_writers);
     if engine.infeasible {
         return Vec::new();
     }
@@ -223,7 +257,7 @@ pub fn has_serialization_extending_budgeted(
     let sys = s.tx_system();
     let accept = |pos: usize, src: VersionSource| required.get(&pos).map_or(true, |&r| r == src);
     let mut engine = SearchEngine::build(s, &sys, Some(1), &accept);
-    engine.apply_required(required);
+    engine.apply_required(required, None);
     if engine.infeasible {
         return Some(false);
     }
@@ -396,9 +430,13 @@ struct SearchEngine<'a> {
     /// `pred[i]` is the set of transactions that must precede `txs[i]` in
     /// every acceptable serial order.  Empty unless `apply_required` ran.
     pred: Vec<u128>,
-    /// Set when the precedence constraints are cyclic: no serial order can
-    /// satisfy the `required` map at all.
+    /// Set when the precedence constraints are cyclic, or a read served by
+    /// its transaction's own earlier write is pinned elsewhere: no serial
+    /// order can satisfy the `required` map at all.
     infeasible: bool,
+    /// When set, only orders whose last writer of every entity is exactly
+    /// this map are explored (see [`SearchEngine::apply_required`]).
+    final_writers: Option<&'a BTreeMap<mvcc_core::EntityId, TxId>>,
     /// Remaining search-node budget (`u64::MAX` = unbounded).  When it runs
     /// out the search unwinds without an answer and sets
     /// `budget_exhausted`; dead-state memos recorded so far stay valid.
@@ -522,6 +560,7 @@ impl<'a> SearchEngine<'a> {
             tx_index,
             pred,
             infeasible: false,
+            final_writers: None,
             budget: u64::MAX,
             budget_exhausted: false,
         }
@@ -533,20 +572,38 @@ impl<'a> SearchEngine<'a> {
     /// `Tx(w)` dies as soon as `w` stops being the entity's last writer
     /// while the reader is still unplaced.  The `accept` predicate passed to
     /// [`SearchEngine::build`] must enforce the same map at placement time.
-    fn apply_required(&mut self, required: &HashMap<usize, VersionSource>) {
+    ///
+    /// `final_writers`, when given, additionally requires the serial order's
+    /// last writer of every entity to be the one named (a writer of that
+    /// entity).  That condition is enforced at placement time (see
+    /// [`SearchEngine::can_place`]), so it holds beyond the bitmask too;
+    /// within the bitmask it also becomes precedence edges — the final
+    /// writer of `x` follows every other writer of `x` — so the cycle check
+    /// and the candidate filter prune with it.
+    fn apply_required(
+        &mut self,
+        required: &HashMap<usize, VersionSource>,
+        final_writers: Option<&'a BTreeMap<mvcc_core::EntityId, TxId>>,
+    ) {
+        self.final_writers = final_writers;
         for i in 0..self.txs.len() {
+            let own_version = VersionSource::Tx(self.txs[i].id);
             let mut pinned = Vec::new();
             for &(pos, entity, own) in &self.txs[i].reads {
-                if own {
+                let Some(&src) = required.get(&pos) else {
                     continue;
-                }
-                if let Some(&src) = required.get(&pos) {
+                };
+                if !own {
                     pinned.push((entity, src));
+                } else if src != own_version {
+                    // Serially the read sees its transaction's own earlier
+                    // write, whatever the order.
+                    self.infeasible = true;
                 }
             }
             self.txs[i].required_reads = pinned;
         }
-        if self.txs.len() > 128 {
+        if self.infeasible || self.txs.len() > 128 {
             return;
         }
 
@@ -588,6 +645,15 @@ impl<'a> SearchEngine<'a> {
                 }
             }
         }
+        for (entity, last) in final_writers.into_iter().flatten() {
+            if let Some(&li) = self.tx_index.get(last) {
+                for &j in writers_of.get(entity).into_iter().flatten() {
+                    if j != li {
+                        self.pred[li] |= 1 << j;
+                    }
+                }
+            }
+        }
 
         // Kahn's algorithm: if the precedence graph has a cycle, no serial
         // order satisfies `required`.
@@ -623,7 +689,9 @@ impl<'a> SearchEngine<'a> {
         self.budget -= 1;
         if order.len() == self.txs.len() {
             // Every placement was checked incrementally, so the induced
-            // assignment is realizable and accepted by construction.
+            // assignment is realizable and accepted, and no required final
+            // writer was overwritten, by construction.
+            debug_assert!(self.final_writers.map_or(true, |f| *f == *last_writer));
             self.out
                 .push(serial_read_froms_of_system(self.s, self.sys, order));
             return match self.limit {
@@ -703,9 +771,22 @@ impl<'a> SearchEngine<'a> {
 
     /// Whether transaction `i` can be placed next: each of its reads must be
     /// servable (the serially-determined source exists before the read in
-    /// `s`) and pass the acceptance predicate.
+    /// `s`) and pass the acceptance predicate, and it must not overwrite an
+    /// entity whose required final writer is already placed.
     fn can_place(&self, i: usize, last_writer: &BTreeMap<mvcc_core::EntityId, TxId>) -> bool {
         let tx = &self.txs[i];
+        if let Some(required) = self.final_writers {
+            // No writer is ever placed over a required final writer, so
+            // "placed" and "still the last writer" coincide for it.
+            let overwrites_a_final = tx.writes.iter().any(|entity| {
+                required
+                    .get(entity)
+                    .is_some_and(|last| *last != tx.id && last_writer.get(entity) == Some(last))
+            });
+            if overwrites_a_final {
+                return false;
+            }
+        }
         tx.reads.iter().all(|&(pos, entity, own_earlier_write)| {
             let source = if own_earlier_write {
                 VersionSource::Tx(tx.id)

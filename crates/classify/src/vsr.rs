@@ -5,42 +5,23 @@
 //! serial schedule of the same transaction system.  Testing VSR is
 //! NP-complete [Papadimitriou 1979]; two exact implementations are provided:
 //!
-//! * [`is_vsr`] / [`vsr_witness`]: a branch-and-bound search over serial
-//!   orders that prunes as soon as a placed transaction's reads disagree
-//!   with the schedule's standard read-froms;
+//! * [`is_vsr`] / [`vsr_witness`]: a client of the one pruned search over
+//!   serial orders, [`crate::serialization`] — the search MVSR runs with
+//!   nothing required, here with every read pinned to the schedule's
+//!   *standard* source and every entity's final writer pinned to the
+//!   schedule's, so the precedence edges, the cycle check and the forward
+//!   check of that search do the pruning;
 //! * [`vsr_polygraph`] / [`is_vsr_polygraph`]: the polygraph formulation of
 //!   \[P79\] (one choice per read-from/interfering-writer pair), solved with
-//!   the exact polygraph solver of `mvcc-graph`.  The two agree on every
-//!   input; the test-suite cross-checks them exhaustively on small systems.
+//!   the exact polygraph solver of `mvcc-graph`.  The two share no code and
+//!   agree on every input; the test-suite cross-checks them, and both
+//!   against the definition ([`is_vsr_by_definition`]).
 
-use crate::serialization::{serial_read_froms_of_system, SerialReadFroms};
-use mvcc_core::{EntityId, ReadFromRelation, Schedule, TransactionSystem, TxId, VersionSource};
+use crate::serialization::serial_order_extending;
+use mvcc_core::{EntityId, ReadFromRelation, Schedule, TxId, VersionSource};
 use mvcc_graph::poly_acyclic::solve_polygraph;
 use mvcc_graph::{NodeId, Polygraph};
-use std::collections::{BTreeSet, HashMap};
-
-/// The standard (single-version) read-from source of every read position of
-/// `s`, plus the final writer of every entity.
-fn standard_targets(
-    s: &Schedule,
-) -> (
-    HashMap<usize, VersionSource>,
-    HashMap<EntityId, Option<TxId>>,
-) {
-    let mut reads = HashMap::new();
-    for pos in s.all_read_positions() {
-        let e = s.steps()[pos].entity;
-        let src = s
-            .last_writer_before(pos, e)
-            .map_or(VersionSource::Initial, VersionSource::Tx);
-        reads.insert(pos, src);
-    }
-    let mut finals = HashMap::new();
-    for e in s.entities_accessed() {
-        finals.insert(e, s.final_writer(e));
-    }
-    (reads, finals)
-}
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// `true` iff `schedule` is view-serializable.
 pub fn is_vsr(schedule: &Schedule) -> bool {
@@ -49,86 +30,33 @@ pub fn is_vsr(schedule: &Schedule) -> bool {
 
 /// Returns a serial order to which `schedule` is view-equivalent, or `None`.
 pub fn vsr_witness(schedule: &Schedule) -> Option<Vec<TxId>> {
+    // What a single-version database serves: every read sees the last write
+    // before it, and the last write of all is the final version.
+    let mut standard_reads = HashMap::new();
+    let mut last_writer: BTreeMap<EntityId, TxId> = BTreeMap::new();
+    for (pos, step) in schedule.steps().iter().enumerate() {
+        if step.is_write() {
+            last_writer.insert(step.entity, step.tx);
+        } else {
+            let source = last_writer
+                .get(&step.entity)
+                .map_or(VersionSource::Initial, |&w| VersionSource::Tx(w));
+            standard_reads.insert(pos, source);
+        }
+    }
+    serial_order_extending(schedule, &standard_reads, &last_writer)
+}
+
+/// Reference implementation used by tests: VSR straight from the definition
+/// — view-equivalent to *some* serial schedule, by enumerating all serial
+/// orders.  Factorial; small inputs only.
+pub fn is_vsr_by_definition(schedule: &Schedule) -> bool {
     let sys = schedule.tx_system();
-    let ids = sys.tx_ids();
-    let (target_reads, target_finals) = standard_targets(schedule);
-    let mut order = Vec::with_capacity(ids.len());
-    let mut used = vec![false; ids.len()];
-    search(
-        schedule,
-        &sys,
-        &ids,
-        &target_reads,
-        &target_finals,
-        &mut order,
-        &mut used,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search(
-    s: &Schedule,
-    sys: &TransactionSystem,
-    ids: &[TxId],
-    target_reads: &HashMap<usize, VersionSource>,
-    target_finals: &HashMap<EntityId, Option<TxId>>,
-    order: &mut Vec<TxId>,
-    used: &mut Vec<bool>,
-) -> Option<Vec<TxId>> {
-    if order.len() == ids.len() {
-        let rf = serial_read_froms_of_system(s, sys, order);
-        if reads_match(&rf, target_reads, s, order, true) && finals_match(&rf, target_finals) {
-            return Some(order.clone());
-        }
-        return None;
-    }
-    for i in 0..ids.len() {
-        if used[i] {
-            continue;
-        }
-        order.push(ids[i]);
-        used[i] = true;
-        let rf = serial_read_froms_of_system(s, sys, order);
-        if reads_match(&rf, target_reads, s, order, false) {
-            if let Some(found) = search(s, sys, ids, target_reads, target_finals, order, used) {
-                used[i] = false;
-                order.pop();
-                return Some(found);
-            }
-        }
-        used[i] = false;
-        order.pop();
-    }
-    None
-}
-
-/// Checks that the reads of the transactions already placed agree with the
-/// schedule's standard read-froms.  When `complete` is true all reads are
-/// checked.
-fn reads_match(
-    rf: &SerialReadFroms,
-    target: &HashMap<usize, VersionSource>,
-    s: &Schedule,
-    placed: &[TxId],
-    complete: bool,
-) -> bool {
-    let placed_set: BTreeSet<TxId> = placed.iter().copied().collect();
-    for (&pos, &src) in &rf.read_sources {
-        let tx = s.steps()[pos].tx;
-        if !complete && !placed_set.contains(&tx) {
-            continue;
-        }
-        if target.get(&pos) != Some(&src) {
-            return false;
-        }
-    }
-    true
-}
-
-fn finals_match(rf: &SerialReadFroms, target: &HashMap<EntityId, Option<TxId>>) -> bool {
-    target
-        .iter()
-        .all(|(e, w)| rf.final_writers.get(e).unwrap_or(&None) == w)
+    crate::csr::permutations(&sys.tx_ids())
+        .into_iter()
+        .any(|order| {
+            mvcc_core::equivalence::view_equivalent(schedule, &Schedule::serial(&sys, &order))
+        })
 }
 
 /// The VSR polygraph of `schedule` (\[P79\]): nodes are the transactions plus
@@ -297,24 +225,98 @@ mod tests {
         }
     }
 
+    /// Every interleaving of a system with a blind writer (VSR and CSR
+    /// genuinely differ) and of one whose transaction re-reads its own write.
+    fn small_systems() -> Vec<Schedule> {
+        [
+            "Ra(x) Wa(x) Wa(y) Rb(x) Wb(y) Wc(y)",
+            "Ra(x) Wa(x) Ra(x) Rb(x) Wb(x)",
+        ]
+        .iter()
+        .flat_map(|text| Schedule::all_interleavings(&Schedule::parse(text).unwrap().tx_system()))
+        .collect()
+    }
+
     #[test]
-    fn polygraph_formulation_agrees_with_search_exhaustively() {
-        // Includes a blind writer so that VSR and CSR genuinely differ.
-        let sys = Schedule::parse("Ra(x) Wa(x) Wa(y) Rb(x) Wb(y) Wc(y)")
-            .unwrap()
-            .tx_system();
-        for s in Schedule::all_interleavings(&sys) {
-            assert_eq!(is_vsr(&s), is_vsr_polygraph(&s), "schedule {s}");
+    fn search_polygraph_and_definition_agree_exhaustively() {
+        for s in small_systems() {
+            let verdict = is_vsr(&s);
+            assert_eq!(verdict, is_vsr_polygraph(&s), "polygraph on {s}");
+            assert_eq!(verdict, is_vsr_by_definition(&s), "definition on {s}");
         }
     }
 
     #[test]
-    fn polygraph_formulation_agrees_on_own_write_readers() {
-        let sys = Schedule::parse("Ra(x) Wa(x) Ra(x) Rb(x) Wb(x)")
-            .unwrap()
-            .tx_system();
-        for s in Schedule::all_interleavings(&sys) {
-            assert_eq!(is_vsr(&s), is_vsr_polygraph(&s), "schedule {s}");
+    fn every_witness_is_view_equivalent_and_a_serialization() {
+        let mut witnesses = 0;
+        for s in small_systems() {
+            let Some(order) = vsr_witness(&s) else {
+                continue;
+            };
+            witnesses += 1;
+            let serial = Schedule::serial(&s.tx_system(), &order);
+            assert!(
+                mvcc_core::equivalence::view_equivalent(&s, &serial),
+                "{s} vs {order:?}"
+            );
+            // VSR ⊆ MVSR, witness for witness.
+            assert!(
+                crate::mvsr::all_serializations(&s)
+                    .iter()
+                    .any(|rf| rf.order == order),
+                "{order:?} is no serialization of {s}"
+            );
         }
+        assert!(witnesses > 0);
+    }
+
+    /// A serial schedule of `n` transactions `R(x_i) W(x_i) W(y)`: every
+    /// transaction blind-writes the shared `y`, so the final-writer
+    /// condition orders the last one after all the others.
+    fn long_serial(n: u32) -> Vec<mvcc_core::Step> {
+        use mvcc_core::Step;
+        (1..=n)
+            .flat_map(|t| {
+                [
+                    Step::read(TxId(t), EntityId(t)),
+                    Step::write(TxId(t), EntityId(t)),
+                    Step::write(TxId(t), EntityId(0)),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exact_beyond_the_bitmask() {
+        // 130 transactions: the search runs without masks, memo or
+        // precedence edges, and must still enforce the final writers.
+        let serial = Schedule::from_steps(long_serial(130));
+        let order: Vec<TxId> = (1..=130).map(TxId).collect();
+        assert_eq!(vsr_witness(&serial), Some(order));
+
+        // The same schedule with `W2(x_1) R1(x_1)` slipped in right after
+        // T1's three steps: the standard source of that read is T2, but
+        // serially a transaction always sees its own earlier write.
+        let mut steps = long_serial(130);
+        steps.insert(3, mvcc_core::Step::write(TxId(2), EntityId(1)));
+        steps.insert(4, mvcc_core::Step::read(TxId(1), EntityId(1)));
+        let pinned_elsewhere = Schedule::from_steps(steps);
+        assert!(!is_vsr(&pinned_elsewhere));
+    }
+
+    #[test]
+    fn final_writers_are_enforced_beyond_the_bitmask() {
+        // Blind writes only, so no read constrains anything: the schedule's
+        // final writer of y is T1 (its write comes last), and the only
+        // view-equivalent serial orders end with T1.
+        let mut steps: Vec<_> = (1..=130)
+            .map(|t| mvcc_core::Step::write(TxId(t), EntityId(0)))
+            .collect();
+        steps.push(mvcc_core::Step::write(TxId(1), EntityId(0)));
+        let s = Schedule::from_steps(steps);
+        let order = vsr_witness(&s).expect("blind writes are always VSR");
+        assert_eq!(order.last(), Some(&TxId(1)));
+        let serial = Schedule::serial(&s.tx_system(), &order);
+        assert!(mvcc_core::equivalence::view_equivalent(&s, &serial));
     }
 }

@@ -13,8 +13,9 @@
 //! request that arrived too late, but it can do nothing about a read request
 //! that arrived too early."
 
-use crate::{Schedule, Step, TxId};
+use crate::{EntityId, Schedule, Step, TxId};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Classification of a single-version conflict between two steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -72,37 +73,73 @@ pub struct ConflictPair {
 }
 
 /// Enumerates all ordered single-version conflicting pairs of `schedule`
-/// (earlier step first).
+/// (earlier step first), in `(first, second)` lexicographic order.
 pub fn sv_conflict_pairs(schedule: &Schedule) -> Vec<ConflictPair> {
-    conflict_pairs_by(schedule, sv_conflicts)
+    sv_conflict_pairs_iter(schedule).collect()
 }
 
 /// Enumerates all ordered multiversion conflicting pairs of `schedule`
 /// (earlier step first; the earlier step is necessarily a read and the later
-/// one a write on the same entity).
+/// one a write on the same entity), in `(first, second)` lexicographic order.
 pub fn mv_conflict_pairs(schedule: &Schedule) -> Vec<ConflictPair> {
+    mv_conflict_pairs_iter(schedule).collect()
+}
+
+/// [`sv_conflict_pairs`] without the intermediate vector: graph builders
+/// over long histories consume the pairs one at a time.
+pub fn sv_conflict_pairs_iter(schedule: &Schedule) -> impl Iterator<Item = ConflictPair> + '_ {
+    conflict_pairs_by(schedule, sv_conflicts)
+}
+
+/// [`mv_conflict_pairs`] without the intermediate vector.
+pub fn mv_conflict_pairs_iter(schedule: &Schedule) -> impl Iterator<Item = ConflictPair> + '_ {
     conflict_pairs_by(schedule, mv_conflicts)
 }
 
+/// The pairs `(i, j)`, `i < j`, of step positions with `pred(step i, step j)`,
+/// in lexicographic order.  Both conflict notions need a common entity, so
+/// positions are bucketed by entity and step `i` is paired only with the
+/// later positions of its own bucket: O(n + Σₓ kₓ²) for `kₓ` steps on entity
+/// `x`, not O(n²).
 fn conflict_pairs_by(
     schedule: &Schedule,
-    pred: impl Fn(&Step, &Step) -> bool,
-) -> Vec<ConflictPair> {
+    pred: fn(&Step, &Step) -> bool,
+) -> impl Iterator<Item = ConflictPair> + '_ {
     let steps = schedule.steps();
-    let mut out = Vec::new();
-    for i in 0..steps.len() {
-        for j in (i + 1)..steps.len() {
-            if pred(&steps[i], &steps[j]) {
-                out.push(ConflictPair {
-                    first: i,
-                    second: j,
-                    first_tx: steps[i].tx,
-                    second_tx: steps[j].tx,
-                });
-            }
-        }
+    let mut bucket_of_entity: HashMap<EntityId, usize> = HashMap::new();
+    let mut buckets: Vec<Vec<usize>> = Vec::new();
+    // Per position: its bucket, and where the positions after it start there.
+    let mut later: Vec<(usize, usize)> = Vec::with_capacity(steps.len());
+    for (pos, step) in steps.iter().enumerate() {
+        let bucket = *bucket_of_entity.entry(step.entity).or_insert_with(|| {
+            buckets.push(Vec::new());
+            buckets.len() - 1
+        });
+        buckets[bucket].push(pos);
+        later.push((bucket, buckets[bucket].len()));
     }
-    out
+    let mut first = 0;
+    let mut next = later.first().map_or(0, |&(_, from)| from);
+    std::iter::from_fn(move || {
+        while first < steps.len() {
+            let bucket = &buckets[later[first].0];
+            while next < bucket.len() {
+                let second = bucket[next];
+                next += 1;
+                if pred(&steps[first], &steps[second]) {
+                    return Some(ConflictPair {
+                        first,
+                        second,
+                        first_tx: steps[first].tx,
+                        second_tx: steps[second].tx,
+                    });
+                }
+            }
+            first += 1;
+            next = later.get(first).map_or(0, |&(_, from)| from);
+        }
+        None
+    })
 }
 
 #[cfg(test)]
@@ -184,6 +221,72 @@ mod tests {
         assert_eq!((mv[0].first, mv[0].second), (0, 1));
         assert_eq!(mv[0].first_tx, TxId(1));
         assert_eq!(mv[0].second_tx, TxId(2));
+    }
+
+    /// The definition the bucketed enumeration must reproduce: every pair
+    /// of positions, earlier first.
+    fn all_pairs_reference(s: &Schedule, pred: fn(&Step, &Step) -> bool) -> Vec<ConflictPair> {
+        let steps = s.steps();
+        let mut out = Vec::new();
+        for first in 0..steps.len() {
+            for second in (first + 1)..steps.len() {
+                if pred(&steps[first], &steps[second]) {
+                    out.push(ConflictPair {
+                        first,
+                        second,
+                        first_tx: steps[first].tx,
+                        second_tx: steps[second].tx,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn bucketed_pairs_equal_the_all_pairs_reference_in_order() {
+        // Seeded random schedules, from one entity (a single bucket) to more
+        // entities than steps, transactions stepping several times in a row.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for case in 0..300 {
+            let (txs, entities, len) = (1 + next(6), 1 + next(1 + case % 9), next(40));
+            let s = Schedule::from_steps(
+                (0..len)
+                    .map(|_| {
+                        let (tx, e) = (1 + next(txs) as u32, next(entities) as u32);
+                        if next(2) == 0 {
+                            r(tx, e)
+                        } else {
+                            w(tx, e)
+                        }
+                    })
+                    .collect(),
+            );
+            assert_eq!(
+                sv_conflict_pairs(&s),
+                all_pairs_reference(&s, sv_conflicts),
+                "{s}"
+            );
+            assert_eq!(
+                mv_conflict_pairs(&s),
+                all_pairs_reference(&s, mv_conflicts),
+                "{s}"
+            );
+        }
+    }
+
+    #[test]
+    fn same_transaction_steps_and_empty_schedules_yield_no_pairs() {
+        let own = Schedule::parse("Ra(x) Wa(x) Ra(x) Wa(x)").unwrap();
+        assert!(sv_conflict_pairs(&own).is_empty());
+        assert!(mv_conflict_pairs(&own).is_empty());
+        assert!(sv_conflict_pairs(&Schedule::empty()).is_empty());
     }
 
     #[test]

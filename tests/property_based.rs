@@ -4,7 +4,7 @@
 
 use mvcc_repro::classify::swaps::{serial_reachable_by_swaps, swap_neighbours};
 use mvcc_repro::classify::taxonomy::classify;
-use mvcc_repro::classify::vsr::is_vsr_polygraph;
+use mvcc_repro::classify::vsr::{is_vsr_by_definition, is_vsr_polygraph, vsr_witness};
 use mvcc_repro::classify::{is_csr, is_mvcsr, is_mvsr, is_vsr};
 use mvcc_repro::prelude::*;
 use proptest::prelude::*;
@@ -31,6 +31,30 @@ fn schedule_strategy(
             )
         },
     )
+}
+
+/// Strategy: a random schedule of at most `max_txns` transactions with at
+/// most `max_steps` steps each (blind writers and readers of their own
+/// writes included).
+fn bounded_schedule_strategy(
+    max_txns: u32,
+    max_entities: u32,
+    max_steps: usize,
+) -> impl Strategy<Value = Schedule> {
+    schedule_strategy(max_txns, max_entities, max_txns as usize * max_steps).prop_map(move |s| {
+        let mut taken = std::collections::HashMap::new();
+        Schedule::from_steps(
+            s.steps()
+                .iter()
+                .filter(|step| {
+                    let n = taken.entry(step.tx).or_insert(0usize);
+                    *n += 1;
+                    *n <= max_steps
+                })
+                .copied()
+                .collect(),
+        )
+    })
 }
 
 proptest! {
@@ -77,11 +101,20 @@ proptest! {
         }
     }
 
-    /// The two independent VSR deciders (branch-and-bound search and the
-    /// polygraph formulation) always agree.
+    /// The two independent VSR deciders (the shared serialization search
+    /// with the standard read-froms and final writers pinned, and the
+    /// polygraph formulation) agree with each other and with the definition,
+    /// and a witness order is view-equivalent to the schedule.
     #[test]
-    fn vsr_deciders_agree(s in schedule_strategy(4, 3, 7)) {
-        prop_assert_eq!(is_vsr(&s), is_vsr_polygraph(&s));
+    fn vsr_deciders_agree(s in bounded_schedule_strategy(6, 3, 4)) {
+        let witness = vsr_witness(&s);
+        prop_assert_eq!(is_vsr(&s), witness.is_some());
+        prop_assert_eq!(witness.is_some(), is_vsr_polygraph(&s), "polygraph on {}", s);
+        prop_assert_eq!(witness.is_some(), is_vsr_by_definition(&s), "definition on {}", s);
+        if let Some(order) = witness {
+            let serial = Schedule::serial(&s.tx_system(), &order);
+            prop_assert!(mvcc_repro::core::equivalence::view_equivalent(&s, &serial));
+        }
     }
 
     /// The MVSR witness, when it exists, really serializes the schedule.

@@ -40,6 +40,32 @@ fn figure1_census_respects_containments() {
     assert!(census.count(Figure1Region::Serial) >= 6);
 }
 
+/// The verdict freeze: the first 250 schedules of the benchmark's `classify`
+/// corpus at seed 1 (`benchmark/…/fixed.rs::corpus_config`) fall into the
+/// Figure 1 regions the benchmark froze, so a classifier whose verdicts
+/// change fails `cargo test` and not only the benchmark.
+#[test]
+fn benchmark_corpus_census_is_frozen() {
+    let corpus = mvcc_repro::workload::random_interleavings(
+        &WorkloadConfig {
+            transactions: 8,
+            steps_per_transaction: 4,
+            entities: 8,
+            read_ratio: 0.5,
+            zipf_theta: 0.0,
+            seed: 1u64.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        },
+        250,
+    );
+    let census = Census::build(corpus.iter());
+    assert_eq!(census.containment_violations, 0);
+    let counts: Vec<(&str, usize)> = census.iter().collect();
+    assert_eq!(
+        counts,
+        [("MvcsrNotSr", 92), ("MvsrOnly", 81), ("NotMvsr", 77)]
+    );
+}
+
 /// Theorem 1: the MVCG acyclicity test agrees with the definition of MVCSR
 /// (multiversion-conflict equivalence to some serial schedule) on every
 /// interleaving of a small system.
