@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the scheduler zoo (experiment E9): per-step
 //! decision cost of every scheduler on the same random interleaving, and
-//! the admit / commit cost of the two graph schedulers on a warm table.
+//! the admit / commit cost of SGT, MV-SGT and MVTO on a warm table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mvcc_core::{EntityId, Step, TxId};
@@ -78,9 +78,11 @@ fn bench_schedulers(c: &mut Criterion) {
     group.finish();
 }
 
-/// A graph scheduler over a pre-warmed table: every entity was written once
-/// by a committed transaction, so MV-SGT holds one settled version per
-/// entity (and SGT, which keeps none, nothing).
+/// A scheduler over a pre-warmed table: 50 000 committed single-write
+/// transactions, round-robin over the entities — well past the 5 000
+/// transactions the benchmark's scheduler probe stops at.  MV-SGT and MVTO
+/// are left holding one settled version per entity (SGT, which keeps none,
+/// nothing) — if commit prunes.
 struct WarmTable {
     scheduler: Box<dyn Scheduler>,
     entities: u32,
@@ -93,19 +95,21 @@ struct WarmTable {
 impl WarmTable {
     const IN_FLIGHT: usize = 8;
     const STEPS: usize = 4;
+    const WARM_WRITES: u32 = 50_000;
 
     fn new(mut scheduler: Box<dyn Scheduler>, entities: u32) -> Self {
         assert!(entities.is_power_of_two());
-        for e in 0..entities {
-            let tx = TxId(e + 1);
-            assert!(scheduler.offer(Step::write(tx, EntityId(e))).is_accept());
+        for i in 0..Self::WARM_WRITES {
+            let tx = TxId(i + 1);
+            let step = Step::write(tx, EntityId(i % entities));
+            assert!(scheduler.offer(step).is_accept());
             scheduler.commit(tx);
         }
         WarmTable {
             scheduler,
             entities,
             cursor: 0,
-            next_tx: entities + 1,
+            next_tx: Self::WARM_WRITES + 1,
             open: Vec::with_capacity(Self::IN_FLIGHT),
         }
     }
@@ -141,10 +145,11 @@ impl WarmTable {
 /// `scheduler_commit/...` the eight commits that end it; the other half of
 /// the round runs untimed in the set-up.  Neither number should move with
 /// the table size (64 vs 4096 entities).
-fn bench_graph_scheduler_layers(c: &mut Criterion) {
-    let kinds: [(&str, fn() -> Box<dyn Scheduler>); 2] = [
+fn bench_scheduler_layers(c: &mut Criterion) {
+    let kinds: [(&str, fn() -> Box<dyn Scheduler>); 3] = [
         ("sgt", || Box::new(SgtScheduler::new())),
         ("mv-sgt", || Box::new(MvSgtScheduler::new())),
+        ("mvto", || Box::new(MvtoScheduler::new())),
     ];
     for time_admit in [true, false] {
         let mut group = c.benchmark_group(if time_admit {
@@ -174,5 +179,5 @@ fn bench_graph_scheduler_layers(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_schedulers, bench_graph_scheduler_layers);
+criterion_group!(benches, bench_schedulers, bench_scheduler_layers);
 criterion_main!(benches);

@@ -8,9 +8,10 @@
 //! segment sequence number the new lineage starts at.
 //!
 //! * Writers carry the epoch they opened the log under and re-read the
-//!   marker before every append and flush; a marker with a higher epoch
-//!   means another writer promoted over them, and the append is refused
-//!   ([`std::io::ErrorKind::PermissionDenied`], see
+//!   marker before every flush and segment rotation (a buffered append
+//!   alone acknowledges nothing and is not worth a file open); a marker
+//!   with a higher epoch means another writer promoted over them, and
+//!   the flush is refused ([`std::io::ErrorKind::PermissionDenied`], see
 //!   [`crate::wal::WalWriter`]).
 //! * Readers ([`crate::scan_log`], [`crate::read_tail`]) treat records
 //!   at or past `fence_lsn` inside pre-`start_segment` segments as
@@ -30,13 +31,15 @@
 //!
 //! ## The fencing window (documented caveat)
 //!
-//! A write already in flight *between* a deposed primary's fence check
-//! and its `write_all` can land bytes after the promotion scan sampled
-//! the log.  Those bytes are fenced out (readers skip them, the next
-//! heal truncates them) even if the deposed primary acked the commit —
-//! equivalent to buffered-mode crash loss of an acked commit.  Fsync
-//! mode narrows the window; only storage-side compare-and-swap (which a
-//! plain filesystem does not offer) could close it.  The deterministic
+//! A flush already in flight *between* a deposed primary's fence check
+//! and its write can land bytes after the promotion scan sampled the
+//! log; so can a full buffer of appends it never got to flush (never
+//! acknowledged, those).  Such bytes are fenced out (readers skip them,
+//! the next heal truncates them) even if the deposed primary acked the
+//! commit that in-flight flush carried — equivalent to buffered-mode
+//! crash loss of an acked commit.  Fsync mode narrows the window; only
+//! storage-side compare-and-swap (which a plain filesystem does not
+//! offer) could close it.  The deterministic
 //! failover tests schedule around the window; the argument for why the
 //! *surviving* history still classifies is in DESIGN.md's Failover
 //! section.

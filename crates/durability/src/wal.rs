@@ -29,10 +29,11 @@
 //! Every record is stamped with the **primary epoch** its writer opened
 //! the log under, and the directory may carry an epoch marker
 //! ([`crate::epoch`]).  [`WalWriter::promote_open`] bumps the epoch,
-//! fences older writers (their appends and flushes fail with a
+//! fences older writers (their flushes and segment rotations fail with a
 //! recognizable [`std::io::ErrorKind::PermissionDenied`] error, see
-//! [`crate::is_fence_error`]), heals any bytes a deposed writer slipped
-//! in after the promotion scan, and starts a fresh segment lineage.
+//! [`crate::is_fence_error`]; what they merely buffer is never
+//! acknowledged), heals any bytes a deposed writer slipped in after the
+//! promotion scan, and starts a fresh segment lineage.
 //! [`scan_log`] honors the fence: old-lineage records at or past the
 //! fence LSN with a stale epoch are reported in [`LogScan::fenced`]
 //! rather than delivered, so a deposed primary's late flushes can never
@@ -588,11 +589,16 @@ impl WalWriter {
     /// Re-reads the epoch marker and refuses further work when a newer
     /// epoch has claimed the log (a replica promoted over this writer).
     ///
-    /// Called internally before every append and flush; the engine also
-    /// calls it at the head of each commit batch so a deposed primary
-    /// refuses commits *before* applying their storage effects, not
-    /// after.  The error is [`std::io::ErrorKind::PermissionDenied`] and
-    /// recognizable via [`crate::is_fence_error`].
+    /// Called internally before every flush — nothing is acknowledged
+    /// without one — and before a segment rotation, which would otherwise
+    /// collide with the promoted lineage's first segment.  A plain append
+    /// does not re-read the marker: it only buffers, and whatever a
+    /// deposed writer's buffer later spills is residue the scan fences
+    /// out by the records' own epoch.  The engine also calls it at the
+    /// head of each commit batch so a deposed primary refuses commits
+    /// *before* applying their storage effects, not after.  The error is
+    /// [`std::io::ErrorKind::PermissionDenied`] and recognizable via
+    /// [`crate::is_fence_error`].
     pub fn check_fence(&self) -> io::Result<()> {
         if let Some(m) = read_epoch_marker(&self.dir)? {
             if m.epoch > self.epoch {
@@ -626,7 +632,6 @@ impl WalWriter {
         if records.is_empty() {
             return Ok(WalReceipt::default());
         }
-        self.check_fence()?;
         let mut inner = self.inner.lock();
         let mut scratch = std::mem::take(&mut inner.scratch);
         scratch.clear();
@@ -678,6 +683,7 @@ impl WalWriter {
         if inner.segment_bytes_written < inner.segment_bytes {
             return Ok(());
         }
+        self.check_fence()?;
         // Finish the old segment: flush (and fsync if configured) so the
         // prefix property survives the file switch.
         inner.writer.flush()?;
@@ -1017,6 +1023,74 @@ mod tests {
         assert_eq!(receipt.last_lsn, Some(1));
         let scan = scan_log(&dir).unwrap();
         assert_eq!(scan.records.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_writer_fenced_mid_transaction_buffers_steps_nobody_will_ever_read() {
+        let dir = temp_dir("fenced-steps");
+        let old = WalWriter::open(&dir, DurabilityMode::Buffered, 8 << 20).unwrap();
+        old.append_and_flush(&[WalRecord::Begin { tx: TxId(1) }, write_rec(1, 0, b"first")])
+            .unwrap();
+        let new = WalWriter::promote_open(&dir, DurabilityMode::Buffered, 8 << 20).unwrap();
+        // The append path no longer re-reads the marker: the next step
+        // record of the open transaction still buffers...
+        let receipt = old.append_batch(&[write_rec(1, 1, b"second")]).unwrap();
+        assert_eq!((receipt.records, receipt.last_lsn), (1, Some(2)));
+        // ...but nothing gets out: not a flush, not the commit record, and
+        // the engine's check at the head of the commit batch fails too.
+        let commit = WalRecord::Commit {
+            entries: vec![CommitEntry {
+                tx: TxId(1),
+                shards: vec![(0, 1)],
+            }],
+        };
+        for err in [
+            old.flush().unwrap_err(),
+            old.append_and_flush(&[commit]).unwrap_err(),
+            old.check_fence().unwrap_err(),
+        ] {
+            assert!(crate::epoch::is_fence_error(&err), "{err}");
+        }
+        new.append_and_flush(&[write_rec(2, 0, b"after")]).unwrap();
+        // Dropping the deposed writer spills its buffer into the old
+        // segment — stale epoch, past the fence: residue, never delivered.
+        drop(old);
+        let scan = scan_log(&dir).unwrap();
+        assert_eq!(
+            scan.records
+                .iter()
+                .map(|r| (r.lsn, r.epoch))
+                .collect::<Vec<_>>(),
+            vec![(0, 0), (1, 0), (2, 1)]
+        );
+        assert_eq!(scan.fenced.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fenced_writer_cannot_rotate_into_the_promoted_lineage() {
+        let dir = temp_dir("fenced-rotate");
+        // Tiny threshold: every appended batch overflows the segment.
+        let old = WalWriter::open(&dir, DurabilityMode::Buffered, 64).unwrap();
+        old.append_and_flush(&[write_rec(1, 0, &[0u8; 48])])
+            .unwrap();
+        let new = WalWriter::promote_open(&dir, DurabilityMode::Buffered, 64).unwrap();
+        // The promoted lineage starts where the old writer would rotate to.
+        let err = old
+            .append_batch(&[write_rec(1, 1, &[0u8; 48])])
+            .unwrap_err();
+        assert!(crate::epoch::is_fence_error(&err), "{err}");
+        new.append_and_flush(&[write_rec(2, 0, b"after")]).unwrap();
+        drop(old);
+        let scan = scan_log(&dir).unwrap();
+        assert_eq!(
+            scan.records
+                .iter()
+                .map(|r| (r.lsn, r.epoch))
+                .collect::<Vec<_>>(),
+            vec![(0, 0), (1, 1)]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

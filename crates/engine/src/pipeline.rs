@@ -914,9 +914,12 @@ impl AdmissionPipeline {
     /// failure is fatal — a log the engine cannot append to can no longer
     /// back any durability promise — with one exception: a *fencing*
     /// refusal (a replica promoted over this epoch) latches the deposed
-    /// flag instead.  The dropped step records are harmless: no commit of
-    /// these transactions can ever reach the fenced log, so the discarded
-    /// steps belong to transactions recovery would discard anyway (ACA).
+    /// flag instead.  A buffered append re-reads the epoch marker only
+    /// when it has to rotate the segment, so a deposed primary usually
+    /// learns of its fate at the next commit's fence check; the step
+    /// records it buffers (or drops here) until then are harmless: no
+    /// commit of these transactions can ever reach the fenced log, so
+    /// they belong to transactions recovery would discard anyway (ACA).
     fn finish_admission(
         &self,
         admitted: AdmittedBatch,

@@ -78,12 +78,14 @@ pub trait Scheduler {
     /// steps.
     ///
     /// The paper's model has no commits — a transaction simply stops issuing
-    /// steps — so the default is a no-op, and for the schedulers of that
-    /// model the call changes no later decision: pre-declared 2PL has
-    /// released the locks with the last step already, SGT and MV-SGT only
-    /// prune nodes that can no longer matter.  [`crate::run_abort`] calls it
-    /// when a transaction's last step is accepted, which is what keeps the
-    /// graph schedulers' state bounded on long interleavings;
+    /// steps — so the default is a no-op, and for every scheduler the call
+    /// changes no later decision; it only releases state that can no longer
+    /// matter.  Pre-declared 2PL has released the locks with the last step
+    /// already; SGT and MV-SGT prune graph nodes; MVTO and TO retire the
+    /// transaction's timestamp, and MVTO drops the versions no unfinished
+    /// or future transaction can reach.  [`crate::run_abort`] calls it when
+    /// a transaction's last step is accepted, which is what keeps these
+    /// schedulers' state bounded on long interleavings;
     /// [`crate::run_prefix`] does not.  Interactive drivers (the
     /// `mvcc-engine` session API) do not know a transaction's length up
     /// front and depend on the hook: dynamic strict 2PL releases its locks

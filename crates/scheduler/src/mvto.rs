@@ -3,16 +3,41 @@
 //!
 //! Every transaction is timestamped on arrival.  A read of `x` by `T` is
 //! served the version of `x` with the largest write-timestamp not exceeding
-//! `ts(T)` and is never rejected; a write of `x` by `T` is rejected iff some
-//! transaction with a larger timestamp has already read a version older than
-//! `ts(T)` (serving that reader would now be wrong).  MVTO outputs MVSR
-//! schedules (serializable in timestamp order) and is the classical
+//! `ts(T)` and is never rejected; a write of `x` by `T` is rejected iff the
+//! version just below `ts(T)` has already been read by a transaction with a
+//! larger timestamp (serving that reader would now be wrong).  MVTO outputs
+//! MVSR schedules (serializable in timestamp order) and is the classical
 //! "practical" multiversion scheduler the paper's introduction credits with
 //! enhanced performance.
+//!
+//! ## State and per-step budget
+//!
+//! Each entity's versions are kept ascending by write timestamp, so both
+//! rules are one `partition_point` (a transaction that writes an entity
+//! twice gets two versions with its timestamp; the later one shadows the
+//! earlier).  Unfinished transactions — timestamped, neither committed nor
+//! aborted — carry the entities they wrote, and their timestamps sit in an
+//! ordered set.  A step costs O(log versions retained on its entity), a
+//! commit or abort O(own writes); nothing walks the whole table.
+//!
+//! ## Why pruning at commit changes no decision
+//!
+//! Timestamps are handed out in increasing order, so every later step
+//! carries a timestamp ≥ the *horizon*: the oldest unfinished timestamp
+//! (the next one to be assigned when none is unfinished).  A version
+//! written below the horizon belongs to a committed transaction — an
+//! unfinished writer's timestamp is ≥ the horizon, an aborted writer's
+//! versions are gone — so no abort will ever remove it.  Call the newest
+//! such version of an entity its *floor*.  The read rule (largest write
+//! timestamp ≤ ts) and the write test (the version just below ts) both
+//! land on the floor or above it for every ts ≥ horizon, now and — since
+//! the horizon only rises — ever after.  [`Scheduler::commit`] therefore
+//! drops everything below the floor, on the entities the committer wrote.
+//! A driver that never calls `commit` ([`crate::run_prefix`]) prunes nothing.
 
 use crate::{Decision, Scheduler};
 use mvcc_core::{Action, EntityId, Step, TxId, VersionSource};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 #[derive(Debug, Clone)]
 struct Version {
@@ -21,11 +46,20 @@ struct Version {
     max_read_ts: u64,
 }
 
+/// An unfinished transaction: its timestamp and the entities it wrote.
+#[derive(Debug, Clone)]
+struct Unfinished {
+    ts: u64,
+    written: Vec<EntityId>,
+}
+
 /// Multiversion timestamp-ordering scheduler.
 #[derive(Debug, Clone, Default)]
 pub struct MvtoScheduler {
     next_ts: u64,
-    ts_of: HashMap<TxId, u64>,
+    unfinished: HashMap<TxId, Unfinished>,
+    unfinished_ts: BTreeSet<u64>,
+    /// Per entity, ascending by `write_ts`; never empty once created.
     versions: HashMap<EntityId, Vec<Version>>,
 }
 
@@ -35,26 +69,17 @@ impl MvtoScheduler {
         Self::default()
     }
 
-    fn timestamp(&mut self, tx: TxId) -> u64 {
-        if let Some(&ts) = self.ts_of.get(&tx) {
-            return ts;
-        }
-        // Timestamps start at 1 so that the initial version (write_ts 0) is
-        // older than every transaction.
-        let ts = self.next_ts + 1;
-        self.next_ts += 1;
-        self.ts_of.insert(tx, ts);
-        ts
+    /// Number of versions currently retained over all entities (the
+    /// bounded-state tests watch this).
+    pub fn retained_versions(&self) -> usize {
+        self.versions.values().map(Vec::len).sum()
     }
 
-    fn versions_mut(&mut self, entity: EntityId) -> &mut Vec<Version> {
-        self.versions.entry(entity).or_insert_with(|| {
-            vec![Version {
-                writer: None,
-                write_ts: 0,
-                max_read_ts: 0,
-            }]
-        })
+    /// Forgets `tx` as an unfinished transaction, if it is one.
+    fn retire(&mut self, tx: TxId) -> Option<Unfinished> {
+        let tx = self.unfinished.remove(&tx)?;
+        self.unfinished_ts.remove(&tx.ts);
+        Some(tx)
     }
 }
 
@@ -68,17 +93,31 @@ impl Scheduler for MvtoScheduler {
     }
 
     fn offer(&mut self, step: Step) -> Decision {
-        let ts = self.timestamp(step.tx);
-        let versions = self.versions_mut(step.entity);
+        let (next_ts, unfinished_ts) = (&mut self.next_ts, &mut self.unfinished_ts);
+        let tx = self.unfinished.entry(step.tx).or_insert_with(|| {
+            // Timestamps start at 1 so that the initial version (write_ts 0)
+            // is older than every transaction.
+            *next_ts += 1;
+            unfinished_ts.insert(*next_ts);
+            Unfinished {
+                ts: *next_ts,
+                written: Vec::new(),
+            }
+        });
+        let ts = tx.ts;
+        let versions = self.versions.entry(step.entity).or_insert_with(|| {
+            vec![Version {
+                writer: None,
+                write_ts: 0,
+                max_read_ts: 0,
+            }]
+        });
+        // Versions [..at] have write_ts <= ts; the floor (or the initial
+        // version) is among them, so at >= 1.
+        let at = versions.partition_point(|v| v.write_ts <= ts);
         match step.action {
             Action::Read => {
-                // Serve the latest version with write_ts <= ts.
-                let chosen = versions
-                    .iter_mut()
-                    .filter(|v| v.write_ts <= ts)
-                    .max_by_key(|v| v.write_ts)
-                    // lint: allow(unwrap) — MVTO invariant: the read version's writer is tracked
-                    .expect("the initial version always qualifies");
+                let chosen = &mut versions[at - 1];
                 chosen.max_read_ts = chosen.max_read_ts.max(ts);
                 let read_from = match chosen.writer {
                     None => VersionSource::Initial,
@@ -89,42 +128,62 @@ impl Scheduler for MvtoScheduler {
                 }
             }
             Action::Write => {
-                // Reject if some version older than ts has been read by a
-                // transaction younger than ts: that reader should have seen
-                // this write.
-                let conflict = versions
+                // Reject if the version just below ts (skipping this
+                // transaction's own earlier writes) has been read by a
+                // transaction younger than ts: that reader should have
+                // seen this write.
+                let conflict = versions[..at]
                     .iter()
-                    .filter(|v| v.write_ts < ts)
-                    .max_by_key(|v| v.write_ts)
+                    .rfind(|v| v.write_ts < ts)
                     .is_some_and(|v| v.max_read_ts > ts);
                 if conflict {
                     return Decision::Reject;
                 }
-                versions.push(Version {
-                    writer: Some(step.tx),
-                    write_ts: ts,
-                    max_read_ts: ts,
-                });
+                versions.insert(
+                    at,
+                    Version {
+                        writer: Some(step.tx),
+                        write_ts: ts,
+                        max_read_ts: ts,
+                    },
+                );
+                tx.written.push(step.entity);
                 Decision::ACCEPT
             }
         }
     }
 
     fn abort(&mut self, tx: TxId) {
-        if let Some(ts) = self.ts_of.remove(&tx) {
-            for versions in self.versions.values_mut() {
-                versions.retain(|v| v.writer != Some(tx));
-                // Read timestamps contributed by the aborted transaction are
-                // left in place (conservative).
-                let _ = ts;
+        let Some(tx) = self.retire(tx) else {
+            return;
+        };
+        // Read timestamps contributed by the aborted transaction are left
+        // in place (conservative).
+        for entity in tx.written {
+            if let Some(versions) = self.versions.get_mut(&entity) {
+                let from = versions.partition_point(|v| v.write_ts < tx.ts);
+                let to = versions.partition_point(|v| v.write_ts <= tx.ts);
+                versions.drain(from..to);
+            }
+        }
+    }
+
+    fn commit(&mut self, tx: TxId) {
+        let Some(tx) = self.retire(tx) else {
+            return;
+        };
+        let next = self.next_ts + 1;
+        let horizon = self.unfinished_ts.first().copied().unwrap_or(next);
+        for entity in tx.written {
+            if let Some(versions) = self.versions.get_mut(&entity) {
+                let floor = versions.partition_point(|v| v.write_ts < horizon) - 1;
+                versions.drain(..floor);
             }
         }
     }
 
     fn reset(&mut self) {
-        self.next_ts = 0;
-        self.ts_of.clear();
-        self.versions.clear();
+        *self = Self::default();
     }
 }
 

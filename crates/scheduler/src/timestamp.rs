@@ -124,6 +124,12 @@ impl Scheduler for TimestampScheduler {
         self.ts_of.remove(&tx);
     }
 
+    fn commit(&mut self, tx: TxId) {
+        // A committed transaction issues no more steps: its timestamp lives
+        // on in the per-entity high-water marks only.
+        self.ts_of.remove(&tx);
+    }
+
     fn reset(&mut self) {
         self.next_ts = 0;
         self.ts_of.clear();
