@@ -1,16 +1,17 @@
 //! `mvccstat` — the cluster-observability ops surface: renders the
 //! continuous metrics timeline (experiment E19) either live, from an
-//! engine it drives itself, or offline, from a committed
-//! `timeline.jsonl` export.
+//! engine it drives itself, or offline, from a `timeline.jsonl` export
+//! of an earlier live run.
 //!
 //! Subcommands:
 //! * `mvccstat live [--certifier NAME] [--threads N] [--ops N]
-//!   [--interval-ms MS]` — builds an engine with telemetry and the
+//!   [--interval-ms MS] [--out PATH]` — builds an engine with telemetry and the
 //!   classification watchdog on, attaches a [`HealthMonitor`], drives
 //!   the closed loop on worker threads, and streams each timeline frame
 //!   to stdout as the recorder captures it.  Ends with the aggregated
 //!   [`ClusterHealth`] report (members, alarms, failover MTTR when one
-//!   happened).
+//!   happened).  With `--out`, also writes the recorded frames as JSONL —
+//!   the file `replay` reads.
 //! * `mvccstat replay PATH [--metrics]` — parses a `timeline.jsonl`
 //!   export, prints every frame in the same one-row format, re-runs the
 //!   [`AnomalyDetector`] over the frames (the detector is deterministic
@@ -26,15 +27,15 @@ use mvcc_engine::{
     AnomalyDetector, CertifierKind, ClusterHealth, DetectorConfig, DurabilityConfig, Engine,
     EngineConfig, HealthConfig, HealthMonitor, TelemetryMode, TimelineFrame,
 };
-use mvcc_telemetry::{metrics_text, parse_jsonl};
+use mvcc_telemetry::{metrics_text, parse_jsonl, write_jsonl};
 use mvcc_workload::LoadProfile;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mvccstat live [--certifier NAME] [--threads N] [--ops N] [--interval-ms MS]\n  \
-         mvccstat replay PATH [--metrics]"
+        "usage:\n  mvccstat live [--certifier NAME] [--threads N] [--ops N] [--interval-ms MS] \
+         [--out PATH]\n  mvccstat replay PATH [--metrics]"
     );
     std::process::exit(2);
 }
@@ -55,6 +56,7 @@ fn live(mut args: impl Iterator<Item = String>) {
     let mut threads = 4usize;
     let mut ops = 200_000usize;
     let mut interval_ms = 100u64;
+    let mut out: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--certifier" => {
@@ -77,6 +79,7 @@ fn live(mut args: impl Iterator<Item = String>) {
             "--threads" => threads = parse_num(args.next()),
             "--ops" => ops = parse_num(args.next()),
             "--interval-ms" => interval_ms = parse_num(args.next()) as u64,
+            "--out" => out = Some(args.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
     }
@@ -158,10 +161,15 @@ fn live(mut args: impl Iterator<Item = String>) {
         frames.len(),
         elapsed.as_secs_f64()
     );
+    if let Some(path) = out {
+        std::fs::write(&path, write_jsonl(&frames))
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        println!("wrote {} timeline frames to {path}", frames.len());
+    }
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
-/// Replays a committed `timeline.jsonl`: frames rendered one per row,
+/// Replays a `timeline.jsonl` export: frames rendered one per row,
 /// the detector re-run over them, and the final health report.
 fn replay(mut args: impl Iterator<Item = String>) {
     let mut path: Option<String> = None;

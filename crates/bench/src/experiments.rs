@@ -9,7 +9,7 @@ use mvcc_classify::taxonomy::{classify, Census};
 use mvcc_classify::{is_csr, is_mvcsr, is_mvsr, is_vsr};
 use mvcc_core::examples::{figure1, Figure1Region};
 use mvcc_core::Schedule;
-use mvcc_engine::CertifierKind;
+use mvcc_engine::{run_closed_loop, CertifierKind, LoadOptions};
 use mvcc_graph::poly_acyclic::is_acyclic_polygraph;
 use mvcc_graph::Polygraph;
 use mvcc_reductions::ols::is_ols;
@@ -350,7 +350,14 @@ pub fn engine_load_table(profile: &LoadProfile, validate_histories: bool) -> Vec
     CertifierKind::all()
         .into_iter()
         .map(|kind| {
-            let report = mvcc_engine::load::run_closed_loop_with(kind, profile, validate_histories);
+            let report = run_closed_loop(
+                kind,
+                profile,
+                LoadOptions {
+                    record_history: validate_histories,
+                    ..LoadOptions::default()
+                },
+            );
             EngineRow {
                 certifier: kind,
                 profile: *profile,
@@ -410,8 +417,18 @@ pub fn pipeline_scaling_table(
     threads: &[usize],
     kinds: &[CertifierKind],
 ) -> Vec<PipelineRow> {
-    use mvcc_engine::load::run_closed_loop_in_mode;
     use mvcc_engine::AdmissionMode;
+    let run = |kind, profile: &LoadProfile, admission| {
+        run_closed_loop(
+            kind,
+            profile,
+            LoadOptions {
+                record_history: false,
+                admission,
+                ..LoadOptions::default()
+            },
+        )
+    };
     let mut rows = Vec::with_capacity(threads.len() * kinds.len());
     for &threads in threads {
         let profile = LoadProfile {
@@ -420,8 +437,8 @@ pub fn pipeline_scaling_table(
             ..*base
         };
         for &kind in kinds {
-            let off = run_closed_loop_in_mode(kind, &profile, false, AdmissionMode::PerStep);
-            let on = run_closed_loop_in_mode(kind, &profile, false, AdmissionMode::Batched);
+            let off = run(kind, &profile, AdmissionMode::PerStep);
+            let on = run(kind, &profile, AdmissionMode::Batched);
             rows.push(PipelineRow {
                 certifier: kind,
                 threads,
@@ -473,8 +490,7 @@ pub fn durability_scaling_table(
     kinds: &[CertifierKind],
     trials: usize,
 ) -> Vec<DurabilityRow> {
-    use mvcc_engine::load::run_closed_loop_configured;
-    use mvcc_engine::{AdmissionMode, DurabilityConfig, DurabilityMode};
+    use mvcc_engine::{DurabilityConfig, DurabilityMode};
     use std::sync::atomic::{AtomicU64, Ordering};
     static CELL: AtomicU64 = AtomicU64::new(0);
     let trials = trials.max(1);
@@ -503,12 +519,14 @@ pub fn durability_scaling_table(
                     }
                 };
                 let dir = durability.is_on().then(|| durability.dir.clone());
-                let report = run_closed_loop_configured(
+                let report = run_closed_loop(
                     kind,
                     base,
-                    false,
-                    AdmissionMode::Batched,
-                    durability,
+                    LoadOptions {
+                        record_history: false,
+                        durability,
+                        ..LoadOptions::default()
+                    },
                 );
                 if let Some(dir) = dir {
                     let _ = std::fs::remove_dir_all(dir);
@@ -705,280 +723,6 @@ pub fn replica_scaling_table(
             let _ = std::fs::remove_dir_all(&dir);
         }
         runs.sort_by(|a, b| a.read_tps.total_cmp(&b.read_tps));
-        rows.push(runs.swap_remove(runs.len() / 2));
-    }
-    rows
-}
-
-/// One row of the telemetry trajectory table (experiment E17): one
-/// certifier under the closed loop with per-stage tracing on.
-#[derive(Debug, Clone)]
-pub struct TelemetryRow {
-    /// Certifier configuration.
-    pub certifier: CertifierKind,
-    /// Worker threads driving the closed loop.
-    pub threads: usize,
-    /// Committed-transaction throughput.
-    pub throughput_tps: f64,
-    /// Interpolated p99 commit latency in µs (0.0 when nothing committed).
-    pub p99_latency_us: f64,
-    /// Per-stage interpolated quantiles recorded during the run
-    /// (admission queue-wait and service, certify, group-commit apply,
-    /// WAL flush, batch sizes, commit latency).
-    pub stages: mvcc_telemetry::TelemetrySnapshot,
-    /// Tail exemplars captured by the trace reservoir (0 when tracing
-    /// never sampled a commit, as in telemetry-off runs).
-    pub exemplar_count: usize,
-    /// Fraction of captured exemplars whose dominant stage is
-    /// attributable (1.0 when no exemplars were captured).
-    pub attribution: f64,
-    /// Committed-history windows the classification watchdog checked
-    /// during the run (0 when the watchdog was off).
-    pub watchdog_windows: u64,
-    /// Watchdog windows that violated the certifier's class — any
-    /// non-zero value here is a correctness alarm, not a perf number.
-    pub watchdog_violations: u64,
-}
-
-/// One E18 cell: the scalar row plus the full span trees of the tail
-/// exemplars the reservoir retained, so the trace report can explain
-/// *why* the slow commits were slow instead of only counting them.
-#[derive(Debug, Clone)]
-pub struct TraceRun {
-    /// Scalar row (throughput, stage quantiles, exemplar/watchdog counts).
-    pub row: TelemetryRow,
-    /// Retained tail-exemplar span trees, slowest first.
-    pub exemplars: Vec<mvcc_telemetry::TraceTree>,
-}
-
-/// Runs the per-stage telemetry trajectory (experiment E17): each
-/// certifier drives one closed loop with [`mvcc_engine::TelemetryMode::On`]
-/// and buffered durability (so the WAL flush stages fill too), and the
-/// row carries the run's full per-stage snapshot.  This is the table the
-/// `telemetry_scaling` binary exports as `BENCH_7.json`.
-///
-/// `trials` runs each cell that many times and keeps the
-/// median-throughput run (same single-CPU noise rationale as E14); the
-/// stage quantiles reported are the median run's, not cross-run merges,
-/// so they describe one coherent execution.
-pub fn telemetry_scaling_table(
-    base: &LoadProfile,
-    kinds: &[CertifierKind],
-    trials: usize,
-) -> Vec<TelemetryRow> {
-    use mvcc_engine::load::run_closed_loop_instrumented;
-    use mvcc_engine::{AdmissionMode, DurabilityConfig, TelemetryMode};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static CELL: AtomicU64 = AtomicU64::new(0);
-    let trials = trials.max(1);
-    let mut rows = Vec::with_capacity(kinds.len());
-    for &kind in kinds {
-        let mut runs = Vec::with_capacity(trials);
-        for _ in 0..trials {
-            let dir = std::env::temp_dir().join(format!(
-                "mvcc-e17-{}-{}-{}",
-                std::process::id(),
-                kind.name(),
-                CELL.fetch_add(1, Ordering::Relaxed)
-            ));
-            let report = run_closed_loop_instrumented(
-                kind,
-                base,
-                false,
-                AdmissionMode::Batched,
-                DurabilityConfig::buffered(&dir),
-                TelemetryMode::On,
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-            runs.push(TelemetryRow {
-                certifier: kind,
-                threads: base.threads,
-                throughput_tps: report.throughput_tps(),
-                p99_latency_us: report.metrics.latency_us(0.99).unwrap_or(0.0),
-                stages: report.metrics.stages.clone(),
-                exemplar_count: report.exemplars.len(),
-                attribution: report.exemplar_attribution(),
-                watchdog_windows: 0,
-                watchdog_violations: 0,
-            });
-        }
-        runs.sort_by(|a, b| a.throughput_tps.total_cmp(&b.throughput_tps));
-        rows.push(runs.swap_remove(runs.len() / 2));
-    }
-    rows
-}
-
-/// Runs the causal-tracing trajectory (experiment E18): each certifier
-/// drives one closed loop with tracing on, a bounded ring history, and
-/// the online classification watchdog sampling committed windows while
-/// the load runs.  The row set is what `telemetry_scaling --trace`
-/// exports as `BENCH_9.json`; the retained exemplar trees feed the
-/// "why slow" trace report.
-///
-/// `trials` keeps the median-throughput run per cell (same rationale as
-/// E17); exemplars and watchdog counts are the median run's, so the
-/// report describes one coherent execution.
-pub fn trace_scaling_table(
-    base: &LoadProfile,
-    kinds: &[CertifierKind],
-    trials: usize,
-) -> Vec<TraceRun> {
-    use mvcc_engine::load::run_closed_loop_traced;
-    use mvcc_engine::{AdmissionMode, DurabilityConfig, TelemetryMode};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static CELL: AtomicU64 = AtomicU64::new(0);
-    let trials = trials.max(1);
-    let mut rows = Vec::with_capacity(kinds.len());
-    for &kind in kinds {
-        let mut runs = Vec::with_capacity(trials);
-        for _ in 0..trials {
-            let dir = std::env::temp_dir().join(format!(
-                "mvcc-e18-{}-{}-{}",
-                std::process::id(),
-                kind.name(),
-                CELL.fetch_add(1, Ordering::Relaxed)
-            ));
-            let report = run_closed_loop_traced(
-                kind,
-                base,
-                true,
-                Some(512),
-                AdmissionMode::Batched,
-                DurabilityConfig::buffered(&dir),
-                TelemetryMode::On,
-                true,
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-            let watchdog = report.watchdog.unwrap_or_default();
-            runs.push(TraceRun {
-                row: TelemetryRow {
-                    certifier: kind,
-                    threads: base.threads,
-                    throughput_tps: report.throughput_tps(),
-                    p99_latency_us: report.metrics.latency_us(0.99).unwrap_or(0.0),
-                    stages: report.metrics.stages.clone(),
-                    exemplar_count: report.exemplars.len(),
-                    attribution: report.exemplar_attribution(),
-                    watchdog_windows: watchdog.windows,
-                    watchdog_violations: watchdog.violations,
-                },
-                exemplars: report.exemplars,
-            });
-        }
-        runs.sort_by(|a, b| a.row.throughput_tps.total_cmp(&b.row.throughput_tps));
-        rows.push(runs.swap_remove(runs.len() / 2));
-    }
-    rows
-}
-
-/// One E19 cell: the scalar row plus the continuous metrics timeline the
-/// health monitor recorded during the run and the alarms its anomaly
-/// detector raised.  A release run of the steady closed loop must report
-/// zero alarms — any entry here is a detector false positive (or a real
-/// engine regression), not a perf number.
-#[derive(Debug, Clone)]
-pub struct TimelineRun {
-    /// Scalar row (throughput, stage quantiles, exemplar/watchdog counts).
-    pub row: TelemetryRow,
-    /// Timeline frames the 100 ms-cadence recorder captured, oldest first.
-    pub timeline: Vec<mvcc_telemetry::TimelineFrame>,
-    /// Alarms the anomaly detector raised while observing those frames.
-    pub alarms: Vec<mvcc_engine::Alarm>,
-}
-
-/// Windowed extrema of one run's timeline — the per-row summary block
-/// `BENCH_10.json` carries so the bench trajectory can gate on worst-case
-/// *windows*, not only run-wide aggregates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineSummary {
-    /// Frames the recorder captured (≥ 1: stop always takes a closing sample).
-    pub frames: usize,
-    /// Largest single-window abort rate observed (0.0 when nothing finished).
-    pub max_abort_rate: f64,
-    /// Worst single-window p99 commit latency in µs.
-    pub worst_p99_us: f64,
-    /// Alarms raised during the run (steady-state runs must report 0).
-    pub alarms: usize,
-}
-
-impl TimelineRun {
-    /// Reduces the timeline to its windowed extrema.
-    pub fn summary(&self) -> TimelineSummary {
-        let mut max_abort_rate: f64 = 0.0;
-        let mut worst_p99_us: f64 = 0.0;
-        for frame in &self.timeline {
-            max_abort_rate = max_abort_rate.max(frame.abort_rate);
-            worst_p99_us = worst_p99_us.max(frame.commit.p99);
-        }
-        TimelineSummary {
-            frames: self.timeline.len(),
-            max_abort_rate,
-            worst_p99_us,
-            alarms: self.alarms.len(),
-        }
-    }
-}
-
-/// Runs the continuous-observability trajectory (experiment E19): each
-/// certifier drives one closed loop with tracing, the watchdog, *and* the
-/// health monitor sampling the metrics registry on a fixed cadence while
-/// the load runs.  The row set is what `telemetry_scaling --timeline`
-/// exports as `BENCH_10.json`; the median run's frames are what
-/// `--timeline-out` writes as `timeline.jsonl` for `mvccstat replay`.
-///
-/// `trials` keeps the median-throughput run per cell (same rationale as
-/// E17/E18); the timeline and alarms are the median run's, so the frames
-/// describe one coherent execution.
-pub fn timeline_scaling_table(
-    base: &LoadProfile,
-    kinds: &[CertifierKind],
-    trials: usize,
-) -> Vec<TimelineRun> {
-    use mvcc_engine::load::run_closed_loop_monitored;
-    use mvcc_engine::{AdmissionMode, DurabilityConfig, HealthConfig, TelemetryMode};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static CELL: AtomicU64 = AtomicU64::new(0);
-    let trials = trials.max(1);
-    let mut rows = Vec::with_capacity(kinds.len());
-    for &kind in kinds {
-        let mut runs = Vec::with_capacity(trials);
-        for _ in 0..trials {
-            let dir = std::env::temp_dir().join(format!(
-                "mvcc-e19-{}-{}-{}",
-                std::process::id(),
-                kind.name(),
-                CELL.fetch_add(1, Ordering::Relaxed)
-            ));
-            let report = run_closed_loop_monitored(
-                kind,
-                base,
-                true,
-                Some(512),
-                AdmissionMode::Batched,
-                DurabilityConfig::buffered(&dir),
-                TelemetryMode::On,
-                true,
-                Some(HealthConfig::default()),
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-            let watchdog = report.watchdog.unwrap_or_default();
-            runs.push(TimelineRun {
-                row: TelemetryRow {
-                    certifier: kind,
-                    threads: base.threads,
-                    throughput_tps: report.throughput_tps(),
-                    p99_latency_us: report.metrics.latency_us(0.99).unwrap_or(0.0),
-                    stages: report.metrics.stages.clone(),
-                    exemplar_count: report.exemplars.len(),
-                    attribution: report.exemplar_attribution(),
-                    watchdog_windows: watchdog.windows,
-                    watchdog_violations: watchdog.violations,
-                },
-                timeline: report.timeline,
-                alarms: report.alarms,
-            });
-        }
-        runs.sort_by(|a, b| a.row.throughput_tps.total_cmp(&b.row.throughput_tps));
         rows.push(runs.swap_remove(runs.len() / 2));
     }
     rows

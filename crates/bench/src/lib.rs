@@ -1,9 +1,10 @@
 //! # mvcc-bench
 //!
-//! The experiment harness: Criterion micro-benchmarks (under `benches/`) and
-//! table-printing binaries (under `src/bin/`) that regenerate the paper's
-//! Figure 1 and the derived experiment tables E1–E12 described in
-//! `DESIGN.md` / `EXPERIMENTS.md`.
+//! The experiment harness: Criterion layer micro-benchmarks (under
+//! `benches/`), table-printing binaries (under `src/bin/`) that regenerate
+//! the paper's Figure 1 and the derived experiment tables E1–E16 described
+//! in `DESIGN.md` / `EXPERIMENTS.md`, and the `mvccstat` ops surface.  The
+//! end-to-end benchmark is not here: it is the `benchmark/` package.
 //!
 //! This library crate holds the small pieces shared by the binaries: plain
 //! text table rendering and the experiment drivers that compute rows (so
@@ -12,7 +13,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_json;
 pub mod experiments;
 pub mod table;
 

@@ -27,15 +27,18 @@ pub struct GcDriver {
 
 impl GcDriver {
     /// Spawns a GC thread over `engine`, running one collection every
-    /// `period`.
+    /// `period`.  The stop flag is read only after a pass, so a started
+    /// driver completes at least one even if it is stopped before its
+    /// thread is first scheduled.
     pub fn start(engine: Arc<Engine>, period: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                engine.collect_garbage();
-                std::thread::sleep(period);
+        let handle = std::thread::spawn(move || loop {
+            engine.collect_garbage();
+            if stop_flag.load(Ordering::Relaxed) {
+                break;
             }
+            std::thread::sleep(period);
         });
         GcDriver {
             stop,
@@ -107,6 +110,13 @@ mod tests {
                 .version_count(EntityId(0)),
             1
         );
+    }
+
+    #[test]
+    fn a_driver_stopped_at_once_still_completes_a_pass() {
+        let engine = Arc::new(Engine::new(CertifierKind::Sgt, EngineConfig::default()));
+        GcDriver::start(Arc::clone(&engine), Duration::from_millis(1)).stop();
+        assert!(engine.metrics().snapshot().gc_passes >= 1);
     }
 
     #[test]

@@ -98,10 +98,7 @@ pub use health::{
     failover_mttr, Alarm, AnomalyDetector, AnomalyKind, ClusterHealth, DetectorConfig,
     EngineSampler, HealthConfig, HealthMonitor, MemberHealth, MemberProbe,
 };
-pub use load::{
-    run_closed_loop, run_closed_loop_instrumented, run_closed_loop_monitored,
-    run_closed_loop_traced, LoadReport,
-};
+pub use load::{run_closed_loop, LoadOptions, LoadReport};
 pub use metrics::{AbortReason, EngineMetrics, MetricsSnapshot};
 pub use pipeline::{AdmissionMode, ChaosHook, KillSite};
 pub use session::{Engine, EngineConfig, EngineError, History, Session};

@@ -1,4 +1,5 @@
-//! The closed-loop load harness (experiment E12).
+//! The closed-loop load harness (experiments E12–E16), one entry point:
+//! [`run_closed_loop`]`(kind, &profile, `[`LoadOptions`]`)`.
 //!
 //! `threads` workers each run a closed loop: generate a transaction with
 //! the `mvcc-workload` primitives (Zipfian entity selection with skew θ,
@@ -49,11 +50,10 @@ pub struct LoadReport {
     /// (empty with telemetry off — no transaction is ever traced then).
     pub exemplars: Vec<TraceTree>,
     /// Final counters of the online classification watchdog, when one ran
-    /// alongside the load ([`run_closed_loop_traced`] with `watchdog`).
+    /// alongside the load ([`LoadOptions::watchdog`]).
     pub watchdog: Option<WatchdogStats>,
     /// The timeline frames a health monitor recorded, when one ran
-    /// alongside the load ([`run_closed_loop_monitored`]); empty
-    /// otherwise.
+    /// alongside the load ([`LoadOptions::monitor`]); empty otherwise.
     pub timeline: Vec<TimelineFrame>,
     /// The anomaly alarms that monitor raised (a steady-state run must
     /// leave this empty — the release soak asserts it).
@@ -103,136 +103,62 @@ impl LoadReport {
     }
 }
 
-/// Runs one closed-loop load against a fresh engine of `kind`, recording
-/// the admission history for offline validation.
-pub fn run_closed_loop(kind: CertifierKind, profile: &LoadProfile) -> LoadReport {
-    run_closed_loop_with(kind, profile, true)
+/// What [`run_closed_loop`] switches on beside the load itself.  Used with
+/// struct-update syntax, as [`EngineConfig`] is:
+/// `LoadOptions { record_history: false, ..LoadOptions::default() }`.
+#[derive(Debug, Clone)]
+pub struct LoadOptions {
+    /// Record the admission history for offline validation (turn it off
+    /// for long throughput runs, where the log itself would distort the
+    /// measurement).
+    pub record_history: bool,
+    /// Ring bound on the recorded history ([`EngineConfig::history_capacity`]):
+    /// long soaks keep memory O(1) while the online watchdog still sees
+    /// classifiable windows.
+    pub history_capacity: Option<usize>,
+    /// How admission is serialized — the pipeline-on/off comparison knob
+    /// of experiment E13.
+    pub admission: AdmissionMode,
+    /// The Off/Buffered/Fsync comparison knob of experiment E14.  With
+    /// durability on, a fresh write-ahead log is started in
+    /// `durability.dir`.
+    pub durability: DurabilityConfig,
+    /// Per-stage telemetry: with [`TelemetryMode::On`] the report's
+    /// [`MetricsSnapshot::stages`] carries interpolated per-stage
+    /// quantiles and `exemplars` the tail-latency span trees the
+    /// reservoir retained.
+    pub telemetry: TelemetryMode,
+    /// Run the [`ClassificationWatchdog`] alongside the load and report
+    /// its final counters.
+    pub watchdog: bool,
+    /// Run a [`HealthMonitor`] sampling the engine on this cadence; the
+    /// report then carries the recorded timeline frames and any anomaly
+    /// alarms.
+    pub monitor: Option<HealthConfig>,
 }
 
-/// [`run_closed_loop`] with history recording made explicit (turn it off
-/// for long throughput benchmarks, where the log itself would distort the
-/// measurement).
-pub fn run_closed_loop_with(
-    kind: CertifierKind,
-    profile: &LoadProfile,
-    record_history: bool,
-) -> LoadReport {
-    run_closed_loop_in_mode(kind, profile, record_history, AdmissionMode::default())
+impl Default for LoadOptions {
+    /// History on, everything else off.
+    fn default() -> Self {
+        LoadOptions {
+            record_history: true,
+            history_capacity: None,
+            admission: AdmissionMode::default(),
+            durability: DurabilityConfig::off(),
+            telemetry: TelemetryMode::default(),
+            watchdog: false,
+            monitor: None,
+        }
+    }
 }
 
-/// [`run_closed_loop_with`] with the admission mode made explicit — the
-/// pipeline-on/off comparison knob of experiment E13.
-pub fn run_closed_loop_in_mode(
+/// Runs one closed-loop load against a fresh engine of `kind`.  Workers
+/// join before the metrics snapshot is taken, so every thread-local
+/// telemetry buffer has been flushed into it.
+pub fn run_closed_loop(
     kind: CertifierKind,
     profile: &LoadProfile,
-    record_history: bool,
-    admission: AdmissionMode,
-) -> LoadReport {
-    run_closed_loop_configured(
-        kind,
-        profile,
-        record_history,
-        admission,
-        DurabilityConfig::off(),
-    )
-}
-
-/// The fully configured closed loop: admission mode *and* durability made
-/// explicit — the Off/Buffered/Fsync comparison knob of experiment E14.
-/// A fresh engine (and, with durability on, a fresh write-ahead log in
-/// `durability.dir`) is built per run.
-pub fn run_closed_loop_configured(
-    kind: CertifierKind,
-    profile: &LoadProfile,
-    record_history: bool,
-    admission: AdmissionMode,
-    durability: DurabilityConfig,
-) -> LoadReport {
-    run_closed_loop_instrumented(
-        kind,
-        profile,
-        record_history,
-        admission,
-        durability,
-        TelemetryMode::Off,
-    )
-}
-
-/// [`run_closed_loop_configured`] with per-stage telemetry made explicit —
-/// [`TelemetryMode::On`] is what experiment E17's trajectory runs use; the
-/// report's [`MetricsSnapshot::stages`] then carries interpolated
-/// per-stage quantiles.  Workers join before the snapshot is taken, so
-/// every thread-local telemetry buffer has been flushed into it.
-pub fn run_closed_loop_instrumented(
-    kind: CertifierKind,
-    profile: &LoadProfile,
-    record_history: bool,
-    admission: AdmissionMode,
-    durability: DurabilityConfig,
-    telemetry: TelemetryMode,
-) -> LoadReport {
-    run_closed_loop_traced(
-        kind,
-        profile,
-        record_history,
-        None,
-        admission,
-        durability,
-        telemetry,
-        false,
-    )
-}
-
-/// The fully traced closed loop (experiment E18): everything
-/// [`run_closed_loop_instrumented`] configures, plus a ring bound on the
-/// recorded history (`history_capacity` — long soaks keep memory O(1)
-/// while the online watchdog still sees classifiable windows) and the
-/// [`ClassificationWatchdog`] itself (`watchdog: true` runs it alongside
-/// the load and reports its final counters).  With telemetry on, the
-/// report also carries the tail-latency exemplars the reservoir retained.
-#[allow(clippy::too_many_arguments)]
-pub fn run_closed_loop_traced(
-    kind: CertifierKind,
-    profile: &LoadProfile,
-    record_history: bool,
-    history_capacity: Option<usize>,
-    admission: AdmissionMode,
-    durability: DurabilityConfig,
-    telemetry: TelemetryMode,
-    watchdog: bool,
-) -> LoadReport {
-    run_closed_loop_monitored(
-        kind,
-        profile,
-        record_history,
-        history_capacity,
-        admission,
-        durability,
-        telemetry,
-        watchdog,
-        None,
-    )
-}
-
-/// The continuously observed closed loop (experiment E19): everything
-/// [`run_closed_loop_traced`] configures, plus an optional
-/// [`HealthMonitor`] sampling the engine on `monitor`'s cadence — the
-/// report then carries the recorded timeline frames and any anomaly
-/// alarms.  When the watchdog also runs, its verdict counters flow into
-/// the frames through a detached stats probe, so the monitor's closing
-/// frame still sees the final counts even though the watchdog handle is
-/// consumed first.
-#[allow(clippy::too_many_arguments)]
-pub fn run_closed_loop_monitored(
-    kind: CertifierKind,
-    profile: &LoadProfile,
-    record_history: bool,
-    history_capacity: Option<usize>,
-    admission: AdmissionMode,
-    durability: DurabilityConfig,
-    telemetry: TelemetryMode,
-    watchdog: bool,
-    monitor: Option<HealthConfig>,
+    options: LoadOptions,
 ) -> LoadReport {
     // lint: allow(unwrap) — load harness: an invalid profile is a caller bug, fail fast
     profile.validate().expect("invalid load profile");
@@ -242,20 +168,19 @@ pub fn run_closed_loop_monitored(
             shards: profile.shards,
             entities: profile.entities,
             initial: Bytes::from_static(b"0"),
-            record_history,
-            history_capacity,
-            admission,
-            durability,
-            telemetry,
+            record_history: options.record_history,
+            history_capacity: options.history_capacity,
+            admission: options.admission,
+            durability: options.durability,
+            telemetry: options.telemetry,
             ..EngineConfig::default()
         },
     ));
-    // The benched loop samples at a coarser cadence than the chaos-soak
-    // default: each window check is a full graph classification whose CPU
-    // time is stolen from the workers on small runners, and the bench
-    // rows feed a throughput regression gate.  The final deterministic
+    // The loop samples at a coarser cadence than the chaos-soak default:
+    // each window check is a full graph classification whose CPU time is
+    // stolen from the workers on small runners.  The final deterministic
     // pass below still guarantees at least one checked window.
-    let dog = watchdog.then(|| {
+    let dog = options.watchdog.then(|| {
         ClassificationWatchdog::start(
             Arc::clone(&engine),
             WatchdogConfig {
@@ -264,7 +189,7 @@ pub fn run_closed_loop_monitored(
             },
         )
     });
-    let health = monitor.map(|config| {
+    let health = options.monitor.map(|config| {
         let mut sampler =
             EngineSampler::for_engine(&engine, Vec::<MemberProbe>::new(), config.detector);
         if let Some(d) = &dog {
@@ -292,7 +217,7 @@ pub fn run_closed_loop_monitored(
         .unwrap_or_default();
     LoadReport {
         kind,
-        admission,
+        admission: options.admission,
         class: kind.class(),
         profile: *profile,
         elapsed,
@@ -388,7 +313,11 @@ mod tests {
 
     #[test]
     fn closed_loop_accounts_for_every_transaction() {
-        let report = run_closed_loop(CertifierKind::Sgt, &small_profile(0.0));
+        let report = run_closed_loop(
+            CertifierKind::Sgt,
+            &small_profile(0.0),
+            LoadOptions::default(),
+        );
         let m = &report.metrics;
         assert!(m.committed > 0, "no commits at all");
         assert_eq!(m.begun, m.committed + m.aborted, "unfinished sessions");
@@ -401,12 +330,21 @@ mod tests {
         );
         assert!(report.throughput_tps() > 0.0);
         assert!(report.history_in_class());
+        // The default options: history recorded (above), everything else off.
+        assert_eq!(report.admission, AdmissionMode::default());
+        assert!(m.stages.is_empty() && !m.durability_on());
+        assert!(report.watchdog.is_none());
+        assert!(report.timeline.is_empty() && report.alarms.is_empty());
     }
 
     #[test]
     fn budget_bounds_the_run() {
         let profile = small_profile(0.9);
-        let report = run_closed_loop(CertifierKind::SnapshotIsolation, &profile);
+        let report = run_closed_loop(
+            CertifierKind::SnapshotIsolation,
+            &profile,
+            LoadOptions::default(),
+        );
         // Workers claim ops up front, so executed ops never exceed the
         // budget (aborted transactions may under-use their claim).
         let m = &report.metrics;
@@ -419,7 +357,14 @@ mod tests {
 
     #[test]
     fn history_recording_can_be_skipped() {
-        let report = run_closed_loop_with(CertifierKind::Mvto, &small_profile(0.0), false);
+        let report = run_closed_loop(
+            CertifierKind::Mvto,
+            &small_profile(0.0),
+            LoadOptions {
+                record_history: false,
+                ..LoadOptions::default()
+            },
+        );
         assert!(report.history.admitted.is_empty());
         assert!(report.history_in_class(), "vacuously true");
         assert!(report.metrics.committed > 0);
@@ -427,15 +372,15 @@ mod tests {
 
     #[test]
     fn traced_run_collects_exemplars_and_watchdog_verdicts() {
-        let report = run_closed_loop_traced(
+        let report = run_closed_loop(
             CertifierKind::Sgt,
             &small_profile(0.6),
-            true,
-            Some(64),
-            AdmissionMode::Batched,
-            DurabilityConfig::off(),
-            TelemetryMode::On,
-            true,
+            LoadOptions {
+                history_capacity: Some(64),
+                telemetry: TelemetryMode::On,
+                watchdog: true,
+                ..LoadOptions::default()
+            },
         );
         assert!(report.metrics.committed > 0);
         // 1-in-32 per-thread sampling with the first transaction on every
@@ -454,13 +399,10 @@ mod tests {
         assert!(stats.windows >= 1, "watchdog never checked: {stats:?}");
         assert_eq!(stats.violations, 0, "false alarms: {stats:?}");
         // Untraced baseline keeps the old shape.
-        let report = run_closed_loop_instrumented(
+        let report = run_closed_loop(
             CertifierKind::Sgt,
             &small_profile(0.0),
-            true,
-            AdmissionMode::Batched,
-            DurabilityConfig::off(),
-            TelemetryMode::Off,
+            LoadOptions::default(),
         );
         assert!(report.exemplars.is_empty());
         assert!(report.watchdog.is_none());
@@ -468,19 +410,19 @@ mod tests {
 
     #[test]
     fn monitored_run_records_a_timeline_with_no_false_alarms() {
-        let report = run_closed_loop_monitored(
+        let report = run_closed_loop(
             CertifierKind::Sgt,
             &small_profile(0.6),
-            true,
-            Some(64),
-            AdmissionMode::Batched,
-            DurabilityConfig::off(),
-            TelemetryMode::On,
-            true,
-            Some(HealthConfig {
-                interval: Duration::from_millis(5),
-                ..HealthConfig::default()
-            }),
+            LoadOptions {
+                history_capacity: Some(64),
+                telemetry: TelemetryMode::On,
+                watchdog: true,
+                monitor: Some(HealthConfig {
+                    interval: Duration::from_millis(5),
+                    ..HealthConfig::default()
+                }),
+                ..LoadOptions::default()
+            },
         );
         assert!(report.metrics.committed > 0);
         // The closing sample guarantees at least one frame even if the
@@ -502,7 +444,11 @@ mod tests {
             report.alarms
         );
         // An unmonitored run keeps the old shape.
-        let report = run_closed_loop(CertifierKind::Sgt, &small_profile(0.0));
+        let report = run_closed_loop(
+            CertifierKind::Sgt,
+            &small_profile(0.0),
+            LoadOptions::default(),
+        );
         assert!(report.timeline.is_empty());
         assert!(report.alarms.is_empty());
     }
@@ -510,8 +456,14 @@ mod tests {
     #[test]
     fn both_admission_modes_drive_the_same_workload_soundly() {
         for mode in [AdmissionMode::Batched, AdmissionMode::PerStep] {
-            let report =
-                run_closed_loop_in_mode(CertifierKind::Sgt, &small_profile(0.0), true, mode);
+            let report = run_closed_loop(
+                CertifierKind::Sgt,
+                &small_profile(0.0),
+                LoadOptions {
+                    admission: mode,
+                    ..LoadOptions::default()
+                },
+            );
             assert_eq!(report.admission, mode);
             let m = &report.metrics;
             assert!(m.committed > 0, "{mode}: no commits");

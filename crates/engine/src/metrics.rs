@@ -107,34 +107,6 @@ impl fmt::Display for AbortReason {
     }
 }
 
-/// Power-of-two commit-latency histogram: bucket 0 counts sub-µs commits
-/// and bucket `i > 0` counts latencies in `[2^(i-1), 2^i)` microseconds,
-/// so `2^i` is the inclusive upper bound of bucket `i` (the bound
-/// [`MetricsSnapshot::latency_us`] interpolates within).
-#[derive(Debug, Default)]
-struct LatencyHistogram {
-    buckets: [AtomicU64; 32],
-}
-
-impl LatencyHistogram {
-    fn record(&self, latency: Duration) {
-        // `as_micros` is u128; a plain `as u64` cast would silently wrap
-        // absurd durations around to *small* values and file them in fast
-        // buckets.  Saturate instead: anything beyond u64::MAX µs (585
-        // millennia) lands in the top bucket.
-        let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        let bucket = (64 - micros.leading_zeros() as usize).min(31);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
 /// Per-shard contention counters.
 #[derive(Debug, Default)]
 struct ShardCounters {
@@ -179,11 +151,9 @@ pub struct EngineMetrics {
     repl_wait_stalls: AtomicU64,
     repl_wait_stall_us: AtomicU64,
     repl_max_lag_lsn: AtomicU64,
-    commit_latency: LatencyHistogram,
-    /// The log-linear refinement of `commit_latency` — always on (its
-    /// cost is one extra relaxed `fetch_add` set per commit), so
+    /// Always on (one relaxed `fetch_add` set per commit), so
     /// interpolated quantiles are available even with stage tracing off.
-    commit_latency_fine: mvcc_telemetry::Histogram,
+    commit_latency: mvcc_telemetry::Histogram,
     shards: Vec<ShardCounters>,
     telemetry: Option<Telemetry>,
     epoch_first_commit_done: AtomicBool,
@@ -234,8 +204,7 @@ impl EngineMetrics {
             repl_wait_stalls: AtomicU64::new(0),
             repl_wait_stall_us: AtomicU64::new(0),
             repl_max_lag_lsn: AtomicU64::new(0),
-            commit_latency: LatencyHistogram::default(),
-            commit_latency_fine: mvcc_telemetry::Histogram::new(),
+            commit_latency: mvcc_telemetry::Histogram::new(),
             shards: (0..shards).map(|_| ShardCounters::default()).collect(),
             telemetry,
             epoch_first_commit_done: AtomicBool::new(false),
@@ -406,9 +375,12 @@ impl EngineMetrics {
     /// Records a commit and its latency (begin → commit).
     pub fn record_commit(&self, latency: Duration) {
         self.committed.fetch_add(1, Ordering::Relaxed);
-        self.commit_latency.record(latency);
+        // `as_micros` is u128; a plain `as u64` cast would silently wrap
+        // absurd durations around to *small* values and file them in fast
+        // buckets.  Saturate instead: the histogram clamps anything that
+        // large into its top bucket.
         let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.commit_latency_fine.record(micros);
+        self.commit_latency.record(micros);
         if let Some(telemetry) = &self.telemetry {
             telemetry.record_value(Stage::CommitLatency, micros);
         }
@@ -580,8 +552,7 @@ impl EngineMetrics {
             repl_wait_stalls: self.repl_wait_stalls.load(Ordering::Relaxed),
             repl_wait_stall_us: self.repl_wait_stall_us.load(Ordering::Relaxed),
             repl_max_lag_lsn: self.repl_max_lag_lsn.load(Ordering::Relaxed),
-            latency_buckets: self.commit_latency.counts(),
-            latency: self.commit_latency_fine.snapshot(),
+            latency: self.commit_latency.snapshot(),
             stages: self
                 .telemetry
                 .as_ref()
@@ -664,11 +635,8 @@ pub struct MetricsSnapshot {
     /// Largest apply lag (LSNs behind the durable horizon) observed at
     /// read-pin time.
     pub repl_max_lag_lsn: u64,
-    /// Commit-latency histogram: bucket 0 is sub-µs, bucket `i > 0` covers
-    /// `[2^(i-1), 2^i)` µs.
-    pub latency_buckets: Vec<u64>,
     /// Log-linear commit-latency histogram with interpolated quantiles
-    /// (the refinement [`MetricsSnapshot::latency_us`] queries).
+    /// (what [`MetricsSnapshot::latency_us`] queries).
     pub latency: mvcc_telemetry::HistogramSnapshot,
     /// Per-stage telemetry histograms (empty when the engine runs with
     /// [`mvcc_telemetry::TelemetryMode::Off`]).
@@ -932,8 +900,9 @@ mod tests {
         m.record_commit(Duration::MAX);
         m.record_commit(Duration::from_secs(u64::MAX / 1_000_000 + 1));
         let snap = m.snapshot();
-        assert_eq!(snap.latency_buckets[31], 2, "both land in the top bucket");
-        assert_eq!(snap.latency_buckets[0], 0, "nothing wrapped around");
+        assert_eq!(snap.latency.count(), 2);
+        let fastest = snap.latency.quantile(0.0).unwrap();
+        assert!(fastest >= (1u64 << 30) as f64, "nothing wrapped around");
         let p50 = snap.latency_us(0.5).unwrap();
         assert!(p50 >= (1u64 << 30) as f64, "median stays in the top bucket");
     }

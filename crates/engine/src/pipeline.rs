@@ -36,8 +36,9 @@
 //! key ranges never share an admission lock at all.
 //!
 //! [`AdmissionMode::PerStep`] keeps the PR 2 path alive behind the same
-//! interface — one ruling per lock acquisition, no queue — so benches can
-//! report pipeline-on vs. pipeline-off side by side (experiment E13).
+//! interface — one ruling per lock acquisition, no queue.  It is kept as
+//! the plain-mutex baseline that ROADMAP item 4(iv)'s keep-or-delete-the-
+//! combiner decision has to be measured against (experiment E13's table).
 
 use crate::certifier::{Admission, AdmissionScope, Certifier, CertifierKind, ReadPlan};
 use crate::metrics::EngineMetrics;

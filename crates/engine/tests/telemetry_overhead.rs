@@ -23,8 +23,7 @@
 //! A second guard applies the same harness to the continuous timeline
 //! recorder (100 ms cadence) — sampling must also stay within 5% of off.
 
-use mvcc_engine::load::{run_closed_loop_instrumented, run_closed_loop_monitored};
-use mvcc_engine::{AdmissionMode, CertifierKind, DurabilityConfig, HealthConfig, TelemetryMode};
+use mvcc_engine::{run_closed_loop, CertifierKind, HealthConfig, LoadOptions, TelemetryMode};
 use mvcc_workload::LoadProfile;
 use std::time::Duration;
 
@@ -43,13 +42,14 @@ fn telemetry_on_stays_within_five_percent_of_telemetry_off() {
         ..LoadProfile::default()
     };
     let throughput = |telemetry: TelemetryMode| {
-        let report = run_closed_loop_instrumented(
+        let report = run_closed_loop(
             CertifierKind::Sgt,
             &profile,
-            false,
-            AdmissionMode::Batched,
-            DurabilityConfig::off(),
-            telemetry,
+            LoadOptions {
+                record_history: false,
+                telemetry,
+                ..LoadOptions::default()
+            },
         );
         assert!(report.metrics.committed > 0);
         report.throughput_tps()
@@ -116,19 +116,17 @@ fn timeline_recorder_stays_within_five_percent_of_off() {
         ..LoadProfile::default()
     };
     let throughput = |monitor: bool| {
-        let report = run_closed_loop_monitored(
+        let report = run_closed_loop(
             CertifierKind::Sgt,
             &profile,
-            false,
-            None,
-            AdmissionMode::Batched,
-            DurabilityConfig::off(),
-            TelemetryMode::Off,
-            false,
-            monitor.then(|| HealthConfig {
-                interval: Duration::from_millis(100),
-                ..HealthConfig::default()
-            }),
+            LoadOptions {
+                record_history: false,
+                monitor: monitor.then(|| HealthConfig {
+                    interval: Duration::from_millis(100),
+                    ..HealthConfig::default()
+                }),
+                ..LoadOptions::default()
+            },
         );
         assert!(report.metrics.committed > 0);
         if monitor {

@@ -10,8 +10,7 @@
 //! failover story), with the zero-false-alarm assertion every
 //! watchdog-enabled run carries.
 
-use mvcc_engine::load::run_closed_loop_traced;
-use mvcc_engine::{AdmissionMode, CertifierKind, DurabilityConfig, TelemetryMode};
+use mvcc_engine::{run_closed_loop, CertifierKind, DurabilityConfig, LoadOptions, TelemetryMode};
 use mvcc_workload::LoadProfile;
 
 #[test]
@@ -34,15 +33,16 @@ fn every_certifier_attributes_at_least_95_percent_of_tail_exemplars() {
             std::process::id(),
             kind.name()
         ));
-        let report = run_closed_loop_traced(
+        let report = run_closed_loop(
             kind,
             &profile,
-            true,
-            Some(512),
-            AdmissionMode::Batched,
-            DurabilityConfig::buffered(&dir),
-            TelemetryMode::On,
-            true,
+            LoadOptions {
+                history_capacity: Some(512),
+                durability: DurabilityConfig::buffered(&dir),
+                telemetry: TelemetryMode::On,
+                watchdog: true,
+                ..LoadOptions::default()
+            },
         );
         let _ = std::fs::remove_dir_all(&dir);
         assert!(

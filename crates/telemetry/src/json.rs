@@ -1,10 +1,10 @@
 //! A hand-rolled JSON writer and a minimal parser.
 //!
 //! The vendored `serde` is a no-op stub (the container is offline), so
-//! the bench trajectory's machine-readable output is produced by a small
-//! writer here, and validated — in tests and in the CI bench-smoke job —
+//! the timeline's JSONL frames and the benchmark's reports are produced by
+//! a small writer here, and read back — in tests and by `mvccstat replay` —
 //! by an equally small recursive-descent parser.  Both cover exactly the
-//! JSON subset the exporter emits: objects, arrays, strings with the
+//! JSON subset the writers emit: objects, arrays, strings with the
 //! standard escapes, finite numbers, booleans, and null.
 
 use std::fmt::Write as _;
@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 /// A parsed JSON value.
 ///
 /// Objects preserve key order (a `Vec` of pairs, not a map) — the
-/// exporter emits deterministic documents and round-trip tests compare
+/// writers emit deterministic documents and round-trip tests compare
 /// them structurally.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {

@@ -1,5 +1,4 @@
-//! `mvcc-telemetry`: per-stage latency tracing, a flight recorder, and a
-//! machine-readable exporter for the bench trajectory.
+//! `mvcc-telemetry`: per-stage latency tracing and a flight recorder.
 //!
 //! The engine's counters say *how much* happened; this crate records
 //! *how long each pipeline stage took* and *what just happened* — the
@@ -20,9 +19,9 @@
 //!   events ([`EventKind`]) whose [`FlightRecorder::dump`] turns a
 //!   failed soak from "a mystery" into a timeline.
 //!
-//! [`TelemetrySnapshot::to_json`] is the exporter behind the repo's
-//! `BENCH_*.json` trajectory; the hand-rolled [`json`] module exists
-//! because the vendored serde is a no-op stub.
+//! The hand-rolled [`json`] module (the timeline's JSONL wire format and
+//! the benchmark's reports use it) exists because the vendored serde is a
+//! no-op stub.
 //!
 //! The **timeline layer** adds the time axis on top of the cumulative
 //! registry: a [`TimelineRecorder`] samples delta frames

@@ -26,7 +26,6 @@
 use crate::exemplar::{ExemplarReservoir, EXEMPLAR_CAPACITY};
 use crate::flight::{EventKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 use crate::histogram::{Histogram, HistogramSnapshot, LocalHistogram};
-use crate::json;
 use crate::stage::Stage;
 use crate::trace::{TraceId, TraceLog, DEFAULT_TRACE_LOG_CAPACITY};
 use std::cell::RefCell;
@@ -187,8 +186,7 @@ pub struct StageSnapshot {
     pub histogram: HistogramSnapshot,
 }
 
-/// A point-in-time copy of every non-empty stage histogram, with the
-/// machine-readable exporter the bench trajectory is built from.
+/// A point-in-time copy of every non-empty stage histogram.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
     /// Non-empty stages, in registry order.
@@ -235,42 +233,6 @@ impl TelemetrySnapshot {
             }
         }
         TelemetrySnapshot { stages }
-    }
-
-    /// Serializes the snapshot as a JSON object keyed by stage name:
-    ///
-    /// ```json
-    /// {"certify":{"unit":"us","count":42,"mean":3.1,
-    ///             "p50":2.5,"p95":7.9,"p99":12.0,"p999":14.5}, ...}
-    /// ```
-    ///
-    /// Quantile keys are present only for non-empty histograms (and
-    /// every stage listed here is non-empty), so consumers can rely on
-    /// `count > 0 ⇒ p50/p95/p99/p999 present and monotone`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, entry) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(&mut out, entry.stage.name());
-            out.push_str(":{\"unit\":");
-            json::write_string(&mut out, entry.stage.unit().as_str());
-            out.push_str(&format!(",\"count\":{}", entry.histogram.count()));
-            if let Some(mean) = entry.histogram.mean() {
-                out.push_str(",\"mean\":");
-                json::write_number(&mut out, mean);
-            }
-            for (key, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999)] {
-                if let Some(v) = entry.histogram.quantile(q) {
-                    out.push_str(&format!(",\"{key}\":"));
-                    json::write_number(&mut out, v);
-                }
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -447,34 +409,8 @@ mod tests {
     }
 
     #[test]
-    fn to_json_round_trips_against_a_hand_written_document() {
-        let telemetry = Telemetry::new();
-        // One sample of 3 in Certify: unit-width bucket [3,4), so every
-        // quantile interpolates to 3.5 and the mean is exactly 3.
-        telemetry.record_value(Stage::Certify, 3);
-        // Four samples of 8 in WalFlushTxns: bucket [8,9); mid-rank
-        // interpolation puts p50 at rank 2 of 4 → 8 + (2-0.5)/4 = 8.375,
-        // p95/p99/p999 at rank 4 → 8.875.
-        for _ in 0..4 {
-            telemetry.record_value(Stage::WalFlushTxns, 8);
-        }
-        let emitted = telemetry.snapshot().to_json();
-        let expected = concat!(
-            "{\"certify\":{\"unit\":\"us\",\"count\":1,\"mean\":3,",
-            "\"p50\":3.5,\"p95\":3.5,\"p99\":3.5,\"p999\":3.5},",
-            "\"wal-flush-txns\":{\"unit\":\"count\",\"count\":4,\"mean\":8,",
-            "\"p50\":8.375,\"p95\":8.875,\"p99\":8.875,\"p999\":8.875}}"
-        );
-        assert_eq!(
-            json::parse(&emitted).unwrap(),
-            json::parse(expected).unwrap(),
-            "emitted: {emitted}"
-        );
-    }
-
-    #[test]
     fn empty_snapshot_exports_an_empty_object() {
-        assert_eq!(TelemetrySnapshot::empty().to_json(), "{}");
+        assert!(TelemetrySnapshot::empty().is_empty());
         assert!(Telemetry::new().snapshot().is_empty());
     }
 }

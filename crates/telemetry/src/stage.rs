@@ -75,7 +75,7 @@ pub enum StageUnit {
 }
 
 impl StageUnit {
-    /// Short unit label used by Display and the JSON exporter.
+    /// Short unit label.
     pub fn as_str(self) -> &'static str {
         match self {
             StageUnit::Micros => "us",
@@ -158,8 +158,7 @@ impl Stage {
     }
 
     /// The stage with the given kebab-case name, if any — the inverse of
-    /// [`Stage::name`], used by schema validators that read stage names
-    /// back out of exported documents.
+    /// [`Stage::name`].
     pub fn from_name(name: &str) -> Option<Stage> {
         Stage::all().into_iter().find(|s| s.name() == name)
     }

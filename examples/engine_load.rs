@@ -32,7 +32,7 @@ fn main() {
         } else {
             profile
         };
-        let report = run_closed_loop(kind, &p);
+        let report = run_closed_loop(kind, &p, LoadOptions::default());
         let m = &report.metrics;
         println!(
             "{:>6} [{:>5}]: {:>6.0} txn/s, {} committed / {} aborted ({:.0}% commit), \

@@ -58,6 +58,7 @@ pub mod prelude {
     pub use mvcc_durability::{DurabilityConfig, DurabilityMode};
     pub use mvcc_engine::{
         run_closed_loop, CertifierKind, ChaosHook, Engine, EngineConfig, HistoryClass, KillSite,
+        LoadOptions,
     };
     pub use mvcc_reductions::ols::is_ols;
     pub use mvcc_replica::{

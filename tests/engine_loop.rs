@@ -15,8 +15,7 @@
 //! Snapshot isolation guarantees no Figure 1 class (write skew), so its
 //! runs assert engine-level invariants only.
 
-use mvcc_repro::engine::load::run_closed_loop_in_mode;
-use mvcc_repro::engine::{run_closed_loop, AdmissionMode, CertifierKind, HistoryClass};
+use mvcc_repro::engine::{AdmissionMode, CertifierKind, HistoryClass};
 use mvcc_repro::prelude::*;
 
 /// Both admission modes: the batched group-commit pipeline (the default)
@@ -41,7 +40,14 @@ fn profile(threads: usize, shards: usize, ops: usize, zipf_theta: f64, seed: u64
 /// Runs `kind` under the given profile and admission mode and returns the
 /// committed projection after sanity-checking the run's bookkeeping.
 fn committed_history(kind: CertifierKind, p: &LoadProfile, mode: AdmissionMode) -> Schedule {
-    let report = run_closed_loop_in_mode(kind, p, true, mode);
+    let report = run_closed_loop(
+        kind,
+        p,
+        LoadOptions {
+            admission: mode,
+            ..LoadOptions::default()
+        },
+    );
     let m = &report.metrics;
     assert!(
         m.committed > 0,
@@ -118,7 +124,7 @@ fn mvto_produces_mvsr_histories() {
 fn snapshot_isolation_runs_and_balances_its_books() {
     for theta in [0.0, 0.9] {
         let p = profile(4, 2, 240, theta, 0x51);
-        let report = run_closed_loop(CertifierKind::SnapshotIsolation, &p);
+        let report = run_closed_loop(CertifierKind::SnapshotIsolation, &p, LoadOptions::default());
         let m = &report.metrics;
         assert!(m.committed > 0);
         assert_eq!(m.begun, m.committed + m.aborted);
@@ -200,7 +206,7 @@ fn engine_gc_reclaims_under_load_without_breaking_histories() {
         zipf_theta: 0.9,
         seed: 0x6c,
     };
-    let report = run_closed_loop(CertifierKind::Sgt, &p);
+    let report = run_closed_loop(CertifierKind::Sgt, &p, LoadOptions::default());
     assert!(report.metrics.gc_passes > 0, "GC driver never ran");
     assert!(
         is_csr(&report.history.committed_schedule()),

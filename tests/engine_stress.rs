@@ -12,10 +12,7 @@
 //! old sample-then-register window), so a freshly begun transaction's
 //! first read can never find its visible version already reclaimed.
 
-use mvcc_repro::engine::load::run_closed_loop_in_mode;
-use mvcc_repro::engine::{
-    AbortReason, AdmissionMode, CertifierKind, Engine, EngineConfig, GcDriver,
-};
+use mvcc_repro::engine::{AbortReason, CertifierKind, Engine, EngineConfig, GcDriver};
 use mvcc_repro::prelude::*;
 use mvcc_repro::store::{gc, MvStore};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -207,7 +204,14 @@ fn batched_pipeline_balances_books_under_every_certifier() {
             zipf_theta: 0.0,
             seed: 0x57e55,
         };
-        let report = run_closed_loop_in_mode(kind, &profile, false, AdmissionMode::Batched);
+        let report = run_closed_loop(
+            kind,
+            &profile,
+            LoadOptions {
+                record_history: false,
+                ..LoadOptions::default()
+            },
+        );
         let m = &report.metrics;
         assert_eq!(m.begun, m.committed + m.aborted, "{kind}: books");
         assert!(m.committed > 0, "{kind}: starved");

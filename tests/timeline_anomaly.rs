@@ -27,11 +27,10 @@
 
 mod common;
 use common::chaos::Freezer;
-use mvcc_repro::engine::load::run_closed_loop_monitored;
 use mvcc_repro::engine::{
-    metrics_text, parse_jsonl, write_jsonl, AdmissionMode, AnomalyKind, Bytes, CertifierKind,
+    metrics_text, parse_jsonl, run_closed_loop, write_jsonl, AnomalyKind, Bytes, CertifierKind,
     DetectorConfig, DurabilityConfig, Engine, EngineConfig, EngineSampler, FrameSource,
-    HealthConfig, HealthMonitor, KillSite, MemberProbe, TelemetryMode,
+    HealthConfig, HealthMonitor, KillSite, LoadOptions, MemberProbe, TelemetryMode,
 };
 use mvcc_repro::prelude::EntityId;
 use mvcc_repro::replica::{Replica, ReplicaConfig};
@@ -257,16 +256,15 @@ fn a_recorded_timeline_round_trips_through_jsonl_and_prometheus_text() {
         seed: 0x11e,
         ..LoadProfile::default()
     };
-    let report = run_closed_loop_monitored(
+    let report = run_closed_loop(
         CertifierKind::Sgt,
         &profile,
-        false,
-        None,
-        AdmissionMode::Batched,
-        DurabilityConfig::off(),
-        TelemetryMode::On,
-        false,
-        Some(HealthConfig::default()),
+        LoadOptions {
+            record_history: false,
+            telemetry: TelemetryMode::On,
+            monitor: Some(HealthConfig::default()),
+            ..LoadOptions::default()
+        },
     );
     assert!(
         !report.timeline.is_empty(),
@@ -353,19 +351,20 @@ fn a_steady_release_soak_never_false_alarms() {
         seed: 0x50a1,
         ..LoadProfile::default()
     };
-    let report = run_closed_loop_monitored(
+    let report = run_closed_loop(
         CertifierKind::Sgt,
         &profile,
-        true,
-        Some(512),
-        AdmissionMode::Batched,
-        DurabilityConfig::buffered(&dir),
-        TelemetryMode::On,
-        true,
-        Some(HealthConfig {
-            interval: Duration::from_millis(50),
-            ..HealthConfig::default()
-        }),
+        LoadOptions {
+            history_capacity: Some(512),
+            durability: DurabilityConfig::buffered(&dir),
+            telemetry: TelemetryMode::On,
+            watchdog: true,
+            monitor: Some(HealthConfig {
+                interval: Duration::from_millis(50),
+                ..HealthConfig::default()
+            }),
+            ..LoadOptions::default()
+        },
     );
     let _ = std::fs::remove_dir_all(&dir);
     assert!(report.metrics.committed > 0);
