@@ -1,17 +1,23 @@
 //! Criterion benchmarks for experiment E10: the polynomial classifiers
 //! (CSR, MVCSR) scale with the schedule — up to audits of 200 000-step
 //! committed histories — while the exact NP-complete classifiers (VSR,
-//! MVSR: one pruned search, two clients) are only run on small instances.
+//! MVSR: one pruned search, two clients) are only run on small instances;
+//! DMVSR sits beside them, and `classify_taxonomy/8x4x8` is the per-call
+//! budget of `taxonomy::classify` on the end-to-end benchmark's corpus
+//! shape (divide the reading by 256).
 //!
 //! Also covers experiment E1/E2/E3 costs: classifying the Figure 1 examples
 //! and checking Theorem 1 / Theorem 2 on a fixed small schedule.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mvcc_classify::dmvsr::is_dmvsr;
 use mvcc_classify::swaps::serial_reachable_by_swaps;
 use mvcc_classify::{is_csr, is_mvcsr, is_mvsr, is_vsr, taxonomy};
 use mvcc_core::{Schedule, Step};
 use mvcc_scheduler::{run_abort, MvSgtScheduler, Scheduler, SgtScheduler};
-use mvcc_workload::{random_interleaving, random_transaction_system, WorkloadConfig};
+use mvcc_workload::{
+    random_interleaving, random_interleavings, random_transaction_system, WorkloadConfig,
+};
 use std::time::Duration;
 
 fn schedule_of(transactions: usize, steps: usize, entities: usize) -> mvcc_core::Schedule {
@@ -63,7 +69,36 @@ fn bench_np_classifiers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("mvsr", txns), &s, |b, s| {
             b.iter(|| is_mvsr(s))
         });
+        group.bench_with_input(BenchmarkId::new("dmvsr", txns), &s, |b, s| {
+            b.iter(|| is_dmvsr(s))
+        });
     }
+    group.finish();
+}
+
+/// All six verdicts on 256 schedules of the shape the end-to-end
+/// benchmark's `classify` workload draws (8 transactions x 4 steps over 8
+/// entities, half reads, no skew).
+fn bench_taxonomy(c: &mut Criterion) {
+    let mut group = c.benchmark_group("classify_taxonomy");
+    group
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300))
+        .sample_size(10);
+    let corpus = random_interleavings(
+        &WorkloadConfig {
+            transactions: 8,
+            steps_per_transaction: 4,
+            entities: 8,
+            read_ratio: 0.5,
+            zipf_theta: 0.0,
+            seed: 0x9e37_79b9_7f4a_7c15,
+        },
+        256,
+    );
+    group.bench_function("8x4x8", |b| {
+        b.iter(|| corpus.iter().filter(|s| taxonomy::classify(s).mvsr).count())
+    });
     group.finish();
 }
 
@@ -155,6 +190,7 @@ criterion_group!(
     benches,
     bench_polynomial_classifiers,
     bench_np_classifiers,
+    bench_taxonomy,
     bench_audits,
     bench_figure1_and_theorems
 );

@@ -6,38 +6,82 @@
 //! model is **DMVSR** if it is MVSR once an appropriate read step is inserted
 //! immediately before each "readless write" (a write of an entity the
 //! transaction has not read earlier).  The paper notes that MVCSR corresponds
-//! to \[PK84\]'s `MRW` class, a superset of DMVSR (`MWW` in their notation);
-//! the containment `DMVSR ⊆ MVCSR ⊆ MVSR` is exercised by the tests below
-//! and by the Figure 1 census.
+//! to \[PK84\]'s `MRW` class, a superset of DMVSR (`MWW` in their notation).
+//!
+//! ## Deciding it without a search
+//!
+//! The patched schedule is in the restricted model by construction, and
+//! there — **provided no transaction writes the same entity twice**, which is
+//! the paper's model of a transaction — MVSR and MVCSR coincide, so
+//! [`is_dmvsr`] is Theorem 1's polynomial graph test on the patched schedule:
+//!
+//! * MVCSR ⊆ MVSR always (Theorem 3: a topological order of the MVCG serves
+//!   every read an earlier write).
+//! * Conversely, let the serial order `r` serialize a restricted-model,
+//!   writes-once schedule and suppose `R_i(x)` precedes `W_j(x)` although
+//!   `T_j <_r T_i`.  Take `T_i`'s *first* read `R` of `x`: it has no own
+//!   earlier write, so serially it reads from the last writer `T_k` of `x`
+//!   before `T_i`, `T_j ≤_r T_k <_r T_i`, whose write must precede `R` in the
+//!   schedule.  `T_k` is not `T_j` (its only write of `x` follows `R`), and
+//!   `T_k` read `x` before writing it, so `R_k(x)` also precedes `W_j(x)` with
+//!   `T_j <_r T_k`: the same situation strictly closer to `T_j` — an infinite
+//!   descent in a finite order.  Hence `r` respects every MVCG arc and the
+//!   MVCG is acyclic.
+//!
+//! The writes-once premise is load-bearing.  Realizability only asks for a
+//! writer's *first* write of `x` to precede the read, so with `T_b` writing
+//! `x` twice, `Rb(x) Rb(y) Wb(x) Ra(x) Wb(x) Ra(y) Wa(y)` is restricted and
+//! MVSR (order `b a`) but not MVCSR (`Ra(x)`–`Wb(x)` and `Rb(y)`–`Wa(y)` close
+//! a cycle).  Such schedules keep the exact search.  So what holds, and is
+//! checked, is `DMVSR ⊆ MVSR` on every schedule
+//! (`Classification::respects_containments`, the Figure 1 census) and
+//! `DMVSR ⊆ MVCSR` on writes-once schedules (the tests below).
 
-use mvcc_core::{Schedule, Step};
+use mvcc_core::{EntityId, Schedule, Step, TxId};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// The "patched" schedule used by the DMVSR definition: a read step
 /// `R_i(x)` is inserted immediately before every write `W_i(x)` whose
 /// transaction has not read `x` earlier in program order.
 pub fn patch_readless_writes(schedule: &Schedule) -> Schedule {
+    patch(schedule).0
+}
+
+/// [`patch_readless_writes`], and whether some transaction writes an entity
+/// twice.
+fn patch(schedule: &Schedule) -> (Schedule, bool) {
     let mut out: Vec<Step> = Vec::with_capacity(schedule.len());
-    // Track, per transaction, the set of entities it has read so far.
-    use std::collections::{BTreeSet, HashMap};
-    let mut read_so_far: HashMap<mvcc_core::TxId, BTreeSet<mvcc_core::EntityId>> = HashMap::new();
+    // Per transaction and entity accessed so far: whether it wrote it yet.
+    let mut wrote: HashMap<(TxId, EntityId), bool> = HashMap::new();
+    let mut writes_twice = false;
     for &step in schedule.steps() {
-        if step.is_write() {
-            let seen = read_so_far.entry(step.tx).or_default();
-            if !seen.contains(&step.entity) {
-                out.push(Step::read(step.tx, step.entity));
-                seen.insert(step.entity);
-            }
+        let accessed = wrote.entry((step.tx, step.entity));
+        if step.is_read() {
+            accessed.or_insert(false);
         } else {
-            read_so_far.entry(step.tx).or_default().insert(step.entity);
+            match accessed {
+                Entry::Vacant(first_access) => {
+                    out.push(Step::read(step.tx, step.entity));
+                    first_access.insert(true);
+                }
+                Entry::Occupied(mut earlier) => writes_twice |= earlier.insert(true),
+            }
         }
         out.push(step);
     }
-    Schedule::from_steps(out)
+    (Schedule::from_steps(out), writes_twice)
 }
 
-/// `true` iff `schedule` is DMVSR: its readless-write patching is MVSR.
+/// `true` iff `schedule` is DMVSR: its readless-write patching is MVSR —
+/// decided by the MVCG test unless a transaction writes an entity twice
+/// (see the module docs).
 pub fn is_dmvsr(schedule: &Schedule) -> bool {
-    crate::mvsr::is_mvsr(&patch_readless_writes(schedule))
+    let (patched, writes_twice) = patch(schedule);
+    if writes_twice {
+        crate::mvsr::is_mvsr(&patched)
+    } else {
+        crate::mvcsr::is_mvcsr(&patched)
+    }
 }
 
 #[cfg(test)]
@@ -67,9 +111,51 @@ mod tests {
         assert!(patched.tx_system().is_restricted_model());
     }
 
+    /// Nodes the exact search visits on this thread while `f` runs.
+    fn search_nodes(f: impl FnOnce()) -> u64 {
+        use crate::serialization::NODES_VISITED;
+        let before = NODES_VISITED.with(|nodes| nodes.get());
+        f();
+        NODES_VISITED.with(|nodes| nodes.get()) - before
+    }
+
+    #[test]
+    fn a_repeated_write_breaks_dmvsr_within_mvcsr_and_keeps_the_search() {
+        // T_b writes x twice: realizability only needs its *first* write to
+        // precede Ra(x), while the MVCG also counts the second.
+        let s = Schedule::parse("Rb(x) Rb(y) Wb(x) Ra(x) Wb(x) Ra(y) Wa(y)").unwrap();
+        let patched = patch_readless_writes(&s);
+        assert_eq!(
+            patched.steps(),
+            s.steps(),
+            "already in the restricted model"
+        );
+        assert!(crate::mvsr::is_mvsr(&patched));
+        assert!(crate::mvsr::is_mvsr_by_definition(&patched));
+        assert!(!crate::mvcsr::is_mvcsr(&patched));
+        assert!(search_nodes(|| assert!(is_dmvsr(&s))) > 0);
+    }
+
+    #[test]
+    fn writes_once_schedules_are_decided_without_the_search() {
+        let sys = Schedule::parse("Ra(x) Wa(y) Rb(y) Wb(x) Wc(x) Rc(y)")
+            .unwrap()
+            .tx_system();
+        for s in Schedule::all_interleavings(&sys) {
+            let mut verdict = false;
+            assert_eq!(search_nodes(|| verdict = is_dmvsr(&s)), 0, "schedule {s}");
+            assert_eq!(
+                verdict,
+                crate::mvsr::is_mvsr(&patch_readless_writes(&s)),
+                "schedule {s}"
+            );
+        }
+    }
+
     #[test]
     fn dmvsr_implies_mvcsr_exhaustively() {
-        // The paper: DMVSR (= MWW of [PK84]) is contained in MVCSR (= MRW).
+        // The paper: DMVSR (= MWW of [PK84]) is contained in MVCSR (= MRW) —
+        // where no transaction writes an entity twice, as here.
         let sys = Schedule::parse("Ra(x) Wa(y) Rb(y) Wb(x) Wc(x)")
             .unwrap()
             .tx_system();

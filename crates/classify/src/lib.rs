@@ -11,17 +11,19 @@
 //! | VSR ("SR") | view-equivalent to a serial schedule | NP-complete | [`vsr`] |
 //! | MVCSR | multiversion-conflict-equivalent to a serial schedule (MVCG acyclic, Theorem 1) | polynomial | [`mvcsr`] |
 //! | MVSR | some version function makes it view-equivalent to a serial schedule | NP-complete | [`mvsr`] |
-//! | DMVSR | MVSR after patching readless writes (\[PK84\]) | NP-complete | [`dmvsr`] |
+//! | DMVSR | MVSR after patching readless writes (\[PK84\]) | polynomial while no transaction writes an entity twice | [`dmvsr`] |
 //!
 //! The NP-complete classifiers are clients of one exact pruned search over
 //! serial orders ([`serialization`]): MVSR with nothing required, VSR with
-//! the schedule's standard read-froms and final writers pinned, DMVSR as
-//! MVSR of the patched schedule.  VSR also has an independent formulation
-//! (the polygraph of \[P79\]) used for cross-validation.  The polynomial
-//! tests build their conflict graphs from per-entity conflict pairs
-//! (`mvcc_core::conflict`).  [`taxonomy`] combines the classifiers into the region
-//! map of the paper's Figure 1, and [`swaps`] provides the
-//! swap-characterisation of MVCSR (Theorem 2).
+//! the schedule's standard read-froms and final writers pinned.  DMVSR is
+//! MVSR of the patched schedule, which is in the restricted model of
+//! \[PK84\]: there the MVCG test decides it, and only a transaction that
+//! writes an entity twice sends it to the search.  VSR also has an
+//! independent formulation (the polygraph of \[P79\]) used for
+//! cross-validation.  The polynomial tests build their conflict graphs from
+//! per-entity conflict pairs (`mvcc_core::conflict`).  [`taxonomy`] combines
+//! the classifiers into the region map of the paper's Figure 1, and
+//! [`swaps`] provides the swap-characterisation of MVCSR (Theorem 2).
 //!
 //! ```
 //! use mvcc_core::Schedule;

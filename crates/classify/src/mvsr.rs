@@ -8,12 +8,15 @@
 //! complete witness — the serial order *and* the version function — when one
 //! exists.
 
-use crate::serialization::{serializations, SerialReadFroms};
+use crate::serialization::{has_serialization_extending, serializations, SerialReadFroms};
 use mvcc_core::{Schedule, TxId, VersionFunction};
+use std::collections::HashMap;
 
-/// `true` iff `schedule` is multiversion serializable.
+/// `true` iff `schedule` is multiversion serializable: the search with
+/// nothing required finds a serial order (the witness's read-from
+/// assignment is only spelled out by [`mvsr_witness`]).
 pub fn is_mvsr(schedule: &Schedule) -> bool {
-    !serializations(schedule, Some(1)).is_empty()
+    has_serialization_extending(schedule, &HashMap::new())
 }
 
 /// Returns a witness of MVSR membership: a serial order and a version

@@ -29,7 +29,8 @@
 //! crate.
 
 use mvcc_core::{Schedule, TransactionSystem, TxId, VersionFunction, VersionSource};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The read-from assignment induced by running the transaction system
 /// serially in order `order`, expressed per read step *position of `s`*.
@@ -186,7 +187,7 @@ pub fn is_realizable(s: &Schedule, rf: &SerialReadFroms) -> bool {
 /// case).  Set `limit` to stop early after that many serializations have
 /// been found (`None` enumerates all).
 pub fn serializations(s: &Schedule, limit: Option<usize>) -> Vec<SerialReadFroms> {
-    serializations_filtered(s, limit, &|_, _| true)
+    serializations_extending(s, &HashMap::new(), limit)
 }
 
 /// Enumerates serializations of `s` whose induced read-from assignment agrees
@@ -200,7 +201,14 @@ pub fn serializations_extending(
     required: &HashMap<usize, VersionSource>,
     limit: Option<usize>,
 ) -> Vec<SerialReadFroms> {
-    search_extending(s, required, None, limit)
+    // The search deals in serial orders only; the read-from assignment of
+    // each is spelled out here, for the callers that return it.
+    let orders = serial_orders_extending(s, required, None, limit);
+    let sys = s.tx_system();
+    orders
+        .iter()
+        .map(|order| serial_read_froms_of_system(s, &sys, order))
+        .collect()
 }
 
 /// The first serial order (in search order) whose induced read-from
@@ -214,33 +222,28 @@ pub(crate) fn serial_order_extending(
     required: &HashMap<usize, VersionSource>,
     final_writers: &BTreeMap<mvcc_core::EntityId, TxId>,
 ) -> Option<Vec<TxId>> {
-    search_extending(s, required, Some(final_writers), Some(1))
-        .pop()
-        .map(|rf| rf.order)
+    serial_orders_extending(s, required, Some(final_writers), Some(1)).pop()
 }
 
-fn search_extending(
+/// The serial orders, in search order and at most `limit` of them, behind
+/// every entry point above and below.
+fn serial_orders_extending(
     s: &Schedule,
     required: &HashMap<usize, VersionSource>,
     final_writers: Option<&BTreeMap<mvcc_core::EntityId, TxId>>,
     limit: Option<usize>,
-) -> Vec<SerialReadFroms> {
-    let sys = s.tx_system();
-    let accept = |pos: usize, src: VersionSource| required.get(&pos).map_or(true, |&r| r == src);
-    let mut engine = SearchEngine::build(s, &sys, limit, &accept);
+) -> Vec<Vec<TxId>> {
+    let mut engine = SearchEngine::build(s, limit);
     engine.apply_required(required, final_writers);
-    if engine.infeasible {
-        return Vec::new();
+    if !engine.infeasible {
+        engine.dfs(0);
     }
-    let mut order = Vec::with_capacity(engine.txs.len());
-    let mut last_writer = BTreeMap::new();
-    engine.dfs(&mut order, 0, &mut last_writer);
     engine.out
 }
 
 /// `true` iff `s` has at least one serialization agreeing with `required`.
 pub fn has_serialization_extending(s: &Schedule, required: &HashMap<usize, VersionSource>) -> bool {
-    !serializations_extending(s, required, Some(1)).is_empty()
+    !serial_orders_extending(s, required, None, Some(1)).is_empty()
 }
 
 /// As [`has_serialization_extending`], but giving up after `node_budget`
@@ -254,17 +257,13 @@ pub fn has_serialization_extending_budgeted(
     required: &HashMap<usize, VersionSource>,
     node_budget: u64,
 ) -> Option<bool> {
-    let sys = s.tx_system();
-    let accept = |pos: usize, src: VersionSource| required.get(&pos).map_or(true, |&r| r == src);
-    let mut engine = SearchEngine::build(s, &sys, Some(1), &accept);
+    let mut engine = SearchEngine::build(s, Some(1));
     engine.apply_required(required, None);
     if engine.infeasible {
         return Some(false);
     }
     engine.budget = node_budget;
-    let mut order = Vec::with_capacity(engine.txs.len());
-    let mut last_writer = BTreeMap::new();
-    engine.dfs(&mut order, 0, &mut last_writer);
+    engine.dfs(0);
     if !engine.out.is_empty() {
         Some(true)
     } else if engine.budget_exhausted {
@@ -294,7 +293,7 @@ pub fn has_serialization_extending_budgeted(
 pub fn achievable_prefix_restrictions(
     s: &Schedule,
     prefix_len: usize,
-) -> std::collections::BTreeSet<std::collections::BTreeMap<usize, VersionSource>> {
+) -> BTreeSet<BTreeMap<usize, VersionSource>> {
     achievable_prefix_restrictions_bounded(s, prefix_len, None)
 }
 
@@ -305,10 +304,8 @@ pub fn achievable_prefix_restrictions_bounded(
     s: &Schedule,
     prefix_len: usize,
     max: Option<usize>,
-) -> std::collections::BTreeSet<std::collections::BTreeMap<usize, VersionSource>> {
-    let sys = s.tx_system();
-    let accept = |_: usize, _: VersionSource| true;
-    let mut engine = SearchEngine::build(s, &sys, None, &accept);
+) -> BTreeSet<BTreeMap<usize, VersionSource>> {
+    let mut engine = SearchEngine::build(s, None);
     let prefix_len = prefix_len.min(s.len());
 
     if engine.txs.len() > 128 {
@@ -328,7 +325,7 @@ pub fn achievable_prefix_restrictions_bounded(
                 },
             );
             let exhausted = sers.len() < limit;
-            let out: std::collections::BTreeSet<_> = sers
+            let out: BTreeSet<_> = sers
                 .into_iter()
                 .map(|rf| {
                     rf.read_sources
@@ -351,81 +348,131 @@ pub fn achievable_prefix_restrictions_bounded(
     let readers_remaining = engine
         .txs
         .iter()
-        .filter(|t| t.reads.iter().any(|&(pos, _, _)| pos < prefix_len))
+        .filter(|t| t.reads.iter().any(|r| r.pos < prefix_len))
         .count();
 
-    let mut out = std::collections::BTreeSet::new();
-    let mut visited = std::collections::HashSet::new();
-    let mut last_writer = BTreeMap::new();
-    let mut restriction = BTreeMap::new();
-    engine.restriction_dfs(
-        prefix_len,
-        readers_remaining,
-        &mut visited,
-        0,
-        0,
-        &mut last_writer,
-        &mut restriction,
-        &mut out,
+    let mut walk = RestrictionWalk {
         max,
-    );
-    out
+        restriction: vec![FREE; prefix_len],
+        visited: StateSet::default(),
+        found: StateSet::default(),
+    };
+    engine.restriction_dfs(&mut walk, readers_remaining, 0, 0);
+    walk.found
+        .iter()
+        .map(|restriction| {
+            restriction
+                .iter()
+                .enumerate()
+                .filter(|&(_, &src)| src != FREE)
+                .map(|(pos, &src)| (pos, engine.source(src)))
+                .collect()
+        })
+        .collect()
 }
 
-/// Shared implementation: enumerate serializations whose induced source for
-/// every read position satisfies `accept(pos, source)`.
-///
-/// The search places transactions one at a time.  Placing a transaction
-/// fully determines the sources of *its* reads (only the already-placed
-/// transactions can serve them), so each placement is checked incrementally
-/// in time proportional to that transaction's reads.  Whether a partial
-/// order can still be completed depends only on (a) the *set* of placed
-/// transactions and (b) the last placed writer of each entity — so search
-/// states that failed are memoized on exactly that signature, which prunes
-/// the factorial thrash on reduction-scale instances (Theorems 4–6 emit one
-/// transaction per polygraph node).
-fn serializations_filtered(
-    s: &Schedule,
-    limit: Option<usize>,
-    accept: &dyn Fn(usize, VersionSource) -> bool,
-) -> Vec<SerialReadFroms> {
-    let sys = s.tx_system();
-    let mut engine = SearchEngine::build(s, &sys, limit, accept);
-    let mut order = Vec::with_capacity(engine.txs.len());
-    let mut last_writer = BTreeMap::new();
-    engine.dfs(&mut order, 0, &mut last_writer);
-    engine.out
+/// In the dense tables: no transaction — the initial version as a read's
+/// source, nobody as an entity's last writer.
+const NONE: u32 = u32::MAX;
+/// A read that no `required` map pins (and, in a prefix restriction, a
+/// position that holds no placed read).
+const FREE: u32 = u32::MAX - 1;
+/// A read pinned to a version no serial order can serve it: a writer the
+/// schedule does not contain, or the reader's own *later* write.
+const UNSERVABLE: u32 = u32::MAX - 2;
+
+fn bit(i: usize) -> u128 {
+    1 << i
+}
+
+/// The distinct values of `items`, ascending: a value's rank in the result
+/// (binary search) is its dense number.
+fn distinct<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut all: Vec<T> = items.collect();
+    all.sort_unstable();
+    all.dedup();
+    all
+}
+
+/// Hasher of the search-state sets.  Their keys are tuples of small integers
+/// the search itself builds, a few machine words each, looked up once per
+/// node: the default SipHash cost more than the rest of a node.
+#[derive(Default)]
+struct StateHasher(u64);
+
+impl Hasher for StateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiplication mixes upwards only; the table indexes with the
+        // low bits.
+        self.0.rotate_left(26)
+    }
+}
+
+type StateSet<K> = HashSet<K, BuildHasherDefault<StateHasher>>;
+
+/// One read step, as the search sees it.
+struct Read {
+    /// Position in `s`.
+    pos: usize,
+    /// Dense number of the entity read.
+    entity: usize,
+    /// Whether the transaction wrote the entity earlier in program order:
+    /// serially the read then sees that write, whatever the order.
+    own: bool,
+    /// The transactions whose first write of the entity precedes the read in
+    /// `s` — the writers that can serve it.  So `bit(w) ∈ avail` *is* the
+    /// realizability test for source `w`.  Only filled while the
+    /// transaction count fits the mask, and only read where `!own`.
+    avail: u128,
+    /// The source a `required` map pins the read to (a transaction's dense
+    /// number, or [`NONE`] for the initial version), [`UNSERVABLE`], or
+    /// [`FREE`].  Always `FREE` where `own`.
+    pin: u32,
 }
 
 struct TxPlacement {
     id: TxId,
-    /// Reads in program order: (schedule position, entity, reads own
-    /// earlier write).
-    reads: Vec<(usize, mvcc_core::EntityId, bool)>,
-    writes: Vec<mvcc_core::EntityId>,
-    /// For each read without an own earlier write: (schedule position,
-    /// entity, bitmask of transactions whose write of the entity precedes
-    /// the read in `s`).  Used by the forward check.
-    open_reads: Vec<(usize, mvcc_core::EntityId, u128)>,
-    /// Reads of this transaction pinned by a `required` map (see
-    /// [`SearchEngine::apply_required`]): (entity, required source).
-    required_reads: Vec<(mvcc_core::EntityId, VersionSource)>,
+    /// Reads in program order.
+    reads: Vec<Read>,
+    /// Dense numbers of the entities written.
+    writes: Vec<usize>,
 }
 
-struct SearchEngine<'a> {
-    s: &'a Schedule,
-    sys: &'a TransactionSystem,
+/// The search state, every table an array over dense numbers: transactions
+/// are numbered by first appearance in `s` (which is also the candidate
+/// order), entities by ascending id.
+struct SearchEngine {
     txs: Vec<TxPlacement>,
-    first_write: HashMap<(mvcc_core::EntityId, TxId), usize>,
-    accept: &'a dyn Fn(usize, VersionSource) -> bool,
+    /// `(id, dense number)` of every transaction, ascending by id.
+    tx_numbers: Vec<(TxId, u32)>,
+    /// The entities of `s`, ascending: position = dense number.
+    entity_ids: Vec<mvcc_core::EntityId>,
+    /// Position of the first write of entity `e` by transaction `t` at
+    /// `e * txs.len() + t` (`usize::MAX`: none): a read at `pos` can be
+    /// served by `t` iff that position is below `pos`.
+    first_write: Vec<usize>,
     limit: Option<usize>,
-    out: Vec<SerialReadFroms>,
+    /// The partial serial order, the last placed writer of each entity
+    /// ([`NONE`] before any), and the entries `last_writer` held before the
+    /// placements on the current path overwrote them.
+    order: Vec<u32>,
+    last_writer: Vec<u32>,
+    undo: Vec<u32>,
+    /// The serial orders found so far.
+    out: Vec<Vec<TxId>>,
     /// States (placed set, last writer per entity) with no acceptable
     /// completion.  Only populated while the transaction count fits the
     /// bitmask; beyond that the search still runs, just without memoization.
-    dead: std::collections::HashSet<(u128, Vec<(mvcc_core::EntityId, TxId)>)>,
-    /// Index of each transaction in `txs` (for the required-read check).
-    tx_index: HashMap<TxId, usize>,
+    dead: StateSet<(u128, Vec<u32>)>,
     /// Hard precedence constraints derived from a `required` map:
     /// `pred[i]` is the set of transactions that must precede `txs[i]` in
     /// every acceptable serial order.  Empty unless `apply_required` ran.
@@ -435,8 +482,8 @@ struct SearchEngine<'a> {
     /// order can satisfy the `required` map at all.
     infeasible: bool,
     /// When set, only orders whose last writer of every entity is exactly
-    /// this map are explored (see [`SearchEngine::apply_required`]).
-    final_writers: Option<&'a BTreeMap<mvcc_core::EntityId, TxId>>,
+    /// this table are explored (see [`SearchEngine::apply_required`]).
+    final_writers: Option<Vec<u32>>,
     /// Remaining search-node budget (`u64::MAX` = unbounded).  When it runs
     /// out the search unwinds without an answer and sets
     /// `budget_exhausted`; dead-state memos recorded so far stay valid.
@@ -455,110 +502,82 @@ enum Dfs {
     Nothing,
 }
 
-impl<'a> SearchEngine<'a> {
-    /// Prepares the placement tables for `s`: per-transaction reads aligned
-    /// with schedule positions, write sets, earliest-write positions and the
-    /// forward-check availability masks.
-    fn build(
-        s: &'a Schedule,
-        sys: &'a TransactionSystem,
-        limit: Option<usize>,
-        accept: &'a dyn Fn(usize, VersionSource) -> bool,
-    ) -> Self {
-        let tx_ids = sys.tx_ids();
+#[cfg(test)]
+thread_local! {
+    /// Nodes [`SearchEngine::dfs`] visited on this thread: lets tests tell
+    /// whether a classifier ran the search at all.
+    pub(crate) static NODES_VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
-        // Per-transaction placement info, aligning program order with
-        // schedule positions.
-        let mut positions_of_tx: HashMap<TxId, Vec<usize>> = HashMap::new();
-        for (pos, step) in s.steps().iter().enumerate() {
-            positions_of_tx.entry(step.tx).or_default().push(pos);
-        }
+impl SearchEngine {
+    /// Prepares the placement tables for `s` in one pass over its steps:
+    /// the dense numbering, per-transaction reads and write sets,
+    /// first-write positions and the availability masks.
+    ///
+    /// Candidates are tried by first appearance in the schedule.  Serial
+    /// witnesses of near-serial and reduction-generated schedules correlate
+    /// strongly with schedule order, so the search finds them with little
+    /// backtracking (enumeration semantics are unaffected).
+    fn build(s: &Schedule, limit: Option<usize>) -> Self {
+        let steps = s.steps();
+        let entity_ids = distinct(steps.iter().map(|step| step.entity));
+        let mut tx_numbers: Vec<(TxId, u32)> = distinct(steps.iter().map(|step| step.tx))
+            .into_iter()
+            .map(|id| (id, NONE))
+            .collect();
+        let n = tx_numbers.len();
+        let masked = n <= 128;
 
-        // Candidate order heuristic: try transactions by first appearance in
-        // the schedule.  Serial witnesses of near-serial and
-        // reduction-generated schedules correlate strongly with schedule
-        // order, so the search finds them with little backtracking
-        // (enumeration semantics are unaffected).
-        let mut tx_ids_by_first_step = tx_ids.clone();
-        tx_ids_by_first_step.sort_by_key(|id| {
-            positions_of_tx
-                .get(id)
-                .and_then(|ps| ps.first().copied())
-                .unwrap_or(usize::MAX)
-        });
-
-        // Earliest write position of each (entity, writer): a read at
-        // position `pos` can be served by `writer` iff that write exists
-        // before `pos`.
-        let mut first_write: HashMap<(mvcc_core::EntityId, TxId), usize> = HashMap::new();
-        for (pos, step) in s.steps().iter().enumerate() {
-            if step.is_write() {
-                first_write.entry((step.entity, step.tx)).or_insert(pos);
+        let mut txs: Vec<TxPlacement> = Vec::with_capacity(n);
+        let mut first_write = vec![usize::MAX; entity_ids.len() * n];
+        // Per entity: the transactions that wrote it so far.
+        let mut writers = vec![0u128; entity_ids.len()];
+        for (pos, step) in steps.iter().enumerate() {
+            let (Ok(rank), Ok(entity)) = (
+                tx_numbers.binary_search_by_key(&step.tx, |&(id, _)| id),
+                entity_ids.binary_search(&step.entity),
+            ) else {
+                unreachable!("both tables were collected from these steps");
+            };
+            if tx_numbers[rank].1 == NONE {
+                tx_numbers[rank].1 = txs.len() as u32;
+                txs.push(TxPlacement {
+                    id: step.tx,
+                    reads: Vec::new(),
+                    writes: Vec::new(),
+                });
             }
-        }
-
-        let mut txs: Vec<TxPlacement> = Vec::with_capacity(tx_ids.len());
-        for &id in &tx_ids_by_first_step {
-            // lint: allow(unwrap) — every tx id in a schedule is in its system by construction
-            let tx = sys.get(id).expect("tx of the system");
-            let positions = &positions_of_tx[&id];
-            let mut reads = Vec::new();
-            for (k, &(action, entity)) in tx.accesses.iter().enumerate() {
-                if action.is_read() {
-                    let own_earlier_write = tx.accesses[..k]
-                        .iter()
-                        .any(|&(a, e)| a.is_write() && e == entity);
-                    reads.push((positions[k], entity, own_earlier_write));
+            let t = tx_numbers[rank].1 as usize;
+            let first = &mut first_write[entity * n + t];
+            if step.is_read() {
+                txs[t].reads.push(Read {
+                    pos,
+                    entity,
+                    own: *first != usize::MAX,
+                    avail: writers[entity],
+                    pin: FREE,
+                });
+            } else if *first == usize::MAX {
+                *first = pos;
+                txs[t].writes.push(entity);
+                if masked {
+                    writers[entity] |= bit(t);
                 }
             }
-            txs.push(TxPlacement {
-                id,
-                reads,
-                writes: tx.write_set().into_iter().collect(),
-                open_reads: Vec::new(),
-                required_reads: Vec::new(),
-            });
         }
 
-        // Availability masks for the forward check (only meaningful while
-        // the transaction count fits the bitmask; the check is skipped
-        // otherwise).
-        if txs.len() <= 128 {
-            for i in 0..txs.len() {
-                let mut open = Vec::new();
-                for &(pos, entity, own) in &txs[i].reads {
-                    if own {
-                        continue;
-                    }
-                    let mut mask = 0u128;
-                    for (j, other) in txs.iter().enumerate() {
-                        if j != i
-                            && first_write
-                                .get(&(entity, other.id))
-                                .is_some_and(|&fp| fp < pos)
-                        {
-                            mask |= 1 << j;
-                        }
-                    }
-                    open.push((pos, entity, mask));
-                }
-                txs[i].open_reads = open;
-            }
-        }
-
-        let tx_index = txs.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
-        let pred = vec![0u128; txs.len()];
         SearchEngine {
-            s,
-            sys,
+            pred: vec![0; n],
+            order: Vec::with_capacity(n),
+            last_writer: vec![NONE; entity_ids.len()],
+            undo: Vec::new(),
             txs,
+            tx_numbers,
+            entity_ids,
             first_write,
-            accept,
             limit,
             out: Vec::new(),
-            dead: std::collections::HashSet::new(),
-            tx_index,
-            pred,
+            dead: StateSet::default(),
             infeasible: false,
             final_writers: None,
             budget: u64::MAX,
@@ -566,12 +585,30 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// Registers a `required` read-from map so the forward check can
-    /// propagate it: a read pinned to `Initial` dies as soon as any writer
-    /// of its entity is placed before its reader, and a read pinned to
-    /// `Tx(w)` dies as soon as `w` stops being the entity's last writer
-    /// while the reader is still unplaced.  The `accept` predicate passed to
-    /// [`SearchEngine::build`] must enforce the same map at placement time.
+    /// Dense number of transaction `id`, if `s` has it.
+    fn tx_number(&self, id: TxId) -> Option<usize> {
+        let rank = self
+            .tx_numbers
+            .binary_search_by_key(&id, |&(id, _)| id)
+            .ok()?;
+        Some(self.tx_numbers[rank].1 as usize)
+    }
+
+    /// The version source a dense source number stands for.
+    fn source(&self, number: u32) -> VersionSource {
+        if number == NONE {
+            VersionSource::Initial
+        } else {
+            VersionSource::Tx(self.txs[number as usize].id)
+        }
+    }
+
+    /// Registers a `required` read-from map: each read it mentions is
+    /// pinned ([`Read::pin`]), which [`SearchEngine::can_place`] enforces at
+    /// placement time and the forward check propagates — a read pinned to
+    /// `Initial` dies as soon as any writer of its entity is placed before
+    /// its reader, and a read pinned to `Tx(w)` dies as soon as `w` stops
+    /// being the entity's last writer while the reader is still unplaced.
     ///
     /// `final_writers`, when given, additionally requires the serial order's
     /// last writer of every entity to be the one named (a writer of that
@@ -583,27 +620,46 @@ impl<'a> SearchEngine<'a> {
     fn apply_required(
         &mut self,
         required: &HashMap<usize, VersionSource>,
-        final_writers: Option<&'a BTreeMap<mvcc_core::EntityId, TxId>>,
+        final_writers: Option<&BTreeMap<mvcc_core::EntityId, TxId>>,
     ) {
-        self.final_writers = final_writers;
+        if required.is_empty() && final_writers.is_none() {
+            return;
+        }
         for i in 0..self.txs.len() {
-            let own_version = VersionSource::Tx(self.txs[i].id);
-            let mut pinned = Vec::new();
-            for &(pos, entity, own) in &self.txs[i].reads {
-                let Some(&src) = required.get(&pos) else {
+            for k in 0..self.txs[i].reads.len() {
+                let read = &self.txs[i].reads[k];
+                let Some(&src) = required.get(&read.pos) else {
                     continue;
                 };
-                if !own {
-                    pinned.push((entity, src));
-                } else if src != own_version {
+                if read.own {
                     // Serially the read sees its transaction's own earlier
                     // write, whatever the order.
-                    self.infeasible = true;
+                    self.infeasible |= src != VersionSource::Tx(self.txs[i].id);
+                    continue;
+                }
+                let pin = match src {
+                    VersionSource::Initial => NONE,
+                    VersionSource::Tx(w) => match self.tx_number(w) {
+                        Some(wi) if wi != i => wi as u32,
+                        _ => UNSERVABLE,
+                    },
+                };
+                self.txs[i].reads[k].pin = pin;
+            }
+        }
+        if let Some(named) = final_writers {
+            let mut table = vec![NONE; self.entity_ids.len()];
+            for (entity, &last) in named {
+                if let (Ok(e), Some(li)) =
+                    (self.entity_ids.binary_search(entity), self.tx_number(last))
+                {
+                    table[e] = li as u32;
                 }
             }
-            self.txs[i].required_reads = pinned;
+            self.final_writers = Some(table);
         }
-        if self.infeasible || self.txs.len() > 128 {
+        let n = self.txs.len();
+        if self.infeasible || n > 128 {
             return;
         }
 
@@ -613,59 +669,42 @@ impl<'a> SearchEngine<'a> {
         // unsatisfiable outright — this is exactly how the Theorem 4/5
         // constructions encode polygraph arcs, so refutations that would
         // otherwise need exhaustive search fall out of a linear check.
-        let writers_of: HashMap<mvcc_core::EntityId, Vec<usize>> = {
-            let mut m: HashMap<mvcc_core::EntityId, Vec<usize>> = HashMap::new();
-            for (j, t) in self.txs.iter().enumerate() {
-                for &e in &t.writes {
-                    m.entry(e).or_default().push(j);
-                }
+        let mut writers_of = vec![0u128; self.entity_ids.len()];
+        for (j, tx) in self.txs.iter().enumerate() {
+            for &e in &tx.writes {
+                writers_of[e] |= bit(j);
             }
-            m
-        };
-        for i in 0..self.txs.len() {
-            for k in 0..self.txs[i].required_reads.len() {
-                let (entity, src) = self.txs[i].required_reads[k];
-                match src {
-                    VersionSource::Tx(w) => {
-                        if let Some(&wi) = self.tx_index.get(&w) {
-                            if wi != i {
-                                self.pred[i] |= 1 << wi;
-                            }
+        }
+        for (i, tx) in self.txs.iter().enumerate() {
+            for read in &tx.reads {
+                match read.pin {
+                    FREE | UNSERVABLE => {}
+                    NONE => {
+                        for j in (0..n).filter(|&j| j != i && writers_of[read.entity] & bit(j) != 0)
+                        {
+                            self.pred[j] |= bit(i);
                         }
                     }
-                    VersionSource::Initial => {
-                        if let Some(ws) = writers_of.get(&entity) {
-                            for &j in ws {
-                                if j != i {
-                                    self.pred[j] |= 1 << i;
-                                }
-                            }
-                        }
-                    }
+                    w => self.pred[i] |= bit(w as usize),
                 }
             }
         }
-        for (entity, last) in final_writers.into_iter().flatten() {
-            if let Some(&li) = self.tx_index.get(last) {
-                for &j in writers_of.get(entity).into_iter().flatten() {
-                    if j != li {
-                        self.pred[li] |= 1 << j;
-                    }
-                }
+        for (e, &last) in self.final_writers.iter().flatten().enumerate() {
+            if last != NONE {
+                self.pred[last as usize] |= writers_of[e] & !bit(last as usize);
             }
         }
 
         // Kahn's algorithm: if the precedence graph has a cycle, no serial
         // order satisfies `required`.
-        let n = self.txs.len();
         let mut placed = 0u128;
         let mut progressed = true;
         let mut count = 0;
         while progressed {
             progressed = false;
             for i in 0..n {
-                if placed & (1 << i) == 0 && self.pred[i] & !placed == 0 {
-                    placed |= 1 << i;
+                if placed & bit(i) == 0 && self.pred[i] & !placed == 0 {
+                    placed |= bit(i);
                     count += 1;
                     progressed = true;
                 }
@@ -676,82 +715,94 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    fn dfs(
-        &mut self,
-        order: &mut Vec<TxId>,
-        used: u128,
-        last_writer: &mut BTreeMap<mvcc_core::EntityId, TxId>,
-    ) -> Dfs {
+    /// Makes `txs[i]` the last writer of everything it writes, remembering
+    /// what it overwrote.
+    fn place(&mut self, i: usize) {
+        for &e in &self.txs[i].writes {
+            self.undo.push(self.last_writer[e]);
+            self.last_writer[e] = i as u32;
+        }
+    }
+
+    /// Undoes the latest [`SearchEngine::place`], which must have been of `i`.
+    fn unplace(&mut self, i: usize) {
+        let writes = &self.txs[i].writes;
+        let mark = self.undo.len() - writes.len();
+        for (&e, &old) in writes.iter().zip(&self.undo[mark..]) {
+            self.last_writer[e] = old;
+        }
+        self.undo.truncate(mark);
+    }
+
+    /// The memo key of the current state — or `None` when the state is
+    /// dead: recorded as such, or failing the forward check (and recorded
+    /// now).
+    fn live_key(&mut self, used: u128) -> Option<(u128, Vec<u32>)> {
+        let key = (used, self.last_writer.clone());
+        if self.dead.contains(&key) {
+            return None;
+        }
+        if !self.forward_check(used) {
+            self.dead.insert(key);
+            return None;
+        }
+        Some(key)
+    }
+
+    fn dfs(&mut self, used: u128) -> Dfs {
+        #[cfg(test)]
+        NODES_VISITED.with(|nodes| nodes.set(nodes.get() + 1));
         if self.budget == 0 {
             self.budget_exhausted = true;
             return Dfs::Stop;
         }
         self.budget -= 1;
-        if order.len() == self.txs.len() {
+        let n = self.txs.len();
+        if self.order.len() == n {
             // Every placement was checked incrementally, so the induced
             // assignment is realizable and accepted, and no required final
             // writer was overwritten, by construction.
-            debug_assert!(self.final_writers.map_or(true, |f| *f == *last_writer));
-            self.out
-                .push(serial_read_froms_of_system(self.s, self.sys, order));
+            debug_assert!(self
+                .final_writers
+                .as_ref()
+                .map_or(true, |named| *named == self.last_writer));
+            let order = self.order.iter().map(|&i| self.txs[i as usize].id);
+            self.out.push(order.collect());
             return match self.limit {
                 Some(l) if self.out.len() >= l => Dfs::Stop,
                 _ => Dfs::FoundSome,
             };
         }
 
-        let memoize = self.txs.len() <= 128;
+        // Forward check: every read of every unplaced transaction must still
+        // be servable by SOME completion (see `forward_check`); a failed
+        // check proves the whole subtree dead.
+        let memoize = n <= 128;
         let key = if memoize {
-            let sig: Vec<_> = last_writer.iter().map(|(&e, &t)| (e, t)).collect();
-            if self.dead.contains(&(used, sig.clone())) {
+            let Some(key) = self.live_key(used) else {
                 return Dfs::Nothing;
-            }
-            Some((used, sig))
+            };
+            Some(key)
         } else {
             None
         };
 
-        // Forward check: every read of every unplaced transaction must still
-        // be servable by SOME completion (see `forward_check`); a failed
-        // check proves the whole subtree dead.
-        if memoize && !self.forward_check(used, last_writer) {
-            if let Some(key) = key {
-                self.dead.insert(key);
-            }
-            return Dfs::Nothing;
-        }
-
         let mut found = false;
-        for i in 0..self.txs.len() {
-            if memoize && used & (1 << i) != 0 {
+        for i in 0..n {
+            let placed = if memoize {
+                used & bit(i) != 0
+            } else {
+                self.order.contains(&(i as u32))
+            };
+            // `pred`: a hard predecessor is still unplaced.
+            if placed || self.pred[i] & !used != 0 || !self.can_place(i) {
                 continue;
             }
-            if !memoize && order.contains(&self.txs[i].id) {
-                continue;
-            }
-            if memoize && self.pred[i] & !used != 0 {
-                // A hard predecessor is still unplaced.
-                continue;
-            }
-            if !self.can_place(i, last_writer) {
-                continue;
-            }
-            let tx_id = self.txs[i].id;
-            order.push(tx_id);
-            let saved: Vec<_> = self.txs[i]
-                .writes
-                .iter()
-                .map(|&e| (e, last_writer.insert(e, tx_id)))
-                .collect();
-            let next_used = if memoize { used | (1 << i) } else { used };
-            let result = self.dfs(order, next_used, last_writer);
-            for (e, old) in saved {
-                match old {
-                    Some(w) => last_writer.insert(e, w),
-                    None => last_writer.remove(&e),
-                };
-            }
-            order.pop();
+            self.order.push(i as u32);
+            self.place(i);
+            let result = self.dfs(if memoize { used | bit(i) } else { used });
+            self.unplace(i);
+            self.order.pop();
             match result {
                 Dfs::Stop => return Dfs::Stop,
                 Dfs::FoundSome => found = true,
@@ -771,96 +822,69 @@ impl<'a> SearchEngine<'a> {
 
     /// Whether transaction `i` can be placed next: each of its reads must be
     /// servable (the serially-determined source exists before the read in
-    /// `s`) and pass the acceptance predicate, and it must not overwrite an
-    /// entity whose required final writer is already placed.
-    fn can_place(&self, i: usize, last_writer: &BTreeMap<mvcc_core::EntityId, TxId>) -> bool {
+    /// `s`) and agree with its pin, and it must not overwrite an entity
+    /// whose required final writer is already placed.
+    fn can_place(&self, i: usize) -> bool {
         let tx = &self.txs[i];
-        if let Some(required) = self.final_writers {
+        if let Some(named) = &self.final_writers {
             // No writer is ever placed over a required final writer, so
             // "placed" and "still the last writer" coincide for it.
-            let overwrites_a_final = tx.writes.iter().any(|entity| {
-                required
-                    .get(entity)
-                    .is_some_and(|last| *last != tx.id && last_writer.get(entity) == Some(last))
+            let overwrites_a_final = tx.writes.iter().any(|&e| {
+                named[e] != NONE && named[e] != i as u32 && self.last_writer[e] == named[e]
             });
             if overwrites_a_final {
                 return false;
             }
         }
-        tx.reads.iter().all(|&(pos, entity, own_earlier_write)| {
-            let source = if own_earlier_write {
-                VersionSource::Tx(tx.id)
-            } else {
-                match last_writer.get(&entity) {
-                    Some(&w) => VersionSource::Tx(w),
-                    None => VersionSource::Initial,
-                }
-            };
-            let realizable = match source {
-                VersionSource::Initial => true,
-                VersionSource::Tx(w) if w == tx.id => true,
-                VersionSource::Tx(w) => self
-                    .first_write
-                    .get(&(entity, w))
-                    .is_some_and(|&fp| fp < pos),
-            };
-            realizable && (self.accept)(pos, source)
+        let n = self.txs.len();
+        tx.reads.iter().all(|read| {
+            if read.own {
+                return true;
+            }
+            let source = self.last_writer[read.entity];
+            let realizable =
+                source == NONE || self.first_write[read.entity * n + source as usize] < read.pos;
+            realizable && (read.pin == FREE || read.pin == source)
         })
     }
 }
 
-/// Search-state key of [`SearchEngine::restriction_dfs`]: placed set, last
-/// writers, restriction so far.
-type RestrictionState = (
-    u128,
-    Vec<(mvcc_core::EntityId, TxId)>,
-    Vec<(usize, VersionSource)>,
-);
+/// The state [`SearchEngine::restriction_dfs`] threads through its walk.
+struct RestrictionWalk {
+    max: Option<usize>,
+    /// Per prefix position: the source the placements so far give the read
+    /// there ([`FREE`]: not a read, or its reader is unplaced).
+    restriction: Vec<u32>,
+    /// Search states seen: placed set, last writers, restriction so far.
+    visited: StateSet<(u128, Vec<u32>, Vec<u32>)>,
+    /// The achievable restrictions found.
+    found: StateSet<Vec<u32>>,
+}
 
-impl SearchEngine<'_> {
+impl SearchEngine {
     /// Whether the partial state can be completed to a full realizable
     /// serialization (existence only, nothing emitted).  Shares the dead
-    /// memo with the other search modes; must only be called with the
-    /// accept-everything predicate, so "dead" keeps one meaning throughout.
-    fn completes(
-        &mut self,
-        placed: usize,
-        used: u128,
-        last_writer: &mut BTreeMap<mvcc_core::EntityId, TxId>,
-    ) -> bool {
+    /// memo with the other search modes; must only be called with nothing
+    /// required, so "dead" keeps one meaning throughout.
+    fn completes(&mut self, placed: usize, used: u128) -> bool {
         if placed == self.txs.len() {
             return true;
         }
-        let sig: Vec<_> = last_writer.iter().map(|(&e, &t)| (e, t)).collect();
-        if self.dead.contains(&(used, sig.clone())) {
+        let Some(key) = self.live_key(used) else {
             return false;
-        }
-        if !self.forward_check(used, last_writer) {
-            self.dead.insert((used, sig));
-            return false;
-        }
+        };
         for i in 0..self.txs.len() {
-            if used & (1 << i) != 0 || !self.can_place(i, last_writer) {
+            if used & bit(i) != 0 || !self.can_place(i) {
                 continue;
             }
-            let tx_id = self.txs[i].id;
-            let saved: Vec<_> = self.txs[i]
-                .writes
-                .iter()
-                .map(|&e| (e, last_writer.insert(e, tx_id)))
-                .collect();
-            let done = self.completes(placed + 1, used | (1 << i), last_writer);
-            for (e, old) in saved {
-                match old {
-                    Some(w) => last_writer.insert(e, w),
-                    None => last_writer.remove(&e),
-                };
-            }
+            self.place(i);
+            let done = self.completes(placed + 1, used | bit(i));
+            self.unplace(i);
             if done {
                 return true;
             }
         }
-        self.dead.insert((used, sig));
+        self.dead.insert(key);
         false
     }
 
@@ -869,50 +893,29 @@ impl SearchEngine<'_> {
     /// (if its write is early enough), by `Initial` (if no writer of the
     /// entity was placed yet), or by an available unplaced writer placed in
     /// between.
-    fn forward_check(&self, used: u128, last_writer: &BTreeMap<mvcc_core::EntityId, TxId>) -> bool {
+    fn forward_check(&self, used: u128) -> bool {
         for (i, tx) in self.txs.iter().enumerate() {
-            if used & (1 << i) != 0 {
+            if used & bit(i) != 0 {
                 continue;
             }
-            for &(pos, entity, avail_mask) in &tx.open_reads {
-                let lw_ok = match last_writer.get(&entity) {
-                    None => true, // Initial is still reachable
-                    Some(&w) => self
-                        .first_write
-                        .get(&(entity, w))
-                        .is_some_and(|&fp| fp < pos),
-                };
-                if !lw_ok && avail_mask & !used == 0 {
+            for read in tx.reads.iter().filter(|read| !read.own) {
+                let last = self.last_writer[read.entity];
+                let last_serves = last == NONE || read.avail & bit(last as usize) != 0;
+                if !last_serves && read.avail & !used == 0 {
                     return false;
                 }
-            }
-            // Required-read propagation (empty unless `apply_required` ran):
-            // `Initial` is unreachable once any writer was placed, and
-            // `Tx(w)` is unreachable once `w` is placed but no longer the
-            // last writer.
-            for &(entity, src) in &tx.required_reads {
-                match src {
-                    VersionSource::Initial => {
-                        if last_writer.contains_key(&entity) {
-                            return false;
-                        }
-                    }
-                    VersionSource::Tx(w) => {
-                        if w == tx.id {
-                            // Pinned to a version the reader itself writes
-                            // only later in program order: never servable.
-                            return false;
-                        }
-                        if let Some(&wi) = self.tx_index.get(&w) {
-                            let placed = used & (1 << wi) != 0;
-                            if placed && last_writer.get(&entity) != Some(&w) {
-                                return false;
-                            }
-                        } else {
-                            // Unknown writer: no serialization can realize it.
-                            return false;
-                        }
-                    }
+                // Pin propagation (all `FREE` unless `apply_required` ran):
+                // `Initial` is unreachable once any writer was placed, and
+                // `Tx(w)` is unreachable once `w` is placed but no longer
+                // the last writer.
+                let reachable = match read.pin {
+                    FREE => true,
+                    UNSERVABLE => false,
+                    NONE => last == NONE,
+                    w => used & bit(w as usize) == 0 || last == w,
+                };
+                if !reachable {
+                    return false;
                 }
             }
         }
@@ -920,107 +923,67 @@ impl SearchEngine<'_> {
     }
 
     /// Enumerates the achievable restrictions of the serializing read-from
-    /// assignments to the first `prefix_len` schedule positions — see
+    /// assignments to the prefix `walk.restriction` spans — see
     /// [`achievable_prefix_restrictions`].  Returns `true` when the search
-    /// stopped early because `max` restrictions were found.
+    /// stopped early because `walk.max` restrictions were found.
     ///
     /// Explores serial orders only until every prefix reader is placed
     /// (which pins the restriction), then validates new restrictions with
     /// one memoized [`SearchEngine::completes`] call.  Distinct search
     /// states are deduped on (placed set, last writers, restriction so far):
     /// revisiting one cannot contribute restrictions the first visit did
-    /// not.  Only correct with the accept-everything predicate.
-    #[allow(clippy::too_many_arguments)]
+    /// not.  Only correct with nothing required.
     fn restriction_dfs(
         &mut self,
-        prefix_len: usize,
+        walk: &mut RestrictionWalk,
         readers_remaining: usize,
-        visited: &mut std::collections::HashSet<RestrictionState>,
         placed: usize,
         used: u128,
-        last_writer: &mut BTreeMap<mvcc_core::EntityId, TxId>,
-        restriction: &mut BTreeMap<usize, VersionSource>,
-        out: &mut std::collections::BTreeSet<BTreeMap<usize, VersionSource>>,
-        max: Option<usize>,
     ) -> bool {
         if readers_remaining == 0 {
-            if !out.contains(restriction) && self.completes(placed, used, last_writer) {
-                out.insert(restriction.clone());
-                if let Some(m) = max {
-                    if out.len() >= m {
-                        return true;
-                    }
-                }
+            if !walk.found.contains(&walk.restriction) && self.completes(placed, used) {
+                walk.found.insert(walk.restriction.clone());
+                return walk.max.is_some_and(|m| walk.found.len() >= m);
             }
             return false;
         }
-        let sig: Vec<_> = last_writer.iter().map(|(&e, &t)| (e, t)).collect();
-        if self.dead.contains(&(used, sig.clone())) {
+        let Some((_, last_writers)) = self.live_key(used) else {
             return false;
-        }
-        if !self.forward_check(used, last_writer) {
-            self.dead.insert((used, sig));
-            return false;
-        }
-        let state: RestrictionState = (
-            used,
-            sig,
-            restriction.iter().map(|(&p, &v)| (p, v)).collect(),
-        );
-        if !visited.insert(state) {
+        };
+        if !walk
+            .visited
+            .insert((used, last_writers, walk.restriction.clone()))
+        {
             return false;
         }
 
+        let prefix_len = walk.restriction.len();
         for i in 0..self.txs.len() {
-            if used & (1 << i) != 0 || !self.can_place(i, last_writer) {
+            if used & bit(i) != 0 || !self.can_place(i) {
                 continue;
             }
-            let tx_id = self.txs[i].id;
             // Record the sources of this transaction's prefix reads; they
             // are pinned at placement time (only earlier transactions can
             // serve them).
-            let mut recorded = Vec::new();
             let mut reads_in_prefix = false;
-            for &(pos, entity, own) in &self.txs[i].reads {
-                if pos >= prefix_len {
-                    continue;
-                }
+            for read in self.txs[i].reads.iter().filter(|r| r.pos < prefix_len) {
                 reads_in_prefix = true;
-                let source = if own {
-                    VersionSource::Tx(tx_id)
+                walk.restriction[read.pos] = if read.own {
+                    i as u32
                 } else {
-                    match last_writer.get(&entity) {
-                        Some(&w) => VersionSource::Tx(w),
-                        None => VersionSource::Initial,
-                    }
+                    self.last_writer[read.entity]
                 };
-                restriction.insert(pos, source);
-                recorded.push(pos);
             }
-            let saved: Vec<_> = self.txs[i]
-                .writes
-                .iter()
-                .map(|&e| (e, last_writer.insert(e, tx_id)))
-                .collect();
+            self.place(i);
             let stop = self.restriction_dfs(
-                prefix_len,
+                walk,
                 readers_remaining - usize::from(reads_in_prefix),
-                visited,
                 placed + 1,
-                used | (1 << i),
-                last_writer,
-                restriction,
-                out,
-                max,
+                used | bit(i),
             );
-            for (e, old) in saved {
-                match old {
-                    Some(w) => last_writer.insert(e, w),
-                    None => last_writer.remove(&e),
-                };
-            }
-            for pos in recorded {
-                restriction.remove(&pos);
+            self.unplace(i);
+            for read in self.txs[i].reads.iter().filter(|r| r.pos < prefix_len) {
+                walk.restriction[read.pos] = FREE;
             }
             if stop {
                 return true;
@@ -1133,6 +1096,160 @@ mod tests {
         let plain = serializations(&s, None).len();
         let filtered = serializations_extending(&s, &HashMap::new(), None).len();
         assert_eq!(plain, filtered);
+    }
+
+    #[test]
+    fn enumeration_order_is_lexicographic_in_first_appearance_order() {
+        // The OLS checker and the maximal scheduler observe the *sequence*
+        // `serializations` returns: the realizable serial orders, candidates
+        // tried by first appearance in the schedule.
+        let sys = Schedule::parse("Ra(x) Wa(y) Rb(y) Wb(x) Wc(x) Rd(y)")
+            .unwrap()
+            .tx_system();
+        for s in Schedule::all_interleavings(&sys) {
+            let expected: Vec<Vec<TxId>> = crate::csr::permutations(&s.tx_ids())
+                .into_iter()
+                .filter(|order| is_realizable(&s, &serial_read_froms(&s, order)))
+                .collect();
+            let found = serializations(&s, None);
+            let orders: Vec<Vec<TxId>> = found.iter().map(|rf| rf.order.clone()).collect();
+            assert_eq!(orders, expected, "schedule {s}");
+            for rf in &found {
+                assert_eq!(*rf, serial_read_froms(&s, &rf.order), "schedule {s}");
+            }
+        }
+    }
+
+    /// Figure 1's example (1) with `n` transactions: all read `x`, then all
+    /// write it, so whoever is placed second would read a write that comes
+    /// too late.
+    fn everyone_reads_then_writes(n: u32) -> Schedule {
+        let x = EntityId(0);
+        let reads = (1..=n).map(|t| mvcc_core::Step::read(TxId(t), x));
+        let writes = (1..=n).map(|t| mvcc_core::Step::write(TxId(t), x));
+        Schedule::from_steps(reads.chain(writes).collect())
+    }
+
+    #[test]
+    fn schedules_beyond_the_bitmask_are_still_decided() {
+        // 130 transactions: no memo, no forward check, no 128-bit shifts.
+        let serial: Vec<_> = (1..=130)
+            .flat_map(|t| {
+                let x = EntityId(t % 3);
+                [
+                    mvcc_core::Step::read(TxId(t), x),
+                    mvcc_core::Step::write(TxId(t), x),
+                ]
+            })
+            .collect();
+        let serial = Schedule::from_steps(serial);
+        let found = serializations(&serial, Some(1));
+        assert_eq!(found[0].order, serial.tx_ids());
+        assert!(is_realizable(&serial, &found[0]));
+        // Refuted in 1 + 130 nodes: every second placement fails.
+        let crowd = everyone_reads_then_writes(130);
+        assert!(serializations(&crowd, Some(1)).is_empty());
+        assert_eq!(
+            has_serialization_extending_budgeted(&crowd, &HashMap::new(), 131),
+            Some(false)
+        );
+        assert_eq!(
+            has_serialization_extending_budgeted(&crowd, &HashMap::new(), 130),
+            None
+        );
+        // Within the mask the forward check refutes each first placement.
+        assert!(serializations(&everyone_reads_then_writes(128), Some(1)).is_empty());
+    }
+
+    #[test]
+    fn unwritten_entities_and_readless_transactions() {
+        // z is written by nobody: every read of it sees the initial version.
+        let s = Schedule::parse("Ra(z) Rb(z) Wa(x)").unwrap();
+        let all = serializations(&s, None);
+        assert_eq!(all.len(), 2);
+        for rf in &all {
+            assert_eq!(rf.read_sources[&0], VersionSource::Initial);
+            assert_eq!(rf.read_sources[&1], VersionSource::Initial);
+            assert_eq!(rf.final_writers[&EntityId(2)], None);
+            assert_eq!(rf.final_writers[&EntityId(0)], Some(TxId(1)));
+        }
+        assert_eq!(achievable_prefix_restrictions(&s, 3).len(), 1);
+        // No reads at all: nothing constrains the order.
+        let blind = Schedule::parse("Wa(x) Wb(x) Wc(y)").unwrap();
+        assert_eq!(serializations(&blind, None).len(), 6);
+        let empty: BTreeSet<BTreeMap<usize, VersionSource>> = [BTreeMap::new()].into();
+        assert_eq!(achievable_prefix_restrictions(&blind, 3), empty);
+    }
+
+    #[test]
+    fn unservable_pins_are_refused() {
+        let s = Schedule::parse("Wa(x) Rb(x) Wb(x) Rb(x)").unwrap();
+        let pinned = |pos: usize, src| HashMap::from([(pos, src)]);
+        // A writer the schedule does not contain.
+        let unknown = pinned(1, VersionSource::Tx(TxId(9)));
+        assert!(!has_serialization_extending(&s, &unknown));
+        assert!(serializations_extending(&s, &unknown, None).is_empty());
+        // The reader's own *later* write.
+        let own_later = pinned(1, VersionSource::Tx(TxId(2)));
+        assert!(!has_serialization_extending(&s, &own_later));
+        // Both die at the root's forward check: one node.
+        for required in [&unknown, &own_later] {
+            assert_eq!(
+                has_serialization_extending_budgeted(&s, required, 1),
+                Some(false)
+            );
+            assert_eq!(has_serialization_extending_budgeted(&s, required, 0), None);
+        }
+        // A read after the reader's own write sees that write, and only it.
+        assert!(has_serialization_extending(
+            &s,
+            &pinned(3, VersionSource::Tx(TxId(2)))
+        ));
+        assert_eq!(
+            has_serialization_extending_budgeted(&s, &pinned(3, VersionSource::Tx(TxId(1))), 0),
+            Some(false),
+            "known infeasible before the search starts"
+        );
+        // Pins on positions that hold no read are ignored.
+        assert!(has_serialization_extending(
+            &s,
+            &pinned(0, VersionSource::Tx(TxId(9)))
+        ));
+    }
+
+    #[test]
+    fn node_budget_counts_every_search_node() {
+        // Not MVSR; the refutation takes 45 nodes (counted with the search
+        // as it stood before the dense tables, and unchanged by them).
+        let s = Schedule::parse(
+            "R8(w) R17(x) R14(w) R11(x) R11(w) R14(w) W17(w) W8(x) \
+             R5(w) R20(x) W20(x) W2(w) R5(x) R2(x)",
+        )
+        .unwrap();
+        let nothing = HashMap::new();
+        assert_eq!(has_serialization_extending_budgeted(&s, &nothing, 44), None);
+        assert_eq!(
+            has_serialization_extending_budgeted(&s, &nothing, 45),
+            Some(false)
+        );
+        // Pinning R5(w) to T2 puts T2 before T5 and prunes it to 21.
+        let pinned = HashMap::from([(8, VersionSource::Tx(TxId(2)))]);
+        assert_eq!(has_serialization_extending_budgeted(&s, &pinned, 20), None);
+        assert_eq!(
+            has_serialization_extending_budgeted(&s, &pinned, 21),
+            Some(false)
+        );
+        // MVSR, the first witness 16 nodes away (8 of them its own path).
+        let s = Schedule::parse(
+            "R20(x) R14(x) W5(x) R14(x) R11(x) R5(x) R2(x) R20(w) R8(x) W8(x) \
+             R17(w) W17(x) W11(x) R2(w)",
+        )
+        .unwrap();
+        assert_eq!(has_serialization_extending_budgeted(&s, &nothing, 15), None);
+        assert_eq!(
+            has_serialization_extending_budgeted(&s, &nothing, 16),
+            Some(true)
+        );
     }
 
     #[test]

@@ -73,9 +73,10 @@ impl fmt::Display for Classification {
 
 /// Classifies `schedule` with respect to every class of the paper.
 ///
-/// CSR and MVCSR use the polynomial graph tests; VSR, MVSR and DMVSR use the
-/// exact (exponential worst-case) searches — keep schedules small, exactly as
-/// in the paper's examples and reductions.
+/// CSR and MVCSR use the polynomial graph tests, and so does DMVSR unless a
+/// transaction writes an entity twice (see [`crate::dmvsr`]); VSR and MVSR
+/// use the exact (exponential worst-case) search — keep schedules small,
+/// exactly as in the paper's examples and reductions.
 pub fn classify(schedule: &Schedule) -> Classification {
     Classification {
         serial: schedule.is_serial(),

@@ -181,3 +181,114 @@ fn mvcsr_witness_is_topological() {
         assert!(pos[&from_tx] < pos[&to_tx]);
     }
 }
+
+/// The verdict freeze over the whole benchmark corpus at seed 1: how many of
+/// its 3 000 schedules are in each class.  The totals were counted with the
+/// classifiers as they stood before the search moved to dense tables and
+/// DMVSR to the MVCG test; any verdict that flips moves one of them.
+#[test]
+fn benchmark_corpus_verdict_totals_are_frozen() {
+    let corpus = mvcc_repro::workload::random_interleavings(
+        &WorkloadConfig {
+            transactions: 8,
+            steps_per_transaction: 4,
+            entities: 8,
+            read_ratio: 0.5,
+            zipf_theta: 0.0,
+            seed: 0x9e37_79b9_7f4a_7c15,
+        },
+        3000,
+    );
+    let mut totals = [0usize; 5];
+    for s in &corpus {
+        let c = classify(s);
+        assert!(c.respects_containments(), "schedule {s}: {c}");
+        for (total, member) in totals
+            .iter_mut()
+            .zip([c.csr, c.vsr, c.mvcsr, c.mvsr, c.dmvsr])
+        {
+            *total += usize::from(member);
+        }
+    }
+    // csr, vsr, mvcsr, mvsr, dmvsr
+    assert_eq!(totals, [1, 2, 1233, 2122, 80]);
+}
+
+/// The exact classifiers against the definitions, on every interleaving of
+/// three small systems: a plain one, one whose `T_b` writes `x` twice (where
+/// DMVSR needs the search), one whose `T_a` reads its own earlier write.
+/// DMVSR is checked as what it is defined to be — MVSR of the patched
+/// schedule — once by the search and once by brute force.
+#[test]
+fn exact_classifiers_agree_with_the_definitions_exhaustively() {
+    use mvcc_repro::classify::dmvsr::{is_dmvsr, patch_readless_writes};
+    use mvcc_repro::classify::mvsr::is_mvsr_by_definition;
+    use mvcc_repro::classify::vsr::is_vsr_by_definition;
+    for system in [
+        "Ra(x) Wa(y) Rb(y) Wb(x) Wc(x)",
+        "Rb(x) Rb(y) Wb(x) Wb(x) Ra(x) Ra(y) Wa(y)",
+        "Wa(x) Ra(x) Wa(y) Rb(y) Wb(x) Rc(x)",
+    ] {
+        let sys = Schedule::parse(system).unwrap().tx_system();
+        let mut dmvsr_not_mvcsr = 0;
+        for s in Schedule::all_interleavings(&sys) {
+            assert_eq!(is_mvsr(&s), is_mvsr_by_definition(&s), "schedule {s}");
+            assert_eq!(is_vsr(&s), is_vsr_by_definition(&s), "schedule {s}");
+            let patched = patch_readless_writes(&s);
+            let dmvsr = is_dmvsr(&s);
+            assert_eq!(dmvsr, is_mvsr(&patched), "schedule {s}");
+            assert_eq!(dmvsr, is_mvsr_by_definition(&patched), "schedule {s}");
+            dmvsr_not_mvcsr += usize::from(dmvsr && !is_mvcsr(&patched));
+        }
+        // Only the repeated write separates DMVSR from MVCSR of the patch.
+        assert_eq!(dmvsr_not_mvcsr > 0, system.contains("Wb(x) Wb(x)"));
+    }
+}
+
+/// `is_dmvsr` is MVSR of the patched schedule on 56 000 seeded random
+/// schedules over one to three entities, where transactions writing an
+/// entity twice (the search branch) and reading their own writes are dense.
+#[test]
+fn dmvsr_is_mvsr_of_the_patched_schedule_on_dense_random_schedules() {
+    use mvcc_repro::classify::dmvsr::{is_dmvsr, patch_readless_writes};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(24);
+    let (mut members, mut repeated_writes) = (0, 0);
+    for (txns, steps, entities) in [
+        (2usize, 4usize, 1u32),
+        (3, 3, 1),
+        (3, 4, 2),
+        (4, 3, 2),
+        (3, 5, 3),
+        (4, 4, 3),
+        (5, 3, 3),
+    ] {
+        for _ in 0..8000 {
+            let mut left = vec![steps; txns];
+            let mut out = Vec::with_capacity(txns * steps);
+            while out.len() < txns * steps {
+                let t = rng.gen_range(0..txns);
+                if left[t] == 0 {
+                    continue;
+                }
+                left[t] -= 1;
+                let (tx, entity) = (TxId(t as u32 + 1), EntityId(rng.gen_range(0..entities)));
+                out.push(if rng.gen_bool(0.5) {
+                    Step::read(tx, entity)
+                } else {
+                    Step::write(tx, entity)
+                });
+            }
+            let s = Schedule::from_steps(out);
+            let patched = patch_readless_writes(&s);
+            let (dmvsr, mvsr) = (is_dmvsr(&s), is_mvsr(&patched));
+            assert_eq!(dmvsr, mvsr, "schedule {s}");
+            members += usize::from(dmvsr);
+            repeated_writes += usize::from(mvsr != is_mvcsr(&patched));
+        }
+    }
+    // Both verdicts, and the repeated-write separation, are well populated.
+    assert!(members > 5_000 && members < 51_000, "{members} members");
+    assert!(repeated_writes > 100, "{repeated_writes} separations");
+}
