@@ -1,6 +1,5 @@
-//! Experiments E12 and E13: engine throughput and abort-rate scaling
-//! under real concurrent load — threads × Zipfian skew θ × certifier —
-//! plus the batched admission pipeline on/off comparison.
+//! Experiment E12: engine throughput and abort-rate scaling under real
+//! concurrent load — threads × Zipfian skew θ × certifier.
 //!
 //! This is the paper's "enhanced performance" claim taken out of the
 //! single-schedule replay harness and put under multi-threaded closed-loop
@@ -11,9 +10,8 @@
 //!
 //! Run with `cargo run -p mvcc-bench --bin engine_scaling --release`.
 
-use mvcc_bench::experiments::{engine_load_table, pipeline_scaling_table};
+use mvcc_bench::experiments::engine_load_table;
 use mvcc_bench::Table;
-use mvcc_engine::CertifierKind;
 use mvcc_workload::LoadProfile;
 
 fn print_sweep(title: &str, profiles: &[LoadProfile], validate: bool) {
@@ -101,43 +99,4 @@ fn main() {
         &validated,
         true,
     );
-
-    // E13: the batched admission pipeline on vs. off, uncontended (θ = 0)
-    // thread scaling — the serialization point under test is admission
-    // itself, so skew is zeroed and shards track the thread count.
-    println!("### E13: admission pipeline on/off (θ = 0)\n");
-    let e13_base = LoadProfile {
-        ops: 20_000,
-        zipf_theta: 0.0,
-        seed: 0xe13,
-        ..LoadProfile::default()
-    };
-    let kinds = CertifierKind::all();
-    let rows = pipeline_scaling_table(&e13_base, &[1, 2, 4], &kinds);
-    let mut table = Table::new(
-        format!("{e13_base} (threads overridden per row)"),
-        &[
-            "certifier",
-            "threads",
-            "per-step (txn/s)",
-            "batched (txn/s)",
-            "speedup",
-            "mean adm. batch",
-            "mean commit batch",
-        ],
-    );
-    for row in rows {
-        table.row(&[
-            row.certifier.to_string(),
-            row.threads.to_string(),
-            format!("{:.0}", row.per_step_tps),
-            format!("{:.0}", row.batched_tps),
-            format!("{:.2}×", row.speedup()),
-            row.mean_admission_batch
-                .map_or_else(|| "-".into(), |m| format!("{m:.1}")),
-            row.mean_commit_batch
-                .map_or_else(|| "-".into(), |m| format!("{m:.1}")),
-        ]);
-    }
-    println!("{}", table.render());
 }

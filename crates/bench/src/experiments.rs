@@ -372,86 +372,6 @@ pub fn engine_load_table(profile: &LoadProfile, validate_histories: bool) -> Vec
         .collect()
 }
 
-/// One row of the pipeline-scaling table (experiment E13): one certifier
-/// at one thread count, run once with the per-step admission baseline and
-/// once with the batched group-commit pipeline.
-#[derive(Debug, Clone)]
-pub struct PipelineRow {
-    /// Certifier configuration.
-    pub certifier: CertifierKind,
-    /// Worker threads driving the closed loop.
-    pub threads: usize,
-    /// Committed-transaction throughput with per-step admission
-    /// (pipeline off).
-    pub per_step_tps: f64,
-    /// Committed-transaction throughput with batched admission
-    /// (pipeline on).
-    pub batched_tps: f64,
-    /// Mean steps per admission batch observed in the batched run
-    /// (`None` if the run ruled no batch — empty traffic).
-    pub mean_admission_batch: Option<f64>,
-    /// Mean transactions per group-commit batch in the batched run.
-    pub mean_commit_batch: Option<f64>,
-}
-
-impl PipelineRow {
-    /// Batched over per-step throughput (> 1 means the pipeline wins).
-    pub fn speedup(&self) -> f64 {
-        if self.per_step_tps == 0.0 {
-            0.0
-        } else {
-            self.batched_tps / self.per_step_tps
-        }
-    }
-}
-
-/// Runs the pipeline-on/off comparison (experiment E13): for each thread
-/// count and certifier, one closed loop under
-/// [`mvcc_engine::AdmissionMode::PerStep`] and one under
-/// [`mvcc_engine::AdmissionMode::Batched`], histories off (throughput
-/// measurement).  The profile's `threads` field is overridden per row;
-/// `shards` is raised to at least the thread count so storage is never the
-/// serialization point being measured.
-pub fn pipeline_scaling_table(
-    base: &LoadProfile,
-    threads: &[usize],
-    kinds: &[CertifierKind],
-) -> Vec<PipelineRow> {
-    use mvcc_engine::AdmissionMode;
-    let run = |kind, profile: &LoadProfile, admission| {
-        run_closed_loop(
-            kind,
-            profile,
-            LoadOptions {
-                record_history: false,
-                admission,
-                ..LoadOptions::default()
-            },
-        )
-    };
-    let mut rows = Vec::with_capacity(threads.len() * kinds.len());
-    for &threads in threads {
-        let profile = LoadProfile {
-            threads,
-            shards: base.shards.max(threads),
-            ..*base
-        };
-        for &kind in kinds {
-            let off = run(kind, &profile, AdmissionMode::PerStep);
-            let on = run(kind, &profile, AdmissionMode::Batched);
-            rows.push(PipelineRow {
-                certifier: kind,
-                threads,
-                per_step_tps: off.throughput_tps(),
-                batched_tps: on.throughput_tps(),
-                mean_admission_batch: on.metrics.mean_admission_batch(),
-                mean_commit_batch: on.metrics.mean_commit_batch(),
-            });
-        }
-    }
-    rows
-}
-
 /// One row of the durability-scaling table (experiment E14): one
 /// certifier under one [`mvcc_engine::DurabilityMode`].
 #[derive(Debug, Clone)]
@@ -477,7 +397,7 @@ pub struct DurabilityRow {
 
 /// Runs the durability on/off comparison (experiment E14): for each
 /// certifier, one closed loop per [`mvcc_engine::DurabilityMode`] — Off
-/// (the E13 engine), Buffered (group-append + flush-to-OS per commit
+/// (the E12 engine), Buffered (group-append + flush-to-OS per commit
 /// batch) and Fsync (one fsync per commit batch) — histories off, a
 /// fresh write-ahead log directory per durable cell (created under the
 /// system temp dir and removed afterwards).
@@ -822,31 +742,6 @@ mod tests {
             assert!(row.committed > 0, "{} never committed", row.certifier);
             assert!(row.throughput_tps > 0.0);
             assert!((0.0..=1.0).contains(&row.abort_ratio));
-        }
-    }
-
-    #[test]
-    fn pipeline_scaling_rows_cover_the_grid_and_batch() {
-        let base = LoadProfile {
-            ops: 400,
-            entities: 16,
-            steps_per_transaction: 3,
-            read_ratio: 0.8,
-            zipf_theta: 0.0,
-            seed: 0xe13,
-            ..LoadProfile::default()
-        };
-        let kinds = [CertifierKind::Sgt, CertifierKind::SnapshotIsolation];
-        let rows = pipeline_scaling_table(&base, &[1, 2], &kinds);
-        assert_eq!(rows.len(), 4);
-        for row in &rows {
-            assert!(row.per_step_tps > 0.0, "{} off-run starved", row.certifier);
-            assert!(row.batched_tps > 0.0, "{} on-run starved", row.certifier);
-            // Batched runs always report batch telemetry (size ≥ 1).
-            let mean = row.mean_admission_batch.unwrap();
-            assert!(mean >= 1.0, "{} mean batch {mean}", row.certifier);
-            assert!(row.mean_commit_batch.unwrap() >= 1.0);
-            assert!(row.speedup() > 0.0);
         }
     }
 

@@ -360,6 +360,12 @@ pub struct WalReceipt {
     /// batch).  A commit batch's single commit record gets exactly this
     /// LSN — it is what a replica router's wait-for-LSN compares against.
     pub last_lsn: Option<u64>,
+    /// LSN of the last record this call pushed out to log readers (into
+    /// the OS; synced in fsync mode), or `None` when it flushed nothing.
+    /// The flush of [`WalWriter::append_and_flush`] also carries any record
+    /// another thread appended after `last_lsn`, and a buffered
+    /// [`WalWriter::append_batch`] is flushed when it rotates the segment.
+    pub flushed_through: Option<u64>,
 }
 
 /// The group-append writer over a segmented log directory.
@@ -646,12 +652,13 @@ impl WalWriter {
         result?;
         inner.segment_bytes_written += bytes;
         let last_lsn = inner.next_lsn.checked_sub(1);
-        self.maybe_rotate(&mut inner)?;
+        let rotated = self.maybe_rotate(&mut inner)?;
         Ok(WalReceipt {
             records: records.len(),
             bytes,
             fsynced: false,
             last_lsn,
+            flushed_through: last_lsn.filter(|_| rotated),
         })
     }
 
@@ -660,28 +667,39 @@ impl WalWriter {
     /// additionally syncs the segment to stable storage.  Returns `true`
     /// when an fsync happened.
     pub fn flush(&self) -> io::Result<bool> {
+        self.flush_through().map(|(fsynced, _)| fsynced)
+    }
+
+    /// [`WalWriter::flush`], also returning the LSN of the last record the
+    /// flush covered.
+    fn flush_through(&self) -> io::Result<(bool, Option<u64>)> {
         self.check_fence()?;
         let mut inner = self.inner.lock();
         inner.writer.flush()?;
+        let through = inner.next_lsn.checked_sub(1);
         if self.mode == DurabilityMode::Fsync {
             inner.writer.get_ref().sync_data()?;
-            Ok(true)
+            Ok((true, through))
         } else {
-            Ok(false)
+            Ok((false, through))
         }
     }
 
-    /// Appends one group and flushes it, in one critical section: the
-    /// group-commit form (one batch = one flush = at most one fsync).
+    /// Appends one group and flushes it: the group-commit form (one
+    /// batch = one flush = at most one fsync).  The append and the flush
+    /// are two critical sections, so the flush may also carry records
+    /// other threads appended in between (`flushed_through` says how far).
     pub fn append_and_flush(&self, records: &[WalRecord]) -> io::Result<WalReceipt> {
         let mut receipt = self.append_batch(records)?;
-        receipt.fsynced = self.flush()?;
+        (receipt.fsynced, receipt.flushed_through) = self.flush_through()?;
         Ok(receipt)
     }
 
-    fn maybe_rotate(&self, inner: &mut WalInner) -> io::Result<()> {
+    /// Rotates to a fresh segment once the current one is full; `true`
+    /// when it did (the old segment was flushed first).
+    fn maybe_rotate(&self, inner: &mut WalInner) -> io::Result<bool> {
         if inner.segment_bytes_written < inner.segment_bytes {
-            return Ok(());
+            return Ok(false);
         }
         self.check_fence()?;
         // Finish the old segment: flush (and fsync if configured) so the
@@ -705,7 +723,7 @@ impl WalWriter {
         }
         inner.writer = BufWriter::new(file);
         inner.segment_bytes_written = SEGMENT_HEADER as u64;
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -835,6 +853,31 @@ mod tests {
         for (i, rec) in scan.records.iter().enumerate() {
             assert_eq!(rec.lsn, i as u64);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn receipts_say_how_far_the_log_is_visible() {
+        // Roomy segment: a buffered append stays in the writer's buffer.
+        let dir = temp_dir("rotated-receipt");
+        let wal = WalWriter::open(&dir, DurabilityMode::Buffered, 8 << 20).unwrap();
+        let receipt = wal.append_batch(&[write_rec(1, 0, b"a")]).unwrap();
+        assert_eq!(receipt.flushed_through, None);
+        assert!(scan_log(&dir).unwrap().records.is_empty());
+        // A later flush carries the buffered record along with its own.
+        let receipt = wal.append_and_flush(&[write_rec(2, 0, b"b")]).unwrap();
+        assert_eq!(receipt.last_lsn, Some(1));
+        assert_eq!(receipt.flushed_through, Some(1));
+        assert_eq!(scan_log(&dir).unwrap().records.len(), 2);
+        drop(wal);
+        let _ = std::fs::remove_dir_all(&dir);
+        // Tiny segment: the same append fills it, and the rotation's
+        // flush makes it readable without any explicit flush.
+        let dir = temp_dir("rotated-receipt");
+        let wal = WalWriter::open(&dir, DurabilityMode::Buffered, 64).unwrap();
+        let receipt = wal.append_batch(&[write_rec(1, 0, &[0u8; 48])]).unwrap();
+        assert_eq!(receipt.flushed_through, Some(0));
+        assert_eq!(scan_log(&dir).unwrap().records.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

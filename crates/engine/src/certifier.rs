@@ -62,7 +62,7 @@ impl Admission {
 
 /// How admission must be serialized for a certifier to stay correct.
 ///
-/// The engine's batched pipeline routes steps through admission *lanes*;
+/// The engine's pipeline routes steps through admission *lanes*;
 /// the scope says how many lanes the certifier tolerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionScope {
@@ -135,19 +135,6 @@ pub trait Certifier: Send {
     /// Offers the next step in arrival order.
     fn admit(&mut self, step: Step) -> Admission;
 
-    /// Rules on a whole batch of steps at once, one verdict per step in
-    /// order.
-    ///
-    /// The batched admission pipeline drains its queue into this hook, so
-    /// a contended engine pays one virtual dispatch (and one lock
-    /// acquisition) per *batch* instead of per step.  Semantically the
-    /// batch MUST be ruled exactly as if [`Certifier::admit`] had been
-    /// called on each step in sequence — the default does that loop, and
-    /// the differential tests hold every override to it.
-    fn admit_batch(&mut self, steps: &[Step]) -> Vec<Admission> {
-        steps.iter().map(|&step| self.admit(step)).collect()
-    }
-
     /// How admission may be partitioned (see [`AdmissionScope`]).  Default:
     /// one global lane, the safe choice for any stateful certifier.
     fn admission_scope(&self) -> AdmissionScope {
@@ -207,17 +194,6 @@ impl<S: Scheduler + Send> Certifier for SchedulerCertifier<S> {
         decision_to_admission(step, decision)
     }
 
-    fn admit_batch(&mut self, steps: &[Step]) -> Vec<Admission> {
-        // One dispatch into the scheduler for the whole batch; schedulers
-        // with a real batch rule (TO's per-entity pass) take over here.
-        self.inner
-            .offer_batch(steps)
-            .into_iter()
-            .zip(steps)
-            .map(|(decision, &step)| decision_to_admission(step, decision))
-            .collect()
-    }
-
     fn on_commit(&mut self, tx: TxId) {
         self.inner.commit(tx);
     }
@@ -271,21 +247,6 @@ impl Certifier for SnapshotCertifier {
         } else {
             Admission::Write
         }
-    }
-
-    fn admit_batch(&mut self, steps: &[Step]) -> Vec<Admission> {
-        // SI admits everything and never consults admission state, so a
-        // batch is validated in one stateless pass.
-        steps
-            .iter()
-            .map(|step| {
-                if step.is_read() {
-                    Admission::Read(ReadPlan::Snapshot)
-                } else {
-                    Admission::Write
-                }
-            })
-            .collect()
     }
 
     fn admission_scope(&self) -> AdmissionScope {
@@ -472,39 +433,6 @@ mod tests {
             assert_eq!(kind.to_string(), kind.name());
         }
         assert_eq!(CertifierKind::MvSgt.class().to_string(), "MVCSR");
-    }
-
-    #[test]
-    fn admit_batch_matches_sequential_admits_for_every_kind() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        for kind in CertifierKind::all() {
-            let mut rng = SmallRng::seed_from_u64(0xadc0 ^ kind.name().len() as u64);
-            for trial in 0..24 {
-                let steps: Vec<Step> = (0..18)
-                    .map(|_| {
-                        let tx = TxId(rng.gen_range(1..5u32));
-                        let entity = mvcc_core::EntityId(rng.gen_range(0..3u32));
-                        if rng.gen_bool(0.6) {
-                            Step::read(tx, entity)
-                        } else {
-                            Step::write(tx, entity)
-                        }
-                    })
-                    .collect();
-                let mut batched = kind.build();
-                let mut sequential = kind.build();
-                let mut cursor = 0;
-                while cursor < steps.len() {
-                    let end = (cursor + rng.gen_range(1..5usize)).min(steps.len());
-                    let batch = &steps[cursor..end];
-                    let got = batched.admit_batch(batch);
-                    let want: Vec<Admission> = batch.iter().map(|&s| sequential.admit(s)).collect();
-                    assert_eq!(got, want, "{kind} trial {trial}, steps {cursor}..{end}");
-                    cursor = end;
-                }
-            }
-        }
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //!   engine, and [`SnapshotCertifier`] adds snapshot isolation with
 //!   first-committer-wins, so the same engine runs in every class of the
 //!   paper's Figure 1;
-//! * [`pipeline`] — the batched, group-commit admission pipeline: steps
-//!   are enqueued and ruled in whole batches by a drain leader
-//!   ([`Certifier::admit_batch`]), commits are applied to the shards in
-//!   groups, and certifiers that only need per-entity ordering (snapshot
-//!   isolation) get one admission lane per shard;
+//! * [`pipeline`] — the admission pipeline: one ruling per lane lock
+//!   ([`Certifier::admit`] under the step's lane), commits applied to the
+//!   shards in groups by a group-commit leader, and one admission lane
+//!   per shard for certifiers that only need per-entity ordering
+//!   (snapshot isolation);
 //! * [`session`] — the [`Engine`] itself and its multi-threaded session
 //!   API (`begin` / `read` / `write` / `commit` / `abort`), plus the
 //!   append-only admission [`History`] whose committed projection the
@@ -44,10 +44,10 @@
 //! ## Correctness model
 //!
 //! An admission lane is the serialization point: every step is admitted
-//! (or rejected) on its lane — in batches, but a drain leader holds the
-//! lane for the whole batch, so the admission order per lane is total —
-//! and recorded in the history log in that order.  Certifiers whose class
-//! depends on cross-entity order run one global lane.  Class guarantees —
+//! (or rejected) on its lane — one ruling per lane lock, so the admission
+//! order per lane is total — and recorded in the history log in that
+//! order.  Certifiers whose class depends on cross-entity order run one
+//! global lane.  Class guarantees —
 //! CSR for 2PL/TSO/SGT, MVCSR for MV-SGT, MVSR for MVTO — are properties
 //! of that admission sequence, checked offline by `mvcc-classify`.  Version payloads are applied to the shards
 //! outside the admission lock; multiversion reads are served exactly the
@@ -100,7 +100,7 @@ pub use health::{
 };
 pub use load::{run_closed_loop, LoadOptions, LoadReport};
 pub use metrics::{AbortReason, EngineMetrics, MetricsSnapshot};
-pub use pipeline::{AdmissionMode, ChaosHook, KillSite};
+pub use pipeline::{ChaosHook, KillSite};
 pub use session::{Engine, EngineConfig, EngineError, History, Session};
 pub use shard::ShardedStore;
 pub use watchdog::{ClassificationWatchdog, WatchdogConfig, WatchdogStats};

@@ -15,7 +15,6 @@ use crate::certifier::{CertifierKind, HistoryClass};
 use crate::gc::GcDriver;
 use crate::health::{Alarm, EngineSampler, HealthConfig, HealthMonitor, MemberProbe};
 use crate::metrics::MetricsSnapshot;
-use crate::pipeline::AdmissionMode;
 use crate::session::{Engine, EngineConfig, History};
 use crate::watchdog::{ClassificationWatchdog, WatchdogConfig, WatchdogStats};
 use bytes::Bytes;
@@ -34,8 +33,6 @@ use std::time::{Duration, Instant};
 pub struct LoadReport {
     /// The certifier that ran.
     pub kind: CertifierKind,
-    /// The admission mode the engine ran under.
-    pub admission: AdmissionMode,
     /// The class its committed history is guaranteed to be in.
     pub class: HistoryClass,
     /// The profile that drove the run.
@@ -116,9 +113,6 @@ pub struct LoadOptions {
     /// long soaks keep memory O(1) while the online watchdog still sees
     /// classifiable windows.
     pub history_capacity: Option<usize>,
-    /// How admission is serialized — the pipeline-on/off comparison knob
-    /// of experiment E13.
-    pub admission: AdmissionMode,
     /// The Off/Buffered/Fsync comparison knob of experiment E14.  With
     /// durability on, a fresh write-ahead log is started in
     /// `durability.dir`.
@@ -143,7 +137,6 @@ impl Default for LoadOptions {
         LoadOptions {
             record_history: true,
             history_capacity: None,
-            admission: AdmissionMode::default(),
             durability: DurabilityConfig::off(),
             telemetry: TelemetryMode::default(),
             watchdog: false,
@@ -170,7 +163,6 @@ pub fn run_closed_loop(
             initial: Bytes::from_static(b"0"),
             record_history: options.record_history,
             history_capacity: options.history_capacity,
-            admission: options.admission,
             durability: options.durability,
             telemetry: options.telemetry,
             ..EngineConfig::default()
@@ -217,7 +209,6 @@ pub fn run_closed_loop(
         .unwrap_or_default();
     LoadReport {
         kind,
-        admission: options.admission,
         class: kind.class(),
         profile: *profile,
         elapsed,
@@ -330,8 +321,13 @@ mod tests {
         );
         assert!(report.throughput_tps() > 0.0);
         assert!(report.history_in_class());
+        // One ruling per step: every ruling is a batch of one, and rejected
+        // steps are ruled too while executed ops count only admitted ones.
+        // Every commit goes through the group-commit lane.
+        assert_eq!(m.admission_batch_steps, m.admission_batches);
+        assert!(m.admission_batches >= m.reads + m.writes);
+        assert_eq!(m.commit_batch_txns, m.committed);
         // The default options: history recorded (above), everything else off.
-        assert_eq!(report.admission, AdmissionMode::default());
         assert!(m.stages.is_empty() && !m.durability_on());
         assert!(report.watchdog.is_none());
         assert!(report.timeline.is_empty() && report.alarms.is_empty());
@@ -451,38 +447,5 @@ mod tests {
         );
         assert!(report.timeline.is_empty());
         assert!(report.alarms.is_empty());
-    }
-
-    #[test]
-    fn both_admission_modes_drive_the_same_workload_soundly() {
-        for mode in [AdmissionMode::Batched, AdmissionMode::PerStep] {
-            let report = run_closed_loop(
-                CertifierKind::Sgt,
-                &small_profile(0.0),
-                LoadOptions {
-                    admission: mode,
-                    ..LoadOptions::default()
-                },
-            );
-            assert_eq!(report.admission, mode);
-            let m = &report.metrics;
-            assert!(m.committed > 0, "{mode}: no commits");
-            assert_eq!(m.begun, m.committed + m.aborted, "{mode}");
-            assert!(report.history_in_class(), "{mode}: history out of class");
-            match mode {
-                // Every step and commit goes through a batch (of size ≥ 1);
-                // batched steps also count rejected ones, executed ops
-                // don't.
-                AdmissionMode::Batched => {
-                    assert!(m.admission_batches > 0);
-                    assert!(m.admission_batch_steps >= m.reads + m.writes);
-                    assert_eq!(m.commit_batch_txns, m.committed);
-                }
-                AdmissionMode::PerStep => {
-                    assert_eq!(m.admission_batches, 0);
-                    assert_eq!(m.commit_batches, 0);
-                }
-            }
-        }
     }
 }

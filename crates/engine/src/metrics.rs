@@ -240,8 +240,8 @@ impl EngineMetrics {
     }
 
     /// Like [`EngineMetrics::stage_clock`], but sampled 1-in-32 per
-    /// thread: the high-frequency batch probes (admission, group
-    /// commit) trace every 32nd batch their thread leads, which keeps
+    /// thread: the high-frequency probes (admission rulings, group-commit
+    /// batches) trace every 32nd one their thread runs, which keeps
     /// the clock-read overhead of tracing in the noise (the overhead
     /// guard test pins telemetry-on within 5% of off) while the
     /// histograms still fill at thousands of samples per second.
@@ -431,8 +431,10 @@ impl EngineMetrics {
         }
     }
 
-    /// Records one admission batch ruled by a drain leader (`steps` steps
-    /// in one `admit_batch` call).
+    /// Records one admission ruling of `steps` steps.  The pipeline rules
+    /// one step per lane lock, so it always passes 1; the counter pair
+    /// stays because the mean (`engine.admission_batch`) is a reported
+    /// metric.
     pub fn record_admission_batch(&self, steps: usize) {
         self.admission_batches.fetch_add(1, Ordering::Relaxed);
         self.admission_batch_steps
@@ -592,11 +594,12 @@ pub struct MetricsSnapshot {
     pub gc_passes: u64,
     /// Versions reclaimed by GC.
     pub gc_reclaimed: u64,
-    /// Admission batches ruled by drain leaders (0 in per-step mode).
+    /// Admission rulings (one per step the certifier ruled on).
     pub admission_batches: u64,
-    /// Steps ruled across all admission batches.
+    /// Steps ruled across all admission rulings (equals
+    /// `admission_batches`: one step per ruling).
     pub admission_batch_steps: u64,
-    /// Group-commit batches applied (0 in per-step mode).
+    /// Group-commit batches applied.
     pub commit_batches: u64,
     /// Transactions committed across all group-commit batches.
     pub commit_batch_txns: u64,
@@ -652,8 +655,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Mean steps per admission batch, or `None` when no batch was ruled
-    /// (per-step mode, or no traffic).
+    /// Mean steps per admission ruling, or `None` when nothing was ruled.
     pub fn mean_admission_batch(&self) -> Option<f64> {
         (self.admission_batches > 0)
             .then(|| self.admission_batch_steps as f64 / self.admission_batches as f64)

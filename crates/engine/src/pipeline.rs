@@ -1,44 +1,28 @@
-//! The batched, group-commit admission pipeline.
+//! The admission pipeline: one ruling per lane lock, then group commit.
 //!
-//! PR 2's engine ruled on every read/write step under one global admission
-//! mutex — correct, but a serialization point that kept throughput flat no
-//! matter how many threads or shards were added.  This module restructures
-//! that hottest path around *batching* (flat combining):
+//! In the paper's §6 a scheduler is an online certifier that rules on one
+//! step at a time, and the engine's class guarantee rests on exactly that:
 //!
-//! * sessions no longer rule on their own steps; they **enqueue** a step
-//!   request into an admission lane's queue (a short critical section) and
-//!   then contend for the lane's state lock;
-//! * whoever acquires the state lock becomes the **drain leader**: it
-//!   drains the whole backlog and rules on it in one call to
-//!   [`Certifier::admit_batch`], resolves read plans / ACA / write chains
-//!   for the batch, appends the admitted run to the history log, fills
-//!   every waiter's outcome slot, and releases; the other sessions wake,
-//!   find their verdict already computed, and proceed without ever touching
-//!   the certifier.
-//!
-//! Under contention a lane therefore pays one lock acquisition, one
-//! virtual dispatch and one history append per *batch* instead of per
-//! step; uncontended it degenerates to the old per-step cost.  The
-//! admitted order is still a single total order per lane — the leader
-//! rules batches sequentially while holding the lane lock — so the
-//! append-only history and its class guarantees carry over unchanged (the
-//! end-to-end `engine_loop` test re-proves this per certifier).
-//!
-//! Commits take the same shape: a **group-commit lane** whose leader
-//! applies a whole batch of commits to the shards in groups
-//! ([`ShardedStore::commit_group`] takes each store's transaction-table
-//! lock once per group) before notifying the certifiers, preserving the
-//! "shard commits before the certifier hears about them" rule.
+//! * a session submitting a read or write step locks the step's admission
+//!   **lane**, has the certifier rule on it ([`Certifier::admit`]),
+//!   resolves the read plan / ACA rule / write chain against the lane's
+//!   admitted sequence, appends the admitted step to the history log (and
+//!   the WAL), and releases.  Each lane's rulings therefore form a single
+//!   total order, and the append-only history is that order — what the
+//!   offline classifiers certify (the end-to-end `engine_loop` test
+//!   re-proves this per certifier).
+//! * commits go through a **group-commit lane**: whoever takes the drain
+//!   lock applies every parked commit to the shards in groups
+//!   ([`ShardedStore::commit_group`] takes each store's transaction-table
+//!   lock once per group), appends one WAL commit record with one flush,
+//!   and only then notifies the certifiers — "shard commits (and their
+//!   durability) before the certifier hears about them".
 //!
 //! Certifiers that only need per-entity ordering declare
 //! [`AdmissionScope::PerShard`] (snapshot isolation's first-committer-wins)
 //! and get one admission lane per shard, so sessions touching disjoint
-//! key ranges never share an admission lock at all.
-//!
-//! [`AdmissionMode::PerStep`] keeps the PR 2 path alive behind the same
-//! interface — one ruling per lock acquisition, no queue.  It is kept as
-//! the plain-mutex baseline that ROADMAP item 4(iv)'s keep-or-delete-the-
-//! combiner decision has to be measured against (experiment E13's table).
+//! key ranges never share an admission lock at all; the `publish` fence
+//! keeps the history and the WAL in one cross-lane order.
 
 use crate::certifier::{Admission, AdmissionScope, Certifier, CertifierKind, ReadPlan};
 use crate::metrics::EngineMetrics;
@@ -48,7 +32,7 @@ use bytes::Bytes;
 use mvcc_analysis::lock_class;
 use mvcc_analysis::lockdep::TrackedMutex;
 use mvcc_core::{EntityId, Step, TxId, VersionSource};
-use mvcc_durability::{is_fence_error, CommitEntry, WalRecord, WalWriter};
+use mvcc_durability::{is_fence_error, CommitEntry, WalReceipt, WalRecord, WalWriter};
 use mvcc_store::{StoreError, TxHandle};
 use mvcc_telemetry::{EventKind, SpanRecord, Stage, TraceId};
 use std::collections::{BTreeSet, HashMap};
@@ -63,8 +47,8 @@ use std::time::Instant;
 /// kill at exactly that point).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KillSite {
-    /// Inside an admission drain, after the certifier ruled a batch but
-    /// before its steps reach the history and the WAL.
+    /// After the certifier ruled a step, before the step reaches the
+    /// history and the WAL.
     AdmissionDrain,
     /// Inside a group-commit drain, after shard effects are applied but
     /// before the batch's commit record is appended and flushed.
@@ -105,28 +89,6 @@ impl ChaosHook {
 impl fmt::Debug for ChaosHook {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("ChaosHook(..)")
-    }
-}
-
-/// How the engine serializes admission rulings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Every step is ruled under the lane lock by the session issuing it
-    /// (the PR 2 path, kept for comparison benchmarks).
-    PerStep,
-    /// Steps are enqueued and ruled in batches by a drain leader via
-    /// [`Certifier::admit_batch`]; commits are applied to the shards in
-    /// groups.  The default.
-    #[default]
-    Batched,
-}
-
-impl fmt::Display for AdmissionMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdmissionMode::PerStep => write!(f, "per-step"),
-            AdmissionMode::Batched => write!(f, "batched"),
-        }
     }
 }
 
@@ -266,69 +228,9 @@ impl HistoryLog {
     }
 }
 
-/// One step request parked in a lane queue: the step (with a write's
-/// payload, so the drain leader can log it) plus the slot its outcome is
-/// delivered through.
-#[derive(Debug)]
-struct StepRequest {
-    step: Step,
-    /// The new version's payload for write steps (cheap `Bytes` clone);
-    /// `None` for reads.
-    value: Option<Bytes>,
-    /// `true` when this is the session's first step, so the drain leader
-    /// logs the transaction's begin record with it (merging the two keeps
-    /// session begin off the WAL mutex entirely).
-    log_begin: bool,
-    /// The owning session's trace id when it is sampled for span
-    /// collection: the drain leader measuring this step's certify time
-    /// hands the span back through the outcome slot — attribution to the
-    /// *owner*, not the thread that happened to lead the batch.
-    trace: Option<TraceId>,
-    /// The verdict plus, for traced owners, the certify span the leader
-    /// measured on their behalf (rides the same slot handoff — no new
-    /// synchronization edge).
-    outcome: TrackedMutex<Option<(StepOutcome, Option<SpanRecord>)>>,
-}
-
 /// Microseconds elapsed since `clock`, saturating.
 fn elapsed_us(clock: Instant) -> u64 {
     u64::try_from(clock.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The depth-1 certify span measured from `clock`, when one was started
-/// (a clock is only started when the batch holds a traced member).
-fn certify_span(clock: Option<Instant>) -> Option<SpanRecord> {
-    clock.map(|c| SpanRecord {
-        stage: Stage::Certify,
-        dur_us: elapsed_us(c),
-        depth: 1,
-        lsn: None,
-    })
-}
-
-/// Appends a traced waiter's queue-wait span plus whatever span its
-/// drain leader handed back through the outcome slot.  The wait span
-/// covers the whole parked interval (the leader's certify of this step
-/// included) — it is the contention signal, not a disjoint partition.
-fn finish_queue_wait(
-    trace: Option<TraceId>,
-    wait_clock: Option<Instant>,
-    span: Option<SpanRecord>,
-    spans: &mut Vec<SpanRecord>,
-) {
-    if trace.is_some() {
-        if let Some(started) = wait_clock {
-            spans.push(SpanRecord {
-                stage: Stage::AdmissionQueueWait,
-                dur_us: elapsed_us(started),
-                depth: 1,
-                lsn: None,
-            });
-        }
-        if let Some(span) = span {
-            spans.push(span);
-        }
-    }
 }
 
 /// The WAL record for one admitted step.
@@ -352,7 +254,10 @@ fn step_record(step: Step, value: Option<&Bytes>) -> WalRecord {
 struct CommitRequest {
     tx: TxId,
     begun_shards: Vec<bool>,
-    /// The owning session's trace id when sampled (see [`StepRequest`]).
+    /// The owning session's trace id when it is sampled for span
+    /// collection: the drain leader hands the spans it measured back
+    /// through the outcome slot — attribution to the *owner*, not the
+    /// thread that happened to lead the batch.
     trace: Option<TraceId>,
     /// The verdict plus, for traced owners, the group-commit spans the
     /// leader measured on their behalf (apply, and the nested WAL flush
@@ -384,6 +289,19 @@ struct LaneState {
 }
 
 impl LaneState {
+    /// A fresh admission lane ruled by `certifier`.
+    fn lane(certifier: Box<dyn Certifier>) -> TrackedMutex<LaneState> {
+        TrackedMutex::new(
+            lock_class!("engine.lane-state"),
+            LaneState {
+                certifier,
+                committed: BTreeSet::new(),
+                write_chains: HashMap::new(),
+                recovered_base: HashMap::new(),
+            },
+        )
+    }
+
     /// Records an admitted write of `entity` by `tx` and prunes the chain:
     /// every entry before the last *committed* one can never again be the
     /// last admitted write (commits are never undone, aborts only remove
@@ -420,8 +338,8 @@ impl LaneState {
     }
 
     /// Converts one certifier ruling into a resolved [`StepOutcome`],
-    /// updating lane state exactly as the per-step path would.  The
-    /// caller records admitted outcomes in the history (and the WAL).
+    /// updating lane state.  The caller records admitted outcomes in the
+    /// history (and the WAL).
     fn resolve(&mut self, step: Step, admission: Admission) -> StepOutcome {
         match admission {
             Admission::Reject => {
@@ -468,57 +386,6 @@ impl LaneState {
     }
 }
 
-/// The admitted part of one ruled batch, accumulated under the lane lock:
-/// the steps bound for the in-memory history, and — when a WAL is kept —
-/// the same steps as log records (write payloads included).
-struct AdmittedBatch {
-    steps: Vec<Step>,
-    wal_records: Option<Vec<WalRecord>>,
-}
-
-impl AdmittedBatch {
-    fn new(capacity: usize, wal: bool) -> Self {
-        AdmittedBatch {
-            steps: Vec::with_capacity(capacity),
-            wal_records: wal.then(|| Vec::with_capacity(capacity)),
-        }
-    }
-
-    fn push(&mut self, step: Step, value: Option<&Bytes>, log_begin: bool) {
-        self.steps.push(step);
-        if let Some(records) = &mut self.wal_records {
-            if log_begin {
-                records.push(WalRecord::Begin { tx: step.tx });
-            }
-            records.push(step_record(step, value));
-        }
-    }
-}
-
-/// One admission lane: a request queue plus the state its drain leader
-/// rules under.
-struct Lane {
-    queue: TrackedMutex<Vec<Arc<StepRequest>>>,
-    state: TrackedMutex<LaneState>,
-}
-
-impl Lane {
-    fn new(certifier: Box<dyn Certifier>) -> Self {
-        Lane {
-            queue: TrackedMutex::new(lock_class!("engine.lane-queue"), Vec::new()),
-            state: TrackedMutex::new(
-                lock_class!("engine.lane-state"),
-                LaneState {
-                    certifier,
-                    committed: BTreeSet::new(),
-                    write_chains: HashMap::new(),
-                    recovered_base: HashMap::new(),
-                },
-            ),
-        }
-    }
-}
-
 /// The group-commit lane: a commit queue plus the drain lock its leader
 /// holds while applying a batch (also what makes cross-shard
 /// first-committer-wins validate+commit atomic against other committers).
@@ -530,14 +397,14 @@ struct CommitLane {
 /// The admission pipeline: admission lanes (one, or one per shard) plus
 /// the group-commit lane.
 pub(crate) struct AdmissionPipeline {
-    mode: AdmissionMode,
-    lanes: Vec<Lane>,
+    /// The admission lanes; each lock is held for exactly one ruling.
+    lanes: Vec<TrackedMutex<LaneState>>,
     commit: CommitLane,
     /// Cross-lane publication order: with per-shard lanes (snapshot
-    /// isolation), two lanes may rule batches concurrently, and the
+    /// isolation), two lanes may rule steps concurrently, and the
     /// history append and WAL append of [`Self::finish_admission`] are
     /// atomic only under each lane's own lock.  Without a shared fence
-    /// the two logs can interleave the lanes' batches differently —
+    /// the two logs can interleave the lanes' steps differently —
     /// harmless to SI's class (which claims nothing about cross-entity
     /// order) but fatal to replication, where the shipped projection must
     /// equal the history projection step for step.  Held across both
@@ -547,7 +414,7 @@ pub(crate) struct AdmissionPipeline {
     /// Cached [`Certifier::validates_writes_at_commit`] (a static property
     /// of the certifier kind; caching keeps it off the commit hot path).
     validates_at_commit: bool,
-    /// The write-ahead log, when durability is on.  Step batches are
+    /// The write-ahead log, when durability is on.  Step records are
     /// appended under the lane lock (so the log is the admission order);
     /// the group-commit leader appends one commit record per batch and
     /// issues the batch's single flush.
@@ -556,10 +423,10 @@ pub(crate) struct AdmissionPipeline {
     /// group-commit window so concurrent committers share each fsync.
     fsync_window: bool,
     /// One past the highest WAL LSN known flushed (0 = nothing durable
-    /// yet).  Updated after every commit-batch flush; this — not the
-    /// writer's buffered tail — is what replicas can actually observe,
-    /// so it is the horizon `ReadPolicy::Latest` and lag bounds compare
-    /// against.
+    /// yet), advanced by every WAL call that flushed
+    /// ([`Self::note_flushed`]).  This — not the writer's buffered tail —
+    /// is what replicas can actually observe, so it is the horizon
+    /// `ReadPolicy::Latest` and lag bounds compare against.
     durable_lsn: std::sync::atomic::AtomicU64,
     /// Latched once the WAL refuses an append or flush with a fencing
     /// error (a replica promoted over this primary's epoch).  From then on
@@ -575,7 +442,6 @@ pub(crate) struct AdmissionPipeline {
 impl fmt::Debug for AdmissionPipeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AdmissionPipeline")
-            .field("mode", &self.mode)
             .field("lanes", &self.lanes.len())
             .finish_non_exhaustive()
     }
@@ -584,35 +450,27 @@ impl fmt::Debug for AdmissionPipeline {
 impl AdmissionPipeline {
     /// Builds the pipeline for `kind`: one global lane, or one lane per
     /// shard when the certifier declares [`AdmissionScope::PerShard`].
-    ///
-    /// [`AdmissionMode::PerStep`] always gets a single lane: it exists to
-    /// reproduce the PR 2 baseline — one global admission mutex — for the
-    /// E13 on/off comparison, and per-shard lanes are part of the
-    /// pipeline being compared against, not of that baseline.
     pub(crate) fn new(
         kind: CertifierKind,
         shards: usize,
-        mode: AdmissionMode,
         wal: Option<Arc<WalWriter>>,
         chaos: Option<ChaosHook>,
     ) -> Self {
         let first = kind.build();
         let validates_at_commit = first.validates_writes_at_commit();
-        let lane_count = match (mode, first.admission_scope()) {
-            (AdmissionMode::PerStep, _) | (_, AdmissionScope::Global) => 1,
-            (AdmissionMode::Batched, AdmissionScope::PerShard) => shards,
+        let lane_count = match first.admission_scope() {
+            AdmissionScope::Global => 1,
+            AdmissionScope::PerShard => shards,
         };
         let mut lanes = Vec::with_capacity(lane_count);
-        lanes.push(Lane::new(first));
+        lanes.push(LaneState::lane(first));
         while lanes.len() < lane_count {
-            lanes.push(Lane::new(kind.build()));
+            lanes.push(LaneState::lane(kind.build()));
         }
-        let fsync_window = mode == AdmissionMode::Batched
-            && wal
-                .as_ref()
-                .is_some_and(|w| w.mode() == mvcc_durability::DurabilityMode::Fsync);
+        let fsync_window = wal
+            .as_ref()
+            .is_some_and(|w| w.mode() == mvcc_durability::DurabilityMode::Fsync);
         AdmissionPipeline {
-            mode,
             lanes,
             commit: CommitLane {
                 queue: TrackedMutex::new(lock_class!("engine.commit-queue"), Vec::new()),
@@ -672,6 +530,18 @@ impl AdmissionPipeline {
             .fetch_max(lsn + 1, std::sync::atomic::Ordering::AcqRel);
     }
 
+    /// Advances the durable horizon to everything a WAL call flushed —
+    /// which can run past the caller's own records (a rotating buffered
+    /// append, or a commit flush carrying a concurrent step append).
+    /// Flushed records are readable by replicas, and a horizon left
+    /// behind them would put a caught-up replica's watermark ahead of the
+    /// primary's.
+    pub(crate) fn note_flushed(&self, receipt: &WalReceipt) {
+        if let Some(lsn) = receipt.flushed_through {
+            self.note_durable(lsn);
+        }
+    }
+
     /// Seeds every lane with crash-recovered facts: the committed
     /// transaction set (consulted by the ACA rule) and the newest
     /// committed writer per entity (so a resumed single-version "latest"
@@ -685,18 +555,13 @@ impl AdmissionPipeline {
         latest_writers: &[(EntityId, TxId)],
     ) {
         for lane in &self.lanes {
-            let mut state = lane.state.lock();
+            let mut state = lane.lock();
             state.committed.extend(committed.iter().copied());
             for &(entity, writer) in latest_writers {
                 state.write_chains.insert(entity, vec![writer]);
                 state.recovered_base.insert(entity, writer);
             }
         }
-    }
-
-    /// The configured admission mode.
-    pub(crate) fn mode(&self) -> AdmissionMode {
-        self.mode
     }
 
     /// Number of admission lanes (1 unless the certifier is per-shard).
@@ -713,13 +578,11 @@ impl AdmissionPipeline {
         }
     }
 
-    /// Submits one step and blocks until a verdict is available.
-    ///
-    /// In [`AdmissionMode::Batched`] the step is enqueued; the session then
-    /// contends for the lane lock, and either finds its verdict already
-    /// filled in by another leader or becomes the leader and rules the
-    /// whole backlog (its own step included) in one
-    /// [`Certifier::admit_batch`] call.
+    /// Rules on one step: locks the step's lane, has the certifier rule
+    /// ([`Certifier::admit`]), resolves the ruling against the lane's
+    /// admitted sequence ([`LaneState::resolve`]) and publishes an admitted
+    /// step to the history and the WAL before the lane is released — one
+    /// ruling per lane lock, so each lane's history is its ruling order.
     #[allow(clippy::too_many_arguments)] // internal pipeline plumbing; the args are the pipeline's layers
     pub(crate) fn submit_step(
         &self,
@@ -732,186 +595,39 @@ impl AdmissionPipeline {
         trace: Option<TraceId>,
         spans: &mut Vec<SpanRecord>,
     ) -> StepOutcome {
-        let lane = &self.lanes[self.lane_of(step.entity, shards)];
-        match self.mode {
-            AdmissionMode::PerStep => {
-                let mut state = lane.state.lock();
-                // lint: allow(clock) — span clock, read only for sampled (traced) transactions
-                let certify_clock = trace.map(|_| Instant::now());
-                let admission = state.certifier.admit(step);
-                if let Some(span) = certify_span(certify_clock) {
-                    spans.push(span);
-                }
-                let mut admitted = AdmittedBatch::new(1, self.wal.is_some());
-                let outcome = state.resolve(step, admission);
-                if matches!(outcome, StepOutcome::Admitted(_)) {
-                    admitted.push(step, value, log_begin);
-                }
-                self.finish_admission(admitted, history, metrics);
-                outcome
-            }
-            AdmissionMode::Batched => {
-                // Fast path: the lane is free — rule right away (draining
-                // any backlog first), without parking a request.  This
-                // keeps the uncontended cost at the per-step baseline;
-                // batching engages exactly when the lane is actually
-                // contended.
-                if let Some(mut state) = lane.state.try_lock() {
-                    let queued = std::mem::take(&mut *lane.queue.lock());
-                    let (outcome, span) = self
-                        .lead_batch(
-                            &mut state,
-                            &queued,
-                            Some((step, value, log_begin, trace)),
-                            history,
-                            metrics,
-                        )
-                        // lint: allow(unwrap) — leaders fill every batch slot before release
-                        .expect("own step is part of the batch");
-                    if let Some(span) = span {
-                        spans.push(span);
-                    }
-                    return outcome;
-                }
-                // Slow path: park the step and contend for the lane.
-                // Either a leader rules on us while we wait, or we acquire
-                // the lane ourselves and drain the whole backlog (our own
-                // request included) in one certifier call.
-                //
-                // Queue-wait is traced unsampled: this path only runs
-                // under contention (already µs-scale), and it is exactly
-                // the distribution the lock-free-admission roadmap item
-                // wants to regress against.
-                let wait_clock = metrics.stage_clock();
-                let request = Arc::new(StepRequest {
-                    step,
-                    value: value.cloned(),
-                    log_begin,
-                    trace,
-                    outcome: TrackedMutex::new(lock_class!("engine.step-slot"), None),
-                });
-                lane.queue.lock().push(Arc::clone(&request));
-                loop {
-                    // A previous leader may have ruled on us already.
-                    if let Some((outcome, span)) = request.outcome.lock().take() {
-                        metrics.record_stage_since(Stage::AdmissionQueueWait, wait_clock);
-                        finish_queue_wait(trace, wait_clock, span, spans);
-                        return outcome;
-                    }
-                    let mut state = lane.state.lock();
-                    if let Some((outcome, span)) = request.outcome.lock().take() {
-                        metrics.record_stage_since(Stage::AdmissionQueueWait, wait_clock);
-                        finish_queue_wait(trace, wait_clock, span, spans);
-                        return outcome;
-                    }
-                    // We hold the lane and have no verdict, so our request
-                    // is still queued (leaders fill every drained slot
-                    // before releasing): become the drain leader.
-                    let queued = std::mem::take(&mut *lane.queue.lock());
-                    let _ = self.lead_batch(&mut state, &queued, None, history, metrics);
-                    drop(state);
-                }
-            }
-        }
-    }
-
-    /// Rules one batch — the parked `queued` requests plus, optionally,
-    /// the leader's `own` step — in a single certifier call, filling every
-    /// parked outcome slot and returning the leader's own outcome.  Runs
-    /// under the lane lock; the history (and WAL) append happens before
-    /// release so batches land in ruling order.
-    fn lead_batch(
-        &self,
-        state: &mut LaneState,
-        queued: &[Arc<StepRequest>],
-        own: Option<(Step, Option<&Bytes>, bool, Option<TraceId>)>,
-        history: &HistoryLog,
-        metrics: &EngineMetrics,
-    ) -> Option<(StepOutcome, Option<SpanRecord>)> {
-        // Sampled batch trace (1-in-32 per leading thread): service time
-        // is the whole drain, certify time just the certifier's ruling.
-        let trace = metrics.trace_batch();
-        // Span collection fires whenever *any* batch member is a traced
-        // transaction — the leader measures once and hands the span to
-        // every traced owner through its outcome slot.
-        let own_trace = own.and_then(|(_, _, _, t)| t);
-        let traced = own_trace.is_some() || queued.iter().any(|r| r.trace.is_some());
-        if queued.is_empty() {
-            // Uncontended: a batch of exactly our own step, ruled without
-            // building batch vectors.
-            let (step, value, log_begin, _) = own?;
-            // lint: allow(clock) — stage/span clock, read only when sampled or traced
-            let certify_clock = (trace.is_some() || traced).then(Instant::now);
-            let admission = state.certifier.admit(step);
-            if trace.is_some() {
-                metrics.record_stage_since(Stage::Certify, certify_clock);
-            }
-            let span = own_trace.and(certify_span(certify_clock));
-            let mut admitted = AdmittedBatch::new(1, self.wal.is_some());
-            let outcome = state.resolve(step, admission);
-            if matches!(outcome, StepOutcome::Admitted(_)) {
-                admitted.push(step, value, log_begin);
-            }
-            self.finish_admission(admitted, history, metrics);
-            metrics.record_admission_batch(1);
-            if trace.is_some() {
-                metrics.record_stage_value(Stage::AdmissionBatchSteps, 1);
-                metrics.record_stage_since(Stage::AdmissionService, trace);
-            }
-            return Some((outcome, span));
-        }
-        let mut steps: Vec<Step> = queued.iter().map(|r| r.step).collect();
-        if let Some((step, _, _, _)) = own {
-            steps.push(step);
-        }
+        let mut state = self.lanes[self.lane_of(step.entity, shards)].lock();
+        // Sampled stage probe (1-in-32 per thread): service time is the
+        // whole ruling plus publication, certify time just the certifier.
+        let sampled = metrics.trace_batch();
         // lint: allow(clock) — stage/span clock, read only when sampled or traced
-        let certify_clock = (trace.is_some() || traced).then(Instant::now);
-        let admissions = state.certifier.admit_batch(&steps);
-        if trace.is_some() {
+        let certify_clock = (sampled.is_some() || trace.is_some()).then(Instant::now);
+        let admission = state.certifier.admit(step);
+        if sampled.is_some() {
             metrics.record_stage_since(Stage::Certify, certify_clock);
         }
-        // One measurement for the whole ruling: every traced member of
-        // the batch receives the same certify span (the ruling is one
-        // shared `admit_batch` call — there is no per-member cost to
-        // apportion).
-        let span = traced.then(|| certify_span(certify_clock)).flatten();
-        debug_assert_eq!(admissions.len(), steps.len());
-        let mut admitted = AdmittedBatch::new(steps.len(), self.wal.is_some());
-        let mut own_outcome = None;
-        for (i, admission) in admissions.into_iter().enumerate() {
-            let outcome = state.resolve(steps[i], admission);
-            if matches!(outcome, StepOutcome::Admitted(_)) {
-                let (value, log_begin) = match queued.get(i) {
-                    Some(request) => (request.value.as_ref(), request.log_begin),
-                    None => match own {
-                        Some((_, value, log_begin, _)) => (value, log_begin),
-                        None => (None, false),
-                    },
-                };
-                admitted.push(steps[i], value, log_begin);
-            }
-            match queued.get(i) {
-                // Attribution across flat combining: the span goes to the
-                // slot of the member that *owns* the work, whoever leads.
-                Some(request) => *request.outcome.lock() = Some((outcome, request.trace.and(span))),
-                None => own_outcome = Some((outcome, own_trace.and(span))),
-            }
-        }
-        self.finish_admission(admitted, history, metrics);
-        metrics.record_admission_batch(steps.len());
-        if trace.is_some() {
-            metrics.record_stage_value(Stage::AdmissionBatchSteps, steps.len() as u64);
-            metrics.flight(EventKind::AdmissionBatch {
-                steps: steps.len() as u64,
+        if let (Some(_), Some(clock)) = (trace, certify_clock) {
+            spans.push(SpanRecord {
+                stage: Stage::Certify,
+                dur_us: elapsed_us(clock),
+                depth: 1,
+                lsn: None,
             });
-            metrics.record_stage_since(Stage::AdmissionService, trace);
         }
-        own_outcome
+        let outcome = state.resolve(step, admission);
+        let admitted =
+            matches!(outcome, StepOutcome::Admitted(_)).then_some((step, value, log_begin));
+        self.finish_admission(admitted, history, metrics);
+        drop(state);
+        metrics.record_admission_batch(1);
+        metrics.record_stage_since(Stage::AdmissionService, sampled);
+        outcome
     }
 
-    /// Publishes one ruled batch's admitted steps: in-memory history
-    /// first, then the WAL (buffered append, in the same critical section
-    /// as the ruling, so the log carries the admission order).  WAL I/O
+    /// Publishes one ruling, still under its lane lock: an admitted step
+    /// (with its write payload, and the transaction's begin record when it
+    /// is the first step) goes to the in-memory history first, then the
+    /// WAL (buffered append, so the log carries the admission order); a
+    /// rejected step (`None`) only passes the kill site.  WAL I/O
     /// failure is fatal — a log the engine cannot append to can no longer
     /// back any durability promise — with one exception: a *fencing*
     /// refusal (a replica promoted over this epoch) latches the deposed
@@ -923,38 +639,45 @@ impl AdmissionPipeline {
     /// they belong to transactions recovery would discard anyway (ACA).
     fn finish_admission(
         &self,
-        admitted: AdmittedBatch,
+        admitted: Option<(Step, Option<&Bytes>, bool)>,
         history: &HistoryLog,
         metrics: &EngineMetrics,
     ) {
         self.chaos_point(KillSite::AdmissionDrain, metrics, None);
+        let Some((step, value, log_begin)) = admitted else {
+            return;
+        };
         // With per-shard lanes the lane lock alone doesn't order this
-        // batch's two appends against another lane's: fence them so the
+        // step's two appends against another lane's: fence them so the
         // history and the WAL record the same cross-lane interleaving
         // (see the `publish` field).  Single-lane pipelines skip the
         // acquisition — the lane lock already is the publication order.
         let _publish = (self.lanes.len() > 1).then(|| self.publish.lock());
-        history.append_batch(&admitted.steps);
-        if let (Some(wal), Some(records)) = (&self.wal, admitted.wal_records) {
-            if !records.is_empty() {
-                match wal.append_batch(&records) {
-                    Ok(receipt) => metrics.record_wal_append(receipt.records, receipt.bytes),
-                    Err(e) if is_fence_error(&e) => {
-                        metrics.flight(EventKind::FenceRefusal {
-                            site: "admission-append".into(),
-                        });
-                        self.depose();
-                    }
-                    Err(e) => {
-                        panic!("WAL append failed: durability can no longer be guaranteed: {e}")
-                    }
+        history.append_batch(std::slice::from_ref(&step));
+        if let Some(wal) = &self.wal {
+            let records = [WalRecord::Begin { tx: step.tx }, step_record(step, value)];
+            let skip = usize::from(!log_begin);
+            match wal.append_batch(&records[skip..]) {
+                Ok(receipt) => {
+                    self.note_flushed(&receipt);
+                    metrics.record_wal_append(receipt.records, receipt.bytes);
+                }
+                Err(e) if is_fence_error(&e) => {
+                    metrics.flight(EventKind::FenceRefusal {
+                        site: "admission-append".into(),
+                    });
+                    self.depose();
+                }
+                Err(e) => {
+                    panic!("WAL append failed: durability can no longer be guaranteed: {e}")
                 }
             }
         }
     }
 
     /// Submits a commit and blocks until it has been applied (or refused)
-    /// by a group-commit leader.
+    /// by a group-commit leader: the session itself when the drain is
+    /// free, otherwise whichever session takes the drain next.
     pub(crate) fn submit_commit(
         &self,
         tx: TxId,
@@ -965,103 +688,65 @@ impl AdmissionPipeline {
         trace: Option<TraceId>,
         spans: &mut Vec<SpanRecord>,
     ) -> CommitOutcome {
-        match self.mode {
-            AdmissionMode::PerStep => {
-                let request = CommitRequest {
+        // Fast path: the drain is free — apply right away (with any
+        // parked backlog), without parking a request.  Not in fsync mode:
+        // an fsync-bound commit always parks first (see the group-commit
+        // window below), because a leader racing ahead alone turns every
+        // transaction into its own fsync.
+        if !self.fsync_window {
+            if let Some(_drain) = self.commit.drain.try_lock() {
+                let queued = std::mem::take(&mut *self.commit.queue.lock());
+                let own = CommitRequest {
                     tx,
                     begun_shards: begun_shards.to_vec(),
                     trace,
                     outcome: TrackedMutex::new(lock_class!("engine.commit-slot"), None),
                 };
-                // Matches the PR 2 baseline: only first-committer-wins
-                // commits serialize on the commit lock (validate+commit
-                // atomicity); plain commits go straight to the shards —
-                // unless a WAL is kept, where the drain also fences
-                // checkpoints out of the apply-vs-append window (see
-                // [`AdmissionPipeline::checkpoint_cut`]).
-                let _drain = (self.validates_at_commit || self.wal.is_some())
-                    .then(|| self.commit.drain.lock());
-                self.process_commit_batch(&[&request], shards, history, metrics);
-                let (outcome, commit_spans) = request
+                let mut refs: Vec<&CommitRequest> = queued.iter().map(Arc::as_ref).collect();
+                refs.push(&own);
+                self.process_commit_batch(&refs, shards, history, metrics);
+                let (outcome, commit_spans) = own
                     .outcome
                     .lock()
                     .take()
                     // lint: allow(unwrap) — process_commit_batch fills every slot
                     .expect("commit batch fills every slot");
                 spans.extend(commit_spans);
-                outcome
+                return outcome;
             }
-            AdmissionMode::Batched => {
-                // Fast path: the drain is free — apply right away (with
-                // any parked backlog), without parking a request.  Not in
-                // fsync mode: an fsync-bound commit always parks first
-                // (see the group-commit window below), because a leader
-                // racing ahead alone turns every transaction into its own
-                // fsync.
-                if !self.fsync_window {
-                    if let Some(_drain) = self.commit.drain.try_lock() {
-                        let queued = std::mem::take(&mut *self.commit.queue.lock());
-                        let own = CommitRequest {
-                            tx,
-                            begun_shards: begun_shards.to_vec(),
-                            trace,
-                            outcome: TrackedMutex::new(lock_class!("engine.commit-slot"), None),
-                        };
-                        let mut refs: Vec<&CommitRequest> =
-                            queued.iter().map(Arc::as_ref).collect();
-                        refs.push(&own);
-                        let committed = self.process_commit_batch(&refs, shards, history, metrics);
-                        if committed > 0 {
-                            metrics.record_commit_batch(committed);
-                        }
-                        let (outcome, commit_spans) = own
-                            .outcome
-                            .lock()
-                            .take()
-                            // lint: allow(unwrap) — process_commit_batch fills every slot
-                            .expect("commit batch fills every slot");
-                        spans.extend(commit_spans);
-                        return outcome;
-                    }
-                }
-                let request = Arc::new(CommitRequest {
-                    tx,
-                    begun_shards: begun_shards.to_vec(),
-                    trace,
-                    outcome: TrackedMutex::new(lock_class!("engine.commit-slot"), None),
-                });
-                self.commit.queue.lock().push(Arc::clone(&request));
-                if self.fsync_window {
-                    // The group-commit window: yield one scheduling
-                    // quantum so other runnable committers can park their
-                    // requests behind ours before a leader drains.  On a
-                    // loaded host this is what forms fsync-sharing batches
-                    // at all (a free drain would otherwise be taken
-                    // immediately, one fsync per transaction — measured
-                    // 3-5× slower); idle, the yield returns at once and we
-                    // lead our own batch.  Buffered mode skips the window:
-                    // its flush is a buffered write, cheaper than the
-                    // extra parking round-trips.
-                    std::thread::yield_now();
-                }
-                loop {
-                    if let Some((outcome, commit_spans)) = request.outcome.lock().take() {
-                        spans.extend(commit_spans);
-                        return outcome;
-                    }
-                    let _drain = self.commit.drain.lock();
-                    if let Some((outcome, commit_spans)) = request.outcome.lock().take() {
-                        spans.extend(commit_spans);
-                        return outcome;
-                    }
-                    let batch = std::mem::take(&mut *self.commit.queue.lock());
-                    let refs: Vec<&CommitRequest> = batch.iter().map(Arc::as_ref).collect();
-                    let committed = self.process_commit_batch(&refs, shards, history, metrics);
-                    if committed > 0 {
-                        metrics.record_commit_batch(committed);
-                    }
-                }
+        }
+        let request = Arc::new(CommitRequest {
+            tx,
+            begun_shards: begun_shards.to_vec(),
+            trace,
+            outcome: TrackedMutex::new(lock_class!("engine.commit-slot"), None),
+        });
+        self.commit.queue.lock().push(Arc::clone(&request));
+        if self.fsync_window {
+            // The group-commit window: yield one scheduling quantum so
+            // other runnable committers can park their requests behind
+            // ours before a leader drains.  On a loaded host this is what
+            // forms fsync-sharing batches at all (a free drain would
+            // otherwise be taken immediately, one fsync per transaction —
+            // measured 3-5× slower); idle, the yield returns at once and
+            // we lead our own batch.  Buffered mode skips the window: its
+            // flush is a buffered write, cheaper than the extra parking
+            // round-trips.
+            std::thread::yield_now();
+        }
+        loop {
+            if let Some((outcome, commit_spans)) = request.outcome.lock().take() {
+                spans.extend(commit_spans);
+                return outcome;
             }
+            let _drain = self.commit.drain.lock();
+            if let Some((outcome, commit_spans)) = request.outcome.lock().take() {
+                spans.extend(commit_spans);
+                return outcome;
+            }
+            let batch = std::mem::take(&mut *self.commit.queue.lock());
+            let refs: Vec<&CommitRequest> = batch.iter().map(Arc::as_ref).collect();
+            self.process_commit_batch(&refs, shards, history, metrics);
         }
     }
 
@@ -1074,18 +759,18 @@ impl AdmissionPipeline {
     /// landing before `on_commit` is what makes durability prefix-shaped
     /// (no later transaction can observe this commit — rule 3 — until its
     /// record is durable, so a committed reader's log position implies
-    /// its writers' records are durable too).  Returns how many members
-    /// actually committed (FCW losers and store refusals excluded) — the
-    /// number the batch-telemetry counters record.
+    /// its writers' records are durable too).  A batch in which at least
+    /// one member committed (FCW losers and store refusals excluded) is
+    /// counted in the commit-batch telemetry.
     fn process_commit_batch(
         &self,
         batch: &[&CommitRequest],
         shards: &ShardedStore,
         history: &HistoryLog,
         metrics: &EngineMetrics,
-    ) -> usize {
+    ) {
         if batch.is_empty() {
-            return 0;
+            return;
         }
         // Sampled batch trace (1-in-32 per leading thread): the whole
         // apply is Stage::GroupCommitApply, the flush alone WalFlush.
@@ -1125,7 +810,7 @@ impl AdmissionPipeline {
             for request in batch {
                 *request.outcome.lock() = Some((CommitOutcome::Deposed, Vec::new()));
             }
-            return 0;
+            return;
         }
         let mut outcomes: Vec<CommitOutcome> = Vec::with_capacity(batch.len());
         // Per committed member: the (shard, timestamp) pairs it was
@@ -1240,7 +925,7 @@ impl AdmissionPipeline {
                         for request in batch {
                             *request.outcome.lock() = Some((CommitOutcome::Deposed, Vec::new()));
                         }
-                        return 0;
+                        return;
                     }
                     Err(e) => panic!(
                         "WAL commit flush failed: durability can no longer be guaranteed: {e}"
@@ -1261,8 +946,8 @@ impl AdmissionPipeline {
                         txns: committed.len() as u64,
                     });
                 }
+                self.note_flushed(&receipt);
                 if let Some(lsn) = receipt.last_lsn {
-                    self.note_durable(lsn);
                     // hb claim "WAL-append-before-notify": this mark and
                     // the `certifier_notify` mark below share the batch's
                     // LSN as key; the analysis gate asserts the order —
@@ -1299,13 +984,14 @@ impl AdmissionPipeline {
                 mvcc_analysis::hb::probe("engine.certifier_notify", lsn);
             }
             for lane in &self.lanes {
-                let mut state = lane.state.lock();
+                let mut state = lane.lock();
                 for &tx in &committed {
                     state.certifier.on_commit(tx);
                     state.committed.insert(tx);
                 }
             }
             history.commit_all(&committed);
+            metrics.record_commit_batch(committed.len());
         }
         let apply_us = apply_clock.map(elapsed_us);
         for (request, outcome) in batch.iter().zip(outcomes) {
@@ -1340,7 +1026,6 @@ impl AdmissionPipeline {
                 metrics.record_stage_value(Stage::GroupCommitApply, us);
             }
         }
-        committed.len()
     }
 
     /// Runs `f` while holding the group-commit drain lock: no commit can
@@ -1365,7 +1050,7 @@ impl AdmissionPipeline {
             if Some(idx) == ruled_on {
                 continue;
             }
-            lane.state.lock().on_abort(tx);
+            lane.lock().on_abort(tx);
         }
     }
 
@@ -1382,93 +1067,125 @@ mod tests {
     use crate::certifier::CertifierKind;
     use mvcc_telemetry::Telemetry;
 
-    /// The attribution rule, deterministically: a traced foreign step is
-    /// parked in the lane queue, an *untraced* session leads the drain —
-    /// the certify span must land in the foreign owner's outcome slot,
-    /// and none on the leader.
-    #[test]
-    fn drain_leader_hands_the_certify_span_to_the_traced_owner() {
-        let shards = ShardedStore::new(1, 4, Bytes::from_static(b"0"));
-        let history = HistoryLog::new(true, None);
-        let metrics = EngineMetrics::with_telemetry(1, Some(Telemetry::new()));
-        let pipeline =
-            AdmissionPipeline::new(CertifierKind::Sgt, 1, AdmissionMode::Batched, None, None);
-        let foreign = Arc::new(StepRequest {
-            step: Step::write(TxId(7), EntityId(0)),
-            value: Some(Bytes::from_static(b"foreign")),
-            log_begin: false,
-            trace: Some(TraceId::pack(0, 7)),
-            outcome: TrackedMutex::new(lock_class!("engine.step-slot"), None),
-        });
-        pipeline.lanes[0].queue.lock().push(Arc::clone(&foreign));
-        let mut spans = Vec::new();
-        let own_value = Bytes::from_static(b"own");
-        let outcome = pipeline.submit_step(
-            Step::write(TxId(8), EntityId(1)),
-            Some(&own_value),
-            false,
-            &shards,
-            &history,
-            &metrics,
-            None,
-            &mut spans,
-        );
-        assert!(matches!(outcome, StepOutcome::Admitted(_)));
-        assert!(spans.is_empty(), "untraced leader keeps no spans");
-        let (foreign_outcome, foreign_span) = foreign
-            .outcome
-            .lock()
-            .take()
-            .expect("the leader fills every drained slot");
-        assert!(matches!(foreign_outcome, StepOutcome::Admitted(_)));
-        let span = foreign_span.expect("traced owner receives the leader's certify span");
-        assert_eq!(span.stage, Stage::Certify);
-        assert_eq!(span.depth, 1);
-        assert_eq!(span.lsn, None);
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("mvcc-pipeline-{tag}-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
-    /// With tracing off entirely, a traced-looking queue entry is
-    /// impossible — but an untraced foreign entry ruled by a *traced*
-    /// leader must stay span-free: attribution never leaks the leader's
-    /// trace onto other owners.
+    /// A commit request parked in the group-commit queue, as a waiting
+    /// session leaves it.
+    fn park_commit(
+        pipeline: &AdmissionPipeline,
+        tx: u32,
+        trace: Option<TraceId>,
+    ) -> Arc<CommitRequest> {
+        let request = Arc::new(CommitRequest {
+            tx: TxId(tx),
+            begun_shards: vec![false],
+            trace,
+            outcome: TrackedMutex::new(lock_class!("engine.commit-slot"), None),
+        });
+        pipeline.commit.queue.lock().push(Arc::clone(&request));
+        request
+    }
+
+    /// The attribution rule, deterministically: a traced foreign commit is
+    /// parked in the commit queue, an *untraced* session leads the drain —
+    /// the group-commit spans must land in the foreign owner's outcome
+    /// slot (carrying the batch's WAL LSN when a log is kept), and none on
+    /// the leader.
+    #[test]
+    fn drain_leader_hands_group_commit_spans_to_the_traced_owner() {
+        for durable in [false, true] {
+            let dir = durable.then(|| temp_dir("attribution"));
+            let wal = dir.as_ref().map(|d| {
+                Arc::new(
+                    WalWriter::open(d, mvcc_durability::DurabilityMode::Buffered, 8 << 20).unwrap(),
+                )
+            });
+            let shards = ShardedStore::new(1, 4, Bytes::from_static(b"0"));
+            let history = HistoryLog::new(true, None);
+            let metrics = EngineMetrics::with_telemetry(1, Some(Telemetry::new()));
+            let pipeline = AdmissionPipeline::new(CertifierKind::Sgt, 1, wal, None);
+            let foreign = park_commit(&pipeline, 7, Some(TraceId::pack(0, 7)));
+            let mut spans = Vec::new();
+            let outcome = pipeline.submit_commit(
+                TxId(8),
+                &[false],
+                &shards,
+                &history,
+                &metrics,
+                None,
+                &mut spans,
+            );
+            let CommitOutcome::Committed { wal_lsn } = outcome else {
+                panic!("leader did not commit: {outcome:?}");
+            };
+            assert_eq!(wal_lsn.is_some(), durable);
+            assert!(spans.is_empty(), "untraced leader keeps no spans");
+            let (foreign_outcome, foreign_spans) = foreign
+                .outcome
+                .lock()
+                .take()
+                .expect("the leader fills every drained slot");
+            assert_eq!(foreign_outcome, CommitOutcome::Committed { wal_lsn });
+            let apply = foreign_spans
+                .first()
+                .expect("traced owner receives the leader's apply span");
+            assert_eq!(apply.stage, Stage::GroupCommitApply);
+            assert_eq!(apply.depth, 1);
+            assert_eq!(apply.lsn, wal_lsn);
+            if durable {
+                assert_eq!(foreign_spans.len(), 2, "apply plus the nested flush");
+                assert_eq!(foreign_spans[1].stage, Stage::WalFlush);
+                assert_eq!(foreign_spans[1].depth, 2);
+                assert_eq!(foreign_spans[1].lsn, wal_lsn);
+            } else {
+                assert_eq!(foreign_spans.len(), 1, "no flush without a log");
+            }
+            let snap = metrics.snapshot();
+            assert_eq!((snap.commit_batches, snap.commit_batch_txns), (1, 2));
+            if let Some(dir) = dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    /// An untraced foreign commit drained by a *traced* leader must stay
+    /// span-free: attribution never leaks the leader's trace onto other
+    /// owners.
     #[test]
     fn traced_leader_does_not_leak_spans_onto_untraced_waiters() {
         let shards = ShardedStore::new(1, 4, Bytes::from_static(b"0"));
         let history = HistoryLog::new(true, None);
         let metrics = EngineMetrics::with_telemetry(1, Some(Telemetry::new()));
-        let pipeline =
-            AdmissionPipeline::new(CertifierKind::Sgt, 1, AdmissionMode::Batched, None, None);
-        let foreign = Arc::new(StepRequest {
-            step: Step::write(TxId(3), EntityId(0)),
-            value: Some(Bytes::from_static(b"foreign")),
-            log_begin: false,
-            trace: None,
-            outcome: TrackedMutex::new(lock_class!("engine.step-slot"), None),
-        });
-        pipeline.lanes[0].queue.lock().push(Arc::clone(&foreign));
+        let pipeline = AdmissionPipeline::new(CertifierKind::Sgt, 1, None, None);
+        let foreign = park_commit(&pipeline, 3, None);
         let mut spans = Vec::new();
-        let own_value = Bytes::from_static(b"own");
-        let outcome = pipeline.submit_step(
-            Step::write(TxId(4), EntityId(1)),
-            Some(&own_value),
-            false,
+        let outcome = pipeline.submit_commit(
+            TxId(4),
+            &[false],
             &shards,
             &history,
             &metrics,
             Some(TraceId::pack(1, 4)),
             &mut spans,
         );
-        assert!(matches!(outcome, StepOutcome::Admitted(_)));
-        assert_eq!(spans.len(), 1, "traced leader keeps its own certify span");
-        assert_eq!(spans[0].stage, Stage::Certify);
-        let (_, foreign_span) = foreign
+        assert!(matches!(outcome, CommitOutcome::Committed { .. }));
+        assert_eq!(spans.len(), 1, "traced leader keeps its own apply span");
+        assert_eq!(spans[0].stage, Stage::GroupCommitApply);
+        let (_, foreign_spans) = foreign
             .outcome
             .lock()
             .take()
             .expect("the leader fills every drained slot");
         assert!(
-            foreign_span.is_none(),
-            "untraced owner must not inherit the leader's span"
+            foreign_spans.is_empty(),
+            "untraced owner must not inherit the leader's spans"
         );
     }
 

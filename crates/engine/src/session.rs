@@ -12,10 +12,9 @@
 //! An admission lane is the engine's serialization point (one global lane
 //! for every certifier whose class depends on cross-entity order): steps
 //! enter the append-only [`History`] in exactly the order the certifier
-//! ruled on them — batched admission drains whole backlogs per ruling, but
-//! the drain leader holds the lane for the batch, so the order is still
-//! total — which makes the recorded history the ground truth the paper's
-//! model speaks about; the offline classifiers check *that* sequence.
+//! ruled on them — one ruling per lane lock, so the order is total — which
+//! makes the recorded history the ground truth the paper's model speaks
+//! about; the offline classifiers check *that* sequence.
 //! Store effects are applied outside the lane for concurrency, with four
 //! engine rules keeping values coherent:
 //!
@@ -45,9 +44,7 @@
 
 use crate::certifier::{CertifierKind, HistoryClass, ReadPlan};
 use crate::metrics::{AbortReason, EngineMetrics};
-use crate::pipeline::{
-    AdmissionMode, AdmissionPipeline, ChaosHook, CommitOutcome, HistoryLog, StepOutcome,
-};
+use crate::pipeline::{AdmissionPipeline, ChaosHook, CommitOutcome, HistoryLog, StepOutcome};
 use crate::shard::ShardedStore;
 use bytes::Bytes;
 use mvcc_core::{EntityId, Schedule, Step, TxId};
@@ -142,10 +139,6 @@ pub struct EngineConfig {
     /// replication soak runs.  `None` (the default) keeps everything,
     /// which is what offline classification needs.
     pub history_capacity: Option<usize>,
-    /// How admission is serialized: the batched group-commit pipeline
-    /// (default) or the per-step baseline it replaced (kept for
-    /// comparison benchmarks — experiment E13).
-    pub admission: AdmissionMode,
     /// Durability: off (default — all pre-durability behavior), or a
     /// write-ahead log in buffered or fsync mode (experiment E14).  With
     /// durability on, [`Engine::new`] starts a fresh log (the directory
@@ -174,7 +167,6 @@ impl Default for EngineConfig {
             initial: Bytes::from_static(b"0"),
             record_history: true,
             history_capacity: None,
-            admission: AdmissionMode::default(),
             durability: DurabilityConfig::off(),
             chaos: None,
             telemetry: TelemetryMode::default(),
@@ -280,7 +272,7 @@ impl fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("kind", &self.kind)
             .field("shards", &self.shards.len())
-            .field("admission", &self.pipeline.mode())
+            .field("admission_lanes", &self.pipeline.lane_count())
             .finish_non_exhaustive()
     }
 }
@@ -321,7 +313,6 @@ impl Engine {
             pipeline: AdmissionPipeline::new(
                 kind,
                 config.shards,
-                config.admission,
                 wal.clone(),
                 config.chaos.clone(),
             ),
@@ -484,13 +475,8 @@ impl Engine {
         epoch: u64,
     ) -> (Arc<Self>, RecoveryReport) {
         let shards = ShardedStore::from_recovered(&recovered.shards);
-        let pipeline = AdmissionPipeline::new(
-            kind,
-            config.shards,
-            config.admission,
-            wal.clone(),
-            config.chaos.clone(),
-        );
+        let pipeline =
+            AdmissionPipeline::new(kind, config.shards, wal.clone(), config.chaos.clone());
         // Everything the reopened log holds was read back from disk, so
         // it is flushed by definition: seed the durable horizon there,
         // or a post-recovery read router would treat the whole recovered
@@ -611,10 +597,8 @@ impl Engine {
         // amortization E14 reports), and a periodic checkpointer would
         // otherwise dilute the mean with zero-commit flushes.
         let receipt = wal.append_and_flush(&[WalRecord::Checkpoint { seq }])?;
-        if let Some(lsn) = receipt.last_lsn {
-            // The marker's flush made everything before it durable too.
-            self.pipeline.note_durable(lsn);
-        }
+        // The marker's flush made everything before it durable too.
+        self.pipeline.note_flushed(&receipt);
         self.metrics
             .record_wal_append(receipt.records, receipt.bytes);
         self.metrics.record_checkpoint();
@@ -648,11 +632,6 @@ impl Engine {
     /// The class guaranteed for the committed history.
     pub fn class(&self) -> HistoryClass {
         self.kind.class()
-    }
-
-    /// The admission mode the engine runs under.
-    pub fn admission_mode(&self) -> AdmissionMode {
-        self.pipeline.mode()
     }
 
     /// Number of admission lanes (1 unless the certifier only needs
@@ -977,10 +956,12 @@ impl Session {
             // commit record past the fence), so losing the record changes
             // nothing recovery or a replica would conclude.
             match wal.append_batch(&[WalRecord::Abort { tx: self.tx }]) {
-                Ok(receipt) => self
-                    .engine
-                    .metrics
-                    .record_wal_append(receipt.records, receipt.bytes),
+                Ok(receipt) => {
+                    self.engine.pipeline.note_flushed(&receipt);
+                    self.engine
+                        .metrics
+                        .record_wal_append(receipt.records, receipt.bytes);
+                }
                 Err(e) if is_fence_error(&e) => {}
                 Err(e) => panic!("WAL append failed: durability can no longer be guaranteed: {e}"),
             }
@@ -1015,24 +996,15 @@ impl Drop for Session {
 mod tests {
     use super::*;
 
-    fn modes() -> [AdmissionMode; 2] {
-        [AdmissionMode::Batched, AdmissionMode::PerStep]
-    }
-
-    fn engine_with(kind: CertifierKind, admission: AdmissionMode) -> Arc<Engine> {
+    fn engine(kind: CertifierKind) -> Arc<Engine> {
         Arc::new(Engine::new(
             kind,
             EngineConfig {
                 shards: 2,
                 entities: 8,
-                admission,
                 ..EngineConfig::default()
             },
         ))
-    }
-
-    fn engine(kind: CertifierKind) -> Arc<Engine> {
-        engine_with(kind, AdmissionMode::default())
     }
 
     const X: EntityId = EntityId(0);
@@ -1041,55 +1013,49 @@ mod tests {
     #[test]
     fn read_write_commit_round_trip_on_every_certifier_and_mode() {
         for kind in CertifierKind::all() {
-            for mode in modes() {
-                let e = engine_with(kind, mode);
-                let mut s1 = e.begin();
-                assert_eq!(s1.read(X).unwrap(), Bytes::from_static(b"0"));
-                s1.write(Y, Bytes::from_static(b"one")).unwrap();
-                s1.commit().unwrap();
-                let mut s2 = e.begin();
-                assert_eq!(
-                    s2.read(Y).unwrap(),
-                    Bytes::from_static(b"one"),
-                    "{kind}/{mode}"
-                );
-                s2.commit().unwrap();
-                let snap = e.metrics().snapshot();
-                assert_eq!(snap.committed, 2, "{kind}/{mode}");
-                assert_eq!(snap.aborted, 0, "{kind}/{mode}");
-                let history = e.history();
-                assert_eq!(history.admitted.len(), 3);
-                assert_eq!(history.committed.len(), 2);
-                assert!(
-                    e.class().check(&history.committed_schedule()),
-                    "{kind}/{mode}"
-                );
-            }
+            let e = engine(kind);
+            let mut s1 = e.begin();
+            assert_eq!(s1.read(X).unwrap(), Bytes::from_static(b"0"));
+            s1.write(Y, Bytes::from_static(b"one")).unwrap();
+            s1.commit().unwrap();
+            let mut s2 = e.begin();
+            assert_eq!(s2.read(Y).unwrap(), Bytes::from_static(b"one"), "{kind}");
+            s2.commit().unwrap();
+            let snap = e.metrics().snapshot();
+            assert_eq!(snap.committed, 2, "{kind}");
+            assert_eq!(snap.aborted, 0, "{kind}");
+            // One ruling per step, one group-commit batch per commit.
+            assert_eq!(snap.admission_batches, 3, "{kind}");
+            assert_eq!(snap.admission_batch_steps, 3, "{kind}");
+            assert_eq!(snap.commit_batches, 2, "{kind}");
+            assert_eq!(snap.commit_batch_txns, 2, "{kind}");
+            let history = e.history();
+            assert_eq!(history.admitted.len(), 3);
+            assert_eq!(history.committed.len(), 2);
+            assert!(e.class().check(&history.committed_schedule()), "{kind}");
         }
     }
 
     #[test]
     fn rejection_aborts_the_session() {
-        for mode in modes() {
-            let e = engine_with(CertifierKind::TwoPhaseLocking, mode);
-            let mut s1 = e.begin();
-            let mut s2 = e.begin();
-            s1.write(X, Bytes::from_static(b"a")).unwrap();
-            let err = s2.write(X, Bytes::from_static(b"b")).unwrap_err();
-            assert!(matches!(err, EngineError::Rejected(_)), "{mode}");
-            assert!(!s2.is_active());
-            assert!(matches!(s2.read(Y), Err(EngineError::NotActive(_))));
-            s1.commit().unwrap();
-            // The lock is released: a fresh session can write x.
-            let mut s3 = e.begin();
-            s3.write(X, Bytes::from_static(b"c")).unwrap();
-            s3.commit().unwrap();
-            let snap = e.metrics().snapshot();
-            assert_eq!(snap.committed, 2);
-            assert_eq!(snap.aborted, 1);
-            // The abort is attributed to x's shard.
-            assert_eq!(snap.shard_conflicts[e.shards().shard_of(X)], 1);
-        }
+        let e = engine(CertifierKind::TwoPhaseLocking);
+        let mut s1 = e.begin();
+        let mut s2 = e.begin();
+        s1.write(X, Bytes::from_static(b"a")).unwrap();
+        let err = s2.write(X, Bytes::from_static(b"b")).unwrap_err();
+        assert!(matches!(err, EngineError::Rejected(_)));
+        assert!(!s2.is_active());
+        assert!(matches!(s2.read(Y), Err(EngineError::NotActive(_))));
+        s1.commit().unwrap();
+        // The lock is released: a fresh session can write x.
+        let mut s3 = e.begin();
+        s3.write(X, Bytes::from_static(b"c")).unwrap();
+        s3.commit().unwrap();
+        let snap = e.metrics().snapshot();
+        assert_eq!(snap.committed, 2);
+        assert_eq!(snap.aborted, 1);
+        // The abort is attributed to x's shard.
+        assert_eq!(snap.shard_conflicts[e.shards().shard_of(X)], 1);
     }
 
     #[test]
@@ -1126,24 +1092,19 @@ mod tests {
         // different from the certified admission sequence) — the pinned
         // read resolves to T1's uncommitted version and the ACA rule
         // aborts the reader instead.
-        for mode in modes() {
-            let e = engine_with(CertifierKind::Sgt, mode);
-            let mut t1 = e.begin();
-            t1.write(X, Bytes::from_static(b"x1")).unwrap();
-            t1.write(Y, Bytes::from_static(b"y1")).unwrap();
-            let mut t2 = e.begin();
-            let err = t2.read(X).unwrap_err();
-            assert!(
-                matches!(err, EngineError::DirtyRead(_, w) if w == t1.id()),
-                "{mode}"
-            );
-            t1.commit().unwrap();
-            // After the commit the pinned read serves T1's value.
-            let mut t3 = e.begin();
-            assert_eq!(t3.read(X).unwrap(), Bytes::from_static(b"x1"));
-            assert_eq!(t3.read(Y).unwrap(), Bytes::from_static(b"y1"));
-            t3.commit().unwrap();
-        }
+        let e = engine(CertifierKind::Sgt);
+        let mut t1 = e.begin();
+        t1.write(X, Bytes::from_static(b"x1")).unwrap();
+        t1.write(Y, Bytes::from_static(b"y1")).unwrap();
+        let mut t2 = e.begin();
+        let err = t2.read(X).unwrap_err();
+        assert!(matches!(err, EngineError::DirtyRead(_, w) if w == t1.id()));
+        t1.commit().unwrap();
+        // After the commit the pinned read serves T1's value.
+        let mut t3 = e.begin();
+        assert_eq!(t3.read(X).unwrap(), Bytes::from_static(b"x1"));
+        assert_eq!(t3.read(Y).unwrap(), Bytes::from_static(b"y1"));
+        t3.commit().unwrap();
     }
 
     #[test]
@@ -1173,35 +1134,25 @@ mod tests {
 
     #[test]
     fn snapshot_isolation_first_committer_wins_across_shards() {
-        for mode in modes() {
-            let e = engine_with(CertifierKind::SnapshotIsolation, mode);
-            // SI only needs per-entity ordering, so the batched pipeline
-            // gives it one admission lane per shard; the per-step baseline
-            // keeps PR 2's single global admission lock.
-            let expected_lanes = match mode {
-                AdmissionMode::Batched => 2,
-                AdmissionMode::PerStep => 1,
-            };
-            assert_eq!(e.admission_lanes(), expected_lanes, "{mode}");
-            let mut t1 = e.begin();
-            let mut t2 = e.begin();
-            // Both write the same entity on shard of X and disjoint ones on
-            // Y's shard: the conflict is on X only.
-            t1.write(X, Bytes::from_static(b"t1")).unwrap();
-            t2.write(X, Bytes::from_static(b"t2")).unwrap();
-            t1.write(Y, Bytes::from_static(b"t1")).unwrap();
-            t1.commit().unwrap();
-            let err = t2.commit().unwrap_err();
-            assert!(
-                matches!(err, EngineError::WriteConflict(entity, _) if entity == X),
-                "{mode}"
-            );
-            // The loser's version is purged everywhere.
-            let mut check = e.begin();
-            assert_eq!(check.read(X).unwrap(), Bytes::from_static(b"t1"));
-            assert_eq!(check.read(Y).unwrap(), Bytes::from_static(b"t1"));
-            check.commit().unwrap();
-        }
+        let e = engine(CertifierKind::SnapshotIsolation);
+        // SI only needs per-entity ordering, so the pipeline gives it one
+        // admission lane per shard.
+        assert_eq!(e.admission_lanes(), 2);
+        let mut t1 = e.begin();
+        let mut t2 = e.begin();
+        // Both write the same entity on shard of X and disjoint ones on
+        // Y's shard: the conflict is on X only.
+        t1.write(X, Bytes::from_static(b"t1")).unwrap();
+        t2.write(X, Bytes::from_static(b"t2")).unwrap();
+        t1.write(Y, Bytes::from_static(b"t1")).unwrap();
+        t1.commit().unwrap();
+        let err = t2.commit().unwrap_err();
+        assert!(matches!(err, EngineError::WriteConflict(entity, _) if entity == X));
+        // The loser's version is purged everywhere.
+        let mut check = e.begin();
+        assert_eq!(check.read(X).unwrap(), Bytes::from_static(b"t1"));
+        assert_eq!(check.read(Y).unwrap(), Bytes::from_static(b"t1"));
+        check.commit().unwrap();
     }
 
     #[test]
@@ -1232,72 +1183,49 @@ mod tests {
 
     #[test]
     fn explicit_abort_discards_writes_and_certifier_state() {
-        for mode in modes() {
-            let e = engine_with(CertifierKind::TwoPhaseLocking, mode);
-            let mut s = e.begin();
-            s.write(X, Bytes::from_static(b"tmp")).unwrap();
-            s.abort();
-            // The exclusive lock is gone.
-            let mut s2 = e.begin();
-            s2.write(X, Bytes::from_static(b"ok")).unwrap();
-            s2.commit().unwrap();
-            let history = e.history();
-            // Both writes were admitted, only one committed.
-            assert_eq!(history.admitted.len(), 2, "{mode}");
-            assert_eq!(history.committed_schedule().len(), 1, "{mode}");
-        }
+        let e = engine(CertifierKind::TwoPhaseLocking);
+        let mut s = e.begin();
+        s.write(X, Bytes::from_static(b"tmp")).unwrap();
+        s.abort();
+        // The exclusive lock is gone.
+        let mut s2 = e.begin();
+        s2.write(X, Bytes::from_static(b"ok")).unwrap();
+        s2.commit().unwrap();
+        let history = e.history();
+        // Both writes were admitted, only one committed.
+        assert_eq!(history.admitted.len(), 2);
+        assert_eq!(history.committed_schedule().len(), 1);
     }
 
     #[test]
     fn concurrent_sessions_from_many_threads() {
-        for mode in modes() {
-            let e = engine_with(CertifierKind::MvSgt, mode);
-            let mut handles = Vec::new();
-            for i in 0..8u32 {
-                let e = Arc::clone(&e);
-                handles.push(std::thread::spawn(move || {
-                    for _ in 0..10 {
-                        let mut s = e.begin();
-                        let entity = EntityId(i % 4);
-                        if s.read(entity).is_err() {
-                            continue;
-                        }
-                        if s.write(entity, Bytes::from(format!("{i}"))).is_err() {
-                            continue;
-                        }
-                        let _ = s.commit();
+        let e = engine(CertifierKind::MvSgt);
+        let mut handles = Vec::new();
+        for i in 0..8u32 {
+            let e = Arc::clone(&e);
+            handles.push(std::thread::spawn(move || {
+                for _ in 0..10 {
+                    let mut s = e.begin();
+                    let entity = EntityId(i % 4);
+                    if s.read(entity).is_err() {
+                        continue;
                     }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            let snap = e.metrics().snapshot();
-            assert_eq!(snap.committed + snap.aborted, snap.begun, "{mode}");
-            assert!(snap.committed > 0, "{mode}");
-            // The committed history is in the certifier's class.
-            let history = e.history();
-            assert!(e.class().check(&history.committed_schedule()), "{mode}");
+                    if s.write(entity, Bytes::from(format!("{i}"))).is_err() {
+                        continue;
+                    }
+                    let _ = s.commit();
+                }
+            }));
         }
-    }
-
-    #[test]
-    fn batched_mode_reports_batches() {
-        let e = engine_with(CertifierKind::Sgt, AdmissionMode::Batched);
-        let mut s = e.begin();
-        s.write(X, Bytes::from_static(b"x")).unwrap();
-        s.commit().unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
         let snap = e.metrics().snapshot();
-        assert!(snap.admission_batches >= 1);
-        assert!(snap.admission_batch_steps >= 1);
-        assert_eq!(snap.commit_batches, 1);
-        assert_eq!(snap.commit_batch_txns, 1);
-        // The per-step baseline records no batches.
-        let e = engine_with(CertifierKind::Sgt, AdmissionMode::PerStep);
-        let mut s = e.begin();
-        s.write(X, Bytes::from_static(b"x")).unwrap();
-        s.commit().unwrap();
-        assert_eq!(e.metrics().snapshot().admission_batches, 0);
+        assert_eq!(snap.committed + snap.aborted, snap.begun);
+        assert!(snap.committed > 0);
+        // The committed history is in the certifier's class.
+        let history = e.history();
+        assert!(e.class().check(&history.committed_schedule()));
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {

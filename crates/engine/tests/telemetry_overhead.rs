@@ -1,9 +1,9 @@
 //! The telemetry overhead guard (experiment E17's budget): per-stage
 //! tracing must not cost the hot path more than 5% of throughput.
 //!
-//! The differential runs the E13 workload shape (uncontended, batched
-//! admission — the configuration where admission itself is the
-//! serialization point, i.e. where probe overhead would show first)
+//! The differential runs an uncontended workload (θ = 0 — the
+//! configuration where admission itself is the serialization point,
+//! i.e. where probe overhead would show first)
 //! telemetry-off and telemetry-on interleaved and compares the
 //! *second-best-of-N* throughput of each mode.  The noise defenses are
 //! load-bearing on a timeshared single-CPU runner: the workload is
@@ -97,7 +97,7 @@ fn telemetry_on_stays_within_five_percent_of_telemetry_off() {
 }
 
 /// The timeline recorder's budget, same harness and same 5% gate: a
-/// 100 ms-cadence health monitor On vs. Off on the E13 workload.  The
+/// 100 ms-cadence health monitor On vs. Off on the same workload.  The
 /// budget holds by construction — the sampler reads lock-free counters
 /// on its own thread ten times a second; the only shared write is the
 /// ring push, which no worker thread ever touches.

@@ -1,6 +1,6 @@
 //! The tail-exemplar attribution gate (experiment E18's acceptance):
-//! on the E13 workload shape (4 threads, batched admission, buffered
-//! durability so the WAL stages participate), every certifier's traced
+//! on an uncontended workload (4 threads, θ = 0, buffered durability so
+//! the WAL stages participate), every certifier's traced
 //! run must retain tail exemplars, and at least 95% of the captured
 //! outliers must name a dominant stage — an exemplar whose span tree
 //! cannot say *where* the time went is a report that explains nothing.

@@ -55,21 +55,6 @@ pub trait Scheduler {
     /// about the step again.
     fn offer(&mut self, step: Step) -> Decision;
 
-    /// Offers a whole run of steps at once, returning one decision per step
-    /// in order.
-    ///
-    /// Semantically this MUST be indistinguishable from calling
-    /// [`Scheduler::offer`] on each step in sequence — the batch is an
-    /// amortization window (one dispatch, one state traversal), never a
-    /// reordering license.  The default does exactly that loop; schedulers
-    /// whose per-step work can be shared across a batch (timestamp
-    /// ordering's per-entity rule, for example) override it.  Batch-aware
-    /// drivers (`mvcc-engine`'s admission pipeline) call this from their
-    /// drain loop.
-    fn offer_batch(&mut self, steps: &[Step]) -> Vec<Decision> {
-        steps.iter().map(|&step| self.offer(step)).collect()
-    }
-
     /// Notifies the scheduler that `tx` has been aborted: all its previously
     /// accepted steps are undone.  Used by the abort-and-continue harness.
     fn abort(&mut self, tx: TxId);

@@ -73,49 +73,6 @@ impl Scheduler for TimestampScheduler {
         }
     }
 
-    fn offer_batch(&mut self, steps: &[Step]) -> Vec<Decision> {
-        // TO's ruling for a step depends only on (a) the transaction's
-        // timestamp — fixed at its first appearance — and (b) the high-water
-        // marks of the step's own entity.  So a batch can be validated in
-        // one pass per entity: assign timestamps in arrival order first
-        // (exactly what the sequential loop would do), then rule each
-        // entity's run independently.  Decisions are identical to offering
-        // the steps one at a time; the differential test below proves it.
-        let timestamps: Vec<u64> = steps.iter().map(|s| self.timestamp(s.tx)).collect();
-        let mut decisions = vec![Decision::Reject; steps.len()];
-        let mut by_entity: HashMap<EntityId, Vec<usize>> = HashMap::new();
-        for (i, step) in steps.iter().enumerate() {
-            by_entity.entry(step.entity).or_default().push(i);
-        }
-        for (entity, indices) in by_entity {
-            let entry = self.entities.entry(entity).or_default();
-            for i in indices {
-                let ts = timestamps[i];
-                decisions[i] = match steps[i].action {
-                    Action::Read => {
-                        if entry.max_write.is_some_and(|w| ts < w) {
-                            Decision::Reject
-                        } else {
-                            entry.max_read = Some(entry.max_read.map_or(ts, |r| r.max(ts)));
-                            Decision::ACCEPT
-                        }
-                    }
-                    Action::Write => {
-                        if entry.max_read.is_some_and(|r| ts < r)
-                            || entry.max_write.is_some_and(|w| ts < w)
-                        {
-                            Decision::Reject
-                        } else {
-                            entry.max_write = Some(ts);
-                            Decision::ACCEPT
-                        }
-                    }
-                };
-            }
-        }
-        decisions
-    }
-
     fn abort(&mut self, tx: TxId) {
         // Timestamps of aborted transactions are retired; the per-entity
         // high-water marks are left conservative (they may retain the aborted
@@ -186,40 +143,6 @@ mod tests {
             }
         }
         assert!(accepted > 0);
-    }
-
-    #[test]
-    fn offer_batch_matches_sequential_offers() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0xba7c);
-        for trial in 0..64 {
-            // A random stream, split into random batch boundaries: the
-            // batched scheduler and the sequential twin must agree on every
-            // decision and end in equivalent states.
-            let steps: Vec<Step> = (0..24)
-                .map(|_| {
-                    let tx = TxId(rng.gen_range(1..5u32));
-                    let entity = mvcc_core::EntityId(rng.gen_range(0..3u32));
-                    if rng.gen_bool(0.5) {
-                        Step::read(tx, entity)
-                    } else {
-                        Step::write(tx, entity)
-                    }
-                })
-                .collect();
-            let mut batched = TimestampScheduler::new();
-            let mut sequential = TimestampScheduler::new();
-            let mut cursor = 0;
-            while cursor < steps.len() {
-                let end = (cursor + rng.gen_range(1..6usize)).min(steps.len());
-                let batch = &steps[cursor..end];
-                let got = batched.offer_batch(batch);
-                let want: Vec<Decision> = batch.iter().map(|&s| sequential.offer(s)).collect();
-                assert_eq!(got, want, "trial {trial}, steps {cursor}..{end}");
-                cursor = end;
-            }
-        }
     }
 
     #[test]

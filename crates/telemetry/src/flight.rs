@@ -45,11 +45,6 @@ pub struct FlightEvent {
 /// every layer can describe its events without a cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// An admission drain leader ruled a batch of this many steps.
-    AdmissionBatch {
-        /// Steps in the batch.
-        steps: u64,
-    },
     /// A group-commit batch was appended and flushed to the WAL.
     WalFlush {
         /// Bytes appended.
@@ -132,7 +127,6 @@ pub enum EventKind {
 impl fmt::Display for EventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EventKind::AdmissionBatch { steps } => write!(f, "admission-batch steps={steps}"),
             EventKind::WalFlush {
                 bytes,
                 fsynced,
@@ -326,7 +320,6 @@ mod tests {
     #[test]
     fn every_event_kind_renders() {
         let kinds = vec![
-            EventKind::AdmissionBatch { steps: 3 },
             EventKind::WalFlush {
                 bytes: 128,
                 fsynced: true,
@@ -368,7 +361,6 @@ mod tests {
         }
         let dump = rec.dump();
         for needle in [
-            "admission-batch",
             "wal-flush",
             "checkpoint-cut",
             "fence-refusal",

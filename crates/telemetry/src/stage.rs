@@ -1,7 +1,7 @@
 //! The stage taxonomy: every pipeline point the engine traces.
 //!
 //! A [`Stage`] names one instrumented point in the transaction pipeline —
-//! from admission queue-wait through WAL flush to failover MTTR.  The
+//! from admission service through WAL flush to failover MTTR.  The
 //! enum is deliberately closed: stages index a fixed-size histogram
 //! registry, so adding one is a one-line change here plus a probe at the
 //! call site, and every consumer (snapshot, Display, JSON exporter)
@@ -18,19 +18,12 @@ use std::fmt;
 /// keeps the registry uniform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Time a parked step request waited in an admission lane queue
-    /// before a drain leader ruled it (µs).  The fast path — lane free,
-    /// caller rules its own step — never queues and is not recorded
-    /// here, so this histogram is the *contention* signal.
-    AdmissionQueueWait,
-    /// Time a drain leader spent servicing one admission batch: certify,
-    /// per-step resolution, history append, and the WAL append (µs).
+    /// Time spent servicing one admission ruling under its lane lock:
+    /// certify, resolution, history append, and the WAL append (µs).
     AdmissionService,
     /// Time inside the certifier's admission ruling alone (µs) — the
     /// algorithmic core the scheduler-theory crates model.
     Certify,
-    /// Steps ruled per admission batch (count).
-    AdmissionBatchSteps,
     /// Time a commit-drain leader spent applying one group-commit batch:
     /// validation, shard publication, and durability (µs).
     GroupCommitApply,
@@ -86,10 +79,8 @@ impl StageUnit {
 
 /// All stages, in registry order.
 const ALL: [Stage; Stage::COUNT] = [
-    Stage::AdmissionQueueWait,
     Stage::AdmissionService,
     Stage::Certify,
-    Stage::AdmissionBatchSteps,
     Stage::GroupCommitApply,
     Stage::WalFlush,
     Stage::WalFlushTxns,
@@ -104,7 +95,7 @@ const ALL: [Stage; Stage::COUNT] = [
 
 impl Stage {
     /// Number of stages in the registry.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 12;
 
     /// Every stage, in registry order (the order histograms are laid out
     /// and the order snapshots and JSON documents list them).
@@ -115,20 +106,18 @@ impl Stage {
     /// The stage's dense registry index, `0..Stage::COUNT`.
     pub fn index(self) -> usize {
         match self {
-            Stage::AdmissionQueueWait => 0,
-            Stage::AdmissionService => 1,
-            Stage::Certify => 2,
-            Stage::AdmissionBatchSteps => 3,
-            Stage::GroupCommitApply => 4,
-            Stage::WalFlush => 5,
-            Stage::WalFlushTxns => 6,
-            Stage::CommitLatency => 7,
-            Stage::ReplicaApply => 8,
-            Stage::FailoverDetect => 9,
-            Stage::FailoverElect => 10,
-            Stage::FailoverPromote => 11,
-            Stage::EpochFirstCommit => 12,
-            Stage::FollowerReadPin => 13,
+            Stage::AdmissionService => 0,
+            Stage::Certify => 1,
+            Stage::GroupCommitApply => 2,
+            Stage::WalFlush => 3,
+            Stage::WalFlushTxns => 4,
+            Stage::CommitLatency => 5,
+            Stage::ReplicaApply => 6,
+            Stage::FailoverDetect => 7,
+            Stage::FailoverElect => 8,
+            Stage::FailoverPromote => 9,
+            Stage::EpochFirstCommit => 10,
+            Stage::FollowerReadPin => 11,
         }
     }
 
@@ -140,10 +129,8 @@ impl Stage {
     /// Stable kebab-case name used in Display output and JSON keys.
     pub fn name(self) -> &'static str {
         match self {
-            Stage::AdmissionQueueWait => "admission-queue-wait",
             Stage::AdmissionService => "admission-service",
             Stage::Certify => "certify",
-            Stage::AdmissionBatchSteps => "admission-batch-steps",
             Stage::GroupCommitApply => "group-commit-apply",
             Stage::WalFlush => "wal-flush",
             Stage::WalFlushTxns => "wal-flush-txns",
@@ -157,16 +144,10 @@ impl Stage {
         }
     }
 
-    /// The stage with the given kebab-case name, if any — the inverse of
-    /// [`Stage::name`].
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::all().into_iter().find(|s| s.name() == name)
-    }
-
     /// The unit this stage's histogram is denominated in.
     pub fn unit(self) -> StageUnit {
         match self {
-            Stage::AdmissionBatchSteps | Stage::WalFlushTxns => StageUnit::Count,
+            Stage::WalFlushTxns => StageUnit::Count,
             _ => StageUnit::Micros,
         }
     }
@@ -187,9 +168,7 @@ mod tests {
         for (i, stage) in Stage::all().iter().enumerate() {
             assert_eq!(stage.index(), i);
             assert_eq!(Stage::from_index(i), Some(*stage));
-            assert_eq!(Stage::from_name(stage.name()), Some(*stage));
         }
-        assert_eq!(Stage::from_name("no-such-stage"), None);
         assert_eq!(Stage::all().len(), Stage::COUNT);
         assert_eq!(Stage::from_index(Stage::COUNT), None);
     }
@@ -212,9 +191,6 @@ mod tests {
             .copied()
             .filter(|s| s.unit() == StageUnit::Count)
             .collect();
-        assert_eq!(
-            counts,
-            vec![Stage::AdmissionBatchSteps, Stage::WalFlushTxns]
-        );
+        assert_eq!(counts, vec![Stage::WalFlushTxns]);
     }
 }

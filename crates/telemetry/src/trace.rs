@@ -9,11 +9,12 @@
 //! that ate the latency.
 //!
 //! Attribution rule: a span belongs to the transaction whose work it
-//! measures, *not* to the thread that happened to measure it.  Under
-//! flat-combining admission a drain leader certifies other sessions'
-//! steps; the engine hands the measured span back through the same
-//! outcome slot that carries the step's verdict, so it lands on the
-//! owner's tree without any new synchronization edge.
+//! measures, *not* to the thread that happened to measure it.  Admission
+//! is one ruling per lane lock, so a step's certify span is always
+//! measured by its own session; under group commit a drain leader applies
+//! other sessions' commits, and the engine hands the measured spans back
+//! through the same outcome slot that carries each commit's verdict, so
+//! they land on the owner's tree without any new synchronization edge.
 //!
 //! Spans that cross transactions or processes — a group-commit WAL flush
 //! shared by a whole batch, a replica applying a shipped commit record,

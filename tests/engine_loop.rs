@@ -15,14 +15,8 @@
 //! Snapshot isolation guarantees no Figure 1 class (write skew), so its
 //! runs assert engine-level invariants only.
 
-use mvcc_repro::engine::{AdmissionMode, CertifierKind, HistoryClass};
+use mvcc_repro::engine::{CertifierKind, HistoryClass};
 use mvcc_repro::prelude::*;
-
-/// Both admission modes: the batched group-commit pipeline (the default)
-/// and the per-step baseline it replaced.  Every class-guarantee test runs
-/// under both — the pipeline restructured the engine's hottest path, and
-/// this is what proves the committed projection still classifies the same.
-const MODES: [AdmissionMode; 2] = [AdmissionMode::Batched, AdmissionMode::PerStep];
 
 fn profile(threads: usize, shards: usize, ops: usize, zipf_theta: f64, seed: u64) -> LoadProfile {
     LoadProfile {
@@ -37,34 +31,24 @@ fn profile(threads: usize, shards: usize, ops: usize, zipf_theta: f64, seed: u64
     }
 }
 
-/// Runs `kind` under the given profile and admission mode and returns the
-/// committed projection after sanity-checking the run's bookkeeping.
-fn committed_history(kind: CertifierKind, p: &LoadProfile, mode: AdmissionMode) -> Schedule {
-    let report = run_closed_loop(
-        kind,
-        p,
-        LoadOptions {
-            admission: mode,
-            ..LoadOptions::default()
-        },
-    );
+/// Runs `kind` under the given profile and returns the committed
+/// projection after sanity-checking the run's bookkeeping.
+fn committed_history(kind: CertifierKind, p: &LoadProfile) -> Schedule {
+    let report = run_closed_loop(kind, p, LoadOptions::default());
     let m = &report.metrics;
-    assert!(
-        m.committed > 0,
-        "{kind}/{mode}: nothing committed under {p}"
-    );
+    assert!(m.committed > 0, "{kind}: nothing committed under {p}");
     assert_eq!(
         m.begun,
         m.committed + m.aborted,
-        "{kind}/{mode}: sessions unaccounted for"
+        "{kind}: sessions unaccounted for"
     );
     let history = report.history.committed_schedule();
     // Every committed transaction contributed all of its admitted steps —
-    // the history stayed append-only through batching.
+    // the history stayed append-only through group commit.
     assert_eq!(
         history.len() as u64,
         m.committed * p.steps_per_transaction as u64,
-        "{kind}/{mode}: committed projection truncated"
+        "{kind}: committed projection truncated"
     );
     history
 }
@@ -77,14 +61,12 @@ fn csr_certifiers_produce_csr_histories() {
         CertifierKind::Sgt,
     ] {
         for theta in [0.0, 0.9] {
-            for mode in MODES {
-                let p = profile(4, 2, 240, theta, 0xc5a + theta as u64);
-                let history = committed_history(kind, &p, mode);
-                assert!(
-                    is_csr(&history),
-                    "{kind}/{mode} (θ={theta}) committed a non-CSR history: {history}"
-                );
-            }
+            let p = profile(4, 2, 240, theta, 0xc5a + theta as u64);
+            let history = committed_history(kind, &p);
+            assert!(
+                is_csr(&history),
+                "{kind} (θ={theta}) committed a non-CSR history: {history}"
+            );
         }
     }
 }
@@ -92,14 +74,12 @@ fn csr_certifiers_produce_csr_histories() {
 #[test]
 fn mv_sgt_produces_mvcsr_histories() {
     for theta in [0.0, 0.9] {
-        for mode in MODES {
-            let p = profile(4, 2, 240, theta, 0x517);
-            let history = committed_history(CertifierKind::MvSgt, &p, mode);
-            assert!(
-                is_mvcsr(&history),
-                "mv-sgt/{mode} (θ={theta}) committed a non-MVCSR history: {history}"
-            );
-        }
+        let p = profile(4, 2, 240, theta, 0x517);
+        let history = committed_history(CertifierKind::MvSgt, &p);
+        assert!(
+            is_mvcsr(&history),
+            "mv-sgt (θ={theta}) committed a non-MVCSR history: {history}"
+        );
     }
 }
 
@@ -108,14 +88,12 @@ fn mvto_produces_mvsr_histories() {
     // Small op budgets: the MVSR check is the exact NP-complete search.
     for theta in [0.0, 0.9] {
         for seed in [0x301u64, 0x302] {
-            for mode in MODES {
-                let p = profile(4, 2, 48, theta, seed);
-                let history = committed_history(CertifierKind::Mvto, &p, mode);
-                assert!(
-                    is_mvsr(&history),
-                    "mvto/{mode} (θ={theta}, seed={seed}) committed a non-MVSR history: {history}"
-                );
-            }
+            let p = profile(4, 2, 48, theta, seed);
+            let history = committed_history(CertifierKind::Mvto, &p);
+            assert!(
+                is_mvsr(&history),
+                "mvto (θ={theta}, seed={seed}) committed a non-MVSR history: {history}"
+            );
         }
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! | site                | window frozen                                        |
 //! |---------------------|------------------------------------------------------|
-//! | `AdmissionDrain`    | certifier ruled a batch; steps not yet in history/WAL|
+//! | `AdmissionDrain`    | certifier ruled a step; step not yet in history/WAL  |
 //! | `GroupCommitFlush`  | shard effects applied; commit record not yet flushed |
 //! | `CommitNotifyGap`   | commit record durable; certifiers not yet notified   |
 //! | `Checkpoint`        | checkpoint cut holding the group-commit drain        |
