@@ -1,33 +1,31 @@
-//! `mvccstat` — the cluster-observability ops surface: renders the
-//! continuous metrics timeline (experiment E19) either live, from an
-//! engine it drives itself, or offline, from a `timeline.jsonl` export
-//! of an earlier live run.
+//! `mvccstat` — the ops surface: one report that answers "where did the
+//! time go, why did it abort, is the history still in class", either
+//! live, from an engine it drives itself, or offline, from a
+//! `timeline.jsonl` export of an earlier live run.
 //!
 //! Subcommands:
 //! * `mvccstat live [--certifier NAME] [--threads N] [--ops N]
-//!   [--interval-ms MS] [--out PATH]` — builds an engine with telemetry and the
-//!   classification watchdog on, attaches a [`HealthMonitor`], drives
-//!   the closed loop on worker threads, and streams each timeline frame
-//!   to stdout as the recorder captures it.  Ends with the aggregated
-//!   [`ClusterHealth`] report (members, alarms, failover MTTR when one
-//!   happened).  With `--out`, also writes the recorded frames as JSONL —
-//!   the file `replay` reads.
-//! * `mvccstat replay PATH [--metrics]` — parses a `timeline.jsonl`
-//!   export, prints every frame in the same one-row format, re-runs the
+//!   [--interval-ms MS] [--out PATH]` — builds an engine with telemetry
+//!   on, starts the [`ClassificationWatchdog`] and a [`HealthMonitor`]
+//!   fed by it, drives the closed loop on worker threads, and streams
+//!   each timeline frame to stdout as the recorder captures it.  Ends
+//!   with the engine's final metrics (stage latencies, abort reasons),
+//!   the alarm list and the watchdog verdict.  With `--out`, also writes
+//!   the recorded frames as JSONL — the file `replay` reads.
+//! * `mvccstat replay PATH` — parses a `timeline.jsonl` export, prints
+//!   every frame in the same one-row format, and re-runs the
 //!   [`AnomalyDetector`] over the frames (the detector is deterministic
-//!   given frames, so replay reproduces exactly the alarms a live run
-//!   would have raised), and renders the final cluster-health report.
-//!   With `--metrics`, also prints the Prometheus-style text exposition
-//!   of the newest frame.
+//!   given frames, so replay reproduces exactly the alarms the live run
+//!   raised).
 //!
 //! Run with `cargo run -p mvcc-bench --bin mvccstat --release -- live`.
 
 use mvcc_engine::load::drive_closed_loop;
 use mvcc_engine::{
-    AnomalyDetector, CertifierKind, ClusterHealth, DetectorConfig, DurabilityConfig, Engine,
-    EngineConfig, HealthConfig, HealthMonitor, TelemetryMode, TimelineFrame,
+    Alarm, AnomalyDetector, CertifierKind, ClassificationWatchdog, DurabilityConfig, Engine,
+    EngineConfig, EngineSampler, HealthMonitor, TelemetryMode, TimelineFrame, WatchdogConfig,
 };
-use mvcc_telemetry::{metrics_text, parse_jsonl, write_jsonl};
+use mvcc_telemetry::{parse_jsonl, write_jsonl};
 use mvcc_workload::LoadProfile;
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,7 +33,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  mvccstat live [--certifier NAME] [--threads N] [--ops N] [--interval-ms MS] \
-         [--out PATH]\n  mvccstat replay PATH [--metrics]"
+         [--out PATH]\n  mvccstat replay PATH"
     );
     std::process::exit(2);
 }
@@ -91,7 +89,16 @@ fn live(mut args: impl Iterator<Item = String>) {
         seed: 0x57a7,
         ..LoadProfile::default()
     };
-    // A buffered WAL in a temp directory so the lsn/fsync columns carry
+    // Reject bad input before anything is created on disk.
+    let invalid = profile
+        .validate()
+        .err()
+        .or_else(|| (interval_ms == 0).then(|| "interval-ms must be positive".to_string()));
+    if let Some(reason) = invalid {
+        eprintln!("mvccstat live: {reason}");
+        usage();
+    }
+    // A buffered WAL in a temp directory so the lsn/flush columns carry
     // real positions — removed again on exit.
     let wal_dir = std::env::temp_dir().join(format!("mvccstat-live-{}", std::process::id()));
     std::fs::create_dir_all(&wal_dir).unwrap_or_else(|e| panic!("cannot create WAL dir: {e}"));
@@ -107,14 +114,18 @@ fn live(mut args: impl Iterator<Item = String>) {
             ..EngineConfig::default()
         },
     ));
-    let monitor = HealthMonitor::start(
-        &engine,
-        Vec::new(),
-        HealthConfig {
-            interval: Duration::from_millis(interval_ms),
-            ..HealthConfig::default()
+    // The watchdog classifies the 512-step history ring on the same
+    // coarse cadence `run_closed_loop` uses; its verdict counters ride
+    // into every frame.
+    let dog = ClassificationWatchdog::start(
+        Arc::clone(&engine),
+        WatchdogConfig {
+            interval: Duration::from_millis(100),
+            ..WatchdogConfig::default()
         },
     );
+    let sampler = EngineSampler::for_engine(&engine, Vec::new()).with_watchdog(dog.stats_probe());
+    let monitor = HealthMonitor::start_with(sampler, Duration::from_millis(interval_ms));
     println!("mvccstat live: {certifier}, {threads} threads, {ops} ops, {interval_ms} ms cadence");
     let driver = {
         let engine = Arc::clone(&engine);
@@ -141,20 +152,20 @@ fn live(mut args: impl Iterator<Item = String>) {
         std::thread::sleep(Duration::from_millis(interval_ms));
     }
     let elapsed = driver.join().expect("load driver panicked");
-    let events = engine
-        .metrics_handle()
-        .telemetry()
-        .map(|t| t.flight().events())
-        .unwrap_or_default();
+    // Stop order: the watchdog first (after one final pass over the
+    // settled history), then the monitor, whose closing frame reads the
+    // final verdict counts through the detached probe.
+    let _ = dog.check_once();
+    let verdict = dog.stop();
     let (frames, alarms) = monitor.stop();
     // The closing frame lands at stop, after the last poll; show it too.
     show_new(&frames);
     println!();
-    // lint: allow(unwrap) — the recorder always takes a closing sample
-    let last = frames.last().unwrap();
-    print!(
-        "{}",
-        ClusterHealth::from_frame(last, alarms, &events).render()
+    println!("{}", engine.metrics().snapshot());
+    print_alarms(&alarms);
+    println!(
+        "watchdog: {} windows, {} violations",
+        verdict.windows, verdict.violations
     );
     println!(
         "run: {} frames in {:.2} s",
@@ -169,19 +180,13 @@ fn live(mut args: impl Iterator<Item = String>) {
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
-/// Replays a `timeline.jsonl` export: frames rendered one per row,
-/// the detector re-run over them, and the final health report.
+/// Replays a `timeline.jsonl` export: frames rendered one per row and
+/// the detector re-run over them.
 fn replay(mut args: impl Iterator<Item = String>) {
-    let mut path: Option<String> = None;
-    let mut metrics = false;
-    for arg in args.by_ref() {
-        match arg.as_str() {
-            "--metrics" => metrics = true,
-            other if path.is_none() => path = Some(other.to_string()),
-            _ => usage(),
-        }
+    let path = args.next().unwrap_or_else(|| usage());
+    if args.next().is_some() {
+        usage();
     }
-    let path = path.unwrap_or_else(|| usage());
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     let frames: Vec<TimelineFrame> = match parse_jsonl(&text) {
         Ok(frames) => frames,
@@ -198,14 +203,15 @@ fn replay(mut args: impl Iterator<Item = String>) {
     for frame in &frames {
         println!("{frame}");
     }
-    let alarms = AnomalyDetector::replay(&frames, DetectorConfig::default());
-    // lint: allow(unwrap) — non-empty checked above
-    let last = frames.last().unwrap();
     println!();
-    print!("{}", ClusterHealth::from_frame(last, alarms, &[]).render());
-    if metrics {
-        println!();
-        print!("{}", metrics_text(last));
+    print_alarms(&AnomalyDetector::replay(&frames));
+}
+
+fn print_alarms(alarms: &[Alarm]) {
+    let active = alarms.iter().filter(|a| a.is_active()).count();
+    println!("alarms: {} raised, {active} active", alarms.len());
+    for alarm in alarms {
+        println!("  {alarm}");
     }
 }
 

@@ -1,32 +1,32 @@
-//! Cluster health: the engine-side sampler behind the metrics timeline,
-//! the windowed anomaly detector, and the aggregated cluster report.
+//! Engine health: the sampler behind the metrics timeline and the
+//! windowed anomaly detector that reads it.
 //!
 //! The telemetry crate owns the *mechanism* (frames, ring, recorder,
-//! JSONL, Prometheus text — see `mvcc_telemetry::timeline`); this module
-//! owns the *policy*: what an engine frame contains
-//! ([`EngineSampler`]), what counts as anomalous ([`AnomalyDetector`]),
-//! and how a primary + replicas + failover driver roll up into one
-//! report ([`ClusterHealth`]).
+//! JSONL — see `mvcc_telemetry::timeline`); this module owns the
+//! *policy*: what an engine frame contains ([`EngineSampler`]) and what
+//! counts as anomalous ([`AnomalyDetector`]).  The monitor has one knob,
+//! its sampling interval; the thresholds below are constants, tuned so
+//! the scripted chaos tests trip reliably while a steady-state
+//! closed-loop soak stays silent (the release soak asserts exactly that).
 //!
 //! ## Detector soundness vs. the watchdog
 //!
 //! The [`ClassificationWatchdog`](crate::ClassificationWatchdog) is a
 //! *correctness* oracle: a violation means the engine provably emitted a
 //! non-serializable window, and one violation is terminal.  The anomaly
-//! detector is a *health* heuristic: abort-storm, lag-stall, fsync
-//! degradation and throughput collapse are statistical judgements
-//! against a windowed baseline, expected to fire under injected chaos
-//! and to stay silent in steady state (the release soak asserts zero
-//! false alarms).  The detector therefore *forwards* watchdog verdicts
-//! as its fifth rule but never reinterprets them: a watchdog violation
-//! alarm is exactly as loud as the watchdog itself.
+//! detector is a *health* heuristic: abort-storm and lag-stall are
+//! statistical judgements against recent frames, expected to fire under
+//! injected chaos and to stay silent in steady state.  The detector
+//! therefore *forwards* watchdog verdicts as its third rule but never
+//! reinterprets them: a watchdog violation alarm is exactly as loud as
+//! the watchdog itself.
 //!
 //! Alarms are edge-triggered with hysteresis by construction: an alarm
 //! is *active* from its onset frame until its clear frame, transitions
 //! are recorded into the flight recorder as
 //! [`EventKind::Anomaly`](mvcc_telemetry::EventKind) events, and the
-//! baseline only absorbs alarm-free frames (so a storm cannot talk the
-//! baseline into accepting it).
+//! abort-rate baseline only absorbs alarm-free frames (so a storm cannot
+//! talk the baseline into accepting it).
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::session::Engine;
@@ -34,14 +34,29 @@ use crate::watchdog::WatchdogStats;
 use mvcc_analysis::lock_class;
 use mvcc_analysis::lockdep::TrackedMutex;
 use mvcc_telemetry::timeline::{
-    FrameSource, QuantileSummary, ReplicaFrame, TimelineFrame, TimelineRecorder, TimelineRing,
-    DEFAULT_TIMELINE_CAPACITY,
+    FrameSource, ReplicaFrame, TimelineFrame, TimelineRecorder, TimelineRing,
 };
-use mvcc_telemetry::{EventKind, FlightEvent, Stage};
+use mvcc_telemetry::{EventKind, Stage};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Frames of alarm-free history the abort-rate baseline averages over.
+const BASELINE_WINDOW: usize = 5;
+/// Minimum finished transactions in a window before the abort-storm rule
+/// may fire (tiny windows have meaningless fractions).
+const MIN_TXNS: u64 = 16;
+/// Absolute abort-fraction floor for abort-storm.
+const ABORT_RATE_THRESHOLD: f64 = 0.5;
+/// Abort-storm also requires the fraction to exceed the baseline by this
+/// factor (a workload that *always* aborts half its load is contention,
+/// not a storm).
+const ABORT_RATE_FACTOR: f64 = 3.0;
+/// Consecutive flat-watermark frames (with lag) before lag-stall fires.
+const STALL_FRAMES: u64 = 2;
+/// Frames the monitor's ring keeps: ten minutes at a 100 ms cadence.
+const RING_CAPACITY: usize = 6_000;
 
 // ---------------------------------------------------------------------
 // Probes.
@@ -90,12 +105,12 @@ impl fmt::Debug for MemberProbe {
 /// guard test pins recorder-on within 5% of off).
 pub struct EngineSampler {
     metrics: Arc<EngineMetrics>,
-    /// Returns (last appended LSN, flushed-horizon LSN) of the *current*
-    /// primary.  A closure so a failover harness can follow its write
-    /// router: after promotion the probe must read the promoted engine,
-    /// or replica lag would be measured against a deposed log and the
-    /// lag-stall alarm could never clear.
-    lsn: Box<dyn Fn() -> (u64, u64) + Send>,
+    /// Returns the last appended LSN of the *current* primary.  A
+    /// closure so a failover harness can follow its write router: after
+    /// promotion the probe must read the promoted engine, or replica lag
+    /// would be measured against a deposed log and the lag-stall alarm
+    /// could never clear.
+    lsn: Box<dyn Fn() -> u64 + Send>,
     probes: Vec<MemberProbe>,
     watchdog: Option<Box<dyn Fn() -> WatchdogStats + Send>>,
     detector: Arc<TrackedMutex<AnomalyDetector>>,
@@ -109,9 +124,8 @@ impl EngineSampler {
     /// A sampler over `metrics` with an explicit primary-LSN probe.
     pub fn new(
         metrics: Arc<EngineMetrics>,
-        lsn: impl Fn() -> (u64, u64) + Send + 'static,
+        lsn: impl Fn() -> u64 + Send + 'static,
         probes: Vec<MemberProbe>,
-        detector: DetectorConfig,
     ) -> Self {
         let prev = metrics.snapshot();
         // The sampler is the timeline's clock; it runs on the recorder
@@ -125,7 +139,7 @@ impl EngineSampler {
             watchdog: None,
             detector: Arc::new(TrackedMutex::new(
                 lock_class!("engine.health-detector"),
-                AnomalyDetector::new(detector),
+                AnomalyDetector::new(),
             )),
             start: now,
             prev_at: now,
@@ -136,22 +150,12 @@ impl EngineSampler {
 
     /// A sampler following one engine's own WAL (the common
     /// single-primary case).
-    pub fn for_engine(
-        engine: &Arc<Engine>,
-        probes: Vec<MemberProbe>,
-        detector: DetectorConfig,
-    ) -> Self {
+    pub fn for_engine(engine: &Arc<Engine>, probes: Vec<MemberProbe>) -> Self {
         let primary = Arc::clone(engine);
         EngineSampler::new(
             engine.metrics_handle(),
-            move || -> (u64, u64) {
-                (
-                    primary.wal_last_lsn().unwrap_or(0),
-                    primary.durable_lsn().unwrap_or(0),
-                )
-            },
+            move || primary.wal_last_lsn().unwrap_or(0),
             probes,
-            detector,
         )
     }
 
@@ -184,45 +188,26 @@ impl FrameSource for EngineSampler {
         let snap = self.metrics.snapshot();
         // lint: allow(clock) — frame timestamping on the cadence thread.
         let now = Instant::now();
-        let window = now.duration_since(self.prev_at);
-        let window_us = u64::try_from(window.as_micros()).unwrap_or(u64::MAX).max(1);
+        let window_us = u64::try_from(now.duration_since(self.prev_at).as_micros())
+            .unwrap_or(u64::MAX)
+            .max(1);
 
-        let begun = snap.begun.saturating_sub(self.prev.begun);
         let committed = snap.committed.saturating_sub(self.prev.committed);
         let aborted = snap.aborted.saturating_sub(self.prev.aborted);
         let finished = committed + aborted;
-        let mut aborts_by_reason = Vec::new();
-        for (reason, count) in &snap.aborts_by_reason {
-            let before = self
-                .prev
-                .aborts_by_reason
-                .iter()
-                .find(|(r, _)| r == reason)
-                .map_or(0, |(_, c)| *c);
-            let delta = count.saturating_sub(before);
-            if delta > 0 {
-                aborts_by_reason.push((reason.to_string(), delta));
-            }
-        }
-
-        let commit = QuantileSummary::from_histogram(&snap.latency.diff(&self.prev.latency));
-        let stage_window = snap.stages.diff(&self.prev.stages);
-        let wal_flush = stage_window
-            .get(Stage::WalFlush)
-            .map(QuantileSummary::from_histogram)
-            .unwrap_or_default();
-        let stages: Vec<(String, QuantileSummary)> = stage_window
+        let commit_p99_us = snap
+            .latency
+            .diff(&self.prev.latency)
+            .quantile(0.99)
+            .unwrap_or(0.0);
+        let flush_p99_us = snap
             .stages
-            .iter()
-            .map(|entry| {
-                (
-                    entry.stage.name().to_string(),
-                    QuantileSummary::from_histogram(&entry.histogram),
-                )
-            })
-            .collect();
+            .diff(&self.prev.stages)
+            .get(Stage::WalFlush)
+            .and_then(|h| h.quantile(0.99))
+            .unwrap_or(0.0);
 
-        let (primary_lsn, durable_lsn) = (self.lsn)();
+        let primary_lsn = (self.lsn)();
         let replicas: Vec<ReplicaFrame> = self
             .probes
             .iter()
@@ -256,8 +241,6 @@ impl FrameSource for EngineSampler {
         let frame = TimelineFrame {
             seq,
             at_us: u64::try_from(now.duration_since(self.start).as_micros()).unwrap_or(u64::MAX),
-            window_us,
-            begun,
             committed,
             aborted,
             txn_s: committed as f64 / (window_us as f64 / 1e6),
@@ -266,15 +249,9 @@ impl FrameSource for EngineSampler {
             } else {
                 aborted as f64 / finished as f64
             },
-            aborts_by_reason,
-            wal_flushes: snap.wal_flushes.saturating_sub(self.prev.wal_flushes),
-            wal_fsyncs: snap.wal_fsyncs.saturating_sub(self.prev.wal_fsyncs),
-            commit,
-            wal_flush,
-            stages,
+            commit_p99_us,
+            flush_p99_us,
             primary_lsn,
-            durable_lsn,
-            epoch: snap.epoch,
             replicas,
             watchdog_windows,
             watchdog_violations,
@@ -300,10 +277,6 @@ pub enum AnomalyKind {
     AbortStorm,
     /// A replica's watermark stayed flat while it had log left to apply.
     LagStall,
-    /// Windowed WAL flush/fsync p99 degraded far above its baseline.
-    FsyncDegradation,
-    /// Windowed throughput collapsed while clients still offered load.
-    ThroughputCollapse,
     /// The classification watchdog ruled a violation inside the window.
     WatchdogViolation,
 }
@@ -314,8 +287,6 @@ impl AnomalyKind {
         match self {
             AnomalyKind::AbortStorm => "abort-storm",
             AnomalyKind::LagStall => "lag-stall",
-            AnomalyKind::FsyncDegradation => "fsync-degradation",
-            AnomalyKind::ThroughputCollapse => "throughput-collapse",
             AnomalyKind::WatchdogViolation => "watchdog-violation",
         }
     }
@@ -338,8 +309,6 @@ pub struct Alarm {
     pub member: Option<String>,
     /// Frame sequence number of the onset.
     pub onset: u64,
-    /// Timeline timestamp (µs) of the onset frame.
-    pub onset_at_us: u64,
     /// Frame sequence number the alarm cleared at, `None` while active.
     pub cleared: Option<u64>,
     /// Human-readable trigger detail (rates, baselines, watermarks).
@@ -368,70 +337,6 @@ impl fmt::Display for Alarm {
     }
 }
 
-/// Detector thresholds.  Defaults are tuned so the scripted chaos tests
-/// trip reliably while a steady-state closed-loop soak stays silent (the
-/// release soak asserts exactly that).
-#[derive(Debug, Clone, Copy)]
-pub struct DetectorConfig {
-    /// Frames of history the rolling baseline averages over.
-    pub baseline_window: usize,
-    /// Minimum finished transactions in a window before the abort-storm
-    /// rule may fire (tiny windows have meaningless fractions).
-    pub min_txns: u64,
-    /// Absolute abort-fraction floor for abort-storm.
-    pub abort_rate_threshold: f64,
-    /// Abort-storm also requires the fraction to exceed the baseline by
-    /// this factor (a workload that *always* aborts half its load is
-    /// contention, not a storm).
-    pub abort_rate_factor: f64,
-    /// Consecutive flat-watermark frames (with lag) before lag-stall
-    /// fires.
-    pub stall_frames: u64,
-    /// Fsync-degradation requires windowed flush p99 ≥ baseline × this.
-    pub fsync_factor: f64,
-    /// … and ≥ this absolute floor (µs), so µs-scale jitter on an
-    /// in-memory WAL never alarms.
-    pub fsync_floor_us: f64,
-    /// Consecutive degraded windows before fsync-degradation fires (one
-    /// slow flush window is an I/O scheduling blip, not a failing disk —
-    /// the same persistence discipline as stall/collapse).
-    pub fsync_frames: u64,
-    /// Throughput-collapse fires when windowed txn/s drops below
-    /// baseline × this fraction …
-    pub collapse_fraction: f64,
-    /// … provided the baseline itself was at least this many txn/s
-    /// (an idle engine cannot collapse).
-    pub min_baseline_tps: f64,
-    /// Consecutive collapsed frames before the alarm fires (one slow
-    /// window is scheduling noise).
-    pub collapse_frames: u64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            baseline_window: 5,
-            min_txns: 16,
-            abort_rate_threshold: 0.5,
-            abort_rate_factor: 3.0,
-            stall_frames: 2,
-            fsync_factor: 4.0,
-            fsync_floor_us: 256.0,
-            fsync_frames: 2,
-            collapse_fraction: 0.2,
-            min_baseline_tps: 500.0,
-            collapse_frames: 2,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct BaselinePoint {
-    txn_s: f64,
-    abort_rate: f64,
-    fsync_p99: Option<f64>,
-}
-
 #[derive(Debug, Default)]
 struct MemberState {
     last_watermark: u64,
@@ -443,27 +348,18 @@ struct MemberState {
 /// ([`AnomalyDetector::alarms`]).  Pure frame-in/verdict-out logic — no
 /// threads, no clocks — so scripted tests and `mvccstat replay` run the
 /// exact detector the live monitor runs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AnomalyDetector {
-    config: DetectorConfig,
-    baseline: VecDeque<BaselinePoint>,
+    /// Abort rates of the most recent alarm-free frames with traffic.
+    baseline: VecDeque<f64>,
     members: Vec<(String, MemberState)>,
-    collapse_run: u64,
-    fsync_run: u64,
     alarms: Vec<Alarm>,
 }
 
 impl AnomalyDetector {
     /// A detector with no history yet.
-    pub fn new(config: DetectorConfig) -> Self {
-        AnomalyDetector {
-            config,
-            baseline: VecDeque::new(),
-            members: Vec::new(),
-            collapse_run: 0,
-            fsync_run: 0,
-            alarms: Vec::new(),
-        }
+    pub fn new() -> Self {
+        AnomalyDetector::default()
     }
 
     /// Every alarm raised so far (cleared ones keep their clear frame).
@@ -482,37 +378,26 @@ impl AnomalyDetector {
 
     /// Runs the detector over a recorded timeline (what `mvccstat
     /// replay` does) and returns the alarms.
-    pub fn replay(frames: &[TimelineFrame], config: DetectorConfig) -> Vec<Alarm> {
-        let mut detector = AnomalyDetector::new(config);
+    pub fn replay(frames: &[TimelineFrame]) -> Vec<Alarm> {
+        let mut detector = AnomalyDetector::new();
         for frame in frames {
             detector.observe(frame);
         }
-        detector.alarms()
+        detector.alarms
     }
 
     /// Evaluates one frame, updating alarm state; returns the flight
     /// events for this frame's onset/clear transitions (the caller owns
     /// the flight recorder — the detector stays mechanism-free).
     pub fn observe(&mut self, frame: &TimelineFrame) -> Vec<EventKind> {
-        let cfg = self.config;
         let mut events = Vec::new();
-
-        // Rolling baselines over recent alarm-free frames.
-        let base_n = self.baseline.len().max(1) as f64;
-        let base_tps = self.baseline.iter().map(|p| p.txn_s).sum::<f64>() / base_n;
-        let base_abort = self.baseline.iter().map(|p| p.abort_rate).sum::<f64>() / base_n;
-        let fsync_points: Vec<f64> = self.baseline.iter().filter_map(|p| p.fsync_p99).collect();
-        let base_fsync = if fsync_points.is_empty() {
-            None
-        } else {
-            Some(fsync_points.iter().sum::<f64>() / fsync_points.len() as f64)
-        };
+        let base_abort = self.baseline.iter().sum::<f64>() / self.baseline.len().max(1) as f64;
 
         // Rule 1: abort storm.
         let finished = frame.committed + frame.aborted;
-        let storm = finished >= cfg.min_txns
-            && frame.abort_rate >= cfg.abort_rate_threshold
-            && frame.abort_rate >= base_abort * cfg.abort_rate_factor;
+        let storm = finished >= MIN_TXNS
+            && frame.abort_rate >= ABORT_RATE_THRESHOLD
+            && frame.abort_rate >= base_abort * ABORT_RATE_FACTOR;
         self.transition(
             AnomalyKind::AbortStorm,
             None,
@@ -546,7 +431,7 @@ impl AnomalyDetector {
                 state.flat_frames = 0;
             }
             state.last_watermark = replica.watermark;
-            let stalled = state.flat_frames >= cfg.stall_frames;
+            let stalled = state.flat_frames >= STALL_FRAMES;
             let (watermark, lag) = (replica.watermark, replica.lag_lsn);
             self.transition(
                 AnomalyKind::LagStall,
@@ -558,59 +443,7 @@ impl AnomalyDetector {
             );
         }
 
-        // Rule 3: fsync / WAL-flush degradation — only after
-        // `fsync_frames` consecutive degraded windows (a single slow
-        // flush window is an I/O scheduling blip, not a failing disk).
-        let degraded_now = match base_fsync {
-            Some(base) => {
-                !frame.wal_flush.is_empty()
-                    && frame.wal_flush.p99 >= cfg.fsync_floor_us
-                    && frame.wal_flush.p99 >= base * cfg.fsync_factor
-            }
-            None => false,
-        };
-        self.fsync_run = if degraded_now { self.fsync_run + 1 } else { 0 };
-        let degraded = self.fsync_run >= cfg.fsync_frames;
-        self.transition(
-            AnomalyKind::FsyncDegradation,
-            None,
-            degraded,
-            frame,
-            || {
-                format!(
-                    "flush_p99={:.1}us baseline={:.1}us",
-                    frame.wal_flush.p99,
-                    base_fsync.unwrap_or(0.0)
-                )
-            },
-            &mut events,
-        );
-
-        // Rule 4: throughput collapse.  Only while clients still offer
-        // load — the idle tail after a closed-loop run ends is a normal
-        // zero, not a collapse — and only after `collapse_frames`
-        // consecutive bad windows.
-        let offering = frame.begun > 0 || frame.aborted > 0;
-        let collapsed_now = !self.baseline.is_empty()
-            && base_tps >= cfg.min_baseline_tps
-            && frame.txn_s < base_tps * cfg.collapse_fraction
-            && offering;
-        self.collapse_run = if collapsed_now {
-            self.collapse_run + 1
-        } else {
-            0
-        };
-        let collapse = self.collapse_run >= cfg.collapse_frames;
-        self.transition(
-            AnomalyKind::ThroughputCollapse,
-            None,
-            collapse,
-            frame,
-            || format!("txn_s={:.0} baseline={:.0}", frame.txn_s, base_tps),
-            &mut events,
-        );
-
-        // Rule 5: watchdog violation — forwarded, not reinterpreted.
+        // Rule 3: watchdog violation — forwarded, not reinterpreted.
         self.transition(
             AnomalyKind::WatchdogViolation,
             None,
@@ -621,23 +454,10 @@ impl AnomalyDetector {
         );
 
         // Only alarm-free frames with traffic teach the baseline: an
-        // anomalous frame must not normalize itself, and idle windows
-        // would drag the throughput baseline toward zero.  Frames mid-way
-        // through a persistence run (degraded or collapsed but not yet
-        // past `*_frames`) are suspects, not baselines — learning them
-        // would raise the bar the very next window is judged against.
-        if events.is_empty()
-            && self.active_alarms().is_empty()
-            && finished > 0
-            && self.fsync_run == 0
-            && self.collapse_run == 0
-        {
-            self.baseline.push_back(BaselinePoint {
-                txn_s: frame.txn_s,
-                abort_rate: frame.abort_rate,
-                fsync_p99: (!frame.wal_flush.is_empty()).then_some(frame.wal_flush.p99),
-            });
-            while self.baseline.len() > cfg.baseline_window {
+        // anomalous frame must not normalize itself.
+        if events.is_empty() && self.alarms.iter().all(|a| !a.is_active()) && finished > 0 {
+            self.baseline.push_back(frame.abort_rate);
+            if self.baseline.len() > BASELINE_WINDOW {
                 self.baseline.pop_front();
             }
         }
@@ -647,7 +467,6 @@ impl AnomalyDetector {
     /// Applies one rule verdict: raises on a fresh condition, clears a
     /// held alarm whose condition released, and emits the corresponding
     /// flight event.
-    #[allow(clippy::too_many_arguments)]
     fn transition(
         &mut self,
         kind: AnomalyKind,
@@ -674,7 +493,6 @@ impl AnomalyDetector {
                     kind,
                     member,
                     onset: frame.seq,
-                    onset_at_us: frame.at_us,
                     cleared: None,
                     detail,
                 });
@@ -694,184 +512,31 @@ impl AnomalyDetector {
 }
 
 // ---------------------------------------------------------------------
-// Cluster health aggregation.
-// ---------------------------------------------------------------------
-
-/// One member's row in a [`ClusterHealth`] report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemberHealth {
-    /// Member name (`primary`, or a probe's name).
-    pub name: String,
-    /// `primary` or `replica`.
-    pub role: String,
-    /// The epoch the member observes (replicas inherit the frame's).
-    pub epoch: u64,
-    /// Last appended LSN (primary) or apply watermark (replica).
-    pub position: u64,
-    /// LSNs behind the primary (0 for the primary itself).
-    pub lag_lsn: u64,
-}
-
-/// The aggregated cluster report `mvccstat` renders: per-member
-/// positions from the newest frame, active/total alarms, and the
-/// failover MTTR when the flight recorder saw a promotion.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterHealth {
-    /// Frame the report was cut from.
-    pub frame_seq: u64,
-    /// Per-member rows (primary first).
-    pub members: Vec<MemberHealth>,
-    /// Windowed throughput of the newest frame.
-    pub txn_s: f64,
-    /// Windowed abort fraction of the newest frame.
-    pub abort_rate: f64,
-    /// All alarms raised over the run (cleared ones included).
-    pub alarms: Vec<Alarm>,
-    /// Failover mean-time-to-repair: promotion `detected` → `installed`
-    /// (µs), when the flight recorder saw both phases.
-    pub failover_mttr_us: Option<u64>,
-}
-
-impl ClusterHealth {
-    /// Builds the report from the newest frame, the detector's alarms,
-    /// and (optionally) flight events for the MTTR annotation.
-    pub fn from_frame(frame: &TimelineFrame, alarms: Vec<Alarm>, events: &[FlightEvent]) -> Self {
-        let mut members = vec![MemberHealth {
-            name: "primary".to_string(),
-            role: "primary".to_string(),
-            epoch: frame.epoch,
-            position: frame.primary_lsn,
-            lag_lsn: 0,
-        }];
-        for replica in &frame.replicas {
-            members.push(MemberHealth {
-                name: replica.name.clone(),
-                role: "replica".to_string(),
-                epoch: frame.epoch,
-                position: replica.watermark,
-                lag_lsn: replica.lag_lsn,
-            });
-        }
-        ClusterHealth {
-            frame_seq: frame.seq,
-            members,
-            txn_s: frame.txn_s,
-            abort_rate: frame.abort_rate,
-            alarms,
-            failover_mttr_us: failover_mttr(events),
-        }
-    }
-
-    /// Renders the report as the `mvccstat` footer table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "cluster health @ frame {}: txn/s {:.0}, abort {:.1}%\n",
-            self.frame_seq,
-            self.txn_s,
-            self.abort_rate * 100.0
-        ));
-        out.push_str("  member      role     epoch  position  lag\n");
-        for m in &self.members {
-            out.push_str(&format!(
-                "  {:<10}  {:<7}  {:>5}  {:>8}  {:>3}\n",
-                m.name, m.role, m.epoch, m.position, m.lag_lsn
-            ));
-        }
-        if let Some(mttr) = self.failover_mttr_us {
-            out.push_str(&format!("  failover MTTR: {} µs\n", mttr));
-        }
-        let active = self.alarms.iter().filter(|a| a.is_active()).count();
-        out.push_str(&format!(
-            "  alarms: {} raised, {} active\n",
-            self.alarms.len(),
-            active
-        ));
-        for alarm in &self.alarms {
-            out.push_str(&format!("    {alarm}\n"));
-        }
-        out
-    }
-}
-
-/// Promotion `detected` → `installed` latency (µs) from flight events,
-/// or `None` when the recorder saw no complete promotion.
-pub fn failover_mttr(events: &[FlightEvent]) -> Option<u64> {
-    let mut detected = None;
-    for event in events {
-        if let EventKind::Promotion { phase, .. } = &event.kind {
-            match phase.as_str() {
-                "detected" if detected.is_none() => detected = Some(event.at_us),
-                "installed" => {
-                    if let Some(start) = detected {
-                        return Some(event.at_us.saturating_sub(start));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------
 // The health monitor (recorder + sampler + detector, bundled).
 // ---------------------------------------------------------------------
 
-/// Monitor cadence/capacity/thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// Sampling cadence (default 100 ms).
-    pub interval: Duration,
-    /// Frame-ring capacity.
-    pub capacity: usize,
-    /// Detector thresholds.
-    pub detector: DetectorConfig,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            interval: Duration::from_millis(100),
-            capacity: DEFAULT_TIMELINE_CAPACITY,
-            detector: DetectorConfig::default(),
-        }
-    }
-}
-
 /// The bundled continuous-observability surface: a [`TimelineRecorder`]
-/// driving an [`EngineSampler`], with the shared ring attached to the
-/// engine's metrics (so `Display` grows its `rates:` block) and the
-/// detector handle exposed for assertions.
+/// driving an [`EngineSampler`] every `interval`, with the detector
+/// handle exposed for assertions.
 #[derive(Debug)]
 pub struct HealthMonitor {
     recorder: TimelineRecorder,
     detector: Arc<TrackedMutex<AnomalyDetector>>,
-    metrics: Arc<EngineMetrics>,
 }
 
 impl HealthMonitor {
     /// Starts a monitor over one engine with the given member probes.
-    pub fn start(engine: &Arc<Engine>, probes: Vec<MemberProbe>, config: HealthConfig) -> Self {
-        let sampler = EngineSampler::for_engine(engine, probes, config.detector);
-        HealthMonitor::start_with(engine.metrics_handle(), sampler, config)
+    pub fn start(engine: &Arc<Engine>, probes: Vec<MemberProbe>, interval: Duration) -> Self {
+        HealthMonitor::start_with(EngineSampler::for_engine(engine, probes), interval)
     }
 
     /// Starts a monitor over a custom sampler (a failover harness passes
-    /// a router-following sampler here).
-    pub fn start_with(
-        metrics: Arc<EngineMetrics>,
-        sampler: EngineSampler,
-        config: HealthConfig,
-    ) -> Self {
+    /// a router-following sampler here, a monitored load run one with a
+    /// watchdog attached).
+    pub fn start_with(sampler: EngineSampler, interval: Duration) -> Self {
         let detector = sampler.detector();
-        let recorder = TimelineRecorder::start(sampler, config.interval, config.capacity);
-        metrics.attach_timeline(recorder.ring());
-        HealthMonitor {
-            recorder,
-            detector,
-            metrics,
-        }
+        let recorder = TimelineRecorder::start(sampler, interval, RING_CAPACITY);
+        HealthMonitor { recorder, detector }
     }
 
     /// The shared frame ring.
@@ -879,37 +544,15 @@ impl HealthMonitor {
         self.recorder.ring()
     }
 
-    /// All alarms raised so far.
-    pub fn alarms(&self) -> Vec<Alarm> {
-        self.detector.lock().alarms()
-    }
-
     /// The alarms still active.
     pub fn active_alarms(&self) -> Vec<Alarm> {
         self.detector.lock().active_alarms()
-    }
-
-    /// The aggregated report for the newest frame (empty-run fallback:
-    /// a zeroed frame).
-    pub fn health(&self) -> ClusterHealth {
-        let frame = self
-            .recorder
-            .ring()
-            .latest()
-            .unwrap_or_else(|| TimelineFrame::zeroed(0));
-        let events = self
-            .metrics
-            .telemetry()
-            .map(|t| t.flight().events())
-            .unwrap_or_default();
-        ClusterHealth::from_frame(&frame, self.alarms(), &events)
     }
 
     /// Stops the recorder (one closing frame lands first) and returns
     /// the recorded frames and alarms.
     pub fn stop(self) -> (Vec<TimelineFrame>, Vec<Alarm>) {
         let ring = self.recorder.stop();
-        self.metrics.detach_timeline();
         (ring.frames(), self.detector.lock().alarms())
     }
 }
@@ -921,8 +564,6 @@ mod tests {
     fn traffic_frame(seq: u64, committed: u64, aborted: u64) -> TimelineFrame {
         let mut frame = TimelineFrame::zeroed(seq);
         frame.at_us = (seq + 1) * 100_000;
-        frame.window_us = 100_000;
-        frame.begun = committed + aborted;
         frame.committed = committed;
         frame.aborted = aborted;
         frame.txn_s = committed as f64 / 0.1;
@@ -937,7 +578,7 @@ mod tests {
 
     #[test]
     fn abort_storm_fires_on_a_jump_and_clears_when_it_passes() {
-        let mut detector = AnomalyDetector::new(DetectorConfig::default());
+        let mut detector = AnomalyDetector::new();
         for seq in 0..5 {
             assert!(detector.observe(&traffic_frame(seq, 100, 5)).is_empty());
         }
@@ -970,7 +611,7 @@ mod tests {
     fn a_persistently_contended_workload_is_not_a_storm() {
         // 40% aborts every frame: high, but it IS the baseline — the
         // factor condition keeps the detector quiet.
-        let mut detector = AnomalyDetector::new(DetectorConfig::default());
+        let mut detector = AnomalyDetector::new();
         for seq in 0..20 {
             assert!(
                 detector.observe(&traffic_frame(seq, 60, 40)).is_empty(),
@@ -981,7 +622,7 @@ mod tests {
 
     #[test]
     fn lag_stall_needs_lag_and_a_flat_watermark() {
-        let mut detector = AnomalyDetector::new(DetectorConfig::default());
+        let mut detector = AnomalyDetector::new();
         let frame_with = |seq: u64, watermark: u64, primary: u64| {
             let mut frame = traffic_frame(seq, 50, 0);
             frame.primary_lsn = primary;
@@ -1019,101 +660,8 @@ mod tests {
     }
 
     #[test]
-    fn fsync_degradation_compares_against_the_baseline() {
-        let mut detector = AnomalyDetector::new(DetectorConfig::default());
-        let frame_with = |seq: u64, p99: f64| {
-            let mut frame = traffic_frame(seq, 50, 0);
-            frame.wal_flushes = 5;
-            frame.wal_fsyncs = 5;
-            frame.wal_flush = QuantileSummary {
-                count: 5,
-                mean: p99 / 2.0,
-                p50: p99 / 2.0,
-                p95: p99,
-                p99,
-                p999: p99,
-            };
-            frame
-        };
-        for seq in 0..5 {
-            assert!(detector.observe(&frame_with(seq, 100.0)).is_empty());
-        }
-        // 8× the baseline and above the floor — but one degraded window
-        // is an I/O blip, not a failing disk: the persistence rule
-        // (`fsync_frames` = 2) holds fire.
-        assert!(detector.observe(&frame_with(5, 800.0)).is_empty());
-        // The second consecutive degraded window fires.
-        let events = detector.observe(&frame_with(6, 800.0));
-        assert!(
-            matches!(&events[0], EventKind::Anomaly { anomaly, phase, .. }
-                if anomaly == "fsync-degradation" && phase == "onset"),
-            "{events:?}"
-        );
-        // Back to normal: clears.
-        let events = detector.observe(&frame_with(7, 110.0));
-        assert!(
-            matches!(&events[0], EventKind::Anomaly { phase, .. } if phase == "clear"),
-            "{events:?}"
-        );
-        // A blip that recovers for one window resets the run: no alarm.
-        let mut blippy = AnomalyDetector::new(DetectorConfig::default());
-        for seq in 0..5 {
-            assert!(blippy.observe(&frame_with(seq, 100.0)).is_empty());
-        }
-        assert!(blippy.observe(&frame_with(5, 800.0)).is_empty());
-        assert!(blippy.observe(&frame_with(6, 100.0)).is_empty());
-        assert!(blippy.observe(&frame_with(7, 800.0)).is_empty());
-        // Sub-floor jitter never fires even at a large factor: 10 µs
-        // baseline, 80 µs spikes.
-        let mut quiet = AnomalyDetector::new(DetectorConfig::default());
-        for seq in 0..5 {
-            assert!(quiet.observe(&frame_with(seq, 10.0)).is_empty());
-        }
-        assert!(quiet.observe(&frame_with(5, 80.0)).is_empty());
-        assert!(quiet.observe(&frame_with(6, 80.0)).is_empty());
-    }
-
-    #[test]
-    fn throughput_collapse_requires_offered_load_and_persistence() {
-        let mut detector = AnomalyDetector::new(DetectorConfig::default());
-        for seq in 0..5 {
-            assert!(detector.observe(&traffic_frame(seq, 200, 0)).is_empty());
-        }
-        // The idle tail after a run ends: txn/s drops to zero but nobody
-        // is offering load — not a collapse.
-        let mut idle = TimelineFrame::zeroed(5);
-        idle.at_us = 600_000;
-        idle.window_us = 100_000;
-        assert!(detector.observe(&idle).is_empty());
-        let mut idle2 = idle.clone();
-        idle2.seq = 6;
-        assert!(detector.observe(&idle2).is_empty());
-
-        // A real collapse: clients begin transactions but almost nothing
-        // commits.  One bad frame is noise; the second fires.
-        let collapsed = |seq: u64| {
-            let mut frame = traffic_frame(seq, 3, 0);
-            frame.begun = 100;
-            frame
-        };
-        assert!(detector.observe(&collapsed(7)).is_empty());
-        let events = detector.observe(&collapsed(8));
-        assert!(
-            matches!(&events[0], EventKind::Anomaly { anomaly, phase, .. }
-                if anomaly == "throughput-collapse" && phase == "onset"),
-            "{events:?}"
-        );
-        // Recovery clears.
-        let events = detector.observe(&traffic_frame(9, 190, 0));
-        assert!(
-            matches!(&events[0], EventKind::Anomaly { phase, .. } if phase == "clear"),
-            "{events:?}"
-        );
-    }
-
-    #[test]
     fn watchdog_violations_are_forwarded() {
-        let mut detector = AnomalyDetector::new(DetectorConfig::default());
+        let mut detector = AnomalyDetector::new();
         let mut frame = traffic_frame(0, 50, 0);
         frame.watchdog_windows = 2;
         frame.watchdog_violations = 1;
@@ -1134,60 +682,10 @@ mod tests {
         let mut frames: Vec<TimelineFrame> = (0..5).map(|s| traffic_frame(s, 100, 5)).collect();
         frames.push(traffic_frame(5, 20, 80));
         frames.push(traffic_frame(6, 100, 5));
-        let alarms = AnomalyDetector::replay(&frames, DetectorConfig::default());
+        let alarms = AnomalyDetector::replay(&frames);
         assert_eq!(alarms.len(), 1);
         assert_eq!(alarms[0].kind, AnomalyKind::AbortStorm);
         assert_eq!(alarms[0].onset, 5);
         assert_eq!(alarms[0].cleared, Some(6));
-    }
-
-    #[test]
-    fn cluster_health_aggregates_members_and_mttr() {
-        let mut frame = traffic_frame(9, 100, 1);
-        frame.primary_lsn = 50;
-        frame.epoch = 1;
-        frame.replicas = vec![ReplicaFrame {
-            name: "electee".into(),
-            watermark: 48,
-            lag_lsn: 3,
-        }];
-        let events = vec![
-            FlightEvent {
-                at_us: 1_000,
-                kind: EventKind::Promotion {
-                    phase: "detected".into(),
-                    detail: String::new(),
-                },
-                trace: None,
-            },
-            FlightEvent {
-                at_us: 4_500,
-                kind: EventKind::Promotion {
-                    phase: "installed".into(),
-                    detail: String::new(),
-                },
-                trace: None,
-            },
-        ];
-        let alarm = Alarm {
-            kind: AnomalyKind::LagStall,
-            member: Some("electee".into()),
-            onset: 4,
-            onset_at_us: 500_000,
-            cleared: Some(8),
-            detail: "watermark=48 lag=3".into(),
-        };
-        let health = ClusterHealth::from_frame(&frame, vec![alarm], &events);
-        assert_eq!(health.members.len(), 2);
-        assert_eq!(health.members[0].role, "primary");
-        assert_eq!(health.members[1].lag_lsn, 3);
-        assert_eq!(health.failover_mttr_us, Some(3_500));
-        let rendered = health.render();
-        assert!(rendered.contains("electee"), "{rendered}");
-        assert!(rendered.contains("failover MTTR: 3500 µs"), "{rendered}");
-        assert!(rendered.contains("lag-stall[electee]"), "{rendered}");
-        assert!(rendered.contains("cleared frame 8"), "{rendered}");
-        // No promotion events → no MTTR row.
-        assert_eq!(failover_mttr(&[]), None);
     }
 }

@@ -94,10 +94,7 @@ pub use certifier::{
 };
 pub use checkpoint::CheckpointDriver;
 pub use gc::GcDriver;
-pub use health::{
-    failover_mttr, Alarm, AnomalyDetector, AnomalyKind, ClusterHealth, DetectorConfig,
-    EngineSampler, HealthConfig, HealthMonitor, MemberHealth, MemberProbe,
-};
+pub use health::{Alarm, AnomalyDetector, AnomalyKind, EngineSampler, HealthMonitor, MemberProbe};
 pub use load::{run_closed_loop, LoadOptions, LoadReport};
 pub use metrics::{AbortReason, EngineMetrics, MetricsSnapshot};
 pub use pipeline::{ChaosHook, KillSite};
@@ -112,10 +109,10 @@ pub use mvcc_durability::{DurabilityConfig, DurabilityMode, RecoveryReport};
 // Re-export the telemetry surface so engine users switch tracing on and
 // read per-stage snapshots without naming the telemetry crate directly.
 pub use mvcc_telemetry::{
-    metrics_text, parse_jsonl, write_jsonl, EventKind, ExemplarReservoir, FlightRecorder,
-    FrameSource, HistogramSnapshot, QuantileSummary, ReplicaFrame, SpanRecord, Stage,
-    StageSnapshot, Telemetry, TelemetryMode, TelemetrySnapshot, TimelineFrame, TimelineRecorder,
-    TimelineRing, TraceEvent, TraceId, TraceLog, TraceTree,
+    parse_jsonl, write_jsonl, EventKind, ExemplarReservoir, FlightRecorder, FrameSource,
+    HistogramSnapshot, ReplicaFrame, SpanRecord, Stage, StageSnapshot, Telemetry, TelemetryMode,
+    TelemetrySnapshot, TimelineFrame, TimelineRecorder, TimelineRing, TraceEvent, TraceId,
+    TraceLog, TraceTree,
 };
 
 // Re-export the value type so callers construct payloads with the exact

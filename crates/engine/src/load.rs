@@ -13,7 +13,7 @@
 
 use crate::certifier::{CertifierKind, HistoryClass};
 use crate::gc::GcDriver;
-use crate::health::{Alarm, EngineSampler, HealthConfig, HealthMonitor, MemberProbe};
+use crate::health::{Alarm, EngineSampler, HealthMonitor};
 use crate::metrics::MetricsSnapshot;
 use crate::session::{Engine, EngineConfig, History};
 use crate::watchdog::{ClassificationWatchdog, WatchdogConfig, WatchdogStats};
@@ -125,10 +125,10 @@ pub struct LoadOptions {
     /// Run the [`ClassificationWatchdog`] alongside the load and report
     /// its final counters.
     pub watchdog: bool,
-    /// Run a [`HealthMonitor`] sampling the engine on this cadence; the
+    /// Run a [`HealthMonitor`] sampling the engine at this interval; the
     /// report then carries the recorded timeline frames and any anomaly
     /// alarms.
-    pub monitor: Option<HealthConfig>,
+    pub monitor: Option<Duration>,
 }
 
 impl Default for LoadOptions {
@@ -181,13 +181,12 @@ pub fn run_closed_loop(
             },
         )
     });
-    let health = options.monitor.map(|config| {
-        let mut sampler =
-            EngineSampler::for_engine(&engine, Vec::<MemberProbe>::new(), config.detector);
+    let health = options.monitor.map(|interval| {
+        let mut sampler = EngineSampler::for_engine(&engine, Vec::new());
         if let Some(d) = &dog {
             sampler = sampler.with_watchdog(d.stats_probe());
         }
-        HealthMonitor::start_with(engine.metrics_handle(), sampler, config)
+        HealthMonitor::start_with(sampler, interval)
     });
     let gc = GcDriver::start(Arc::clone(&engine), Duration::from_millis(1));
     let elapsed = drive_closed_loop(&engine, profile);
@@ -413,10 +412,7 @@ mod tests {
                 history_capacity: Some(64),
                 telemetry: TelemetryMode::On,
                 watchdog: true,
-                monitor: Some(HealthConfig {
-                    interval: Duration::from_millis(5),
-                    ..HealthConfig::default()
-                }),
+                monitor: Some(Duration::from_millis(5)),
                 ..LoadOptions::default()
             },
         );

@@ -16,16 +16,12 @@
 //! failover, and per-stage latency distributions all come out of one
 //! [`MetricsSnapshot`].
 
-use mvcc_analysis::lock_class;
-use mvcc_analysis::lockdep::TrackedMutex;
-use mvcc_telemetry::timeline::{TimelineFrame, TimelineRing};
 use mvcc_telemetry::{
     EventKind, ExemplarReservoir, Stage, Telemetry, TelemetrySnapshot, TraceId, TraceTree,
 };
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// High-frequency batch probes trace one batch in this many (per
@@ -157,11 +153,6 @@ pub struct EngineMetrics {
     shards: Vec<ShardCounters>,
     telemetry: Option<Telemetry>,
     epoch_first_commit_done: AtomicBool,
-    /// The timeline frame ring a running `HealthMonitor` attaches, so
-    /// `Display` can show the last *window's* rates next to the lifetime
-    /// counters.  Off the hot path: touched only by `snapshot()` and the
-    /// monitor's attach/detach.
-    timeline: TrackedMutex<Option<Arc<TimelineRing>>>,
 }
 
 impl EngineMetrics {
@@ -208,21 +199,7 @@ impl EngineMetrics {
             shards: (0..shards).map(|_| ShardCounters::default()).collect(),
             telemetry,
             epoch_first_commit_done: AtomicBool::new(false),
-            timeline: TrackedMutex::new(lock_class!("engine.metrics-timeline"), None),
         }
-    }
-
-    /// Attaches a timeline frame ring: subsequent snapshots carry the
-    /// newest frame as their `rates` block.  Called by the health
-    /// monitor on start.
-    pub fn attach_timeline(&self, ring: Arc<TimelineRing>) {
-        *self.timeline.lock() = Some(ring);
-    }
-
-    /// Detaches the timeline ring (monitor stopped); snapshots go back
-    /// to cumulative-only.
-    pub fn detach_timeline(&self) {
-        *self.timeline.lock() = None;
     }
 
     /// The attached telemetry registry, if the engine runs with stage
@@ -570,7 +547,6 @@ impl EngineMetrics {
                 .iter()
                 .map(|s| s.conflicts.load(Ordering::Relaxed))
                 .collect(),
-            rates: self.timeline.lock().as_ref().and_then(|ring| ring.latest()),
         }
     }
 }
@@ -648,10 +624,6 @@ pub struct MetricsSnapshot {
     pub shard_ops: Vec<u64>,
     /// Conflict-triggered aborts attributed per shard.
     pub shard_conflicts: Vec<u64>,
-    /// The newest timeline frame, when a health monitor is attached —
-    /// the source of the `rates:` Display block (windowed txn/s and
-    /// quantiles instead of lifetime averages).  `None` with no monitor.
-    pub rates: Option<TimelineFrame>,
 }
 
 impl MetricsSnapshot {
@@ -737,19 +709,6 @@ impl fmt::Display for MetricsSnapshot {
             self.latency_us(0.99).unwrap_or(0.0),
             self.latency_us(0.999).unwrap_or(0.0)
         )?;
-        if let Some(rates) = &self.rates {
-            writeln!(
-                f,
-                "rates (last {:.0} ms window): txn/s={:.0} abort={:.1}% \
-                 p50={:.1}µs p99={:.1}µs fsyncs={}",
-                rates.window_us as f64 / 1_000.0,
-                rates.txn_s,
-                rates.abort_rate * 100.0,
-                rates.commit.p50,
-                rates.commit.p99,
-                rates.wal_fsyncs
-            )?;
-        }
         writeln!(
             f,
             "gc: {} passes, {} versions reclaimed",
@@ -798,9 +757,8 @@ impl fmt::Display for MetricsSnapshot {
                 let h = &entry.histogram;
                 writeln!(
                     f,
-                    "  {:<22} ({:>5}): n={} mean={:.1} p50={:.1} p95={:.1} p99={:.1} p999={:.1}",
+                    "  {:<22} n={} mean={:.1} p50={:.1} p95={:.1} p99={:.1} p999={:.1}",
                     entry.stage.name(),
-                    entry.stage.unit().as_str(),
                     h.count(),
                     h.mean().unwrap_or(0.0),
                     h.quantile(0.50).unwrap_or(0.0),
@@ -1080,35 +1038,6 @@ mod tests {
         off.offer_exemplar(mvcc_telemetry::TraceTree::new(trace));
         off.record_trace_event(Stage::WalFlush, None, None, 1);
         assert!(off.exemplars().is_none());
-    }
-
-    #[test]
-    fn an_attached_timeline_ring_feeds_the_rates_block() {
-        let m = EngineMetrics::new(1);
-        m.record_commit(Duration::from_micros(5));
-        // No monitor attached: no rates block, rates is None.
-        let s = m.snapshot();
-        assert!(s.rates.is_none());
-        assert!(!s.to_string().contains("rates ("));
-        // Attach a ring with one frame: the snapshot picks up the newest
-        // frame and Display grows the windowed block.
-        let ring = Arc::new(TimelineRing::new(8));
-        let mut frame = TimelineFrame::zeroed(3);
-        frame.window_us = 100_000;
-        frame.txn_s = 12_345.0;
-        frame.abort_rate = 0.25;
-        ring.push(frame);
-        m.attach_timeline(Arc::clone(&ring));
-        let s = m.snapshot();
-        assert_eq!(s.rates.as_ref().map(|r| r.seq), Some(3));
-        let text = s.to_string();
-        assert!(
-            text.contains("rates (last 100 ms window): txn/s=12345 abort=25.0%"),
-            "{text}"
-        );
-        // Detach: back to cumulative-only.
-        m.detach_timeline();
-        assert!(m.snapshot().rates.is_none());
     }
 
     #[test]

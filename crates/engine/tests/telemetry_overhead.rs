@@ -23,7 +23,7 @@
 //! A second guard applies the same harness to the continuous timeline
 //! recorder (100 ms cadence) — sampling must also stay within 5% of off.
 
-use mvcc_engine::{run_closed_loop, CertifierKind, HealthConfig, LoadOptions, TelemetryMode};
+use mvcc_engine::{run_closed_loop, CertifierKind, LoadOptions, TelemetryMode};
 use mvcc_workload::LoadProfile;
 use std::time::Duration;
 
@@ -121,10 +121,7 @@ fn timeline_recorder_stays_within_five_percent_of_off() {
             &profile,
             LoadOptions {
                 record_history: false,
-                monitor: monitor.then(|| HealthConfig {
-                    interval: Duration::from_millis(100),
-                    ..HealthConfig::default()
-                }),
+                monitor: monitor.then_some(Duration::from_millis(100)),
                 ..LoadOptions::default()
             },
         );

@@ -26,8 +26,8 @@
 //! The **timeline layer** adds the time axis on top of the cumulative
 //! registry: a [`TimelineRecorder`] samples delta frames
 //! ([`TimelineFrame`]) on a fixed cadence into a bounded
-//! [`TimelineRing`], exportable as JSONL and as a Prometheus-style text
-//! exposition ([`metrics_text`]) — see the timeline module docs.
+//! [`TimelineRing`], exportable as JSONL ([`write_jsonl`]) — see the
+//! timeline module docs.
 //!
 //! On top of the histograms sits the **causal tracing layer**: every
 //! transaction carries a [`TraceId`]; sampled ones collect a bounded
@@ -51,10 +51,10 @@ pub use exemplar::{ExemplarReservoir, EXEMPLAR_CAPACITY};
 pub use flight::{EventKind, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram};
 pub use recorder::{StageSnapshot, Telemetry, TelemetryMode, TelemetrySnapshot, FLUSH_EVERY};
-pub use stage::{Stage, StageUnit};
+pub use stage::Stage;
 pub use timeline::{
-    metrics_text, parse_jsonl, write_jsonl, FrameSource, QuantileSummary, ReplicaFrame,
-    TimelineFrame, TimelineRecorder, TimelineRing, DEFAULT_TIMELINE_CAPACITY,
+    parse_jsonl, write_jsonl, FrameSource, ReplicaFrame, TimelineFrame, TimelineRecorder,
+    TimelineRing,
 };
 pub use trace::{
     SpanRecord, TraceEvent, TraceId, TraceLog, TraceTree, DEFAULT_TRACE_LOG_CAPACITY,

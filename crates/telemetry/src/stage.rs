@@ -11,11 +11,10 @@ use std::fmt;
 
 /// One instrumented point in the pipeline.
 ///
-/// Stages come in two unit families (see [`Stage::unit`]): durations in
-/// microseconds and size distributions in plain counts (batch sizes).
-/// Both are recorded into the same log-linear histogram type — a batch
-/// of 7 steps and a latency of 7 µs land in the same bucket shape, which
-/// keeps the registry uniform.
+/// Every stage records durations in microseconds except
+/// [`Stage::WalFlushTxns`], a batch-size distribution in plain counts;
+/// both land in the same log-linear histogram type, which keeps the
+/// registry uniform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Time spent servicing one admission ruling under its lane lock:
@@ -56,25 +55,6 @@ pub enum Stage {
     /// safe point on a replica (µs) — the read-path half of the causal
     /// trace, correlated to the apply path by the pinned safe LSN.
     FollowerReadPin,
-}
-
-/// The unit a stage's histogram is denominated in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StageUnit {
-    /// Microseconds.
-    Micros,
-    /// A plain count (batch sizes).
-    Count,
-}
-
-impl StageUnit {
-    /// Short unit label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StageUnit::Micros => "us",
-            StageUnit::Count => "count",
-        }
-    }
 }
 
 /// All stages, in registry order.
@@ -121,11 +101,6 @@ impl Stage {
         }
     }
 
-    /// The stage at registry index `i`, if any.
-    pub fn from_index(i: usize) -> Option<Stage> {
-        ALL.get(i).copied()
-    }
-
     /// Stable kebab-case name used in Display output and JSON keys.
     pub fn name(self) -> &'static str {
         match self {
@@ -141,14 +116,6 @@ impl Stage {
             Stage::FailoverPromote => "failover-promote",
             Stage::EpochFirstCommit => "epoch-first-commit",
             Stage::FollowerReadPin => "follower-read-pin",
-        }
-    }
-
-    /// The unit this stage's histogram is denominated in.
-    pub fn unit(self) -> StageUnit {
-        match self {
-            Stage::WalFlushTxns => StageUnit::Count,
-            _ => StageUnit::Micros,
         }
     }
 }
@@ -167,10 +134,8 @@ mod tests {
     fn indices_are_dense_and_round_trip() {
         for (i, stage) in Stage::all().iter().enumerate() {
             assert_eq!(stage.index(), i);
-            assert_eq!(Stage::from_index(i), Some(*stage));
         }
         assert_eq!(Stage::all().len(), Stage::COUNT);
-        assert_eq!(Stage::from_index(Stage::COUNT), None);
     }
 
     #[test]
@@ -182,15 +147,5 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-    }
-
-    #[test]
-    fn count_stages_are_exactly_the_batch_sizes() {
-        let counts: Vec<Stage> = Stage::all()
-            .iter()
-            .copied()
-            .filter(|s| s.unit() == StageUnit::Count)
-            .collect();
-        assert_eq!(counts, vec![Stage::WalFlushTxns]);
     }
 }

@@ -1,30 +1,27 @@
 //! The metrics timeline: windowed delta frames over the shared registry.
 //!
-//! Every number PR 7–9 exposed is cumulative-since-start: the stage
-//! histograms, the counters, the commit-latency distribution all answer
-//! "how much, ever", never "how much, *lately*".  This module adds the
-//! time axis.  A [`TimelineRecorder`] thread samples a [`FrameSource`] on
-//! a fixed cadence; each sample is a [`TimelineFrame`] — the *delta*
-//! between two successive registry snapshots (windowed txn/s, abort rate
-//! by reason, stage quantiles from mergeable histogram diffs, WAL flush
-//! latency, per-replica apply watermarks and lag, watchdog verdicts) —
-//! pushed into a bounded drop-oldest [`TimelineRing`], so a soak that
-//! runs for hours keeps the recent past at O(1) memory, exactly like the
-//! flight recorder keeps recent events.
+//! Every number the metrics registry holds is cumulative-since-start:
+//! the stage histograms, the counters, the commit-latency distribution
+//! all answer "how much, ever", never "how much, *lately*".  This module
+//! adds the time axis.  A [`TimelineRecorder`] thread samples a
+//! [`FrameSource`] on a fixed cadence; each sample is a
+//! [`TimelineFrame`] — the *delta* between two successive registry
+//! snapshots (windowed txn/s and abort
+//! rate, commit and WAL-flush p99, per-replica apply watermarks and lag,
+//! watchdog verdicts) — pushed into a bounded drop-oldest
+//! [`TimelineRing`], so a soak that runs for hours keeps the recent past
+//! at O(1) memory, exactly like the flight recorder keeps recent events.
 //!
 //! Frames read the existing lock-free registry (atomic counters and the
 //! mergeable histograms): sampling adds **no synchronization edges to
 //! the hot path** — the only new lock is the ring's own mutex, touched
 //! once per cadence tick by the recorder thread and by readers.
 //!
-//! Two export surfaces, both hand-rolled like the rest of the repo's
-//! JSON (the vendored serde is a no-op stub): [`write_jsonl`] /
-//! [`parse_jsonl`] round-trip a recorded run as `timeline.jsonl` (one
-//! frame per line — the `mvccstat replay` input and a CI-validated
-//! artifact), and [`metrics_text`] renders one frame as a
-//! Prometheus-style text exposition for scrape-shaped consumers.
+//! One export surface, hand-rolled like the rest of the repo's JSON (the
+//! vendored serde is a no-op stub): [`write_jsonl`] / [`parse_jsonl`]
+//! round-trip a recorded run as `timeline.jsonl`, one frame per line —
+//! the `mvccstat replay` input.
 
-use crate::histogram::HistogramSnapshot;
 use crate::json::{self, JsonValue};
 use mvcc_analysis::lock_class;
 use mvcc_analysis::lockdep::TrackedMutex;
@@ -34,80 +31,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Default frame capacity of a [`TimelineRing`] — ten minutes of recent
-/// past at the default 100 ms cadence.
-pub const DEFAULT_TIMELINE_CAPACITY: usize = 6_000;
-
-/// A compact five-number summary of one windowed histogram diff: what a
-/// frame stores instead of the full bucket vector, so frames stay small
-/// enough to ring-buffer and serialize by the thousand.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct QuantileSummary {
-    /// Samples recorded inside the window.
-    pub count: u64,
-    /// Mean of the windowed samples (0.0 when empty).
-    pub mean: f64,
-    /// Interpolated windowed p50 (0.0 when empty).
-    pub p50: f64,
-    /// Interpolated windowed p95 (0.0 when empty).
-    pub p95: f64,
-    /// Interpolated windowed p99 (0.0 when empty).
-    pub p99: f64,
-    /// Interpolated windowed p999 (0.0 when empty).
-    pub p999: f64,
-}
-
-impl QuantileSummary {
-    /// Summarizes a (windowed) histogram snapshot.
-    pub fn from_histogram(h: &HistogramSnapshot) -> Self {
-        QuantileSummary {
-            count: h.count(),
-            mean: h.mean().unwrap_or(0.0),
-            p50: h.quantile(0.50).unwrap_or(0.0),
-            p95: h.quantile(0.95).unwrap_or(0.0),
-            p99: h.quantile(0.99).unwrap_or(0.0),
-            p999: h.quantile(0.999).unwrap_or(0.0),
-        }
-    }
-
-    /// True when the window recorded nothing.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    fn write_json(&self, out: &mut String) {
-        out.push_str(&format!("{{\"count\":{}", self.count));
-        if self.count > 0 {
-            for (key, value) in [
-                ("mean", self.mean),
-                ("p50", self.p50),
-                ("p95", self.p95),
-                ("p99", self.p99),
-                ("p999", self.p999),
-            ] {
-                out.push_str(&format!(",\"{key}\":"));
-                json::write_number(out, value);
-            }
-        }
-        out.push('}');
-    }
-
-    fn from_json(value: &JsonValue, what: &str) -> Result<Self, String> {
-        let count = require_u64(value, "count", what)?;
-        if count == 0 {
-            return Ok(QuantileSummary::default());
-        }
-        Ok(QuantileSummary {
-            count,
-            mean: require_f64(value, "mean", what)?,
-            p50: require_f64(value, "p50", what)?,
-            p95: require_f64(value, "p95", what)?,
-            p99: require_f64(value, "p99", what)?,
-            p999: require_f64(value, "p999", what)?,
-        })
-    }
-}
 
 /// One replica's position inside a frame's window.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,19 +46,15 @@ pub struct ReplicaFrame {
 
 /// One windowed delta frame of the metrics timeline.
 ///
-/// Counter fields (`begun`, `committed`, `aborted`, `wal_flushes`, …)
-/// are deltas over the frame's window; gauge fields (`primary_lsn`,
-/// `epoch`, watermarks) are point-in-time readings at the end of it.
+/// Counter fields (`committed`, `aborted`, the watchdog counts) are
+/// deltas over the frame's window; `primary_lsn` and the replica
+/// watermarks are point-in-time readings at the end of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineFrame {
     /// Frame sequence number (0-based, monotone per recorder).
     pub seq: u64,
     /// Microseconds since the sampler started, at the end of the window.
     pub at_us: u64,
-    /// Window length in microseconds.
-    pub window_us: u64,
-    /// Sessions begun inside the window.
-    pub begun: u64,
     /// Transactions committed inside the window.
     pub committed: u64,
     /// Transactions aborted inside the window.
@@ -145,28 +64,15 @@ pub struct TimelineFrame {
     /// Windowed abort fraction: aborted / (committed + aborted), 0.0 for
     /// an idle window.
     pub abort_rate: f64,
-    /// Windowed abort counts by reason name (non-zero reasons only).
-    pub aborts_by_reason: Vec<(String, u64)>,
-    /// WAL flushes inside the window.
-    pub wal_flushes: u64,
-    /// WAL fsyncs inside the window.
-    pub wal_fsyncs: u64,
-    /// Windowed commit-latency summary (from the always-on fine
-    /// histogram diff).
-    pub commit: QuantileSummary,
-    /// Windowed WAL flush/fsync latency summary (from the `wal-flush`
-    /// stage diff; empty with telemetry off).
-    pub wal_flush: QuantileSummary,
-    /// Windowed per-stage summaries by stage name (non-empty windows
-    /// only; empty with telemetry off).
-    pub stages: Vec<(String, QuantileSummary)>,
+    /// Windowed commit-latency p99 in µs (0.0 for a window without
+    /// commits).
+    pub commit_p99_us: f64,
+    /// Windowed WAL-flush p99 in µs, from the `wal-flush` stage (0.0 with
+    /// telemetry or durability off).
+    pub flush_p99_us: f64,
     /// The primary's last appended WAL LSN at sample time (0 with
     /// durability off).
     pub primary_lsn: u64,
-    /// The primary's flushed-horizon LSN at sample time.
-    pub durable_lsn: u64,
-    /// The primary's epoch at sample time.
-    pub epoch: u64,
     /// Per-replica positions at sample time.
     pub replicas: Vec<ReplicaFrame>,
     /// Watchdog windows ruled inside the frame's window.
@@ -182,21 +88,13 @@ impl TimelineFrame {
         TimelineFrame {
             seq,
             at_us: 0,
-            window_us: 1,
-            begun: 0,
             committed: 0,
             aborted: 0,
             txn_s: 0.0,
             abort_rate: 0.0,
-            aborts_by_reason: Vec::new(),
-            wal_flushes: 0,
-            wal_fsyncs: 0,
-            commit: QuantileSummary::default(),
-            wal_flush: QuantileSummary::default(),
-            stages: Vec::new(),
+            commit_p99_us: 0.0,
+            flush_p99_us: 0.0,
             primary_lsn: 0,
-            durable_lsn: 0,
-            epoch: 0,
             replicas: Vec::new(),
             watchdog_windows: 0,
             watchdog_violations: 0,
@@ -206,45 +104,24 @@ impl TimelineFrame {
     /// Serializes the frame as one compact JSON object (one
     /// `timeline.jsonl` line, without the trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(512);
+        let mut out = String::with_capacity(256);
         out.push_str(&format!(
-            "{{\"seq\":{},\"at_us\":{},\"window_us\":{},\"begun\":{},\"committed\":{},\"aborted\":{}",
-            self.seq, self.at_us, self.window_us, self.begun, self.committed, self.aborted
+            "{{\"seq\":{},\"at_us\":{},\"committed\":{},\"aborted\":{}",
+            self.seq, self.at_us, self.committed, self.aborted
         ));
-        out.push_str(",\"txn_s\":");
-        json::write_number(&mut out, self.txn_s);
-        out.push_str(",\"abort_rate\":");
-        json::write_number(&mut out, self.abort_rate);
-        out.push_str(",\"aborts\":{");
-        for (i, (reason, count)) in self.aborts_by_reason.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(&mut out, reason);
-            out.push_str(&format!(":{count}"));
+        for (key, value) in [
+            ("txn_s", self.txn_s),
+            ("abort_rate", self.abort_rate),
+            ("commit_p99_us", self.commit_p99_us),
+            ("flush_p99_us", self.flush_p99_us),
+        ] {
+            out.push_str(&format!(",\"{key}\":"));
+            json::write_number(&mut out, value);
         }
         out.push_str(&format!(
-            "}},\"wal_flushes\":{},\"wal_fsyncs\":{}",
-            self.wal_flushes, self.wal_fsyncs
+            ",\"primary_lsn\":{},\"replicas\":[",
+            self.primary_lsn
         ));
-        out.push_str(",\"commit\":");
-        self.commit.write_json(&mut out);
-        out.push_str(",\"wal_flush\":");
-        self.wal_flush.write_json(&mut out);
-        out.push_str(",\"stages\":{");
-        for (i, (stage, summary)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(&mut out, stage);
-            out.push(':');
-            summary.write_json(&mut out);
-        }
-        out.push_str(&format!(
-            "}},\"primary_lsn\":{},\"durable_lsn\":{},\"epoch\":{}",
-            self.primary_lsn, self.durable_lsn, self.epoch
-        ));
-        out.push_str(",\"replicas\":[");
         for (i, replica) in self.replicas.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -267,25 +144,6 @@ impl TimelineFrame {
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         let seq = require_u64(value, "seq", "frame")?;
         let what = format!("frame {seq}");
-        let mut aborts_by_reason = Vec::new();
-        if let Some(pairs) = value.get("aborts").and_then(JsonValue::as_object) {
-            for (reason, count) in pairs {
-                let count = count
-                    .as_number()
-                    .ok_or_else(|| format!("{what}: non-numeric abort count for {reason}"))?;
-                aborts_by_reason.push((reason.clone(), count as u64));
-            }
-        } else {
-            return Err(format!("{what}: missing or non-object key: aborts"));
-        }
-        let mut stages = Vec::new();
-        if let Some(pairs) = value.get("stages").and_then(JsonValue::as_object) {
-            for (stage, summary) in pairs {
-                stages.push((stage.clone(), QuantileSummary::from_json(summary, &what)?));
-            }
-        } else {
-            return Err(format!("{what}: missing or non-object key: stages"));
-        }
         let mut replicas = Vec::new();
         if let Some(members) = value.get("replicas").and_then(JsonValue::as_array) {
             for member in members {
@@ -302,32 +160,16 @@ impl TimelineFrame {
         } else {
             return Err(format!("{what}: missing or non-array key: replicas"));
         }
-        let commit = value
-            .get("commit")
-            .ok_or_else(|| format!("{what}: missing key: commit"))
-            .and_then(|v| QuantileSummary::from_json(v, &what))?;
-        let wal_flush = value
-            .get("wal_flush")
-            .ok_or_else(|| format!("{what}: missing key: wal_flush"))
-            .and_then(|v| QuantileSummary::from_json(v, &what))?;
         Ok(TimelineFrame {
             seq,
             at_us: require_u64(value, "at_us", &what)?,
-            window_us: require_u64(value, "window_us", &what)?,
-            begun: require_u64(value, "begun", &what)?,
             committed: require_u64(value, "committed", &what)?,
             aborted: require_u64(value, "aborted", &what)?,
             txn_s: require_f64(value, "txn_s", &what)?,
             abort_rate: require_f64(value, "abort_rate", &what)?,
-            aborts_by_reason,
-            wal_flushes: require_u64(value, "wal_flushes", &what)?,
-            wal_fsyncs: require_u64(value, "wal_fsyncs", &what)?,
-            commit,
-            wal_flush,
-            stages,
+            commit_p99_us: require_f64(value, "commit_p99_us", &what)?,
+            flush_p99_us: require_f64(value, "flush_p99_us", &what)?,
             primary_lsn: require_u64(value, "primary_lsn", &what)?,
-            durable_lsn: require_u64(value, "durable_lsn", &what)?,
-            epoch: require_u64(value, "epoch", &what)?,
             replicas,
             watchdog_windows: require_u64(value, "watchdog_windows", &what)?,
             watchdog_violations: require_u64(value, "watchdog_violations", &what)?,
@@ -341,13 +183,13 @@ impl fmt::Display for TimelineFrame {
         write!(
             f,
             "#{:<5} +{:>7.1}ms  txn/s {:>9.0}  abort {:>5.1}%  p99 {:>8.1}µs  \
-             fsync p99 {:>7.1}µs  lsn {:>6}",
+             flush p99 {:>7.1}µs  lsn {:>6}",
             self.seq,
             self.at_us as f64 / 1_000.0,
             self.txn_s,
             self.abort_rate * 100.0,
-            self.commit.p99,
-            self.wal_flush.p99,
+            self.commit_p99_us,
+            self.flush_p99_us,
             self.primary_lsn,
         )?;
         for replica in &self.replicas {
@@ -379,7 +221,7 @@ fn require_f64(value: &JsonValue, key: &str, what: &str) -> Result<f64, String> 
 /// Serializes frames as JSONL: one frame per line, oldest first — the
 /// `timeline.jsonl` artifact format.
 pub fn write_jsonl(frames: &[TimelineFrame]) -> String {
-    let mut out = String::with_capacity(frames.len() * 512);
+    let mut out = String::with_capacity(frames.len() * 256);
     for frame in frames {
         out.push_str(&frame.to_json_line());
         out.push('\n');
@@ -401,111 +243,12 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TimelineFrame>, String> {
     Ok(frames)
 }
 
-/// Renders one frame as a Prometheus-style text exposition: `# TYPE`
-/// headers, `snake_case` metric names, labels for per-reason / per-stage
-/// / per-member breakdowns.  Windowed deltas are exposed as gauges (the
-/// frame *is* the rate window).
-pub fn metrics_text(frame: &TimelineFrame) -> String {
-    let mut out = String::with_capacity(1024);
-    let mut gauge = |name: &str, labels: &str, value: f64, typed: bool| {
-        if typed {
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-        }
-        if labels.is_empty() {
-            out.push_str(&format!("{name} {value}\n"));
-        } else {
-            out.push_str(&format!("{name}{{{labels}}} {value}\n"));
-        }
-    };
-    gauge("mvcc_timeline_frame", "", frame.seq as f64, true);
-    gauge(
-        "mvcc_timeline_window_seconds",
-        "",
-        frame.window_us as f64 / 1e6,
-        true,
-    );
-    gauge("mvcc_txn_rate", "", frame.txn_s, true);
-    gauge("mvcc_abort_rate", "", frame.abort_rate, true);
-    let mut first = true;
-    for (reason, count) in &frame.aborts_by_reason {
-        gauge(
-            "mvcc_aborts_window",
-            &format!("reason=\"{reason}\""),
-            *count as f64,
-            first,
-        );
-        first = false;
-    }
-    let mut quantiles = |name: &str, label: &str, summary: &QuantileSummary, family_first: bool| {
-        if summary.is_empty() {
-            return;
-        }
-        let mut typed = family_first;
-        for (q, value) in [
-            ("0.5", summary.p50),
-            ("0.95", summary.p95),
-            ("0.99", summary.p99),
-            ("0.999", summary.p999),
-        ] {
-            let labels = if label.is_empty() {
-                format!("quantile=\"{q}\"")
-            } else {
-                format!("{label},quantile=\"{q}\"")
-            };
-            gauge(name, &labels, value, typed);
-            typed = false;
-        }
-    };
-    quantiles("mvcc_commit_latency_us", "", &frame.commit, true);
-    quantiles("mvcc_wal_flush_us", "", &frame.wal_flush, true);
-    // One TYPE header for the whole mvcc_stage_us family, not one per
-    // stage — the exposition format allows a family's TYPE only once.
-    let mut family_first = true;
-    for (stage, summary) in &frame.stages {
-        quantiles(
-            "mvcc_stage_us",
-            &format!("stage=\"{stage}\""),
-            summary,
-            family_first,
-        );
-        family_first = family_first && summary.is_empty();
-    }
-    gauge("mvcc_wal_fsyncs_window", "", frame.wal_fsyncs as f64, true);
-    gauge("mvcc_primary_lsn", "", frame.primary_lsn as f64, true);
-    gauge("mvcc_durable_lsn", "", frame.durable_lsn as f64, true);
-    gauge("mvcc_epoch", "", frame.epoch as f64, true);
-    let mut first = true;
-    for replica in &frame.replicas {
-        gauge(
-            "mvcc_replica_lag_lsn",
-            &format!("member=\"{}\"", replica.name),
-            replica.lag_lsn as f64,
-            first,
-        );
-        first = false;
-    }
-    gauge(
-        "mvcc_watchdog_violations_window",
-        "",
-        frame.watchdog_violations as f64,
-        true,
-    );
-    out
-}
-
-#[derive(Debug)]
-struct FrameRing {
-    frames: VecDeque<TimelineFrame>,
-    dropped: u64,
-}
-
 /// The bounded drop-oldest frame ring a [`TimelineRecorder`] fills and
-/// readers (the `rates:` Display block, `mvccstat live`, the anomaly
-/// assertions) snapshot from.
+/// readers (`mvccstat live`, the monitor's closing report) copy from.
 #[derive(Debug)]
 pub struct TimelineRing {
     capacity: usize,
-    ring: TrackedMutex<FrameRing>,
+    frames: TrackedMutex<VecDeque<TimelineFrame>>,
 }
 
 impl TimelineRing {
@@ -513,54 +256,32 @@ impl TimelineRing {
     pub fn new(capacity: usize) -> Self {
         TimelineRing {
             capacity: capacity.max(1),
-            ring: TrackedMutex::new(
-                lock_class!("telemetry.timeline-ring"),
-                FrameRing {
-                    frames: VecDeque::new(),
-                    dropped: 0,
-                },
-            ),
+            frames: TrackedMutex::new(lock_class!("telemetry.timeline-ring"), VecDeque::new()),
         }
     }
 
     /// Appends a frame, dropping the oldest at capacity.
     pub fn push(&self, frame: TimelineFrame) {
-        let mut ring = self.ring.lock();
-        if ring.frames.len() == self.capacity {
-            ring.frames.pop_front();
-            ring.dropped += 1;
+        let mut frames = self.frames.lock();
+        if frames.len() == self.capacity {
+            frames.pop_front();
         }
-        ring.frames.push_back(frame);
-    }
-
-    /// The newest frame, if any.
-    pub fn latest(&self) -> Option<TimelineFrame> {
-        self.ring.lock().frames.back().cloned()
+        frames.push_back(frame);
     }
 
     /// Copies the held frames out, oldest first.
     pub fn frames(&self) -> Vec<TimelineFrame> {
-        self.ring.lock().frames.iter().cloned().collect()
+        self.frames.lock().iter().cloned().collect()
     }
 
     /// Number of frames currently held.
     pub fn len(&self) -> usize {
-        self.ring.lock().frames.len()
+        self.frames.lock().len()
     }
 
     /// True when no frame has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Frames dropped to keep the ring bounded.
-    pub fn dropped(&self) -> u64 {
-        self.ring.lock().dropped
-    }
-
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -653,38 +374,13 @@ mod tests {
     fn sample_frame(seq: u64) -> TimelineFrame {
         let mut frame = TimelineFrame::zeroed(seq);
         frame.at_us = 1000 * (seq + 1);
-        frame.window_us = 1000;
-        frame.begun = 12;
         frame.committed = 10;
         frame.aborted = 2;
         frame.txn_s = 10_000.0;
         frame.abort_rate = 2.0 / 12.0;
-        frame.aborts_by_reason = vec![("write-conflict".into(), 2)];
-        frame.wal_flushes = 3;
-        frame.wal_fsyncs = 1;
-        frame.commit = QuantileSummary {
-            count: 10,
-            mean: 12.5,
-            p50: 9.0,
-            p95: 30.0,
-            p99: 55.0,
-            p999: 80.0,
-        };
-        frame.wal_flush = QuantileSummary {
-            count: 3,
-            mean: 4.0,
-            p50: 3.0,
-            p95: 6.0,
-            p99: 7.0,
-            p999: 7.5,
-        };
-        frame.stages = vec![
-            ("certify".into(), frame.wal_flush),
-            ("group-commit-apply".into(), frame.commit),
-        ];
+        frame.commit_p99_us = 55.0;
+        frame.flush_p99_us = 7.0;
         frame.primary_lsn = 42;
-        frame.durable_lsn = 40;
-        frame.epoch = 1;
         frame.replicas = vec![ReplicaFrame {
             name: "replica-0".into(),
             watermark: 39,
@@ -701,11 +397,12 @@ mod tests {
             ring.push(TimelineFrame::zeroed(seq));
         }
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 4);
         let seqs: Vec<u64> = ring.frames().iter().map(|f| f.seq).collect();
         assert_eq!(seqs, vec![4, 5, 6], "oldest frames must go first");
-        assert_eq!(ring.latest().unwrap().seq, 6);
-        assert_eq!(TimelineRing::new(0).capacity(), 1, "zero capacity bumped");
+        let tiny = TimelineRing::new(0);
+        tiny.push(TimelineFrame::zeroed(0));
+        tiny.push(TimelineFrame::zeroed(1));
+        assert_eq!(tiny.len(), 1, "zero capacity bumped to one");
     }
 
     #[test]
@@ -719,41 +416,23 @@ mod tests {
         assert_eq!(parse_jsonl("\n").unwrap(), Vec::new());
         assert!(parse_jsonl("{\"seq\":}").is_err());
         assert!(
-            parse_jsonl("{\"seq\":1}").unwrap_err().contains("aborts"),
+            parse_jsonl("{\"seq\":1}").unwrap_err().contains("replicas"),
             "missing keys must be named"
         );
     }
 
     #[test]
     fn empty_quantile_summaries_serialize_compactly() {
+        // A window without commits or flushes has no quantiles: its p99
+        // fields are plain zeros, not absent keys or nulls.
         let frame = TimelineFrame::zeroed(9);
         let line = frame.to_json_line();
-        assert!(line.contains("\"commit\":{\"count\":0}"), "{line}");
+        assert!(
+            line.contains("\"commit_p99_us\":0,\"flush_p99_us\":0"),
+            "{line}"
+        );
         let parsed = parse_jsonl(&format!("{line}\n")).unwrap();
         assert_eq!(parsed[0], frame);
-    }
-
-    #[test]
-    fn metrics_text_is_prometheus_shaped() {
-        let text = metrics_text(&sample_frame(3));
-        for needle in [
-            "# TYPE mvcc_txn_rate gauge\nmvcc_txn_rate 10000\n",
-            "mvcc_abort_rate 0.16666666666666666\n",
-            "mvcc_aborts_window{reason=\"write-conflict\"} 2\n",
-            "mvcc_commit_latency_us{quantile=\"0.99\"} 55\n",
-            "mvcc_stage_us{stage=\"certify\",quantile=\"0.5\"} 3\n",
-            "mvcc_replica_lag_lsn{member=\"replica-0\"} 3\n",
-            "mvcc_primary_lsn 42\n",
-            "mvcc_watchdog_violations_window 0\n",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
-        // Exactly one TYPE header per metric family.
-        let type_lines = text
-            .lines()
-            .filter(|l| l.starts_with("# TYPE mvcc_stage_us "))
-            .count();
-        assert_eq!(type_lines, 1, "{text}");
     }
 
     #[test]
@@ -764,8 +443,9 @@ mod tests {
             8,
         );
         let ring = recorder.stop();
-        assert_eq!(ring.len(), 1, "the closing sample must land");
-        assert_eq!(ring.latest().unwrap().seq, 0);
+        let frames = ring.frames();
+        assert_eq!(frames.len(), 1, "the closing sample must land");
+        assert_eq!(frames[0].seq, 0);
     }
 
     #[test]
@@ -792,6 +472,7 @@ mod tests {
     fn frame_display_is_one_table_row() {
         let rendered = format!("{}", sample_frame(3));
         assert!(rendered.contains("txn/s"), "{rendered}");
+        assert!(rendered.contains("flush p99"), "{rendered}");
         assert!(rendered.contains("replica-0 lag 3"), "{rendered}");
         assert!(!rendered.contains('\n'), "one row per frame: {rendered}");
         let mut violating = sample_frame(4);

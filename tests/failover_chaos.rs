@@ -49,9 +49,9 @@ use common::chaos::{kill_sites, ChaosRng, Freezer};
 use common::{committed_sets, FlightDumpGuard};
 use mvcc_repro::durability::{read_epoch_marker, recover, RecoveryOptions};
 use mvcc_repro::engine::{
-    AnomalyKind, Bytes, CertifierKind, ClassificationWatchdog, DetectorConfig, DurabilityConfig,
-    DurabilityMode, Engine, EngineConfig, EngineError, EngineSampler, HealthConfig, HealthMonitor,
-    KillSite, MemberProbe, TelemetryMode, WatchdogConfig,
+    AnomalyKind, Bytes, CertifierKind, ClassificationWatchdog, DurabilityConfig, DurabilityMode,
+    Engine, EngineConfig, EngineError, EngineSampler, HealthMonitor, KillSite, MemberProbe,
+    TelemetryMode, WatchdogConfig,
 };
 use mvcc_repro::prelude::*;
 use mvcc_repro::replica::{
@@ -180,39 +180,24 @@ fn failover_soak(kind: CertifierKind, site: KillSite) {
     // the member probes read both candidates' apply watermarks, and the
     // watchdog's verdict counters flow into the frames.  The probes are
     // deadlock-safe against the frozen primary: the chaos point parks
-    // the drain leader *before* `append_and_flush` takes the WAL lock,
-    // and the durable horizon is an atomic.
+    // the drain leader *before* `append_and_flush` takes the WAL lock.
     let monitor = {
         let probe_router = Arc::clone(&router);
         let probe_electee = Arc::clone(&electee);
         let probe_bystander = Arc::clone(&bystander);
         let sampler = EngineSampler::new(
             engine.metrics_handle(),
-            move || {
-                let primary = probe_router.primary();
-                (
-                    primary.wal_last_lsn().unwrap_or(0),
-                    primary.durable_lsn().unwrap_or(0),
-                )
-            },
+            move || probe_router.primary().wal_last_lsn().unwrap_or(0),
             vec![
                 MemberProbe::new("electee", move || probe_electee.watermark()),
                 MemberProbe::new("bystander", move || probe_bystander.watermark()),
             ],
-            DetectorConfig::default(),
         )
         .with_watchdog(primary_dog.stats_probe());
-        HealthMonitor::start_with(
-            engine.metrics_handle(),
-            sampler,
-            HealthConfig {
-                // Fast cadence: the lag-stall rule needs `stall_frames`
-                // flat windows *inside* the frozen-primary gap, before
-                // the lease lapses and the failover heals the lag.
-                interval: Duration::from_millis(5),
-                ..HealthConfig::default()
-            },
-        )
+        // Fast cadence: the lag-stall rule needs two flat windows
+        // *inside* the frozen-primary gap, before the lease lapses and
+        // the failover heals the lag.
+        HealthMonitor::start_with(sampler, Duration::from_millis(5))
     };
 
     // The promoted engine must not inherit the chaos hook.

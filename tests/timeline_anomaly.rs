@@ -12,15 +12,15 @@
 //! * a **scripted abort storm** (read-write conflict pairs after calm
 //!   baseline windows) raises the abort-storm alarm at exactly the
 //!   conflict window's frame, records it in the flight recorder, and
-//!   clears it one calm window later;
+//!   clears it one calm window later — and replaying the sampled frames
+//!   re-derives the same alarms;
 //! * a **frozen group-commit flush** leaves appended-but-unflushed WAL
 //!   records, so a tailing replica's watermark pins with lag — the
-//!   lag-stall alarm fires after the configured flat windows and clears
+//!   lag-stall alarm fires after two flat windows and clears
 //!   when the thaw lets the replica catch up;
 //! * a recorded timeline **round-trips** through the `timeline.jsonl`
-//!   wire format and renders as Prometheus-style `metrics_text`;
-//! * the engine metrics `Display` grows its `rates:` block while a
-//!   monitor's ring is attached and drops it on detach;
+//!   wire format, and replaying the parsed frames re-derives exactly the
+//!   live run's alarms;
 //! * a **steady release soak** (the false-positive gate): a healthy
 //!   closed loop with the watchdog and the monitor both on must finish
 //!   with zero alarms and zero watchdog violations.
@@ -28,9 +28,9 @@
 mod common;
 use common::chaos::Freezer;
 use mvcc_repro::engine::{
-    metrics_text, parse_jsonl, run_closed_loop, write_jsonl, AnomalyKind, Bytes, CertifierKind,
-    DetectorConfig, DurabilityConfig, Engine, EngineConfig, EngineSampler, FrameSource,
-    HealthConfig, HealthMonitor, KillSite, LoadOptions, MemberProbe, TelemetryMode,
+    parse_jsonl, run_closed_loop, write_jsonl, AnomalyDetector, AnomalyKind, Bytes, CertifierKind,
+    DurabilityConfig, Engine, EngineConfig, EngineSampler, FrameSource, KillSite, LoadOptions,
+    MemberProbe, TelemetryMode,
 };
 use mvcc_repro::prelude::EntityId;
 use mvcc_repro::replica::{Replica, ReplicaConfig};
@@ -38,7 +38,7 @@ use mvcc_workload::LoadProfile;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -59,7 +59,8 @@ fn a_scripted_abort_storm_raises_the_alarm_at_the_conflict_window() {
             ..EngineConfig::default()
         },
     ));
-    let mut sampler = EngineSampler::for_engine(&engine, Vec::new(), DetectorConfig::default());
+    let mut sampler = EngineSampler::for_engine(&engine, Vec::new());
+    let mut frames = Vec::new();
 
     // Three calm windows teach the baseline: disjoint single-writer
     // transactions, zero aborts.
@@ -74,6 +75,7 @@ fn a_scripted_abort_storm_raises_the_alarm_at_the_conflict_window() {
         }
         let frame = sampler.sample(seq);
         assert_eq!(frame.aborted, 0, "calm window aborted: {frame:?}");
+        frames.push(frame);
         seq += 1;
     }
 
@@ -110,6 +112,7 @@ fn a_scripted_abort_storm_raises_the_alarm_at_the_conflict_window() {
     let storm_seq = seq;
     let frame = sampler.sample(storm_seq);
     assert!(frame.abort_rate >= 0.5, "{frame:?}");
+    frames.push(frame);
     let alarms = sampler.detector().lock().alarms();
     let storms: Vec<_> = alarms
         .iter()
@@ -136,7 +139,7 @@ fn a_scripted_abort_storm_raises_the_alarm_at_the_conflict_window() {
         session.commit().unwrap();
     }
     seq += 1;
-    sampler.sample(seq);
+    frames.push(sampler.sample(seq));
     let alarms = sampler.detector().lock().alarms();
     let storm = alarms
         .iter()
@@ -149,6 +152,9 @@ fn a_scripted_abort_storm_raises_the_alarm_at_the_conflict_window() {
         dump.contains("anomaly abort-storm phase=clear"),
         "the clear must land in the flight recorder:\n{dump}"
     );
+    // Replay over the real frames re-derives the live verdicts: the same
+    // alarms, with the same onset and clear frames.
+    assert_eq!(AnomalyDetector::replay(&frames), alarms);
 }
 
 #[test]
@@ -173,16 +179,10 @@ fn a_frozen_group_commit_stalls_replication_until_the_thaw() {
     let lsn_engine = Arc::clone(&engine);
     let mut sampler = EngineSampler::new(
         engine.metrics_handle(),
-        move || {
-            (
-                lsn_engine.wal_last_lsn().unwrap_or(0),
-                lsn_engine.durable_lsn().unwrap_or(0),
-            )
-        },
+        move || lsn_engine.wal_last_lsn().unwrap_or(0),
         vec![MemberProbe::new("replica-1", move || {
             probe_replica.watermark()
         })],
-        DetectorConfig::default(),
     );
 
     // Healthy windows: commit, let the replica catch up, sample — the
@@ -210,8 +210,8 @@ fn a_frozen_group_commit_stalls_replication_until_the_thaw() {
     });
     assert!(freezer.wait_frozen(Duration::from_secs(30)));
 
-    // Two flat windows with lag: the default `stall_frames` is 2, so the
-    // first frozen frame arms the rule and the second raises the alarm.
+    // Two flat windows with lag: the first frozen frame arms the rule
+    // and the second raises the alarm.
     let frame = sampler.sample(3);
     assert!(
         frame.replicas[0].lag_lsn > 0,
@@ -248,7 +248,7 @@ fn a_frozen_group_commit_stalls_replication_until_the_thaw() {
 }
 
 #[test]
-fn a_recorded_timeline_round_trips_through_jsonl_and_prometheus_text() {
+fn a_recorded_timeline_round_trips_through_jsonl() {
     let profile = LoadProfile {
         threads: 2,
         shards: 2,
@@ -262,7 +262,7 @@ fn a_recorded_timeline_round_trips_through_jsonl_and_prometheus_text() {
         LoadOptions {
             record_history: false,
             telemetry: TelemetryMode::On,
-            monitor: Some(HealthConfig::default()),
+            monitor: Some(Duration::from_millis(100)),
             ..LoadOptions::default()
         },
     );
@@ -274,62 +274,8 @@ fn a_recorded_timeline_round_trips_through_jsonl_and_prometheus_text() {
     let text = write_jsonl(&report.timeline);
     let parsed = parse_jsonl(&text).unwrap();
     assert_eq!(parsed, report.timeline);
-    // The newest frame renders as a Prometheus-style exposition.
-    let metrics = metrics_text(report.timeline.last().unwrap());
-    for needle in [
-        "# TYPE mvcc_txn_rate gauge",
-        "mvcc_abort_rate ",
-        "mvcc_timeline_frame ",
-        "mvcc_timeline_window_seconds ",
-    ] {
-        assert!(metrics.contains(needle), "missing {needle:?}:\n{metrics}");
-    }
-}
-
-#[test]
-fn the_rates_block_rides_the_attached_monitor() {
-    let engine = Arc::new(Engine::new(
-        CertifierKind::Sgt,
-        EngineConfig {
-            shards: 2,
-            entities: 8,
-            telemetry: TelemetryMode::On,
-            ..EngineConfig::default()
-        },
-    ));
-    let monitor = HealthMonitor::start(
-        &engine,
-        Vec::new(),
-        HealthConfig {
-            interval: Duration::from_millis(10),
-            ..HealthConfig::default()
-        },
-    );
-    // Keep committing until a frame lands; the snapshot then carries the
-    // last window and Display grows its `rates:` block.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let mut session = engine.begin();
-        session
-            .write(EntityId(0), Bytes::from_static(b"r"))
-            .unwrap();
-        session.commit().unwrap();
-        if engine.metrics().snapshot().rates.is_some() {
-            break;
-        }
-        assert!(Instant::now() < deadline, "no frame was ever recorded");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let rendered = engine.metrics().snapshot().to_string();
-    assert!(
-        rendered.contains("rates (last"),
-        "no rates block in:\n{rendered}"
-    );
-    let (frames, alarms) = monitor.stop();
-    assert!(!frames.is_empty());
-    assert!(alarms.is_empty(), "{alarms:?}");
-    // Detached: the snapshot drops the block again.
-    assert!(engine.metrics().snapshot().rates.is_none());
+    // Replaying the parsed frames re-derives the live run's alarms.
+    assert_eq!(AnomalyDetector::replay(&parsed), report.alarms);
 }
 
 #[test]
@@ -359,10 +305,7 @@ fn a_steady_release_soak_never_false_alarms() {
             durability: DurabilityConfig::buffered(&dir),
             telemetry: TelemetryMode::On,
             watchdog: true,
-            monitor: Some(HealthConfig {
-                interval: Duration::from_millis(50),
-                ..HealthConfig::default()
-            }),
+            monitor: Some(Duration::from_millis(50)),
             ..LoadOptions::default()
         },
     );
