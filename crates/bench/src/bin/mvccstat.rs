@@ -27,6 +27,7 @@ use mvcc_engine::{
 };
 use mvcc_telemetry::{parse_jsonl, write_jsonl};
 use mvcc_workload::LoadProfile;
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,10 +99,25 @@ fn live(mut args: impl Iterator<Item = String>) {
         eprintln!("mvccstat live: {reason}");
         usage();
     }
+    // An unwritable `--out` is bad input too: open it before the run, so
+    // a long load never ends in a failed write.
+    let out = out.map(|path| match std::fs::File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => {
+            eprintln!("mvccstat live: cannot create {path}: {e}");
+            usage();
+        }
+    });
     // A buffered WAL in a temp directory so the lsn/flush columns carry
     // real positions — removed again on exit.
     let wal_dir = std::env::temp_dir().join(format!("mvccstat-live-{}", std::process::id()));
-    std::fs::create_dir_all(&wal_dir).unwrap_or_else(|e| panic!("cannot create WAL dir: {e}"));
+    if let Err(e) = std::fs::create_dir_all(&wal_dir) {
+        eprintln!(
+            "mvccstat live: cannot create WAL dir {}: {e}",
+            wal_dir.display()
+        );
+        std::process::exit(1);
+    }
     let engine = Arc::new(Engine::new(
         certifier,
         EngineConfig {
@@ -172,12 +188,14 @@ fn live(mut args: impl Iterator<Item = String>) {
         frames.len(),
         elapsed.as_secs_f64()
     );
-    if let Some(path) = out {
-        std::fs::write(&path, write_jsonl(&frames))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    if let Some((path, mut file)) = out {
+        if let Err(e) = file.write_all(write_jsonl(&frames).as_bytes()) {
+            eprintln!("mvccstat live: cannot write {path}: {e}");
+            std::process::exit(1);
+        }
         println!("wrote {} timeline frames to {path}", frames.len());
     }
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 /// Replays a `timeline.jsonl` export: frames rendered one per row and
@@ -187,7 +205,13 @@ fn replay(mut args: impl Iterator<Item = String>) {
     if args.next().is_some() {
         usage();
     }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("{path}: cannot read: {e}");
+            std::process::exit(1);
+        }
+    };
     let frames: Vec<TimelineFrame> = match parse_jsonl(&text) {
         Ok(frames) => frames,
         Err(e) => {

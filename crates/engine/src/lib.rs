@@ -106,13 +106,12 @@ pub use watchdog::{ClassificationWatchdog, WatchdogConfig, WatchdogStats};
 // without naming the durability crate directly.
 pub use mvcc_durability::{DurabilityConfig, DurabilityMode, RecoveryReport};
 
-// Re-export the telemetry surface so engine users switch tracing on and
+// Re-export the telemetry surface so engine users switch telemetry on and
 // read per-stage snapshots without naming the telemetry crate directly.
 pub use mvcc_telemetry::{
-    parse_jsonl, write_jsonl, EventKind, ExemplarReservoir, FlightRecorder, FrameSource,
-    HistogramSnapshot, ReplicaFrame, SpanRecord, Stage, StageSnapshot, Telemetry, TelemetryMode,
-    TelemetrySnapshot, TimelineFrame, TimelineRecorder, TimelineRing, TraceEvent, TraceId,
-    TraceLog, TraceTree,
+    parse_jsonl, write_jsonl, EventKind, FlightRecorder, FrameSource, HistogramSnapshot,
+    ReplicaFrame, Stage, StageSnapshot, Telemetry, TelemetryMode, TelemetrySnapshot, TimelineFrame,
+    TimelineRecorder, TimelineRing,
 };
 
 // Re-export the value type so callers construct payloads with the exact

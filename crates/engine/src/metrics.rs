@@ -16,31 +16,22 @@
 //! failover, and per-stage latency distributions all come out of one
 //! [`MetricsSnapshot`].
 
-use mvcc_telemetry::{
-    EventKind, ExemplarReservoir, Stage, Telemetry, TelemetrySnapshot, TraceId, TraceTree,
-};
+use mvcc_telemetry::{EventKind, Stage, Telemetry, TelemetrySnapshot};
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// High-frequency batch probes trace one batch in this many (per
-/// thread; must be a power of two).  See [`EngineMetrics::trace_batch`].
+/// High-frequency batch probes time one batch in this many (per
+/// thread; must be a power of two).  See
+/// [`EngineMetrics::sampled_stage_clock`].
 const BATCH_SAMPLE: u32 = 32;
 
-/// Transactions collect a full span tree one-in-this-many per thread
-/// (must be a power of two).  See [`EngineMetrics::trace_begin`].
-const TRACE_SAMPLE: u32 = 32;
-
 thread_local! {
-    /// Per-thread sampling tick for [`EngineMetrics::trace_batch`] — a
-    /// plain cell so sampling itself costs no atomics.
+    /// Per-thread sampling tick for
+    /// [`EngineMetrics::sampled_stage_clock`] — a plain cell so sampling
+    /// itself costs no atomics.
     static PROBE_TICK: Cell<u32> = const { Cell::new(0) };
-    /// Per-thread sampling tick for [`EngineMetrics::trace_begin`] —
-    /// separate from `PROBE_TICK` so span-tree sampling and batch-probe
-    /// sampling stay independent (a thread's first transaction is always
-    /// traced, which is what makes the attribution tests deterministic).
-    static TRACE_TICK: Cell<u32> = const { Cell::new(0) };
 }
 
 /// Why a transaction aborted.
@@ -218,11 +209,11 @@ impl EngineMetrics {
 
     /// Like [`EngineMetrics::stage_clock`], but sampled 1-in-32 per
     /// thread: the high-frequency probes (admission rulings, group-commit
-    /// batches) trace every 32nd one their thread runs, which keeps
-    /// the clock-read overhead of tracing in the noise (the overhead
-    /// guard test pins telemetry-on within 5% of off) while the
-    /// histograms still fill at thousands of samples per second.
-    pub(crate) fn trace_batch(&self) -> Option<Instant> {
+    /// batches) time every 32nd one their thread runs, which keeps
+    /// the clock-read overhead in the noise (the overhead guard test
+    /// pins telemetry-on within 5% of off) while the histograms still
+    /// fill at thousands of samples per second.
+    pub(crate) fn sampled_stage_clock(&self) -> Option<Instant> {
         self.telemetry.as_ref()?;
         let fire = PROBE_TICK.with(|tick| {
             let n = tick.get().wrapping_add(1);
@@ -231,59 +222,6 @@ impl EngineMetrics {
         });
         // lint: allow(clock) — stage clock, sampled only when telemetry is on
         fire.then(Instant::now)
-    }
-
-    /// Mints a transaction's trace id at `begin`, sampled 1-in-32 per
-    /// thread: `None` when telemetry is off or this transaction is not
-    /// sampled; `Some` means the session collects a span tree and is a
-    /// tail-exemplar candidate at commit.  A thread's *first* transaction
-    /// is always sampled (the tick pattern fires on 1), which keeps the
-    /// attribution tests deterministic without a warm-up loop.
-    pub fn trace_begin(&self, epoch: u64, tx: u32) -> Option<TraceId> {
-        self.telemetry.as_ref()?;
-        TRACE_TICK
-            .with(|tick| {
-                let n = tick.get().wrapping_add(1);
-                tick.set(n);
-                n & (TRACE_SAMPLE - 1) == 1
-            })
-            .then(|| TraceId::pack(epoch, tx))
-    }
-
-    /// Records a structured flight-recorder event attributed to a
-    /// transaction's trace (when the recording site knows one).
-    pub fn flight_traced(&self, kind: EventKind, trace: Option<TraceId>) {
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.record_event_traced(kind, trace);
-        }
-    }
-
-    /// Offers a committed transaction's span tree to the tail-exemplar
-    /// reservoir (no-op with telemetry off).
-    pub fn offer_exemplar(&self, tree: TraceTree) {
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.exemplars().offer(tree);
-        }
-    }
-
-    /// The tail-exemplar reservoir, if telemetry is on.
-    pub fn exemplars(&self) -> Option<&ExemplarReservoir> {
-        self.telemetry.as_ref().map(|t| t.exemplars())
-    }
-
-    /// Records one cross-cutting span (WAL flush, replica apply, follower
-    /// read, promotion phase) into the LSN-correlated trace log (no-op
-    /// with telemetry off).
-    pub fn record_trace_event(
-        &self,
-        stage: Stage,
-        trace: Option<TraceId>,
-        lsn: Option<u64>,
-        dur_us: u64,
-    ) {
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.trace_log().record(stage, trace, lsn, dur_us);
-        }
     }
 
     /// Records the elapsed time since a stage clock into `stage`'s
@@ -366,29 +304,15 @@ impl EngineMetrics {
     /// Records an abort; `shard` is the shard of the entity that triggered
     /// it, when one did.
     pub fn record_abort(&self, reason: AbortReason, shard: Option<usize>) {
-        self.record_abort_traced(reason, shard, None);
-    }
-
-    /// [`EngineMetrics::record_abort`] with the aborting transaction's
-    /// trace id, so the flight-recorder event joins against its span tree.
-    pub fn record_abort_traced(
-        &self,
-        reason: AbortReason,
-        shard: Option<usize>,
-        trace: Option<TraceId>,
-    ) {
         self.aborted.fetch_add(1, Ordering::Relaxed);
         self.aborts_by_reason[reason.index()].fetch_add(1, Ordering::Relaxed);
         if let Some(s) = shard {
             self.shards[s].conflicts.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(telemetry) = &self.telemetry {
-            telemetry.record_event_traced(
-                EventKind::Abort {
-                    reason: reason.to_string(),
-                },
-                trace,
-            );
+            telemetry.record_event(EventKind::Abort {
+                reason: reason.to_string(),
+            });
         }
     }
 
@@ -977,7 +901,7 @@ mod tests {
         assert_eq!(m.stage_clock(), None, "no clock read with telemetry off");
         m.record_stage_since(Stage::Certify, None);
         m.record_stage_value(Stage::WalFlushTxns, 9);
-        m.flight(EventKind::Note { text: "x".into() });
+        m.flight(EventKind::CheckpointCut { seq: 1 });
         m.record_commit(Duration::from_micros(5));
         let s = m.snapshot();
         assert!(s.stages.is_empty());
@@ -1001,51 +925,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_begin_samples_one_in_thirty_two_and_the_first_always_fires() {
-        let m = std::sync::Arc::new(EngineMetrics::with_telemetry(1, Some(Telemetry::new())));
-        // A fresh thread: its first transaction is always sampled, then
-        // 1-in-32 — deterministic, no atomics shared across threads.
-        let m2 = std::sync::Arc::clone(&m);
-        std::thread::spawn(move || {
-            let ids: Vec<Option<_>> = (0..64).map(|tx| m2.trace_begin(3, tx)).collect();
-            assert_eq!(ids[0], Some(mvcc_telemetry::TraceId::pack(3, 0)));
-            assert_eq!(ids.iter().flatten().count(), 2, "1-in-32 sampling");
-        })
-        .join()
-        .unwrap();
-        // Telemetry off: never sampled.
-        let off = EngineMetrics::new(1);
-        assert!((0..64).all(|tx| off.trace_begin(0, tx).is_none()));
-    }
-
-    #[test]
-    fn exemplars_and_trace_events_flow_through_the_metrics_handle() {
+    fn sampled_stage_clock_fires_one_in_thirty_two() {
         let m = EngineMetrics::with_telemetry(1, Some(Telemetry::new()));
-        let trace = mvcc_telemetry::TraceId::pack(1, 7);
-        let mut tree = mvcc_telemetry::TraceTree::new(trace);
-        tree.total_us = 500;
-        m.offer_exemplar(tree);
-        assert_eq!(m.exemplars().unwrap().len(), 1);
-        m.record_trace_event(Stage::WalFlush, Some(trace), Some(42), 11);
-        let events = m.telemetry().unwrap().trace_log().events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].lsn, Some(42));
-        m.record_abort_traced(AbortReason::Explicit, None, Some(trace));
-        let dump = m.flight_dump().unwrap();
-        assert!(dump.contains("abort reason=explicit trace=t1.7"), "{dump}");
-        // Off: all of it is a no-op.
-        let off = EngineMetrics::new(1);
-        off.offer_exemplar(mvcc_telemetry::TraceTree::new(trace));
-        off.record_trace_event(Stage::WalFlush, None, None, 1);
-        assert!(off.exemplars().is_none());
-    }
-
-    #[test]
-    fn batch_trace_sampling_fires_one_in_thirty_two() {
-        let m = EngineMetrics::with_telemetry(1, Some(Telemetry::new()));
-        let fired = (0..128).filter(|_| m.trace_batch().is_some()).count();
+        let fired = (0..128)
+            .filter(|_| m.sampled_stage_clock().is_some())
+            .count();
         assert_eq!(fired, 4, "1-in-32 per-thread sampling");
         let off = EngineMetrics::new(1);
-        assert!((0..128).all(|_| off.trace_batch().is_none()));
+        assert!((0..128).all(|_| off.sampled_stage_clock().is_none()));
     }
 }

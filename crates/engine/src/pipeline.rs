@@ -34,7 +34,7 @@ use mvcc_analysis::lockdep::TrackedMutex;
 use mvcc_core::{EntityId, Step, TxId, VersionSource};
 use mvcc_durability::{is_fence_error, CommitEntry, WalReceipt, WalRecord, WalWriter};
 use mvcc_store::{StoreError, TxHandle};
-use mvcc_telemetry::{EventKind, SpanRecord, Stage, TraceId};
+use mvcc_telemetry::{EventKind, Stage};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -228,11 +228,6 @@ impl HistoryLog {
     }
 }
 
-/// Microseconds elapsed since `clock`, saturating.
-fn elapsed_us(clock: Instant) -> u64 {
-    u64::try_from(clock.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
 /// The WAL record for one admitted step.
 fn step_record(step: Step, value: Option<&Bytes>) -> WalRecord {
     if step.is_read() {
@@ -254,15 +249,8 @@ fn step_record(step: Step, value: Option<&Bytes>) -> WalRecord {
 struct CommitRequest {
     tx: TxId,
     begun_shards: Vec<bool>,
-    /// The owning session's trace id when it is sampled for span
-    /// collection: the drain leader hands the spans it measured back
-    /// through the outcome slot — attribution to the *owner*, not the
-    /// thread that happened to lead the batch.
-    trace: Option<TraceId>,
-    /// The verdict plus, for traced owners, the group-commit spans the
-    /// leader measured on their behalf (apply, and the nested WAL flush
-    /// with its batch LSN).
-    outcome: TrackedMutex<Option<(CommitOutcome, Vec<SpanRecord>)>>,
+    /// The verdict, filled by whichever session leads the drain.
+    outcome: TrackedMutex<Option<CommitOutcome>>,
 }
 
 /// Everything that must change atomically with a certifier ruling on one
@@ -489,17 +477,12 @@ impl AdmissionPipeline {
     /// Fires the chaos hook at `site` (no-op without a hook installed).
     /// The flight-recorder event lands *before* the hook runs: a hook
     /// that freezes the calling thread forever (the chaos harness's
-    /// scripted kill) still leaves the kill site on the timeline —
-    /// attributed to a trace when the site knows which transaction's
-    /// batch it froze.
-    fn chaos_point(&self, site: KillSite, metrics: &EngineMetrics, trace: Option<TraceId>) {
+    /// scripted kill) still leaves the kill site on the timeline.
+    fn chaos_point(&self, site: KillSite, metrics: &EngineMetrics) {
         if let Some(hook) = &self.chaos {
-            metrics.flight_traced(
-                EventKind::KillSite {
-                    site: site.to_string(),
-                },
-                trace,
-            );
+            metrics.flight(EventKind::KillSite {
+                site: site.to_string(),
+            });
             (hook.0)(site);
         }
     }
@@ -583,7 +566,6 @@ impl AdmissionPipeline {
     /// admitted sequence ([`LaneState::resolve`]) and publishes an admitted
     /// step to the history and the WAL before the lane is released — one
     /// ruling per lane lock, so each lane's history is its ruling order.
-    #[allow(clippy::too_many_arguments)] // internal pipeline plumbing; the args are the pipeline's layers
     pub(crate) fn submit_step(
         &self,
         step: Step,
@@ -592,27 +574,15 @@ impl AdmissionPipeline {
         shards: &ShardedStore,
         history: &HistoryLog,
         metrics: &EngineMetrics,
-        trace: Option<TraceId>,
-        spans: &mut Vec<SpanRecord>,
     ) -> StepOutcome {
         let mut state = self.lanes[self.lane_of(step.entity, shards)].lock();
         // Sampled stage probe (1-in-32 per thread): service time is the
         // whole ruling plus publication, certify time just the certifier.
-        let sampled = metrics.trace_batch();
-        // lint: allow(clock) — stage/span clock, read only when sampled or traced
-        let certify_clock = (sampled.is_some() || trace.is_some()).then(Instant::now);
+        let sampled = metrics.sampled_stage_clock();
+        // lint: allow(clock) — stage clock, read only when sampled
+        let certify_clock = sampled.is_some().then(Instant::now);
         let admission = state.certifier.admit(step);
-        if sampled.is_some() {
-            metrics.record_stage_since(Stage::Certify, certify_clock);
-        }
-        if let (Some(_), Some(clock)) = (trace, certify_clock) {
-            spans.push(SpanRecord {
-                stage: Stage::Certify,
-                dur_us: elapsed_us(clock),
-                depth: 1,
-                lsn: None,
-            });
-        }
+        metrics.record_stage_since(Stage::Certify, certify_clock);
         let outcome = state.resolve(step, admission);
         let admitted =
             matches!(outcome, StepOutcome::Admitted(_)).then_some((step, value, log_begin));
@@ -643,7 +613,7 @@ impl AdmissionPipeline {
         history: &HistoryLog,
         metrics: &EngineMetrics,
     ) {
-        self.chaos_point(KillSite::AdmissionDrain, metrics, None);
+        self.chaos_point(KillSite::AdmissionDrain, metrics);
         let Some((step, value, log_begin)) = admitted else {
             return;
         };
@@ -685,8 +655,6 @@ impl AdmissionPipeline {
         shards: &ShardedStore,
         history: &HistoryLog,
         metrics: &EngineMetrics,
-        trace: Option<TraceId>,
-        spans: &mut Vec<SpanRecord>,
     ) -> CommitOutcome {
         // Fast path: the drain is free — apply right away (with any
         // parked backlog), without parking a request.  Not in fsync mode:
@@ -699,26 +667,22 @@ impl AdmissionPipeline {
                 let own = CommitRequest {
                     tx,
                     begun_shards: begun_shards.to_vec(),
-                    trace,
                     outcome: TrackedMutex::new(lock_class!("engine.commit-slot"), None),
                 };
                 let mut refs: Vec<&CommitRequest> = queued.iter().map(Arc::as_ref).collect();
                 refs.push(&own);
                 self.process_commit_batch(&refs, shards, history, metrics);
-                let (outcome, commit_spans) = own
+                return own
                     .outcome
                     .lock()
                     .take()
                     // lint: allow(unwrap) — process_commit_batch fills every slot
                     .expect("commit batch fills every slot");
-                spans.extend(commit_spans);
-                return outcome;
             }
         }
         let request = Arc::new(CommitRequest {
             tx,
             begun_shards: begun_shards.to_vec(),
-            trace,
             outcome: TrackedMutex::new(lock_class!("engine.commit-slot"), None),
         });
         self.commit.queue.lock().push(Arc::clone(&request));
@@ -735,13 +699,11 @@ impl AdmissionPipeline {
             std::thread::yield_now();
         }
         loop {
-            if let Some((outcome, commit_spans)) = request.outcome.lock().take() {
-                spans.extend(commit_spans);
+            if let Some(outcome) = request.outcome.lock().take() {
                 return outcome;
             }
             let _drain = self.commit.drain.lock();
-            if let Some((outcome, commit_spans)) = request.outcome.lock().take() {
-                spans.extend(commit_spans);
+            if let Some(outcome) = request.outcome.lock().take() {
                 return outcome;
             }
             let batch = std::mem::take(&mut *self.commit.queue.lock());
@@ -772,15 +734,9 @@ impl AdmissionPipeline {
         if batch.is_empty() {
             return;
         }
-        // Sampled batch trace (1-in-32 per leading thread): the whole
+        // Sampled batch probe (1-in-32 per leading thread): the whole
         // apply is Stage::GroupCommitApply, the flush alone WalFlush.
-        let trace = metrics.trace_batch();
-        // Span collection fires whenever any member is traced; the leader
-        // measures once and hands spans to every traced owner's slot.
-        let batch_traced = batch.iter().any(|r| r.trace.is_some());
-        let lead_trace = batch.iter().find_map(|r| r.trace);
-        // lint: allow(clock) — stage/span clock, read only when sampled or traced
-        let apply_clock = (trace.is_some() || batch_traced).then(Instant::now);
+        let apply_clock = metrics.sampled_stage_clock();
         // Fence check *before* any shard effect: a deposed primary must
         // not apply commits its WAL can no longer record — its in-memory
         // state would diverge from the durable prefix the promoted
@@ -793,12 +749,9 @@ impl AdmissionPipeline {
                 Some(wal) => match wal.check_fence() {
                     Ok(()) => false,
                     Err(e) if is_fence_error(&e) => {
-                        metrics.flight_traced(
-                            EventKind::FenceRefusal {
-                                site: "commit-fence-check".into(),
-                            },
-                            lead_trace,
-                        );
+                        metrics.flight(EventKind::FenceRefusal {
+                            site: "commit-fence-check".into(),
+                        });
                         self.depose();
                         true
                     }
@@ -808,7 +761,7 @@ impl AdmissionPipeline {
             };
         if fenced {
             for request in batch {
-                *request.outcome.lock() = Some((CommitOutcome::Deposed, Vec::new()));
+                *request.outcome.lock() = Some(CommitOutcome::Deposed);
             }
             return;
         }
@@ -886,7 +839,6 @@ impl AdmissionPipeline {
             .map(|(r, _)| r.tx)
             .collect();
         let mut batch_lsn = None;
-        let mut flush_us: Option<u64> = None;
         // Durability point: one commit record for the whole batch, one
         // flush (at most one fsync), before anyone can learn of the
         // commits.
@@ -902,9 +854,9 @@ impl AdmissionPipeline {
                         })
                     })
                     .collect();
-                self.chaos_point(KillSite::GroupCommitFlush, metrics, lead_trace);
-                // lint: allow(clock) — stage/span clock, read only when sampled or traced
-                let flush_clock = (trace.is_some() || batch_traced).then(Instant::now);
+                self.chaos_point(KillSite::GroupCommitFlush, metrics);
+                // lint: allow(clock) — stage clock, read only when sampled
+                let flush_clock = apply_clock.is_some().then(Instant::now);
                 let receipt = match wal.append_and_flush(&[WalRecord::Commit { entries }]) {
                     Ok(receipt) => receipt,
                     Err(e) if is_fence_error(&e) => {
@@ -915,15 +867,12 @@ impl AdmissionPipeline {
                         // invisible to admission, and the stranded
                         // in-memory versions die with this engine (every
                         // session is now fenced too).
-                        metrics.flight_traced(
-                            EventKind::FenceRefusal {
-                                site: "commit-flush".into(),
-                            },
-                            lead_trace,
-                        );
+                        metrics.flight(EventKind::FenceRefusal {
+                            site: "commit-flush".into(),
+                        });
                         self.depose();
                         for request in batch {
-                            *request.outcome.lock() = Some((CommitOutcome::Deposed, Vec::new()));
+                            *request.outcome.lock() = Some(CommitOutcome::Deposed);
                         }
                         return;
                     }
@@ -931,14 +880,9 @@ impl AdmissionPipeline {
                         "WAL commit flush failed: durability can no longer be guaranteed: {e}"
                     ),
                 };
-                flush_us = flush_clock.map(elapsed_us);
-                if trace.is_some() {
-                    if let Some(us) = flush_us {
-                        metrics.record_stage_value(Stage::WalFlush, us);
-                    }
-                }
+                metrics.record_stage_since(Stage::WalFlush, flush_clock);
                 metrics.record_wal_flush(receipt.bytes, receipt.fsynced, committed.len());
-                if trace.is_some() {
+                if apply_clock.is_some() {
                     metrics.record_stage_value(Stage::WalFlushTxns, committed.len() as u64);
                     metrics.flight(EventKind::WalFlush {
                         bytes: receipt.bytes,
@@ -956,17 +900,6 @@ impl AdmissionPipeline {
                     // flush (durability is prefix-shaped, PR 4).
                     mvcc_analysis::hb::probe("engine.wal_append", lsn);
                     batch_lsn = Some(lsn);
-                    if batch_traced {
-                        // The cross-process correlation point: this flush
-                        // span's LSN is the same LSN a replica's apply
-                        // span records for the same commit batch.
-                        metrics.record_trace_event(
-                            Stage::WalFlush,
-                            lead_trace,
-                            Some(lsn),
-                            flush_us.unwrap_or(0),
-                        );
-                    }
                     // Every member shares the batch's one commit record.
                     for outcome in &mut outcomes {
                         if let CommitOutcome::Committed { wal_lsn } = outcome {
@@ -974,7 +907,7 @@ impl AdmissionPipeline {
                         }
                     }
                 }
-                self.chaos_point(KillSite::CommitNotifyGap, metrics, lead_trace);
+                self.chaos_point(KillSite::CommitNotifyGap, metrics);
             }
         }
         // Certifier + history bookkeeping for the transactions that made
@@ -993,38 +926,9 @@ impl AdmissionPipeline {
             history.commit_all(&committed);
             metrics.record_commit_batch(committed.len());
         }
-        let apply_us = apply_clock.map(elapsed_us);
+        metrics.record_stage_since(Stage::GroupCommitApply, apply_clock);
         for (request, outcome) in batch.iter().zip(outcomes) {
-            // Attribution: every traced member receives the batch's shared
-            // spans (the apply and flush are one shared cost — there is no
-            // per-member slice to apportion) through its own outcome slot,
-            // whichever session led the drain.
-            let commit_spans = match (request.trace, apply_us) {
-                (Some(_), Some(us)) => {
-                    let mut spans = vec![SpanRecord {
-                        stage: Stage::GroupCommitApply,
-                        dur_us: us,
-                        depth: 1,
-                        lsn: batch_lsn,
-                    }];
-                    if let (Some(lsn), Some(fus)) = (batch_lsn, flush_us) {
-                        spans.push(SpanRecord {
-                            stage: Stage::WalFlush,
-                            dur_us: fus,
-                            depth: 2,
-                            lsn: Some(lsn),
-                        });
-                    }
-                    spans
-                }
-                _ => Vec::new(),
-            };
-            *request.outcome.lock() = Some((outcome, commit_spans));
-        }
-        if trace.is_some() {
-            if let Some(us) = apply_us {
-                metrics.record_stage_value(Stage::GroupCommitApply, us);
-            }
+            *request.outcome.lock() = Some(outcome);
         }
     }
 
@@ -1039,7 +943,7 @@ impl AdmissionPipeline {
     /// snapshot, not an I/O marathon.
     pub(crate) fn checkpoint_cut<R>(&self, metrics: &EngineMetrics, f: impl FnOnce() -> R) -> R {
         let _drain = self.commit.drain.lock();
-        self.chaos_point(KillSite::Checkpoint, metrics, None);
+        self.chaos_point(KillSite::Checkpoint, metrics);
         f()
     }
 
@@ -1065,7 +969,6 @@ impl AdmissionPipeline {
 mod tests {
     use super::*;
     use crate::certifier::CertifierKind;
-    use mvcc_telemetry::Telemetry;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -1078,30 +981,23 @@ mod tests {
 
     /// A commit request parked in the group-commit queue, as a waiting
     /// session leaves it.
-    fn park_commit(
-        pipeline: &AdmissionPipeline,
-        tx: u32,
-        trace: Option<TraceId>,
-    ) -> Arc<CommitRequest> {
+    fn park_commit(pipeline: &AdmissionPipeline, tx: u32) -> Arc<CommitRequest> {
         let request = Arc::new(CommitRequest {
             tx: TxId(tx),
             begun_shards: vec![false],
-            trace,
             outcome: TrackedMutex::new(lock_class!("engine.commit-slot"), None),
         });
         pipeline.commit.queue.lock().push(Arc::clone(&request));
         request
     }
 
-    /// The attribution rule, deterministically: a traced foreign commit is
-    /// parked in the commit queue, an *untraced* session leads the drain —
-    /// the group-commit spans must land in the foreign owner's outcome
-    /// slot (carrying the batch's WAL LSN when a log is kept), and none on
-    /// the leader.
+    /// A commit parked in the queue is drained by whichever session leads
+    /// next: the leader fills the parked slot with the same verdict, and
+    /// both share the batch's one WAL commit record when a log is kept.
     #[test]
-    fn drain_leader_hands_group_commit_spans_to_the_traced_owner() {
+    fn drain_leader_fills_a_parked_commit_slot() {
         for durable in [false, true] {
-            let dir = durable.then(|| temp_dir("attribution"));
+            let dir = durable.then(|| temp_dir("drain"));
             let wal = dir.as_ref().map(|d| {
                 Arc::new(
                     WalWriter::open(d, mvcc_durability::DurabilityMode::Buffered, 8 << 20).unwrap(),
@@ -1109,84 +1005,26 @@ mod tests {
             });
             let shards = ShardedStore::new(1, 4, Bytes::from_static(b"0"));
             let history = HistoryLog::new(true, None);
-            let metrics = EngineMetrics::with_telemetry(1, Some(Telemetry::new()));
+            let metrics = EngineMetrics::new(1);
             let pipeline = AdmissionPipeline::new(CertifierKind::Sgt, 1, wal, None);
-            let foreign = park_commit(&pipeline, 7, Some(TraceId::pack(0, 7)));
-            let mut spans = Vec::new();
-            let outcome = pipeline.submit_commit(
-                TxId(8),
-                &[false],
-                &shards,
-                &history,
-                &metrics,
-                None,
-                &mut spans,
-            );
+            let foreign = park_commit(&pipeline, 7);
+            let outcome = pipeline.submit_commit(TxId(8), &[false], &shards, &history, &metrics);
             let CommitOutcome::Committed { wal_lsn } = outcome else {
                 panic!("leader did not commit: {outcome:?}");
             };
             assert_eq!(wal_lsn.is_some(), durable);
-            assert!(spans.is_empty(), "untraced leader keeps no spans");
-            let (foreign_outcome, foreign_spans) = foreign
+            let foreign_outcome = foreign
                 .outcome
                 .lock()
                 .take()
                 .expect("the leader fills every drained slot");
             assert_eq!(foreign_outcome, CommitOutcome::Committed { wal_lsn });
-            let apply = foreign_spans
-                .first()
-                .expect("traced owner receives the leader's apply span");
-            assert_eq!(apply.stage, Stage::GroupCommitApply);
-            assert_eq!(apply.depth, 1);
-            assert_eq!(apply.lsn, wal_lsn);
-            if durable {
-                assert_eq!(foreign_spans.len(), 2, "apply plus the nested flush");
-                assert_eq!(foreign_spans[1].stage, Stage::WalFlush);
-                assert_eq!(foreign_spans[1].depth, 2);
-                assert_eq!(foreign_spans[1].lsn, wal_lsn);
-            } else {
-                assert_eq!(foreign_spans.len(), 1, "no flush without a log");
-            }
             let snap = metrics.snapshot();
             assert_eq!((snap.commit_batches, snap.commit_batch_txns), (1, 2));
             if let Some(dir) = dir {
                 let _ = std::fs::remove_dir_all(dir);
             }
         }
-    }
-
-    /// An untraced foreign commit drained by a *traced* leader must stay
-    /// span-free: attribution never leaks the leader's trace onto other
-    /// owners.
-    #[test]
-    fn traced_leader_does_not_leak_spans_onto_untraced_waiters() {
-        let shards = ShardedStore::new(1, 4, Bytes::from_static(b"0"));
-        let history = HistoryLog::new(true, None);
-        let metrics = EngineMetrics::with_telemetry(1, Some(Telemetry::new()));
-        let pipeline = AdmissionPipeline::new(CertifierKind::Sgt, 1, None, None);
-        let foreign = park_commit(&pipeline, 3, None);
-        let mut spans = Vec::new();
-        let outcome = pipeline.submit_commit(
-            TxId(4),
-            &[false],
-            &shards,
-            &history,
-            &metrics,
-            Some(TraceId::pack(1, 4)),
-            &mut spans,
-        );
-        assert!(matches!(outcome, CommitOutcome::Committed { .. }));
-        assert_eq!(spans.len(), 1, "traced leader keeps its own apply span");
-        assert_eq!(spans[0].stage, Stage::GroupCommitApply);
-        let (_, foreign_spans) = foreign
-            .outcome
-            .lock()
-            .take()
-            .expect("the leader fills every drained slot");
-        assert!(
-            foreign_spans.is_empty(),
-            "untraced owner must not inherit the leader's spans"
-        );
     }
 
     /// Ring mode records the drop horizon, and the windowed projection

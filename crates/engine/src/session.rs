@@ -53,7 +53,7 @@ use mvcc_durability::{
     RecoveredState, RecoveryOptions, RecoveryReport, ShardCheckpoint, WalRecord, WalWriter,
 };
 use mvcc_store::{gc, StoreError, TxHandle};
-use mvcc_telemetry::{EventKind, SpanRecord, Telemetry, TelemetryMode, TraceId, TraceTree};
+use mvcc_telemetry::{EventKind, Telemetry, TelemetryMode};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -687,8 +687,6 @@ impl Engine {
             wal_begin_pending: self.wal.is_some(),
             // lint: allow(clock) — commit latency measurement feeding EngineMetrics
             started: Instant::now(),
-            trace: self.metrics.trace_begin(self.epoch, tx.0),
-            spans: Vec::new(),
         }
     }
 
@@ -727,14 +725,6 @@ pub struct Session {
     /// off.
     wal_begin_pending: bool,
     started: Instant,
-    /// `Some` when this transaction was sampled for causal tracing at
-    /// `begin` (1-in-32 per thread, telemetry on): every pipeline stage it
-    /// passes through hands a span back through the outcome slots, and the
-    /// finished tree is offered to the tail-exemplar reservoir at commit.
-    trace: Option<TraceId>,
-    /// Spans collected so far for a traced transaction (always empty when
-    /// `trace` is `None`).
-    spans: Vec<SpanRecord>,
 }
 
 impl Session {
@@ -791,8 +781,6 @@ impl Session {
             &self.engine.shards,
             &self.engine.history,
             &self.engine.metrics,
-            self.trace,
-            &mut self.spans,
         );
         let plan = match outcome {
             StepOutcome::Rejected => {
@@ -846,8 +834,6 @@ impl Session {
             &self.engine.shards,
             &self.engine.history,
             &self.engine.metrics,
-            self.trace,
-            &mut self.spans,
         );
         match outcome {
             StepOutcome::Rejected => {
@@ -886,25 +872,11 @@ impl Session {
             &self.engine.shards,
             &self.engine.history,
             &self.engine.metrics,
-            self.trace,
-            &mut self.spans,
         );
         match outcome {
             CommitOutcome::Committed { wal_lsn } => {
                 self.active = false;
                 self.engine.metrics.record_commit(self.started.elapsed());
-                if let Some(trace) = self.trace {
-                    // The finished span tree: whole-transaction latency at
-                    // the root, stage spans beneath.  The reservoir keeps
-                    // it only if it is among the slowest outliers.
-                    let mut tree = TraceTree::new(trace);
-                    tree.total_us =
-                        u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    for span in self.spans.drain(..) {
-                        tree.push(span);
-                    }
-                    self.engine.metrics.offer_exemplar(tree);
-                }
                 if self.engine.epoch > 0 {
                     // First commit under a promoted epoch closes the
                     // failover timeline: time from this (promoted)
@@ -976,11 +948,9 @@ impl Session {
             }
         }
         self.active = false;
-        self.engine.metrics.record_abort_traced(
-            reason,
-            trigger.map(|e| self.engine.shards.shard_of(e)),
-            self.trace,
-        );
+        self.engine
+            .metrics
+            .record_abort(reason, trigger.map(|e| self.engine.shards.shard_of(e)));
     }
 }
 

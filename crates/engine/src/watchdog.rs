@@ -11,7 +11,7 @@
 //! ([`EventKind::WatchdogVerdict`](mvcc_telemetry::EventKind)) — so a
 //! violation during a chaos soak lands on the same timeline as the kill
 //! sites and fence refusals around it, with the offending transactions
-//! named by trace id.
+//! named as `t{epoch}.{tx}`.
 //!
 //! ## Soundness of windowed checks
 //!
@@ -44,7 +44,7 @@ use crate::certifier::HistoryClass;
 use crate::session::{Engine, History};
 use mvcc_analysis::lock_class;
 use mvcc_analysis::lockdep::TrackedMutex;
-use mvcc_telemetry::{EventKind, TraceId};
+use mvcc_telemetry::EventKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -133,19 +133,19 @@ impl WatchdogInner {
             }
         } else {
             self.violations.fetch_add(1, Ordering::Relaxed);
-            // Name the offenders by trace id so the flight-recorder line
-            // correlates with the tracing layer's span trees.
+            // Name the offenders with the engine's epoch, so a line from a
+            // promoted primary is told apart from the deposed one's.
             let epoch = self.engine.epoch();
             let mut ids: Vec<String> = schedule
                 .tx_ids()
                 .into_iter()
                 .take(8)
-                .map(|tx| TraceId::pack(epoch, tx.0).to_string())
+                .map(|tx| format!("t{epoch}.{}", tx.0))
                 .collect();
             if schedule.num_transactions() > 8 {
                 ids.push("..".to_string());
             }
-            format!("violating traces {}", ids.join(","))
+            format!("violating {}", ids.join(","))
         };
         self.engine.metrics().flight(EventKind::WatchdogVerdict {
             class: class.to_string(),

@@ -128,10 +128,6 @@ impl LeaderDriver {
                 if let Some(m) = telemetry {
                     let detect_us = last_move.elapsed().as_micros() as u64;
                     m.record_stage_value(Stage::FailoverDetect, detect_us);
-                    // The promotion timeline also lands in the trace log,
-                    // so the failover's three phases line up against the
-                    // LSN-correlated apply/flush spans around them.
-                    m.record_trace_event(Stage::FailoverDetect, None, None, detect_us);
                     m.flight(EventKind::Promotion {
                         phase: "detected".into(),
                         detail: format!("heartbeat silent for {quiet} checks"),
@@ -156,16 +152,6 @@ impl LeaderDriver {
                 };
                 if let Some(m) = telemetry {
                     m.record_stage_since(Stage::FailoverElect, elect_clock);
-                    if let Some(clock) = elect_clock {
-                        // Correlated by the electee's final absorbed
-                        // position — the LSN the election decided on.
-                        m.record_trace_event(
-                            Stage::FailoverElect,
-                            None,
-                            Some(electee.watermark()),
-                            clock.elapsed().as_micros() as u64,
-                        );
-                    }
                     m.flight(EventKind::Promotion {
                         phase: "elected".into(),
                         detail: format!("watermark {}", electee.watermark()),
@@ -176,17 +162,6 @@ impl LeaderDriver {
                     Ok((engine, _report)) => {
                         if let Some(m) = telemetry {
                             m.record_stage_since(Stage::FailoverPromote, promote_clock);
-                            if let Some(clock) = promote_clock {
-                                // Correlated by the healed log's tail —
-                                // the promotion cut every later commit
-                                // extends past.
-                                m.record_trace_event(
-                                    Stage::FailoverPromote,
-                                    None,
-                                    engine.wal_last_lsn(),
-                                    clock.elapsed().as_micros() as u64,
-                                );
-                            }
                             m.flight(EventKind::Promotion {
                                 phase: "promoted".into(),
                                 detail: format!("epoch {}", engine.epoch()),

@@ -471,22 +471,6 @@ impl Replica {
                 }
                 WalRecord::Commit { entries } => {
                     commits += 1;
-                    // Cross-process correlation: this apply span carries
-                    // the commit record's LSN — the same LSN the
-                    // primary's flush span recorded for the same batch —
-                    // so one grep over both trace logs joins the two
-                    // halves of a commit's causal timeline.  The duration
-                    // is shipped→applied so far for this batch (the lag
-                    // the exemplar report attributes, not a per-record
-                    // slice).
-                    if let (Some(metrics), Some(clock)) = (&self.config.metrics, apply_clock) {
-                        metrics.record_trace_event(
-                            mvcc_telemetry::Stage::ReplicaApply,
-                            None,
-                            Some(rec.lsn),
-                            u64::try_from(clock.elapsed().as_micros()).unwrap_or(u64::MAX),
-                        );
-                    }
                     for entry in entries {
                         let writes = state.pending.remove(&entry.tx).unwrap_or_default();
                         for &(shard_idx, ts) in &entry.shards {
@@ -576,9 +560,8 @@ impl Replica {
     /// the exact interleaving).
     pub fn begin_read(self: &Arc<Self>) -> ReplicaReadSession {
         let tx = TxId(self.next_reader.fetch_add(1, Ordering::Relaxed));
-        // The read-path half of the causal trace: how long pinning the
-        // safe point took, correlated to the apply path by the pinned
-        // safe LSN (sampled through the stage clock, telemetry on only).
+        // How long pinning the safe point took (sampled through the stage
+        // clock, telemetry on only).
         let pin_clock = self.config.metrics.as_ref().and_then(|m| m.stage_clock());
         let state = self.state.lock();
         let pinned = state.safe_lsn;
@@ -589,15 +572,8 @@ impl Replica {
                 .expect("replica reader ids are unique per replica");
         }
         drop(state);
-        if let (Some(metrics), Some(clock)) = (&self.config.metrics, pin_clock) {
-            let pin_us = u64::try_from(clock.elapsed().as_micros()).unwrap_or(u64::MAX);
-            metrics.record_stage_value(mvcc_telemetry::Stage::FollowerReadPin, pin_us);
-            metrics.record_trace_event(
-                mvcc_telemetry::Stage::FollowerReadPin,
-                None,
-                Some(pinned),
-                pin_us,
-            );
+        if let Some(metrics) = &self.config.metrics {
+            metrics.record_stage_since(mvcc_telemetry::Stage::FollowerReadPin, pin_clock);
         }
         ReplicaReadSession {
             replica: Arc::clone(self),
@@ -1004,77 +980,6 @@ mod tests {
         for store in replica.shards().iter() {
             assert!(store.active_snapshots().is_empty());
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn primary_flush_and_replica_apply_spans_correlate_by_lsn() {
-        use mvcc_telemetry::Stage;
-        // The cross-process join of the causal trace: the primary's
-        // group-commit leader records a WAL-flush span carrying the
-        // batch's commit LSN, and the replica's apply path records its
-        // apply span against the *same* LSN read back from the log —
-        // the two halves of one commit's timeline meet on that key.
-        let dir = temp_dir("tracecorr");
-        let engine = Arc::new(Engine::new(
-            CertifierKind::Sgt,
-            EngineConfig {
-                shards: 2,
-                entities: 8,
-                durability: DurabilityConfig::buffered(&dir),
-                telemetry: mvcc_engine::TelemetryMode::On,
-                ..EngineConfig::default()
-            },
-        ));
-        // First transaction on a fresh thread: always trace-sampled, so
-        // its commit batch is traced and the flush span is recorded.
-        let mut s = engine.begin();
-        s.write(X, Bytes::from_static(b"flushed")).unwrap();
-        s.write(Y, Bytes::from_static(b"flushed")).unwrap();
-        s.commit().unwrap();
-        // The replica shares the primary's telemetry sink, so both sides
-        // of the shipping boundary land in one trace log (in a real
-        // deployment each process greps its own log; the LSN is still
-        // the join key either way).
-        let mut config = replica_config();
-        config.metrics = Some(engine.metrics_handle());
-        let replica = Replica::open(config, &dir).unwrap();
-        replica.catch_up().unwrap();
-
-        let events = engine
-            .metrics()
-            .telemetry()
-            .expect("telemetry is on")
-            .trace_log()
-            .events();
-        let flush_lsns: Vec<u64> = events
-            .iter()
-            .filter(|e| e.stage == Stage::WalFlush)
-            .filter_map(|e| e.lsn)
-            .collect();
-        let apply_lsns: Vec<u64> = events
-            .iter()
-            .filter(|e| e.stage == Stage::ReplicaApply)
-            .filter_map(|e| e.lsn)
-            .collect();
-        assert!(
-            !flush_lsns.is_empty(),
-            "the traced commit must record a flush span: {events:?}"
-        );
-        for lsn in &flush_lsns {
-            assert!(
-                apply_lsns.contains(lsn),
-                "flush span LSN {lsn} has no matching replica apply span: {events:?}"
-            );
-        }
-        // And the primary half is attributed: the flush span knows which
-        // transaction's trace it belongs to.
-        assert!(
-            events
-                .iter()
-                .any(|e| e.stage == Stage::WalFlush && e.trace.is_some()),
-            "the flush span must carry the traced commit's trace id: {events:?}"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,7 +15,6 @@
 //! incident, not one per step), and a ring shared by readers has to
 //! serialize somewhere.  The hot per-step path never records events.
 
-use crate::trace::TraceId;
 use mvcc_analysis::lock_class;
 use mvcc_analysis::lockdep::TrackedMutex;
 use std::collections::VecDeque;
@@ -32,10 +31,6 @@ pub struct FlightEvent {
     pub at_us: u64,
     /// What happened.
     pub kind: EventKind,
-    /// The transaction this event belongs to, when the recording site
-    /// knew one — lets a dumped kill-site/fence/abort event be joined
-    /// against that transaction's span tree.
-    pub trace: Option<TraceId>,
 }
 
 /// The structured event vocabulary.
@@ -101,8 +96,8 @@ pub enum EventKind {
         ok: bool,
         /// Committed transactions in the checked window.
         txns: u64,
-        /// Free-form detail: window shape, or the offending trace ids
-        /// on a violation.
+        /// Free-form detail: window shape, or the offending transactions
+        /// (`t{epoch}.{tx}`) on a violation.
         detail: String,
     },
     /// An anomaly detector transition: an alarm fired (`onset`) or
@@ -116,11 +111,6 @@ pub enum EventKind {
         frame: u64,
         /// Free-form detail: the triggering member / rate / baseline.
         detail: String,
-    },
-    /// Free-form annotation from tests or harnesses.
-    Note {
-        /// The annotation.
-        text: String,
     },
 }
 
@@ -159,7 +149,6 @@ impl fmt::Display for EventKind {
             } => {
                 write!(f, "anomaly {anomaly} phase={phase} frame={frame} {detail}")
             }
-            EventKind::Note { text } => write!(f, "note {text}"),
         }
     }
 }
@@ -196,21 +185,15 @@ impl FlightRecorder {
         }
     }
 
-    /// Records one event, timestamped now, with no trace attribution.
+    /// Records one event, timestamped now.
     pub fn record(&self, kind: EventKind) {
-        self.record_traced(kind, None);
-    }
-
-    /// Records one event attributed to a transaction's trace (when the
-    /// recording site knows one).
-    pub fn record_traced(&self, kind: EventKind, trace: Option<TraceId>) {
         let at_us = duration_to_us(self.start.elapsed());
         let mut ring = self.ring.lock();
         if ring.events.len() == self.capacity {
             ring.events.pop_front();
             ring.dropped += 1;
         }
-        ring.events.push_back(FlightEvent { at_us, kind, trace });
+        ring.events.push_back(FlightEvent { at_us, kind });
     }
 
     /// Number of events currently held.
@@ -249,13 +232,7 @@ impl FlightRecorder {
             ring.dropped
         ));
         for event in &ring.events {
-            match event.trace {
-                Some(trace) => out.push_str(&format!(
-                    "  +{:>10}µs  {} trace={}\n",
-                    event.at_us, event.kind, trace
-                )),
-                None => out.push_str(&format!("  +{:>10}µs  {}\n", event.at_us, event.kind)),
-            }
+            out.push_str(&format!("  +{:>10}µs  {}\n", event.at_us, event.kind));
         }
         out
     }
@@ -301,9 +278,9 @@ mod tests {
     #[test]
     fn timestamps_are_nondecreasing() {
         let rec = FlightRecorder::new(8);
-        rec.record(EventKind::Note { text: "a".into() });
+        rec.record(EventKind::CheckpointCut { seq: 1 });
         std::thread::sleep(Duration::from_millis(2));
-        rec.record(EventKind::Note { text: "b".into() });
+        rec.record(EventKind::CheckpointCut { seq: 2 });
         let events = rec.events();
         assert!(events[0].at_us <= events[1].at_us);
     }
@@ -311,10 +288,10 @@ mod tests {
     #[test]
     fn zero_capacity_is_bumped_to_one() {
         let rec = FlightRecorder::new(0);
-        rec.record(EventKind::Note { text: "x".into() });
-        rec.record(EventKind::Note { text: "y".into() });
+        rec.record(EventKind::CheckpointCut { seq: 1 });
+        rec.record(EventKind::CheckpointCut { seq: 2 });
         assert_eq!(rec.len(), 1);
-        assert!(rec.dump().contains("note y"));
+        assert!(rec.dump().contains("checkpoint-cut seq=2"));
     }
 
     #[test]
@@ -353,7 +330,6 @@ mod tests {
                 frame: 17,
                 detail: "member=replica-1 lag=9".into(),
             },
-            EventKind::Note { text: "hi".into() },
         ];
         let rec = FlightRecorder::new(kinds.len());
         for k in kinds {
@@ -371,33 +347,8 @@ mod tests {
             "epoch-first-commit",
             "watchdog class=CSR ok=true txns=42",
             "anomaly lag-stall phase=onset frame=17 member=replica-1 lag=9",
-            "note hi",
         ] {
             assert!(dump.contains(needle), "missing {needle} in:\n{dump}");
         }
-    }
-
-    #[test]
-    fn traced_events_render_their_trace_id_untraced_ones_do_not() {
-        let rec = FlightRecorder::new(4);
-        rec.record_traced(
-            EventKind::KillSite {
-                site: "group-commit-flush".into(),
-            },
-            Some(TraceId::pack(1, 9)),
-        );
-        rec.record(EventKind::CheckpointCut { seq: 2 });
-        let dump = rec.dump();
-        assert!(
-            dump.contains("kill-site site=group-commit-flush trace=t1.9"),
-            "{dump}"
-        );
-        assert!(
-            !dump.contains("checkpoint-cut seq=2 trace="),
-            "untraced events must not grow a trace suffix: {dump}"
-        );
-        let events = rec.events();
-        assert_eq!(events[0].trace, Some(TraceId::pack(1, 9)));
-        assert_eq!(events[1].trace, None);
     }
 }

@@ -28,26 +28,16 @@
 //! ([`TimelineFrame`]) on a fixed cadence into a bounded
 //! [`TimelineRing`], exportable as JSONL ([`write_jsonl`]) — see the
 //! timeline module docs.
-//!
-//! On top of the histograms sits the **causal tracing layer**: every
-//! transaction carries a [`TraceId`]; sampled ones collect a bounded
-//! span tree ([`TraceTree`]) whose slowest instances the
-//! [`ExemplarReservoir`] retains as tail exemplars, and cross-cutting
-//! spans (WAL flush, replica apply, follower reads, promotion) land in
-//! the LSN-correlated [`TraceLog`].
 
 #![forbid(unsafe_code)]
 
-pub mod exemplar;
 pub mod flight;
 pub mod histogram;
 pub mod json;
 pub mod recorder;
 pub mod stage;
 pub mod timeline;
-pub mod trace;
 
-pub use exemplar::{ExemplarReservoir, EXEMPLAR_CAPACITY};
 pub use flight::{EventKind, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram};
 pub use recorder::{StageSnapshot, Telemetry, TelemetryMode, TelemetrySnapshot, FLUSH_EVERY};
@@ -55,8 +45,4 @@ pub use stage::Stage;
 pub use timeline::{
     parse_jsonl, write_jsonl, FrameSource, ReplicaFrame, TimelineFrame, TimelineRecorder,
     TimelineRing,
-};
-pub use trace::{
-    SpanRecord, TraceEvent, TraceId, TraceLog, TraceTree, DEFAULT_TRACE_LOG_CAPACITY,
-    MAX_TRACE_SPANS,
 };

@@ -23,11 +23,9 @@
 //! benchmarks join their workers before snapshotting (worker exit
 //! flushes), which makes joined-then-snapshot totals exact.
 
-use crate::exemplar::{ExemplarReservoir, EXEMPLAR_CAPACITY};
 use crate::flight::{EventKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 use crate::histogram::{Histogram, HistogramSnapshot, LocalHistogram};
 use crate::stage::Stage;
-use crate::trace::{TraceId, TraceLog, DEFAULT_TRACE_LOG_CAPACITY};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -65,8 +63,6 @@ struct Shared {
     id: u64,
     stages: Vec<Histogram>,
     flight: FlightRecorder,
-    exemplars: ExemplarReservoir,
-    trace_log: TraceLog,
 }
 
 /// A telemetry registry: one histogram per [`Stage`] plus a flight
@@ -90,8 +86,6 @@ impl Telemetry {
                 id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
                 stages: (0..Stage::COUNT).map(|_| Histogram::new()).collect(),
                 flight: FlightRecorder::new(capacity),
-                exemplars: ExemplarReservoir::new(EXEMPLAR_CAPACITY),
-                trace_log: TraceLog::new(DEFAULT_TRACE_LOG_CAPACITY),
             }),
         }
     }
@@ -124,26 +118,9 @@ impl Telemetry {
         self.inner.flight.record(kind);
     }
 
-    /// Records a flight-recorder event attributed to a trace.
-    pub fn record_event_traced(&self, kind: EventKind, trace: Option<TraceId>) {
-        self.inner.flight.record_traced(kind, trace);
-    }
-
     /// The flight recorder (for dumps and tests).
     pub fn flight(&self) -> &FlightRecorder {
         &self.inner.flight
-    }
-
-    /// The tail-exemplar reservoir: full span trees of the slowest
-    /// commits recorded through this registry.
-    pub fn exemplars(&self) -> &ExemplarReservoir {
-        &self.inner.exemplars
-    }
-
-    /// The cross-cutting trace log: WAL-flush, replica-apply,
-    /// follower-read and promotion spans, correlated by LSN.
-    pub fn trace_log(&self) -> &TraceLog {
-        &self.inner.trace_log
     }
 
     /// Drains the calling thread's buffered samples into the shared

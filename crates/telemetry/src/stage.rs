@@ -52,8 +52,8 @@ pub enum Stage {
     /// stages above this is the measured MTTR.
     EpochFirstCommit,
     /// Time a follower read spent pinning its transaction-consistent
-    /// safe point on a replica (µs) — the read-path half of the causal
-    /// trace, correlated to the apply path by the pinned safe LSN.
+    /// safe point on a replica (µs) — the read-path counterpart of
+    /// [`Stage::ReplicaApply`].
     FollowerReadPin,
 }
 

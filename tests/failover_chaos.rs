@@ -656,13 +656,6 @@ fn the_flight_recorder_captures_a_scripted_kill_site() {
         dump.contains("kill-site site=group-commit-flush"),
         "the dump must carry the scripted kill event:\n{dump}"
     );
-    // Correlation: the committer is the first transaction on a fresh
-    // thread, so it is always trace-sampled, and the kill event carries
-    // its trace id — the dump line names *which* commit died there.
-    assert!(
-        dump.contains("kill-site site=group-commit-flush trace=t0."),
-        "the kill event must carry the doomed commit's trace id:\n{dump}"
-    );
     // Wake the frozen committer so the test exits cleanly (this is the
     // observability test — the fencing story is pinned elsewhere).
     freezer.release();

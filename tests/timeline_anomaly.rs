@@ -23,7 +23,10 @@
 //!   live run's alarms;
 //! * a **steady release soak** (the false-positive gate): a healthy
 //!   closed loop with the watchdog and the monitor both on must finish
-//!   with zero alarms and zero watchdog violations.
+//!   with zero alarms and zero watchdog violations;
+//! * the **all-certifier watchdog run**: every certifier under plain
+//!   load with a ring history classifies windows online with zero
+//!   violations (the chaos soaks cover the failover story).
 
 mod common;
 use common::chaos::Freezer;
@@ -320,4 +323,51 @@ fn a_steady_release_soak_never_false_alarms() {
     let watchdog = report.watchdog.expect("the watchdog ran");
     assert_eq!(watchdog.violations, 0);
     assert!(watchdog.windows >= 1);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the watchdog needs release-build traffic volumes to see ring-truncated windows"
+)]
+fn every_certifier_runs_under_the_watchdog_without_false_alarms() {
+    let profile = LoadProfile {
+        threads: 4,
+        shards: 4,
+        ops: 20_000,
+        zipf_theta: 0.0,
+        seed: 0x0e13,
+        ..LoadProfile::default()
+    };
+    for kind in CertifierKind::all() {
+        let dir = temp_dir(&format!("watchdog-{}", kind.name()));
+        let report = run_closed_loop(
+            kind,
+            &profile,
+            LoadOptions {
+                history_capacity: Some(512),
+                durability: DurabilityConfig::buffered(&dir),
+                telemetry: TelemetryMode::On,
+                watchdog: true,
+                ..LoadOptions::default()
+            },
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let watchdog = report.watchdog.expect("watchdog was on");
+        if kind != CertifierKind::Mvto {
+            // MVTO's class (MVSR) is NP-complete and only soundly
+            // checkable on small complete histories — at release traffic
+            // volumes with a ring history every sample is (correctly)
+            // skipped; the failover chaos soak covers MVTO's online
+            // verification at checkable sizes.
+            assert!(
+                watchdog.windows >= 1,
+                "{kind}: the watchdog never classified a window"
+            );
+        }
+        assert_eq!(
+            watchdog.violations, 0,
+            "{kind}: the watchdog false-alarmed under plain load"
+        );
+    }
 }
