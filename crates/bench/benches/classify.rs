@@ -1,10 +1,13 @@
 //! Criterion benchmarks for experiment E10: the polynomial classifiers
-//! (CSR, MVCSR) scale with the schedule — up to audits of 200 000-step
+//! (CSR, MVCSR, and DMVSR on schedules whose transactions write an entity
+//! at most once) scale with the schedule — up to audits of 200 000-step
 //! committed histories — while the exact NP-complete classifiers (VSR,
-//! MVSR: one pruned search, two clients) are only run on small instances;
-//! DMVSR sits beside them, and `classify_taxonomy/8x4x8` is the per-call
-//! budget of `taxonomy::classify` on the end-to-end benchmark's corpus
-//! shape (divide the reading by 256).
+//! MVSR: one pruned search, two clients) are only run on small instances,
+//! DMVSR beside them.  `classify_polynomial` straddles the 64-transaction
+//! boundary of the acyclicity test (bitmasks up to 64×8, Kahn's pass from
+//! 65×8), and `classify_taxonomy/8x4x8` is the per-call budget of
+//! `taxonomy::classify` on the end-to-end benchmark's corpus shape (divide
+//! the reading by 256).
 //!
 //! Also covers experiment E1/E2/E3 costs: classifying the Figure 1 examples
 //! and checking Theorem 1 / Theorem 2 on a fixed small schedule.
@@ -39,7 +42,15 @@ fn bench_polynomial_classifiers(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1))
         .warm_up_time(Duration::from_millis(300))
         .sample_size(20);
-    for &(txns, steps) in &[(4usize, 4usize), (8, 4), (16, 8), (32, 8), (64, 8)] {
+    for &(txns, steps) in &[
+        (4usize, 4usize),
+        (8, 4),
+        (16, 8),
+        (32, 8),
+        (64, 8),
+        (65, 8),
+        (128, 8),
+    ] {
         let s = schedule_of(txns, steps, 16);
         group.bench_with_input(
             BenchmarkId::new("csr", format!("{txns}x{steps}")),
@@ -51,6 +62,13 @@ fn bench_polynomial_classifiers(c: &mut Criterion) {
             &s,
             |b, s| b.iter(|| is_mvcsr(s)),
         );
+        if matches!(txns, 8 | 64 | 65) {
+            group.bench_with_input(
+                BenchmarkId::new("dmvsr", format!("{txns}x{steps}")),
+                &s,
+                |b, s| b.iter(|| is_dmvsr(s)),
+            );
+        }
     }
     group.finish();
 }

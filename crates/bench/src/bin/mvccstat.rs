@@ -148,7 +148,8 @@ fn live(mut args: impl Iterator<Item = String>) {
         std::thread::spawn(move || drive_closed_loop(&engine, &profile))
     };
     // Stream frames as the recorder captures them: poll the shared ring
-    // at the sampling cadence and print every frame not yet shown.
+    // and print every frame not yet shown.  The poll is at most 10 ms
+    // apart, so the run ends soon after its load, whatever the cadence.
     let ring = monitor.ring();
     let mut printed: Option<u64> = None;
     let mut show_new = |frames: &[TimelineFrame]| {
@@ -165,7 +166,7 @@ fn live(mut args: impl Iterator<Item = String>) {
         if done {
             break;
         }
-        std::thread::sleep(Duration::from_millis(interval_ms));
+        std::thread::sleep(Duration::from_millis(interval_ms.min(10)));
     }
     let elapsed = driver.join().expect("load driver panicked");
     // Stop order: the watchdog first (after one final pass over the

@@ -8,9 +8,9 @@
 //! locking schedulers [Yannakakis 1981], which is why the paper treats CSR as
 //! the single-version yardstick that MVCSR generalises.
 
-use mvcc_core::conflict::{sv_conflict_pairs_iter, ConflictPair};
+use crate::arcs::{self, ArcIndex, Rule};
 use mvcc_core::{Schedule, TxId};
-use mvcc_graph::topo::{is_acyclic, topological_sort};
+use mvcc_graph::topo::topological_sort;
 use mvcc_graph::{DiGraph, NodeId};
 use std::collections::HashMap;
 
@@ -33,93 +33,19 @@ impl ConflictGraph {
     }
 }
 
-/// The node numbering of the conflict graph and of the MVCG: the
-/// transactions of a schedule in order of first appearance.
-pub(crate) struct TxNodes {
-    pub(crate) node_of_tx: HashMap<TxId, NodeId>,
-    pub(crate) tx_of_node: Vec<TxId>,
-    /// Node of the transaction of each step, by schedule position.
-    node_of_step: Vec<NodeId>,
-}
-
-impl TxNodes {
-    pub(crate) fn of(schedule: &Schedule) -> Self {
-        let mut node_of_tx = HashMap::new();
-        let mut tx_of_node = Vec::new();
-        let node_of_step = schedule
-            .steps()
-            .iter()
-            .map(|step| {
-                *node_of_tx.entry(step.tx).or_insert_with(|| {
-                    tx_of_node.push(step.tx);
-                    NodeId(tx_of_node.len() as u32 - 1)
-                })
-            })
-            .collect();
-        TxNodes {
-            node_of_tx,
-            tx_of_node,
-            node_of_step,
-        }
-    }
-
-    /// The one definition of "conflict arc", for both conflict notions: a
-    /// conflicting pair of steps puts an arc from the earlier step's
-    /// transaction to the later step's.  Yields `(from, to, position of the
-    /// earlier step)` in pair order; the labelled graphs and the bare
-    /// acyclicity test both read this stream.
-    pub(crate) fn arcs<'a>(
-        &'a self,
-        pairs: impl Iterator<Item = ConflictPair> + 'a,
-    ) -> impl Iterator<Item = (NodeId, NodeId, usize)> + 'a {
-        pairs.map(|pair| {
-            (
-                self.node_of_step[pair.first],
-                self.node_of_step[pair.second],
-                pair.first,
-            )
-        })
-    }
-
-    /// `true` iff the graph `pairs` induce on the transactions is acyclic.
-    /// The decision reads neither transaction names on the nodes nor entity
-    /// labels on the arcs, so neither is built.
-    pub(crate) fn acyclic(&self, pairs: impl Iterator<Item = ConflictPair>) -> bool {
-        let mut graph = DiGraph::with_nodes(self.tx_of_node.len());
-        for (from, to, _) in self.arcs(pairs) {
-            graph.add_arc(from, to);
-        }
-        is_acyclic(&graph)
-    }
-
-    /// A graph with one node per transaction, labelled with the
-    /// transaction's name (what the dot export prints).
-    pub(crate) fn labelled_graph(&self) -> DiGraph {
-        let mut graph = DiGraph::new();
-        for tx in &self.tx_of_node {
-            graph.add_node(format!("{tx}"));
-        }
-        graph
-    }
-}
-
 /// Builds the (single-version) conflict graph of `schedule`.
 pub fn conflict_graph(schedule: &Schedule) -> ConflictGraph {
-    let nodes = TxNodes::of(schedule);
-    let mut graph = nodes.labelled_graph();
-    for (from, to, _) in nodes.arcs(sv_conflict_pairs_iter(schedule)) {
-        graph.add_arc(from, to);
-    }
+    let labelled = arcs::labelled(schedule, Rule::Sv);
     ConflictGraph {
-        graph,
-        node_of_tx: nodes.node_of_tx,
-        tx_of_node: nodes.tx_of_node,
+        graph: labelled.graph,
+        node_of_tx: labelled.node_of_tx,
+        tx_of_node: labelled.tx_of_node,
     }
 }
 
 /// `true` iff `schedule` is conflict-serializable.
 pub fn is_csr(schedule: &Schedule) -> bool {
-    TxNodes::of(schedule).acyclic(sv_conflict_pairs_iter(schedule))
+    ArcIndex::of(schedule).acyclic(Rule::Sv) == Some(true)
 }
 
 /// Returns a serial order witnessing conflict-serializability (a topological

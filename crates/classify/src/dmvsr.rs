@@ -13,7 +13,11 @@
 //! The patched schedule is in the restricted model by construction, and
 //! there — **provided no transaction writes the same entity twice**, which is
 //! the paper's model of a transaction — MVSR and MVCSR coincide, so
-//! [`is_dmvsr`] is Theorem 1's polynomial graph test on the patched schedule:
+//! [`is_dmvsr`] is Theorem 1's polynomial graph test on the patched schedule.
+//! It never builds that schedule: a write of an entity its transaction has
+//! not accessed earlier acts as a read at its own position, which is the
+//! read the patching inserts (same transaction, same place relative to
+//! every other step, so it conflicts with the same later writes).
 //!
 //! * MVCSR ⊆ MVSR always (Theorem 3: a topological order of the MVCG serves
 //!   every read an earlier write).
@@ -37,51 +41,32 @@
 //! (`Classification::respects_containments`, the Figure 1 census) and
 //! `DMVSR ⊆ MVCSR` on writes-once schedules (the tests below).
 
-use mvcc_core::{EntityId, Schedule, Step, TxId};
-use std::collections::hash_map::{Entry, HashMap};
+use crate::arcs::{ArcIndex, Rule};
+use mvcc_core::{Schedule, Step};
+use std::collections::HashSet;
 
 /// The "patched" schedule used by the DMVSR definition: a read step
 /// `R_i(x)` is inserted immediately before every write `W_i(x)` whose
 /// transaction has not read `x` earlier in program order.
 pub fn patch_readless_writes(schedule: &Schedule) -> Schedule {
-    patch(schedule).0
-}
-
-/// [`patch_readless_writes`], and whether some transaction writes an entity
-/// twice.
-fn patch(schedule: &Schedule) -> (Schedule, bool) {
     let mut out: Vec<Step> = Vec::with_capacity(schedule.len());
-    // Per transaction and entity accessed so far: whether it wrote it yet.
-    let mut wrote: HashMap<(TxId, EntityId), bool> = HashMap::new();
-    let mut writes_twice = false;
+    let mut accessed = HashSet::new();
     for &step in schedule.steps() {
-        let accessed = wrote.entry((step.tx, step.entity));
-        if step.is_read() {
-            accessed.or_insert(false);
-        } else {
-            match accessed {
-                Entry::Vacant(first_access) => {
-                    out.push(Step::read(step.tx, step.entity));
-                    first_access.insert(true);
-                }
-                Entry::Occupied(mut earlier) => writes_twice |= earlier.insert(true),
-            }
+        if accessed.insert((step.tx, step.entity)) && step.is_write() {
+            out.push(Step::read(step.tx, step.entity));
         }
         out.push(step);
     }
-    (Schedule::from_steps(out), writes_twice)
+    Schedule::from_steps(out)
 }
 
 /// `true` iff `schedule` is DMVSR: its readless-write patching is MVSR —
-/// decided by the MVCG test unless a transaction writes an entity twice
-/// (see the module docs).
+/// decided by the patched MVCG, without building the patching, unless a
+/// transaction writes an entity twice (see the module docs).
 pub fn is_dmvsr(schedule: &Schedule) -> bool {
-    let (patched, writes_twice) = patch(schedule);
-    if writes_twice {
-        crate::mvsr::is_mvsr(&patched)
-    } else {
-        crate::mvcsr::is_mvcsr(&patched)
-    }
+    ArcIndex::of(schedule)
+        .acyclic(Rule::Patched)
+        .unwrap_or_else(|| crate::mvsr::is_mvsr(&patch_readless_writes(schedule)))
 }
 
 #[cfg(test)]

@@ -20,8 +20,10 @@
 //! \[PK84\]: there the MVCG test decides it, and only a transaction that
 //! writes an entity twice sends it to the search.  VSR also has an
 //! independent formulation (the polygraph of \[P79\]) used for
-//! cross-validation.  The polynomial tests build their conflict graphs from
-//! per-entity conflict pairs (`mvcc_core::conflict`).  [`taxonomy`] combines
+//! cross-validation.  The three polynomial tests read one dense index of
+//! conflict arcs (transactions numbered by first appearance, steps sorted
+//! per entity) and decide acyclicity on bitmasks, or by Kahn's pass beyond
+//! 64 transactions; the labelled graphs read the same arcs.  [`taxonomy`] combines
 //! the classifiers into the region map of the paper's Figure 1, and
 //! [`swaps`] provides the swap-characterisation of MVCSR (Theorem 2).
 //!
@@ -38,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arcs;
 pub mod csr;
 pub mod dmvsr;
 pub mod mvcsr;

@@ -12,8 +12,7 @@
 //! MVSR") is realised by [`mvcsr_version_function`], which builds a version
 //! function serializing the schedule in that order.
 
-use crate::csr::TxNodes;
-use mvcc_core::conflict::mv_conflict_pairs_iter;
+use crate::arcs::{self, ArcIndex, Rule};
 use mvcc_core::{Schedule, TxId, VersionFunction};
 use mvcc_graph::topo::topological_sort;
 use mvcc_graph::{DiGraph, NodeId};
@@ -42,27 +41,25 @@ impl MvConflictGraph {
 
 /// Builds `MVCG(schedule)`.
 pub fn mv_conflict_graph(schedule: &Schedule) -> MvConflictGraph {
-    let nodes = TxNodes::of(schedule);
-    let mut graph = nodes.labelled_graph();
+    let labelled = arcs::labelled(schedule, Rule::Mv);
     let mut labels: HashMap<(NodeId, NodeId), Vec<mvcc_core::EntityId>> = HashMap::new();
-    for (from, to, read_pos) in nodes.arcs(mv_conflict_pairs_iter(schedule)) {
-        graph.add_arc(from, to);
+    for (from, to, read_pos) in labelled.arcs {
         labels
             .entry((from, to))
             .or_default()
             .push(schedule.steps()[read_pos].entity);
     }
     MvConflictGraph {
-        graph,
-        node_of_tx: nodes.node_of_tx,
-        tx_of_node: nodes.tx_of_node,
+        graph: labelled.graph,
+        node_of_tx: labelled.node_of_tx,
+        tx_of_node: labelled.tx_of_node,
         labels,
     }
 }
 
 /// **Theorem 1** test: `true` iff `schedule` is MVCSR (its MVCG is acyclic).
 pub fn is_mvcsr(schedule: &Schedule) -> bool {
-    TxNodes::of(schedule).acyclic(mv_conflict_pairs_iter(schedule))
+    ArcIndex::of(schedule).acyclic(Rule::Mv) == Some(true)
 }
 
 /// Returns the serial order witnessing MVCSR membership (a topological sort

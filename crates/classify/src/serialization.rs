@@ -387,7 +387,7 @@ fn bit(i: usize) -> u128 {
 
 /// The distinct values of `items`, ascending: a value's rank in the result
 /// (binary search) is its dense number.
-fn distinct<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
+pub(crate) fn distinct<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
     let mut all: Vec<T> = items.collect();
     all.sort_unstable();
     all.dedup();

@@ -85,8 +85,9 @@ pub fn mv_conflict_pairs(schedule: &Schedule) -> Vec<ConflictPair> {
     mv_conflict_pairs_iter(schedule).collect()
 }
 
-/// [`sv_conflict_pairs`] without the intermediate vector: graph builders
-/// over long histories consume the pairs one at a time.
+/// [`sv_conflict_pairs`] without the intermediate vector.  The classifiers
+/// enumerate arcs on their own dense index; this enumeration is the
+/// independent reference their differential test builds graphs from.
 pub fn sv_conflict_pairs_iter(schedule: &Schedule) -> impl Iterator<Item = ConflictPair> + '_ {
     conflict_pairs_by(schedule, sv_conflicts)
 }

@@ -142,6 +142,9 @@ impl LoadProfile {
         if self.ops == 0 || self.entities == 0 || self.steps_per_transaction == 0 {
             return Err("ops, entities and steps must be positive".into());
         }
+        if self.threads > self.ops {
+            return Err("threads must not exceed ops: a worker with no op is a bad profile".into());
+        }
         if !(0.0..=1.0).contains(&self.read_ratio) {
             return Err("read_ratio must lie in [0, 1]".into());
         }
@@ -364,6 +367,11 @@ mod tests {
             },
             LoadProfile {
                 ops: 0,
+                ..Default::default()
+            },
+            LoadProfile {
+                threads: 5,
+                ops: 4,
                 ..Default::default()
             },
             LoadProfile {

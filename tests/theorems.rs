@@ -292,3 +292,136 @@ fn dmvsr_is_mvsr_of_the_patched_schedule_on_dense_random_schedules() {
     assert!(members > 5_000 && members < 51_000, "{members} members");
     assert!(repeated_writes > 100, "{repeated_writes} separations");
 }
+
+/// The conflict graph of `pairs`, built apart from the classifiers: one node
+/// per transaction of `s` by first appearance, one arc per pair.  The pairs
+/// come from `mvcc_core::conflict`, whose tests check them against the
+/// all-pairs definition.
+fn reference_graph(
+    s: &Schedule,
+    pairs: impl Iterator<Item = mvcc_repro::core::conflict::ConflictPair>,
+) -> mvcc_repro::graph::DiGraph {
+    use mvcc_repro::graph::{DiGraph, NodeId};
+    let txs = s.tx_ids();
+    let node_of: std::collections::HashMap<TxId, NodeId> = txs
+        .iter()
+        .enumerate()
+        .map(|(n, &tx)| (tx, NodeId(n as u32)))
+        .collect();
+    let mut graph = DiGraph::with_nodes(txs.len());
+    for pair in pairs {
+        graph.add_arc(node_of[&pair.first_tx], node_of[&pair.second_tx]);
+    }
+    graph
+}
+
+/// The dense arc index that decides CSR, MVCSR and DMVSR against conflict
+/// graphs built independently from `mvcc_core::conflict`'s pair
+/// enumeration: seeded random interleavings from 3 to 300 transactions, on
+/// both sides of the 64-transaction boundary between the bitmask test and
+/// Kahn's pass, with entity counts spread so that every test says yes and
+/// no often at every size.  The labelled graphs of the dot export and the
+/// witnesses must carry exactly the reference arcs.  The random systems
+/// write no entity twice in a transaction, so DMVSR is the MVCG of the
+/// patched schedule throughout.
+#[test]
+fn dense_deciders_agree_with_the_pair_enumeration() {
+    use mvcc_repro::classify::dmvsr::{is_dmvsr, patch_readless_writes};
+    use mvcc_repro::classify::{conflict_graph, mv_conflict_graph};
+    use mvcc_repro::core::conflict::{mv_conflict_pairs_iter, sv_conflict_pairs_iter};
+    use mvcc_repro::graph::topo::topological_sort;
+    use mvcc_repro::workload::{random_interleaving, random_transaction_system};
+    const CASES: u64 = 48;
+    for txns in [3usize, 8, 63, 64, 65, 130, 300] {
+        // Members of CSR, MVCSR and DMVSR.
+        let mut members = [0u64; 3];
+        for seed in 0..CASES {
+            let config = WorkloadConfig {
+                transactions: txns,
+                steps_per_transaction: 4,
+                entities: txns << (seed % 5),
+                read_ratio: 0.5,
+                zipf_theta: 0.0,
+                seed,
+            };
+            let s = random_interleaving(&random_transaction_system(&config), seed);
+            let patched = patch_readless_writes(&s);
+            let verdicts = [is_csr(&s), is_mvcsr(&s), is_dmvsr(&s)];
+            let references = [
+                reference_graph(&s, sv_conflict_pairs_iter(&s)),
+                reference_graph(&s, mv_conflict_pairs_iter(&s)),
+                reference_graph(&patched, mv_conflict_pairs_iter(&patched)),
+            ];
+            let labelled = [
+                conflict_graph(&s).graph,
+                mv_conflict_graph(&s).graph,
+                mv_conflict_graph(&patched).graph,
+            ];
+            for (class, ((verdict, reference), graph)) in
+                verdicts.iter().zip(&references).zip(&labelled).enumerate()
+            {
+                assert_eq!(
+                    *verdict,
+                    topological_sort(reference).is_some(),
+                    "{txns} txns, seed {seed}, test {class}: {s}"
+                );
+                assert!(
+                    graph.arcs().eq(reference.arcs()),
+                    "{txns} txns, seed {seed}, graph {class}: {s}"
+                );
+            }
+            if txns <= 8 {
+                assert_eq!(verdicts[2], is_mvsr(&patched), "seed {seed}: {s}");
+            }
+            for (total, verdict) in members.iter_mut().zip(verdicts) {
+                *total += u64::from(verdict);
+            }
+        }
+        for (class, total) in members.iter().enumerate() {
+            assert!(
+                (CASES / 8..=CASES - CASES / 8).contains(total),
+                "{txns} txns, test {class}: {total} of {CASES} members"
+            );
+        }
+    }
+}
+
+/// A cycle through every transaction, at 64 (the widest bitmask) and 65
+/// (the first Kahn pass): `T_i` reads `x_i` and then writes `x_{i+1}`, all
+/// reads first, so each `T_{i+1}` precedes `T_i` and the write of `x_1` by
+/// the last transaction closes the cycle.  Writing a fresh entity instead
+/// opens it into a chain.
+#[test]
+fn a_cycle_through_every_transaction_is_found_at_the_mask_boundary() {
+    use mvcc_repro::classify::dmvsr::{is_dmvsr, patch_readless_writes};
+    use mvcc_repro::classify::{conflict_graph, mv_conflict_graph};
+    use mvcc_repro::graph::topo::topological_sort;
+    for txns in [64u32, 65] {
+        for closed in [true, false] {
+            let reads = (0..txns).map(|i| Step::read(TxId(i + 1), EntityId(i)));
+            let writes = (0..txns).map(|i| {
+                let next = if i + 1 < txns || closed {
+                    (i + 1) % txns
+                } else {
+                    txns
+                };
+                Step::write(TxId(i + 1), EntityId(next))
+            });
+            let s = Schedule::from_steps(reads.chain(writes).collect());
+            let acyclic = !closed;
+            assert_eq!(is_csr(&s), acyclic, "{txns} txns, closed {closed}");
+            assert_eq!(is_mvcsr(&s), acyclic, "{txns} txns, closed {closed}");
+            assert_eq!(is_dmvsr(&s), acyclic, "{txns} txns, closed {closed}");
+            assert_eq!(
+                topological_sort(&conflict_graph(&s).graph).is_some(),
+                acyclic
+            );
+            assert_eq!(
+                topological_sort(&mv_conflict_graph(&s).graph).is_some(),
+                acyclic
+            );
+            let patched = mv_conflict_graph(&patch_readless_writes(&s));
+            assert_eq!(topological_sort(&patched.graph).is_some(), acyclic);
+        }
+    }
+}
