@@ -2,12 +2,10 @@
 //!
 //! A [`Recording`] captures every synchronization event the workspace
 //! performs while it is active: tracked-lock acquire/release (emitted by
-//! [`crate::lockdep`]), explicit channel edges ([`send`]/[`recv`], used
-//! for the pipeline's outcome-slot handoffs and thread spawn/join), and
-//! named [`probe`] marks placed at the program points a claim talks
-//! about.  [`Recording::finish`] runs a FastTrack-style vector-clock
-//! pass over the trace — per-thread clocks, joined through per-lock and
-//! per-channel clocks — so that *happens-before* between any two events
+//! [`crate::lockdep`]) and named [`probe`] marks placed at the program
+//! points a claim talks about.  [`Recording::finish`] runs a
+//! FastTrack-style vector-clock pass over the trace — per-thread clocks,
+//! joined through per-lock clocks — so that *happens-before* between any two events
 //! is a decidable question about the recorded run, not an argument about
 //! the code.
 //!
@@ -18,16 +16,11 @@
 //!   batch happens-before every certifier notification for it;
 //! * `sync_events_between(..)` — PR 7's "telemetry adds no
 //!   synchronization edges": a hot-path recording burst contains zero
-//!   lock or channel events (meaningful because `mvcc-lint` forbids
+//!   lock events (meaningful because `mvcc-lint` forbids
 //!   untracked locks workspace-wide, so an untracked edge can't hide);
 //! * `assert_same_critical_section(..)` — the PR 3 race fix:
 //!   `MvStore::begin` chooses its snapshot and registers the tx under
 //!   *one* acquisition of the tx-table lock.
-//!
-//! The pass also produces a [`Trace::races`] report: conflicting,
-//! unordered accesses to cells declared with [`cell_read`]/
-//! [`cell_write`] — the dynamic data-race detector the ROADMAP-4
-//! lock-free refactor will lean on.
 //!
 //! Recording is test-only machinery: when no recording is active every
 //! hook is a single relaxed atomic load.  Recordings are serialized
@@ -53,16 +46,8 @@ pub enum EventKind {
     Acquire,
     /// A tracked lock was released.
     Release,
-    /// A happens-before edge was published on a channel key.
-    Send,
-    /// A happens-before edge was consumed from a channel key.
-    Recv,
     /// A named program-point mark (see [`probe`]).
     Mark,
-    /// A declared shared cell was read.
-    CellRead,
-    /// A declared shared cell was written.
-    CellWrite,
 }
 
 /// One recorded synchronization event.
@@ -70,10 +55,9 @@ pub enum EventKind {
 struct Event {
     thread: u64,
     kind: EventKind,
-    /// Class name for lock events, label for marks, cell name for cell
-    /// accesses, empty for channel events.
+    /// Class name for lock events, label for marks.
     name: &'static str,
-    /// Lock instance, channel key, mark key, or cell key.
+    /// Lock instance or mark key.
     key: u64,
 }
 
@@ -90,7 +74,6 @@ fn session() -> &'static StdMutex<()> {
 }
 
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
-static NEXT_CHANNEL: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static THREAD_ID: Cell<u64> = const { Cell::new(0) };
@@ -134,40 +117,11 @@ pub(crate) fn lock_released(class: &'static str, instance: u64) {
     push(EventKind::Release, class, instance);
 }
 
-/// Allocates a fresh channel key for [`send`]/[`recv`] edges.
-pub fn channel() -> u64 {
-    NEXT_CHANNEL.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Records that the calling thread published a happens-before edge on
-/// `key`.  Recording only: the *real* synchronization (an outcome-slot
-/// store, a thread spawn, a join) must exist in the program; this tells
-/// the checker about it.
-pub fn send(key: u64) {
-    push(EventKind::Send, "", key);
-}
-
-/// Records that the calling thread consumed the happens-before edge
-/// published on `key` (joins the sender's clock).
-pub fn recv(key: u64) {
-    push(EventKind::Recv, "", key);
-}
-
 /// Drops a named mark at the current program point.  `key`
 /// disambiguates instances of the same claim (an LSN, a tx id): ordering
 /// assertions pair marks label-to-label by equal key.
 pub fn probe(label: &'static str, key: u64) {
     push(EventKind::Mark, label, key);
-}
-
-/// Records a read of the declared shared cell `(name, key)`.
-pub fn cell_read(name: &'static str, key: u64) {
-    push(EventKind::CellRead, name, key);
-}
-
-/// Records a write of the declared shared cell `(name, key)`.
-pub fn cell_write(name: &'static str, key: u64) {
-    push(EventKind::CellWrite, name, key);
 }
 
 /// An active trace recording.  Created with [`Recording::start`];
@@ -252,7 +206,6 @@ impl Trace {
         let mut thread_idx: BTreeMap<u64, usize> = BTreeMap::new();
         let mut clocks: Vec<Clock> = Vec::new();
         let mut lock_clocks: BTreeMap<(&'static str, u64), Clock> = BTreeMap::new();
-        let mut chan_clocks: BTreeMap<u64, Clock> = BTreeMap::new();
         let mut held: BTreeMap<usize, Vec<HeldSection>> = BTreeMap::new();
         let mut acq_counts: BTreeMap<(&'static str, u64), u32> = BTreeMap::new();
         let mut snapshots = Vec::with_capacity(events.len());
@@ -267,27 +220,18 @@ impl Trace {
                 clocks[tidx].resize(tidx + 1, 0);
             }
             clocks[tidx][tidx] += 1;
-            match event.kind {
-                EventKind::Acquire => {
-                    if let Some(lc) = lock_clocks.get(&(event.name, event.key)) {
-                        let lc = lc.clone();
-                        join(&mut clocks[tidx], &lc);
-                    }
-                    let count = acq_counts.entry((event.name, event.key)).or_insert(0);
-                    *count += 1;
-                    held.entry(tidx).or_default().push(HeldSection {
-                        class: event.name,
-                        instance: event.key,
-                        acquisition: *count,
-                    });
+            if event.kind == EventKind::Acquire {
+                if let Some(lc) = lock_clocks.get(&(event.name, event.key)) {
+                    let lc = lc.clone();
+                    join(&mut clocks[tidx], &lc);
                 }
-                EventKind::Recv => {
-                    if let Some(cc) = chan_clocks.get(&event.key) {
-                        let cc = cc.clone();
-                        join(&mut clocks[tidx], &cc);
-                    }
-                }
-                _ => {}
+                let count = acq_counts.entry((event.name, event.key)).or_insert(0);
+                *count += 1;
+                held.entry(tidx).or_default().push(HeldSection {
+                    class: event.name,
+                    instance: event.key,
+                    acquisition: *count,
+                });
             }
             let snapshot = clocks[tidx].clone();
             match event.kind {
@@ -301,10 +245,6 @@ impl Trace {
                             stack.remove(pos);
                         }
                     }
-                }
-                EventKind::Send => {
-                    let cc = chan_clocks.entry(event.key).or_default();
-                    join(cc, &snapshot);
                 }
                 EventKind::Mark => {
                     marks
@@ -445,8 +385,8 @@ impl Trace {
         }
     }
 
-    /// Counts synchronization events (lock acquire/release, channel
-    /// send/recv) performed *by the marking thread* strictly between the
+    /// Counts synchronization events (lock acquire/release) performed
+    /// *by the marking thread* strictly between the
     /// `from` and `to` marks of `key`.  The "no sync edges" claim is
     /// this count being zero.
     pub fn sync_events_between(&self, from: &str, to: &str, key: u64) -> Result<usize, String> {
@@ -466,54 +406,9 @@ impl Trace {
             .iter()
             .zip(&self.snapshots[a.index + 1..b.index])
             .filter(|(e, (tidx, _))| {
-                *tidx == a.thread_idx
-                    && matches!(
-                        e.kind,
-                        EventKind::Acquire | EventKind::Release | EventKind::Send | EventKind::Recv
-                    )
+                *tidx == a.thread_idx && matches!(e.kind, EventKind::Acquire | EventKind::Release)
             })
             .count())
-    }
-
-    /// Reports every pair of conflicting, unordered accesses to a
-    /// declared shared cell: same `(name, key)`, at least one write,
-    /// different threads, neither access happens-before the other.
-    /// Deterministic: reports are emitted in trace order.
-    pub fn races(&self) -> Vec<String> {
-        let mut cells: BTreeMap<(&'static str, u64), Vec<usize>> = BTreeMap::new();
-        for (index, event) in self.events.iter().enumerate() {
-            if matches!(event.kind, EventKind::CellRead | EventKind::CellWrite) {
-                cells
-                    .entry((event.name, event.key))
-                    .or_default()
-                    .push(index);
-            }
-        }
-        let mut reports = Vec::new();
-        for ((name, key), accesses) in &cells {
-            for (i, &ai) in accesses.iter().enumerate() {
-                for &bi in &accesses[i + 1..] {
-                    let (a, b) = (&self.events[ai], &self.events[bi]);
-                    if a.kind == EventKind::CellRead && b.kind == EventKind::CellRead {
-                        continue;
-                    }
-                    let (a_tidx, a_clock) = &self.snapshots[ai];
-                    let (b_tidx, b_clock) = &self.snapshots[bi];
-                    if a_tidx == b_tidx {
-                        continue;
-                    }
-                    let ordered = b_clock.get(*a_tidx).copied().unwrap_or(0) >= a_clock[*a_tidx];
-                    if !ordered {
-                        reports.push(format!(
-                            "race on cell `{name}` (key {key}): {:?} at event {ai} and \
-                             {:?} at event {bi} are unordered",
-                            a.kind, b.kind
-                        ));
-                    }
-                }
-            }
-        }
-        reports
     }
 }
 
@@ -569,22 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_edges_order_spawn_style_handoffs() {
-        let recording = Recording::start();
-        let ch = channel();
-        probe("hb.chan.before", 1);
-        send(ch);
-        std::thread::spawn(move || {
-            recv(ch);
-            probe("hb.chan.after", 1);
-        })
-        .join()
-        .expect("child");
-        let trace = recording.finish();
-        trace.assert_ordered("hb.chan.before", "hb.chan.after");
-    }
-
-    #[test]
     fn same_critical_section_is_distinguished_from_same_lock() {
         let recording = Recording::start();
         let m = TrackedMutex::new(lock_class!("test.hb.section"), ());
@@ -636,32 +515,5 @@ mod tests {
                 .expect("same thread"),
             0
         );
-    }
-
-    #[test]
-    fn race_report_flags_unordered_conflicts_only() {
-        let recording = Recording::start();
-        let m = Arc::new(TrackedMutex::new(lock_class!("test.hb.race"), ()));
-        {
-            // Guarded cell: both accesses inside critical sections of
-            // the same lock — the release/acquire edge orders them.
-            let _g = m.lock();
-            cell_write("cell.guarded", 1);
-        }
-        cell_write("cell.racy", 2);
-        let m2 = Arc::clone(&m);
-        std::thread::spawn(move || {
-            // Racy write happens before this thread joins any clock:
-            // unordered with the parent's write to the same cell.
-            cell_write("cell.racy", 2);
-            let _g = m2.lock();
-            cell_read("cell.guarded", 1);
-        })
-        .join()
-        .expect("thread");
-        let trace = recording.finish();
-        let races = trace.races();
-        assert_eq!(races.len(), 1, "{races:?}");
-        assert!(races[0].contains("cell.racy"), "{races:?}");
     }
 }

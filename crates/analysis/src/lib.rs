@@ -11,8 +11,7 @@
 //! 2. [`hb`] — a FastTrack-style vector-clock pass over recorded
 //!    sync-event traces, turning the repo's prose happens-before claims
 //!    (WAL-append-before-notify, telemetry-adds-no-edges,
-//!    begin-atomic-with-snapshot) into executed assertions, plus a
-//!    data-race report over declared shared cells.
+//!    begin-atomic-with-snapshot) into executed assertions.
 //! 3. [`lint`] — the `mvcc-lint` binary: a hand-rolled source scanner
 //!    enforcing the invariants the other two passes depend on (no
 //!    untracked locks, no stray clock reads, no library panics, no

@@ -7,8 +7,8 @@
 //! earlier step puts an arc from its transaction to a later step's, never to
 //! itself, when the pair conflicts under a [`Rule`].  Acyclicity is decided
 //! on `u64` predecessor masks up to 64 transactions and by Kahn's in-degree
-//! pass beyond; the labelled graphs of the dot export and the witnesses read
-//! the same arcs.
+//! pass beyond; the labelled graphs (`conflict_graph`, `mv_conflict_graph`)
+//! and the witnesses read the same arcs.
 
 use crate::serialization::distinct;
 use mvcc_core::{EntityId, Schedule, TxId};
@@ -180,7 +180,7 @@ impl ArcIndex {
 }
 
 /// A conflict graph with one node per transaction, by first appearance,
-/// labelled with the transaction's name (what the dot export prints).
+/// labelled with the transaction's name.
 pub(crate) struct Labelled {
     pub(crate) graph: DiGraph,
     pub(crate) node_of_tx: HashMap<TxId, NodeId>,

@@ -19,6 +19,10 @@
 //!   [`DurabilityMode::Fsync`]);
 //! * [`checkpoint`] — snapshot files of the committed store state (with
 //!   the GC watermark each was cut at) bounding data replay;
+//! * [`fold`] — [`LogFold`]: the one walk of WAL records into the
+//!   committed projection of a log prefix (pending writes, per-shard
+//!   commit groups and timestamps, open transactions and the safe point),
+//!   shared by recovery and every replica;
 //! * [`recovery`] — [`recover`]: newest checkpoint + log tail → committed
 //!   chains, commit counters, and the durable admission history whose
 //!   committed projection the offline `mvcc-classify` checkers certify;
@@ -48,6 +52,7 @@
 
 pub mod checkpoint;
 pub mod epoch;
+pub mod fold;
 pub mod record;
 pub mod recovery;
 pub mod tail;
@@ -58,6 +63,7 @@ pub use checkpoint::{
     ShardCheckpoint,
 };
 pub use epoch::{is_fence_error, read_epoch_marker, write_epoch_marker, EpochMarker};
+pub use fold::{CommittedTx, Folded, LogFold};
 pub use record::{crc32, decode_record, encode_record, CommitEntry, DecodeError, WalRecord};
 pub use recovery::{recover, RecoveredShard, RecoveredState, RecoveryOptions, RecoveryReport};
 pub use tail::{read_tail, TailBatch, WalCursor};

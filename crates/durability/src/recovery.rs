@@ -5,7 +5,7 @@
 //!
 //! 1. **Data** — per-shard committed version chains and commit counters,
 //!    starting from the newest valid checkpoint and replaying commit
-//!    records with `lsn >= replay_from_lsn`.  Only [`WalRecord::Commit`]
+//!    records with `lsn >= replay_from_lsn`.  Only a commit record
 //!    applies data: a transaction with write records but no commit record
 //!    (in flight at the crash, or its commit record torn off the tail)
 //!    contributes nothing — exactly the *avoids cascading aborts* (ACA)
@@ -22,17 +22,21 @@
 //!    after checkpoints for exactly this reason: checkpoints bound *data*
 //!    replay, while the history remains classifiable from the log alone.
 //!
+//! Both come out of one [`LogFold`] over the scanned records — the same
+//! fold a replica runs on open and on every shipping poll; `recover` only
+//! writes what it yields into per-shard chains and the history.
+//!
 //! Torn or corrupt tail records are detected by CRC ([`crate::wal::scan_log`])
 //! and everything from the first bad byte on is ignored; [`crate::wal::WalWriter::open`]
 //! physically truncates the same prefix before the engine resumes
 //! appending.
 
 use crate::checkpoint::{latest_checkpoint, CommittedVersion, ShardCheckpoint};
-use crate::record::WalRecord;
+use crate::fold::{Folded, LogFold};
 use crate::wal::scan_log;
 use bytes::Bytes;
 use mvcc_core::{EntityId, Schedule, Step, TxId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -49,18 +53,10 @@ pub struct RecoveryOptions {
     pub initial: Bytes,
 }
 
-/// The rebuilt state of one shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredShard {
-    /// Commit-counter high-water mark (max of the checkpointed counter
-    /// and every replayed commit timestamp).
-    pub commit_counter: u64,
-    /// The reclaimed horizon: no snapshot below this timestamp may ever
-    /// be issued again (versions under it may be gone).
-    pub watermark: u64,
-    /// Per-entity committed chains, sorted by commit timestamp.
-    pub chains: Vec<(EntityId, Vec<CommittedVersion>)>,
-}
+/// The rebuilt state of one shard: exactly a checkpointed shard, with
+/// the commit counter raised to every replayed commit timestamp and the
+/// chains sorted by commit timestamp.
+pub type RecoveredShard = ShardCheckpoint;
 
 /// Bookkeeping of one recovery pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,13 +123,10 @@ impl RecoveredState {
     }
 }
 
-/// In-flight write set accumulated from write records until a commit
-/// record lands (or never does).
-type PendingWrites = HashMap<TxId, Vec<(EntityId, Bytes)>>;
-
 /// Rebuilds committed state and the durable history from the log under
 /// `dir`.  An empty or absent directory recovers to the fresh-engine
-/// state (all entities at `opts.initial`, nothing committed).
+/// state (all entities at `opts.initial`, nothing committed).  A log
+/// written under another shard count is refused (see [`crate::fold`]).
 pub fn recover(dir: &Path, opts: &RecoveryOptions) -> io::Result<RecoveredState> {
     assert!(opts.shards > 0, "at least one shard");
     // lint: allow(clock) — recovery duration is reported in the RecoveryReport
@@ -157,109 +150,62 @@ pub fn recover(dir: &Path, opts: &RecoveryOptions) -> io::Result<RecoveredState>
 
     // Seed the chains: from the checkpoint, or the fresh pre-seeded state.
     let mut shards: Vec<ShardState> = match checkpoint {
-        Some(ckpt) => ckpt
-            .shards
-            .into_iter()
-            .map(ShardState::from_checkpoint)
-            .collect(),
+        Some(ckpt) => ckpt.shards.into_iter().map(ShardState::from).collect(),
         None => (0..opts.shards)
             .map(|idx| ShardState::fresh(idx, opts))
             .collect(),
     };
 
     let scan = scan_log(dir)?;
+    let records_scanned = scan.records.len() as u64;
+    let mut fold = LogFold::new(opts.shards);
     let mut admitted = Vec::new();
     let mut committed = BTreeSet::new();
-    let mut pending: PendingWrites = HashMap::new();
-    let mut max_tx = 0u32;
+    let mut discarded = BTreeSet::new();
     let mut commits_replayed = 0u64;
-    let mut seen_writers: BTreeSet<TxId> = BTreeSet::new();
-
-    let note_tx = |max_tx: &mut u32, tx: TxId| {
-        if !tx.is_padding() {
-            *max_tx = (*max_tx).max(tx.0);
-        }
-    };
-
-    for scanned in &scan.records {
-        match &scanned.record {
-            WalRecord::Begin { tx } | WalRecord::Abort { tx } => {
-                note_tx(&mut max_tx, *tx);
-                if matches!(scanned.record, WalRecord::Abort { .. }) {
-                    pending.remove(tx);
-                }
-            }
-            WalRecord::Read { tx, entity } => {
-                note_tx(&mut max_tx, *tx);
-                admitted.push(Step::read(*tx, *entity));
-            }
-            WalRecord::Write { tx, entity, value } => {
-                note_tx(&mut max_tx, *tx);
-                admitted.push(Step::write(*tx, *entity));
-                seen_writers.insert(*tx);
-                pending
-                    .entry(*tx)
-                    .or_default()
-                    .push((*entity, value.clone()));
-            }
-            WalRecord::Commit { entries } => {
-                for entry in entries {
-                    note_tx(&mut max_tx, entry.tx);
-                    committed.insert(entry.tx);
-                    let writes = pending.remove(&entry.tx).unwrap_or_default();
-                    if scanned.lsn < replay_from_lsn {
+    for scanned in scan.records {
+        let lsn = scanned.lsn;
+        match fold.fold(lsn, scanned.record)? {
+            Folded::Step(step) => admitted.push(step),
+            Folded::Commit(txs) => {
+                for committed_tx in txs {
+                    committed.insert(committed_tx.tx);
+                    if lsn < replay_from_lsn {
                         // Already absorbed by the checkpoint; every shard
                         // counter in the checkpoint reflects it too.
                         continue;
                     }
                     commits_replayed += 1;
-                    for (entity, value) in writes {
-                        let shard_idx = entity.index() % opts.shards;
-                        let Some(&(_, ts)) = entry
-                            .shards
-                            .iter()
-                            .find(|&&(shard, _)| shard as usize == shard_idx)
-                        else {
-                            // A commit record that does not name the shard
-                            // of one of its writes would be an upstream
-                            // bug; tolerate it by skipping the write.
-                            continue;
-                        };
-                        shards[shard_idx].apply(entity, entry.tx, ts, value);
-                    }
-                    for &(shard, ts) in &entry.shards {
-                        if let Some(state) = shards.get_mut(shard as usize) {
-                            state.commit_counter = state.commit_counter.max(ts);
-                        }
+                    for (shard, ts, writes) in committed_tx.shards() {
+                        shards[shard].apply(committed_tx.tx, ts, writes);
                     }
                 }
             }
-            WalRecord::Checkpoint { .. } => {}
+            Folded::Discard(tx) => {
+                discarded.insert(tx);
+            }
+            Folded::Nothing => {}
         }
     }
-
     // Transactions that admitted writes but never durably committed: the
-    // crash aborted them (their versions are simply never applied).
-    let discarded: Vec<TxId> = seen_writers
-        .into_iter()
-        .filter(|tx| !committed.contains(tx))
-        .collect();
+    // crash (or an abort) discarded them — their versions never apply.
+    discarded.extend(fold.unfinished_writers());
 
     let shards = shards.into_iter().map(ShardState::finish).collect();
     let report = RecoveryReport {
         checkpoint_seq,
-        records_scanned: scan.records.len() as u64,
+        records_scanned,
         commits_replayed,
         truncated_tail: scan.truncated_tail,
         orphaned_segments: scan.orphaned_segments.len(),
-        discarded,
+        discarded: discarded.into_iter().collect(),
         elapsed: started.elapsed(),
     };
     Ok(RecoveredState {
         shards,
         admitted,
         committed,
-        next_tx: ckpt_next_tx.max(max_tx.saturating_add(1)).max(1),
+        next_tx: ckpt_next_tx.max(fold.next_tx()),
         report,
     })
 }
@@ -294,30 +240,26 @@ impl ShardState {
         }
     }
 
-    fn from_checkpoint(ckpt: ShardCheckpoint) -> Self {
-        ShardState {
-            commit_counter: ckpt.commit_counter,
-            watermark: ckpt.watermark,
-            chains: ckpt.chains.into_iter().collect(),
+    /// Applies one committed transaction's writes on this shard at commit
+    /// timestamp `ts`, idempotently: a `(writer, ts)` version already
+    /// present (the checkpoint absorbed it during the fuzzy overlap
+    /// window) is not duplicated.
+    fn apply(&mut self, writer: TxId, ts: u64, writes: &[(EntityId, Bytes)]) {
+        self.commit_counter = self.commit_counter.max(ts);
+        for (entity, value) in writes {
+            let chain = self.chains.entry(*entity).or_default();
+            if chain
+                .iter()
+                .any(|v| v.writer == writer && v.commit_ts == ts)
+            {
+                continue;
+            }
+            chain.push(CommittedVersion {
+                writer,
+                commit_ts: ts,
+                value: value.clone(),
+            });
         }
-    }
-
-    /// Applies one committed write, idempotently: a `(writer, ts)` version
-    /// already present (the checkpoint absorbed it during the fuzzy
-    /// overlap window) is not duplicated.
-    fn apply(&mut self, entity: EntityId, writer: TxId, ts: u64, value: Bytes) {
-        let chain = self.chains.entry(entity).or_default();
-        if chain
-            .iter()
-            .any(|v| v.writer == writer && v.commit_ts == ts)
-        {
-            return;
-        }
-        chain.push(CommittedVersion {
-            writer,
-            commit_ts: ts,
-            value,
-        });
     }
 
     /// Canonicalizes into a [`RecoveredShard`]: chains sorted by commit
@@ -335,11 +277,21 @@ impl ShardState {
     }
 }
 
+impl From<ShardCheckpoint> for ShardState {
+    fn from(ckpt: ShardCheckpoint) -> Self {
+        ShardState {
+            commit_counter: ckpt.commit_counter,
+            watermark: ckpt.watermark,
+            chains: ckpt.chains.into_iter().collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::{write_checkpoint, CheckpointData};
-    use crate::record::CommitEntry;
+    use crate::record::{CommitEntry, WalRecord};
     use crate::wal::{DurabilityMode, WalWriter};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -574,6 +526,32 @@ mod tests {
         .unwrap();
         let err = recover(&dir, &opts()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_from_another_shard_count_is_refused() {
+        // Written under 2 shards: T1's write of entity 2 lives on shard 0
+        // and its commit names only shard 0.  Recovered with 3 shards the
+        // write would belong to shard 2, which the commit does not name;
+        // skipping it would report T1 committed with its write lost.
+        let dir = temp_dir("shard-count");
+        {
+            let wal = WalWriter::open(&dir, DurabilityMode::Buffered, 8 << 20).unwrap();
+            wal.append_and_flush(&[write(1, 2, b"two"), commit(1, vec![(0, 1)])])
+                .unwrap();
+        }
+        let three = RecoveryOptions {
+            shards: 3,
+            ..opts()
+        };
+        let err = recover(&dir, &three).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let state = recover(&dir, &opts()).unwrap();
+        assert_eq!(state.committed, BTreeSet::from([TxId(1)]));
+        let latest = state.latest_committed();
+        assert_eq!(latest[&EntityId(2)].writer, TxId(1));
+        assert_eq!(latest[&EntityId(2)].value, Bytes::from_static(b"two"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

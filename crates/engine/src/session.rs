@@ -49,8 +49,8 @@ use crate::shard::ShardedStore;
 use bytes::Bytes;
 use mvcc_core::{EntityId, Schedule, Step, TxId};
 use mvcc_durability::{
-    is_fence_error, list_segments, CheckpointData, CommittedVersion, DurabilityConfig,
-    RecoveredState, RecoveryOptions, RecoveryReport, ShardCheckpoint, WalRecord, WalWriter,
+    is_fence_error, list_segments, CheckpointData, DurabilityConfig, RecoveredState,
+    RecoveryOptions, RecoveryReport, ShardCheckpoint, WalRecord, WalWriter,
 };
 use mvcc_store::{gc, StoreError, TxHandle};
 use mvcc_telemetry::{EventKind, Telemetry, TelemetryMode};
@@ -550,35 +550,7 @@ impl Engine {
             || -> std::io::Result<(u64, Vec<ShardCheckpoint>)> {
                 wal.flush()?;
                 let replay_from_lsn = wal.last_lsn().map_or(0, |lsn| lsn + 1);
-                let shards = self
-                    .shards
-                    .iter()
-                    .map(|store| {
-                        let watermark = gc::watermark(store);
-                        let (commit_counter, chains) = store.committed_state();
-                        ShardCheckpoint {
-                            commit_counter,
-                            watermark,
-                            chains: chains
-                                .into_iter()
-                                .map(|(entity, versions)| {
-                                    (
-                                        entity,
-                                        versions
-                                            .into_iter()
-                                            .map(|(writer, commit_ts, value)| CommittedVersion {
-                                                writer,
-                                                commit_ts,
-                                                value,
-                                            })
-                                            .collect(),
-                                    )
-                                })
-                                .collect(),
-                        }
-                    })
-                    .collect();
-                Ok((replay_from_lsn, shards))
+                Ok((replay_from_lsn, self.shards.checkpoint()))
             },
         )?;
         let seq = self.checkpoint_seq.fetch_add(1, Ordering::Relaxed) + 1;

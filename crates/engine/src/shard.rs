@@ -11,7 +11,8 @@
 
 use bytes::Bytes;
 use mvcc_core::EntityId;
-use mvcc_store::{MvStore, StoreError, TxHandle};
+use mvcc_durability::{CommittedVersion, RecoveredShard, ShardCheckpoint};
+use mvcc_store::{gc, MvStore, StoreError, TxHandle};
 
 /// A fixed-size array of independent [`MvStore`] shards.
 #[derive(Debug)]
@@ -37,10 +38,11 @@ impl ShardedStore {
         ShardedStore { shards: stores }
     }
 
-    /// Rebuilds the sharded store from crash-recovered state: one
+    /// Rebuilds the sharded store from crash-recovered state (or straight
+    /// from a checkpoint: the two are one type): one
     /// [`MvStore::from_recovered`] per shard, with each shard's commit
     /// counter floored at the GC watermark its checkpoint was cut at.
-    pub fn from_recovered(shards: &[mvcc_durability::RecoveredShard]) -> Self {
+    pub fn from_recovered(shards: &[RecoveredShard]) -> Self {
         assert!(!shards.is_empty(), "at least one shard");
         let stores = shards
             .iter()
@@ -61,6 +63,39 @@ impl ShardedStore {
             })
             .collect();
         ShardedStore { shards: stores }
+    }
+
+    /// Cuts every shard's committed state for a checkpoint: its chains,
+    /// its commit counter and the GC watermark it is cut at — the inverse
+    /// of [`ShardedStore::from_recovered`].  Callers hold whatever fence
+    /// makes the cut consistent with the log position they record.
+    pub fn checkpoint(&self) -> Vec<ShardCheckpoint> {
+        self.shards
+            .iter()
+            .map(|store| {
+                let watermark = gc::watermark(store);
+                let (commit_counter, chains) = store.committed_state();
+                let chains = chains
+                    .into_iter()
+                    .map(|(entity, versions)| {
+                        let versions = versions
+                            .into_iter()
+                            .map(|(writer, commit_ts, value)| CommittedVersion {
+                                writer,
+                                commit_ts,
+                                value,
+                            })
+                            .collect();
+                        (entity, versions)
+                    })
+                    .collect();
+                ShardCheckpoint {
+                    commit_counter,
+                    watermark,
+                    chains,
+                }
+            })
+            .collect()
     }
 
     /// Number of shards.

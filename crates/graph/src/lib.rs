@@ -6,13 +6,11 @@
 //! * plain directed graphs with cheap node indices ([`DiGraph`]),
 //! * topological sorting and cycle detection with witnesses ([`topo`],
 //!   [`cycle`]),
-//! * strongly connected components (Tarjan) ([`scc`]),
 //! * **polygraphs** `(N, A, C)` — the NP-complete acyclicity structure of
 //!   [Papadimitriou 1979] that the paper's reductions are built on
 //!   ([`polygraph`]), together with exact acyclicity solvers (brute force
 //!   over choice selections and a pruned backtracking search)
-//!   ([`poly_acyclic`]),
-//! * DOT export for debugging and documentation ([`dot`]).
+//!   ([`poly_acyclic`]).
 //!
 //! The conflict graphs and multiversion conflict graphs of `mvcc-classify`,
 //! the serialization-graph-testing schedulers of `mvcc-scheduler` and the
@@ -23,10 +21,8 @@
 
 pub mod cycle;
 pub mod digraph;
-pub mod dot;
 pub mod poly_acyclic;
 pub mod polygraph;
-pub mod scc;
 pub mod topo;
 
 pub use digraph::{DiGraph, NodeId};

@@ -2,13 +2,15 @@
 //! local sharded store, the apply watermark, pinned read sessions, local
 //! checkpoints and restart/resume.
 //!
-//! A replica never runs a certifier and never invents state: the only
-//! record kind that moves data is [`WalRecord::Commit`] — write records
-//! park in a pending map until their commit arrives (or an abort / the
-//! end of the stream discards them), so no follower read can ever observe
-//! uncommitted data.  This is *avoids cascading aborts* carried across
-//! the wire, the same argument that makes crash recovery
-//! class-preserving.
+//! A replica never runs a certifier and never invents state: replication
+//! is recovery that keeps going.  The shipped records go through the same
+//! [`LogFold`] crash recovery runs, on open (re-seeding from the prefix a
+//! local checkpoint absorbed) and on every poll; the only record kind that
+//! moves data is a commit record — write records park in the fold until
+//! their commit arrives (or an abort / the end of the stream discards
+//! them), so no follower read can ever observe uncommitted data.  This is
+//! *avoids cascading aborts* carried across the wire, the same argument
+//! that makes crash recovery class-preserving.
 //!
 //! Commit records apply with the **primary's** per-shard commit
 //! timestamps ([`mvcc_store::MvStore::apply_committed`]), so snapshot
@@ -29,14 +31,13 @@ use mvcc_analysis::lock_class;
 use mvcc_analysis::lockdep::TrackedMutex;
 use mvcc_core::{EntityId, Step, TxId};
 use mvcc_durability::{
-    latest_checkpoint, read_tail, write_checkpoint, CheckpointData, RecoveredShard,
-    ShardCheckpoint, WalCursor, WalRecord,
+    latest_checkpoint, read_tail, write_checkpoint, CheckpointData, Folded, LogFold, ScannedRecord,
+    WalCursor,
 };
 use mvcc_engine::{
     CertifierKind, Engine, EngineConfig, EngineMetrics, RecoveryReport, ShardedStore,
 };
 use mvcc_store::{gc, StoreError, TxHandle};
-use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -103,67 +104,23 @@ pub struct ShipReceipt {
 /// Apply-side state guarded by the replica's one apply lock.
 struct ApplyState {
     cursor: WalCursor,
-    /// Write records awaiting their commit record, per transaction.
-    pending: HashMap<TxId, Vec<(EntityId, Bytes)>>,
-    /// Transactions with a shipped begin/step record but no commit or
-    /// abort yet — the *straddlers* that make a log position unsafe to
-    /// read at.
-    open: std::collections::HashSet<TxId>,
-    /// Per-shard commit-timestamp high-water marks implied by the
-    /// commit records applied so far (mirrors each store's counter,
-    /// maintained here so safe points can be sampled without touching
-    /// the store locks).
-    shard_ts: Vec<u64>,
-    /// The newest **transaction-consistent safe point**: a watermark at
-    /// which no transaction straddled the log (every transaction with a
-    /// step below it also committed or aborted below it).  Follower
-    /// reads pin here — a commit-prefix snapshot taken *between* a
-    /// transaction's steps and its commit record is not serialization-
-    /// consistent under non-strict certifiers (commit order can invert a
-    /// dependency), and a reader wedged there could make the combined
-    /// history leave the certified class.  Safe points are exactly the
-    /// cuts closed under every conflict edge, the replica-side analogue
-    /// of recovery's "discard all in-flight transactions".
-    safe_lsn: u64,
-    /// The per-shard timestamps at `safe_lsn` (what a pinned reader's
-    /// snapshots are begun at).
-    safe_ts: Vec<u64>,
-}
-
-impl ApplyState {
-    /// Folds one shipped record into the open-transaction set and the
-    /// shard-timestamp mirror, then advances the safe point if the
-    /// position right after `lsn` is transaction-consistent.
-    fn track_safety(&mut self, lsn: u64, record: &WalRecord) {
-        match record {
-            WalRecord::Begin { tx } => {
-                self.open.insert(*tx);
-            }
-            WalRecord::Read { tx, .. } | WalRecord::Write { tx, .. } => {
-                // Begin records ride with the first step, but be
-                // defensive about logs that lack them.
-                self.open.insert(*tx);
-            }
-            WalRecord::Commit { entries } => {
-                for entry in entries {
-                    self.open.remove(&entry.tx);
-                    for &(shard, ts) in &entry.shards {
-                        if let Some(slot) = self.shard_ts.get_mut(shard as usize) {
-                            *slot = (*slot).max(ts);
-                        }
-                    }
-                }
-            }
-            WalRecord::Abort { tx } => {
-                self.open.remove(tx);
-            }
-            WalRecord::Checkpoint { .. } => {}
-        }
-        if self.open.is_empty() {
-            self.safe_lsn = lsn + 1;
-            self.safe_ts.clone_from(&self.shard_ts);
-        }
-    }
+    /// The shipped prefix folded into its committed projection: pending
+    /// write sets, per-shard commit groups and the **transaction-
+    /// consistent safe point** — a position no transaction straddles
+    /// (every transaction with a step below it also committed or aborted
+    /// below it).  Follower reads pin there: a commit-prefix snapshot
+    /// taken *between* a transaction's steps and its commit record is not
+    /// serialization-consistent under non-strict certifiers (commit order
+    /// can invert a dependency), and a reader wedged there could make the
+    /// combined history leave the certified class.  Safe points are
+    /// exactly the cuts closed under every conflict edge, the
+    /// replica-side analogue of recovery's "discard all in-flight
+    /// transactions".
+    fold: LogFold,
+    /// Commits below this LSN are already in the stores (the local
+    /// checkpoint the replica resumed from absorbed them): they only
+    /// re-seed the history.
+    data_from: u64,
 }
 
 /// A log-shipping read replica (see the module docs).
@@ -226,17 +183,8 @@ impl Replica {
                         ),
                     ));
                 }
-                let recovered: Vec<RecoveredShard> = ckpt
-                    .shards
-                    .into_iter()
-                    .map(|s| RecoveredShard {
-                        commit_counter: s.commit_counter,
-                        watermark: s.watermark,
-                        chains: s.chains,
-                    })
-                    .collect();
                 (
-                    ShardedStore::from_recovered(&recovered),
+                    ShardedStore::from_recovered(&ckpt.shards),
                     ckpt.replay_from_lsn,
                     ckpt.seq,
                 )
@@ -247,64 +195,13 @@ impl Replica {
                 0,
             ),
         };
-        let history = ReplicaHistory::new(config.record_history);
-        let mut state = ApplyState {
+        let state = ApplyState {
             // Starts at the origin; the seed loop below walks it forward
             // to exactly `resume_lsn`.
             cursor: WalCursor::origin(),
-            pending: HashMap::new(),
-            open: std::collections::HashSet::new(),
-            shard_ts: vec![0; config.shards],
-            safe_lsn: 0,
-            safe_ts: vec![0; config.shards],
+            fold: LogFold::new(config.shards),
+            data_from: resume_lsn,
         };
-        // Re-seed history, the in-flight pending map and the safety
-        // tracking from the already-absorbed prefix, streamed through the
-        // windowed tail reader (decoding the whole log into memory at
-        // once would spike O(total log) on every restart — segments are
-        // retained forever by design).  Capping each poll's record count
-        // at the remaining distance keeps the cursor from ever consuming
-        // past `resume_lsn`, so the final cursor is byte-exactly
-        // positioned where the tailer resumes.
-        while state.cursor.next_lsn() < resume_lsn {
-            let want = (resume_lsn - state.cursor.next_lsn()).min(512) as usize;
-            let batch = read_tail(&wal_dir, &mut state.cursor, want)?;
-            for rec in &batch.records {
-                debug_assert!(rec.lsn < resume_lsn, "seed overshot the checkpoint");
-                match &rec.record {
-                    WalRecord::Read { tx, entity } => {
-                        history.record_shipped(rec.lsn, Step::read(*tx, *entity));
-                    }
-                    WalRecord::Write { tx, entity, value } => {
-                        history.record_shipped(rec.lsn, Step::write(*tx, *entity));
-                        state
-                            .pending
-                            .entry(*tx)
-                            .or_default()
-                            .push((*entity, value.clone()));
-                    }
-                    WalRecord::Commit { entries } => {
-                        for entry in entries {
-                            state.pending.remove(&entry.tx);
-                            history.record_committed(entry.tx);
-                        }
-                    }
-                    WalRecord::Abort { tx } => {
-                        state.pending.remove(tx);
-                    }
-                    WalRecord::Begin { .. } | WalRecord::Checkpoint { .. } => {}
-                }
-                state.track_safety(rec.lsn, &rec.record);
-            }
-            if batch.records.is_empty() && batch.caught_up {
-                // The surviving log is shorter than the checkpoint's
-                // cursor (it should not be — segments are retained); the
-                // tailer will park at this point and resume if the
-                // records ever reappear.
-                break;
-            }
-        }
-        let safe_lsn = state.safe_lsn;
         // Intentional nesting, declared so the lock-order checker documents
         // it instead of flagging it: `begin_read` pins every shard's safe
         // snapshot (`MvStore::begin_at` takes `store.txs`) while holding the
@@ -328,20 +225,81 @@ impl Replica {
              holding the apply lock; the batch is invisible to readers until \
              the lock is released",
         );
-        Ok(Replica {
+        let replica = Replica {
             wal_dir,
+            history: ReplicaHistory::new(config.record_history),
             config,
             shards,
             state: TrackedMutex::new(lock_class!("replica.apply"), state),
-            history,
-            watermark: AtomicU64::new(resume_lsn),
-            safe_watermark: AtomicU64::new(safe_lsn),
+            watermark: AtomicU64::new(0),
+            safe_watermark: AtomicU64::new(0),
             caught_up: AtomicBool::new(false),
             // lint: allow(clock) — staleness clock: replica tracks its last apply advance
             last_advance: TrackedMutex::new(lock_class!("replica.staleness-clock"), Instant::now()),
             next_reader: AtomicU32::new(READER_TX_BASE),
             checkpoint_seq: AtomicU64::new(checkpoint_seq),
-        })
+        };
+        // Re-seed history, the pending writes and the safe point from the
+        // already-absorbed prefix — the same fold shipping runs, with the
+        // data skipped — streamed through the windowed tail reader
+        // (decoding the whole log into memory at once would spike
+        // O(total log) on every restart — segments are retained forever
+        // by design).  Capping each poll's record count at the remaining
+        // distance keeps the cursor from ever consuming past
+        // `resume_lsn`, so the final cursor is byte-exactly positioned
+        // where the tailer resumes.
+        {
+            let mut state = replica.state.lock();
+            while state.cursor.next_lsn() < resume_lsn {
+                let want = (resume_lsn - state.cursor.next_lsn()).min(512) as usize;
+                let batch = read_tail(&replica.wal_dir, &mut state.cursor, want)?;
+                if batch.records.is_empty() && batch.caught_up {
+                    // The surviving log is shorter than the checkpoint's
+                    // cursor (it should not be — segments are retained);
+                    // the tailer will park at this point and resume if
+                    // the records ever reappear.
+                    break;
+                }
+                for rec in batch.records {
+                    debug_assert!(rec.lsn < resume_lsn, "seed overshot the checkpoint");
+                    replica.apply(&mut state, rec)?;
+                }
+            }
+        }
+        replica.watermark.store(resume_lsn, Ordering::Release);
+        Ok(replica)
+    }
+
+    /// Folds one shipped record and applies what it contributes: steps
+    /// and commits into the history, commits at or past `data_from` into
+    /// the stores (with the primary's per-shard commit timestamps), then
+    /// publishes the watermark and the safe point.  Returns whether the
+    /// record was a commit record.
+    fn apply(&self, state: &mut ApplyState, rec: ScannedRecord) -> io::Result<bool> {
+        let lsn = rec.lsn;
+        let folded = state.fold.fold(lsn, rec.record)?;
+        let commit = matches!(folded, Folded::Commit(_));
+        match folded {
+            Folded::Step(step) => self.history.record_shipped(lsn, step),
+            Folded::Commit(txs) => {
+                for committed in txs {
+                    if lsn >= state.data_from {
+                        for (shard, ts, writes) in committed.shards() {
+                            self.shards
+                                .store(shard)
+                                .apply_committed(committed.tx, ts, writes);
+                        }
+                    }
+                    self.history.record_committed(committed.tx);
+                }
+            }
+            Folded::Discard(_) | Folded::Nothing => {}
+        }
+        // Publish after the record's effects are fully in the stores.
+        self.watermark.store(lsn + 1, Ordering::Release);
+        self.safe_watermark
+            .store(state.fold.safe_lsn(), Ordering::Release);
+        Ok(commit)
     }
 
     /// The apply watermark: the next LSN this replica will apply — every
@@ -444,80 +402,45 @@ impl Replica {
         let mut state = self.state.lock();
         let mut cursor = state.cursor;
         let batch = read_tail(&self.wal_dir, &mut cursor, max_records)?;
+        let records = batch.records.len();
         // Shipped→applied lag: from the moment the batch left the log to
         // its last record's effects published (telemetry on, else None).
         let mut apply_clock = None;
         if let Some(metrics) = &self.config.metrics {
-            if !batch.records.is_empty() {
-                metrics.record_repl_shipped(batch.records.len());
+            if records > 0 {
+                metrics.record_repl_shipped(records);
                 apply_clock = metrics.stage_clock();
             }
         }
         let mut commits = 0usize;
-        for rec in &batch.records {
-            match &rec.record {
-                WalRecord::Read { tx, entity } => {
-                    self.history
-                        .record_shipped(rec.lsn, Step::read(*tx, *entity));
+        for rec in batch.records {
+            let lsn = rec.lsn;
+            match self.apply(&mut state, rec) {
+                Ok(commit) => commits += usize::from(commit),
+                Err(e) => {
+                    // The fold refused this record (a log from another
+                    // topology): park on it, so every later poll fails
+                    // here again instead of skipping it.
+                    state.cursor = WalCursor::from_lsn(lsn);
+                    return Err(e);
                 }
-                WalRecord::Write { tx, entity, value } => {
-                    self.history
-                        .record_shipped(rec.lsn, Step::write(*tx, *entity));
-                    state
-                        .pending
-                        .entry(*tx)
-                        .or_default()
-                        .push((*entity, value.clone()));
-                }
-                WalRecord::Commit { entries } => {
-                    commits += 1;
-                    for entry in entries {
-                        let writes = state.pending.remove(&entry.tx).unwrap_or_default();
-                        for &(shard_idx, ts) in &entry.shards {
-                            let idx = shard_idx as usize;
-                            if idx >= self.shards.len() {
-                                // A commit record from a different
-                                // topology would be an upstream bug;
-                                // tolerate it by skipping the stamp.
-                                continue;
-                            }
-                            let shard_writes: Vec<(EntityId, Bytes)> = writes
-                                .iter()
-                                .filter(|(e, _)| self.shards.shard_of(*e) == idx)
-                                .cloned()
-                                .collect();
-                            self.shards
-                                .store(idx)
-                                .apply_committed(entry.tx, ts, &shard_writes);
-                        }
-                        self.history.record_committed(entry.tx);
-                    }
-                }
-                WalRecord::Abort { tx } => {
-                    state.pending.remove(tx);
-                }
-                WalRecord::Begin { .. } | WalRecord::Checkpoint { .. } => {}
             }
-            state.track_safety(rec.lsn, &rec.record);
-            // Publish after the record's effects are fully in the stores.
-            self.watermark.store(rec.lsn + 1, Ordering::Release);
-            self.safe_watermark.store(state.safe_lsn, Ordering::Release);
         }
         state.cursor = cursor;
         drop(state);
         self.caught_up.store(batch.caught_up, Ordering::Release);
-        if !batch.records.is_empty() || batch.caught_up {
+        if records > 0 || batch.caught_up {
             // lint: allow(clock) — staleness clock: replica tracks its last apply advance
             *self.last_advance.lock() = Instant::now();
         }
         if let Some(metrics) = &self.config.metrics {
-            if !batch.records.is_empty() {
-                metrics.record_repl_applied(batch.records.len(), commits);
+            if records > 0 {
+                metrics.record_repl_applied(records, commits);
                 metrics.record_stage_since(mvcc_telemetry::Stage::ReplicaApply, apply_clock);
             }
         }
         Ok(ShipReceipt {
-            records: batch.records.len(),
+            records,
             commits,
             caught_up: batch.caught_up,
         })
@@ -564,10 +487,10 @@ impl Replica {
         // clock, telemetry on only).
         let pin_clock = self.config.metrics.as_ref().and_then(|m| m.stage_clock());
         let state = self.state.lock();
-        let pinned = state.safe_lsn;
-        for (idx, store) in self.shards.iter().enumerate() {
+        let pinned = state.fold.safe_lsn();
+        for (store, &ts) in self.shards.iter().zip(state.fold.safe_ts()) {
             store
-                .begin_at(tx, state.safe_ts[idx])
+                .begin_at(tx, ts)
                 // lint: allow(unwrap) — documented panic: begin_read requires distinct reader ids
                 .expect("replica reader ids are unique per replica");
         }
@@ -589,10 +512,10 @@ impl Replica {
     /// pinned reader begins *at* the safe point, so its versions must
     /// survive even while no reader is active.
     pub fn collect_garbage(&self) -> usize {
-        let safe_ts = self.state.lock().safe_ts.clone();
+        let safe_ts = self.state.lock().fold.safe_ts().to_vec();
         let mut reclaimed = 0;
-        for (idx, store) in self.shards.iter().enumerate() {
-            let watermark = gc::watermark(store).min(safe_ts[idx]);
+        for (store, ts) in self.shards.iter().zip(safe_ts) {
+            let watermark = gc::watermark(store).min(ts);
             reclaimed += gc::collect_with_watermark(store, watermark).reclaimed;
         }
         reclaimed
@@ -614,36 +537,7 @@ impl Replica {
             .expect("replica checkpoint requires a checkpoint_dir");
         let state = self.state.lock();
         let replay_from_lsn = self.watermark();
-        let shards: Vec<ShardCheckpoint> = self
-            .shards
-            .iter()
-            .map(|store| {
-                let watermark = gc::watermark(store);
-                let (commit_counter, chains) = store.committed_state();
-                ShardCheckpoint {
-                    commit_counter,
-                    watermark,
-                    chains: chains
-                        .into_iter()
-                        .map(|(entity, versions)| {
-                            (
-                                entity,
-                                versions
-                                    .into_iter()
-                                    .map(|(writer, commit_ts, value)| {
-                                        mvcc_durability::CommittedVersion {
-                                            writer,
-                                            commit_ts,
-                                            value,
-                                        }
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
+        let shards = self.shards.checkpoint();
         drop(state);
         let seq = self.checkpoint_seq.fetch_add(1, Ordering::Relaxed) + 1;
         write_checkpoint(
@@ -727,8 +621,12 @@ impl Drop for ReplicaReadSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvcc_durability::DurabilityConfig;
+    use mvcc_durability::{
+        recover, CommitEntry, CommittedVersion, DurabilityConfig, DurabilityMode, RecoveryOptions,
+        ShardCheckpoint, WalRecord, WalWriter,
+    };
     use mvcc_engine::{CertifierKind, Engine, EngineConfig};
+    use std::collections::BTreeMap;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -981,5 +879,143 @@ mod tests {
             assert!(store.active_snapshots().is_empty());
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn write(tx: u32, entity: u32, value: &'static [u8]) -> WalRecord {
+        WalRecord::Write {
+            tx: TxId(tx),
+            entity: EntityId(entity),
+            value: Bytes::from_static(value),
+        }
+    }
+
+    fn commit(tx: u32, shards: Vec<(u32, u64)>) -> WalRecord {
+        WalRecord::Commit {
+            entries: vec![CommitEntry {
+                tx: TxId(tx),
+                shards,
+            }],
+        }
+    }
+
+    #[test]
+    fn a_log_from_another_shard_count_is_refused() {
+        // Written under 2 shards (entity 2 on shard 0, the only shard T1's
+        // commit names); shipped to a 3-shard replica, where entity 2
+        // belongs to shard 2.
+        let dir = temp_dir("shard-count");
+        WalWriter::open(&dir, DurabilityMode::Buffered, 8 << 20)
+            .unwrap()
+            .append_and_flush(&[write(1, 2, b"two"), commit(1, vec![(0, 1)])])
+            .unwrap();
+        let three =
+            Replica::open(ReplicaConfig::new(3, 8, Bytes::from_static(b"0")), &dir).unwrap();
+        for _ in 0..2 {
+            let err = three.catch_up().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(three.watermark(), 1, "parked on the refused commit");
+        }
+        assert!(three.history().committed().is_empty());
+        let two = Arc::new(Replica::open(replica_config(), &dir).unwrap());
+        assert_eq!(two.catch_up().unwrap().commits, 1);
+        let mut read = two.begin_read();
+        assert_eq!(read.read(EntityId(2)).unwrap(), Bytes::from_static(b"two"));
+        read.finish();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Newest committed version per entity of a set of shard cuts.
+    fn newest(shards: &[ShardCheckpoint]) -> BTreeMap<EntityId, CommittedVersion> {
+        shards
+            .iter()
+            .flat_map(|shard| &shard.chains)
+            .filter_map(|(entity, versions)| Some((*entity, versions.last()?.clone())))
+            .collect()
+    }
+
+    #[test]
+    fn recovery_and_replicas_agree_on_one_log() {
+        // 2 shards: X = 0 and Z = 2 on shard 0, Y = 1 and W = 3 on shard 1.
+        // T1 writes before the replica checkpoint and commits after it; T2
+        // is an explicitly aborted writer; T3 writes at the tail and never
+        // commits; the engine checkpoint sits between T2's abort and T1's
+        // commit.  T4 and T5 commit on either side of everything.
+        let dir = temp_dir("agree");
+        let ckpt_dir = temp_dir("agree-ckpt");
+        let opts = RecoveryOptions {
+            shards: 2,
+            entities: 8,
+            initial: Bytes::from_static(b"0"),
+        };
+        let mut config = replica_config();
+        config.checkpoint_dir = Some(ckpt_dir.clone());
+        let wal = WalWriter::open(&dir, DurabilityMode::Buffered, 8 << 20).unwrap();
+        wal.append_and_flush(&[
+            WalRecord::Begin { tx: TxId(1) },
+            write(1, 0, b"t1-x"),
+            write(1, 1, b"t1-y"),
+            WalRecord::Begin { tx: TxId(4) },
+            WalRecord::Read {
+                tx: TxId(4),
+                entity: EntityId(0),
+            },
+            write(4, 2, b"t4-z"),
+            commit(4, vec![(0, 1)]),
+        ])
+        .unwrap();
+        let cutter = Replica::open(config.clone(), &dir).unwrap();
+        cutter.catch_up().unwrap();
+        cutter.checkpoint().unwrap();
+        drop(cutter);
+        wal.append_and_flush(&[
+            WalRecord::Begin { tx: TxId(2) },
+            write(2, 3, b"t2-w"),
+            WalRecord::Abort { tx: TxId(2) },
+        ])
+        .unwrap();
+        let cut = recover(&dir, &opts).unwrap();
+        write_checkpoint(
+            &dir,
+            &CheckpointData {
+                seq: 1,
+                replay_from_lsn: wal.last_lsn().unwrap() + 1,
+                next_tx: cut.next_tx,
+                shards: cut.shards,
+            },
+        )
+        .unwrap();
+        wal.append_and_flush(&[
+            WalRecord::Checkpoint { seq: 1 },
+            commit(1, vec![(0, 2), (1, 1)]),
+            WalRecord::Begin { tx: TxId(5) },
+            write(5, 0, b"t5-x"),
+            commit(5, vec![(0, 3)]),
+            WalRecord::Begin { tx: TxId(3) },
+            write(3, 1, b"t3-y"),
+        ])
+        .unwrap();
+
+        let recovered = recover(&dir, &opts).unwrap();
+        assert_eq!(recovered.report.checkpoint_seq, Some(1));
+        assert_eq!(recovered.report.discarded, vec![TxId(2), TxId(3)]);
+        let fresh = Replica::open(replica_config(), &dir).unwrap();
+        let resumed = Replica::open(config, &dir).unwrap();
+        assert!(resumed.watermark() > 0, "resumed mid-log");
+        let expected_latest = recovered.latest_committed();
+        assert_eq!(expected_latest[&EntityId(0)].writer, TxId(5));
+        assert_eq!(expected_latest[&EntityId(1)].writer, TxId(1));
+        assert_eq!(expected_latest[&EntityId(3)].writer, TxId::INITIAL);
+        assert_eq!(newest(&recovered.shards), expected_latest);
+        for replica in [&fresh, &resumed] {
+            replica.catch_up().unwrap();
+            assert_eq!(newest(&replica.shards().checkpoint()), expected_latest);
+            assert_eq!(replica.history().committed(), recovered.committed);
+            assert_eq!(
+                replica.history().combined_schedule(),
+                recovered.committed_schedule()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
     }
 }

@@ -85,12 +85,13 @@ fn main() {
     // classifiers certify what the certifier promised, across the crash.
     let history = engine.history();
     let schedule = history.committed_schedule();
+    let mvsr = is_mvsr(&schedule);
     println!(
-        "recovered committed history: {} steps, {} transactions, MVSR = {}",
+        "recovered committed history: {} steps, {} transactions, MVSR = {mvsr}",
         schedule.len(),
         history.committed.len(),
-        is_mvsr(&schedule)
     );
+    assert!(mvsr, "MVTO's recovered history stays in MVSR");
 
     // ---- Resume -----------------------------------------------------
     drive_closed_loop(
@@ -101,11 +102,12 @@ fn main() {
         },
     );
     let combined = engine.history().committed_schedule();
+    let mvsr = is_mvsr(&combined);
     println!(
-        "resumed:    combined history {} steps, still MVSR = {}",
+        "resumed:    combined history {} steps, still MVSR = {mvsr}",
         combined.len(),
-        is_mvsr(&combined)
     );
+    assert!(mvsr, "the resumed history stays in MVSR");
     println!("post-resume {}", engine.metrics().snapshot());
     let _ = std::fs::remove_dir_all(&dir);
 }

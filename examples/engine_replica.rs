@@ -73,10 +73,14 @@ fn main() {
     let mut read = router
         .begin_read_after(ReadPolicy::BoundedLag(16), my_lsn)
         .unwrap();
+    let snapshot_lsn = read.snapshot_lsn().unwrap();
     println!(
-        "read-your-writes: commit lsn {my_lsn}, routed snapshot lsn {} -> {:?}",
-        read.snapshot_lsn().unwrap(),
+        "read-your-writes: commit lsn {my_lsn}, routed snapshot lsn {snapshot_lsn} -> {:?}",
         read.read(EntityId(0)).unwrap()
+    );
+    assert!(
+        snapshot_lsn > my_lsn,
+        "the routed snapshot covers our commit"
     );
     read.finish();
 
@@ -97,9 +101,14 @@ fn main() {
         replica.watermark()
     );
     replica.catch_up().unwrap();
+    let horizon = engine.durable_lsn().unwrap();
     println!(
-        "replica caught up: watermark {} == durable horizon + 1",
+        "replica caught up: watermark {} past durable horizon {horizon}",
         replica.watermark()
+    );
+    assert!(
+        replica.watermark() > horizon,
+        "the restarted replica reaches the durable horizon"
     );
     let mut read = replica.begin_read();
     for e in 0..8 {
@@ -109,12 +118,13 @@ fn main() {
 
     // ---- Theory checks the replica ----------------------------------
     let combined = replica.history().combined_schedule();
+    let csr = is_csr(&combined);
     println!(
-        "combined history (shipped + {} follower reads): {} steps, CSR = {}",
+        "combined history (shipped + {} follower reads): {} steps, CSR = {csr}",
         replica.history().readers_recorded(),
         combined.len(),
-        is_csr(&combined)
     );
+    assert!(csr, "SGT's combined history stays in CSR");
     println!("\nprimary metrics (durability + replication blocks):");
     println!("{}", engine.metrics().snapshot());
     let _ = std::fs::remove_dir_all(&wal_dir);

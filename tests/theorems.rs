@@ -320,8 +320,8 @@ fn reference_graph(
 /// enumeration: seeded random interleavings from 3 to 300 transactions, on
 /// both sides of the 64-transaction boundary between the bitmask test and
 /// Kahn's pass, with entity counts spread so that every test says yes and
-/// no often at every size.  The labelled graphs of the dot export and the
-/// witnesses must carry exactly the reference arcs.  The random systems
+/// no often at every size.  The labelled graphs behind `conflict_graph`,
+/// `mv_conflict_graph` and the witnesses must carry exactly the reference arcs.  The random systems
 /// write no entity twice in a transaction, so DMVSR is the MVCG of the
 /// patched schedule throughout.
 #[test]
