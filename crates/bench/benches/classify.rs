@@ -5,9 +5,9 @@
 //! MVSR: one pruned search, two clients) are only run on small instances,
 //! DMVSR beside them.  `classify_polynomial` straddles the 64-transaction
 //! boundary of the acyclicity test (bitmasks up to 64×8, Kahn's pass from
-//! 65×8), and `classify_taxonomy/8x4x8` is the per-call budget of
-//! `taxonomy::classify` on the end-to-end benchmark's corpus shape (divide
-//! the reading by 256).
+//! 65×8), and `classify_corpus/*` times each test and `taxonomy::classify`
+//! on 256 schedules of the end-to-end benchmark's corpus shape (divide a
+//! reading by 256 for the per-call cost).
 //!
 //! Also covers experiment E1/E2/E3 costs: classifying the Figure 1 examples
 //! and checking Theorem 1 / Theorem 2 on a fixed small schedule.
@@ -94,11 +94,14 @@ fn bench_np_classifiers(c: &mut Criterion) {
     group.finish();
 }
 
-/// All six verdicts on 256 schedules of the shape the end-to-end
-/// benchmark's `classify` workload draws (8 transactions x 4 steps over 8
-/// entities, half reads, no skew).
-fn bench_taxonomy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("classify_taxonomy");
+/// 256 schedules of the shape the end-to-end benchmark's `classify`
+/// workload draws (8 transactions x 4 steps over 8 entities, half reads, no
+/// skew), through each standalone test and through `taxonomy::classify`,
+/// which builds one dense index for all six verdicts.  A row reads the time
+/// of all 256 calls; the standalone rows add up to more than the `classify`
+/// row by the index builds the taxonomy shares.
+fn bench_corpus(c: &mut Criterion) {
+    let mut group = c.benchmark_group("classify_corpus");
     group
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300))
@@ -114,9 +117,19 @@ fn bench_taxonomy(c: &mut Criterion) {
         },
         256,
     );
-    group.bench_function("8x4x8", |b| {
-        b.iter(|| corpus.iter().filter(|s| taxonomy::classify(s).mvsr).count())
-    });
+    let tests: [(&str, fn(&Schedule) -> bool); 6] = [
+        ("csr", is_csr),
+        ("mvcsr", is_mvcsr),
+        ("dmvsr", is_dmvsr),
+        ("vsr", is_vsr),
+        ("mvsr", is_mvsr),
+        ("classify", |s| taxonomy::classify(s).mvsr),
+    ];
+    for (name, test) in tests {
+        group.bench_function(name, |b| {
+            b.iter(|| corpus.iter().filter(|s| test(s)).count())
+        });
+    }
     group.finish();
 }
 
@@ -208,7 +221,7 @@ criterion_group!(
     benches,
     bench_polynomial_classifiers,
     bench_np_classifiers,
-    bench_taxonomy,
+    bench_corpus,
     bench_audits,
     bench_figure1_and_theorems
 );

@@ -8,7 +8,7 @@
 //! locking schedulers [Yannakakis 1981], which is why the paper treats CSR as
 //! the single-version yardstick that MVCSR generalises.
 
-use crate::arcs::{self, ArcIndex, Rule};
+use crate::arcs::{self, DenseSchedule, Rule};
 use mvcc_core::{Schedule, TxId};
 use mvcc_graph::topo::topological_sort;
 use mvcc_graph::{DiGraph, NodeId};
@@ -45,7 +45,12 @@ pub fn conflict_graph(schedule: &Schedule) -> ConflictGraph {
 
 /// `true` iff `schedule` is conflict-serializable.
 pub fn is_csr(schedule: &Schedule) -> bool {
-    ArcIndex::of(schedule).acyclic(Rule::Sv) == Some(true)
+    decide(&DenseSchedule::of(schedule))
+}
+
+/// The CSR test on a schedule's dense index: its conflict graph is acyclic.
+pub(crate) fn decide(dense: &DenseSchedule) -> bool {
+    dense.acyclic(Rule::Sv) == Some(true)
 }
 
 /// Returns a serial order witnessing conflict-serializability (a topological

@@ -41,7 +41,7 @@
 //! (`Classification::respects_containments`, the Figure 1 census) and
 //! `DMVSR ⊆ MVCSR` on writes-once schedules (the tests below).
 
-use crate::arcs::{ArcIndex, Rule};
+use crate::arcs::{DenseSchedule, Rule};
 use mvcc_core::{Schedule, Step};
 use std::collections::HashSet;
 
@@ -64,7 +64,13 @@ pub fn patch_readless_writes(schedule: &Schedule) -> Schedule {
 /// decided by the patched MVCG, without building the patching, unless a
 /// transaction writes an entity twice (see the module docs).
 pub fn is_dmvsr(schedule: &Schedule) -> bool {
-    ArcIndex::of(schedule)
+    decide(schedule, &DenseSchedule::of(schedule))
+}
+
+/// The DMVSR test on `schedule` and its dense index: the patched MVCG, or
+/// the search on the patching where a transaction writes an entity twice.
+pub(crate) fn decide(schedule: &Schedule, dense: &DenseSchedule) -> bool {
+    dense
         .acyclic(Rule::Patched)
         .unwrap_or_else(|| crate::mvsr::is_mvsr(&patch_readless_writes(schedule)))
 }

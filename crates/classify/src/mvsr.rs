@@ -8,15 +8,20 @@
 //! complete witness — the serial order *and* the version function — when one
 //! exists.
 
-use crate::serialization::{has_serialization_extending, serializations, SerialReadFroms};
+use crate::arcs::DenseSchedule;
+use crate::serialization::{serial_orders, serializations, Required, SerialReadFroms};
 use mvcc_core::{Schedule, TxId, VersionFunction};
-use std::collections::HashMap;
 
 /// `true` iff `schedule` is multiversion serializable: the search with
 /// nothing required finds a serial order (the witness's read-from
 /// assignment is only spelled out by [`mvsr_witness`]).
 pub fn is_mvsr(schedule: &Schedule) -> bool {
-    has_serialization_extending(schedule, &HashMap::new())
+    decide(&DenseSchedule::of(schedule))
+}
+
+/// The MVSR test on a schedule's dense index.
+pub(crate) fn decide(dense: &DenseSchedule) -> bool {
+    !serial_orders(dense, Required::Nothing, Some(1)).is_empty()
 }
 
 /// Returns a witness of MVSR membership: a serial order and a version

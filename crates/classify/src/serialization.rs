@@ -19,15 +19,20 @@
 //!   restrictions of the serializing assignments intersect
 //!   (see `mvcc-reductions::ols`).
 //!
-//! All three are clients of the one search in this module (`SearchEngine`):
-//! serial orders are grown one transaction at a time, a placement is checked
-//! against the reads it determines, failed states are memoized, and a
-//! `required` read-from map — empty for MVSR, the standard read-froms plus
-//! the final writers for VSR, a committed prefix for the OLS and scheduler
-//! callers — turns into precedence edges, an up-front cycle check and
-//! forward-check propagation.  There is no second search anywhere in the
+//! All three are clients of the one search in this module (`SearchEngine`),
+//! which reads the schedule's dense index (`arcs.rs`): serial orders
+//! are grown one transaction at a time, a placement is checked against the
+//! reads it determines, failed states are memoized, and what is required —
+//! nothing for MVSR, the standard read-froms plus the final writers for
+//! VSR, a committed prefix's read-from map for the OLS and scheduler
+//! callers — becomes dense pins on the reads, which turn into precedence
+//! edges, an up-front cycle check and forward-check propagation.  A failed
+//! state is memoized on its placed set and on which unplaced reads the
+//! current last writers serve, an exact key of fixed width (see
+//! `SearchEngine::enter`).  There is no second search anywhere in the
 //! crate.
 
+use crate::arcs::{DenseSchedule, Read, Tables, NONE};
 use mvcc_core::{Schedule, TransactionSystem, TxId, VersionFunction, VersionSource};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -203,7 +208,7 @@ pub fn serializations_extending(
 ) -> Vec<SerialReadFroms> {
     // The search deals in serial orders only; the read-from assignment of
     // each is spelled out here, for the callers that return it.
-    let orders = serial_orders_extending(s, required, None, limit);
+    let orders = serial_orders(&DenseSchedule::of(s), Required::Map(required), limit);
     let sys = s.tx_system();
     orders
         .iter()
@@ -211,30 +216,27 @@ pub fn serializations_extending(
         .collect()
 }
 
-/// The first serial order (in search order) whose induced read-from
-/// assignment agrees with `required` on every read position it mentions
-/// *and* whose last writer of every entity is the one `final_writers` names
-/// (one entry per written entity).  With the standard read-froms and the
-/// final writers of `s` itself this is the VSR question — [`crate::vsr`] is
-/// that client; MVSR is the same search with nothing required.
-pub(crate) fn serial_order_extending(
-    s: &Schedule,
-    required: &HashMap<usize, VersionSource>,
-    final_writers: &BTreeMap<mvcc_core::EntityId, TxId>,
-) -> Option<Vec<TxId>> {
-    serial_orders_extending(s, required, Some(final_writers), Some(1)).pop()
+/// What a search requires of the serial orders it returns.
+#[derive(Clone, Copy)]
+pub(crate) enum Required<'r> {
+    /// Nothing: the MVSR question.
+    Nothing,
+    /// Every read its standard source and every entity its final writer in
+    /// the schedule: the VSR question.
+    Standard,
+    /// The source a caller's map names for each read position it mentions.
+    Map(&'r HashMap<usize, VersionSource>),
 }
 
 /// The serial orders, in search order and at most `limit` of them, behind
-/// every entry point above and below.
-fn serial_orders_extending(
-    s: &Schedule,
-    required: &HashMap<usize, VersionSource>,
-    final_writers: Option<&BTreeMap<mvcc_core::EntityId, TxId>>,
+/// every entry point of this module, [`crate::mvsr`] and [`crate::vsr`].
+pub(crate) fn serial_orders(
+    dense: &DenseSchedule,
+    required: Required<'_>,
     limit: Option<usize>,
 ) -> Vec<Vec<TxId>> {
-    let mut engine = SearchEngine::build(s, limit);
-    engine.apply_required(required, final_writers);
+    let mut engine = SearchEngine::new(dense, limit);
+    engine.require(required);
     if !engine.infeasible {
         engine.dfs(0);
     }
@@ -243,7 +245,7 @@ fn serial_orders_extending(
 
 /// `true` iff `s` has at least one serialization agreeing with `required`.
 pub fn has_serialization_extending(s: &Schedule, required: &HashMap<usize, VersionSource>) -> bool {
-    !serial_orders_extending(s, required, None, Some(1)).is_empty()
+    !serial_orders(&DenseSchedule::of(s), Required::Map(required), Some(1)).is_empty()
 }
 
 /// As [`has_serialization_extending`], but giving up after `node_budget`
@@ -257,8 +259,9 @@ pub fn has_serialization_extending_budgeted(
     required: &HashMap<usize, VersionSource>,
     node_budget: u64,
 ) -> Option<bool> {
-    let mut engine = SearchEngine::build(s, Some(1));
-    engine.apply_required(required, None);
+    let dense = DenseSchedule::of(s);
+    let mut engine = SearchEngine::new(&dense, Some(1));
+    engine.require(Required::Map(required));
     if engine.infeasible {
         return Some(false);
     }
@@ -305,10 +308,10 @@ pub fn achievable_prefix_restrictions_bounded(
     prefix_len: usize,
     max: Option<usize>,
 ) -> BTreeSet<BTreeMap<usize, VersionSource>> {
-    let mut engine = SearchEngine::build(s, None);
+    let dense = DenseSchedule::of(s);
     let prefix_len = prefix_len.min(s.len());
 
-    if engine.txs.len() > 128 {
+    if dense.txs() > 128 {
         // Beyond the bitmask the dedup machinery does not apply; fall back
         // to projecting plain enumeration (instances this big are out of
         // reach for every exact NP checker in this crate anyway).  `max` is
@@ -345,12 +348,16 @@ pub fn achievable_prefix_restrictions_bounded(
 
     // Transactions that read inside the prefix: the restriction is fully
     // determined exactly when all of them have been placed.
-    let readers_remaining = engine
-        .txs
-        .iter()
-        .filter(|t| t.reads.iter().any(|r| r.pos < prefix_len))
+    let tables = dense.tables();
+    let readers_remaining = (0..dense.txs())
+        .filter(|&t| {
+            tables.reads[tables.reads_of(t)]
+                .iter()
+                .any(|r| (r.pos as usize) < prefix_len)
+        })
         .count();
 
+    let mut engine = SearchEngine::new(&dense, None);
     let mut walk = RestrictionWalk {
         max,
         restriction: vec![FREE; prefix_len],
@@ -371,10 +378,7 @@ pub fn achievable_prefix_restrictions_bounded(
         .collect()
 }
 
-/// In the dense tables: no transaction — the initial version as a read's
-/// source, nobody as an entity's last writer.
-const NONE: u32 = u32::MAX;
-/// A read that no `required` map pins (and, in a prefix restriction, a
+/// A read that no requirement pins (and, in a prefix restriction, a
 /// position that holds no placed read).
 const FREE: u32 = u32::MAX - 1;
 /// A read pinned to a version no serial order can serve it: a writer the
@@ -385,28 +389,24 @@ fn bit(i: usize) -> u128 {
     1 << i
 }
 
-/// The distinct values of `items`, ascending: a value's rank in the result
-/// (binary search) is its dense number.
-pub(crate) fn distinct<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
-    let mut all: Vec<T> = items.collect();
-    all.sort_unstable();
-    all.dedup();
-    all
-}
-
 /// Hasher of the search-state sets.  Their keys are tuples of small integers
 /// the search itself builds, a few machine words each, looked up once per
 /// node: the default SipHash cost more than the rest of a node.
 #[derive(Default)]
 struct StateHasher(u64);
 
+impl StateHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
 impl Hasher for StateHasher {
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
-                .wrapping_mul(0x517c_c1b7_2722_0a95);
+            self.mix(u64::from_le_bytes(word));
         }
     }
 
@@ -419,47 +419,82 @@ impl Hasher for StateHasher {
 
 type StateSet<K> = HashSet<K, BuildHasherDefault<StateHasher>>;
 
-/// One read step, as the search sees it.
-struct Read {
-    /// Position in `s`.
-    pos: usize,
-    /// Dense number of the entity read.
-    entity: usize,
-    /// Whether the transaction wrote the entity earlier in program order:
-    /// serially the read then sees that write, whatever the order.
-    own: bool,
-    /// The transactions whose first write of the entity precedes the read in
-    /// `s` — the writers that can serve it.  So `bit(w) ∈ avail` *is* the
-    /// realizability test for source `w`.  Only filled while the
-    /// transaction count fits the mask, and only read where `!own`.
-    avail: u128,
-    /// The source a `required` map pins the read to (a transaction's dense
-    /// number, or [`NONE`] for the initial version), [`UNSERVABLE`], or
-    /// [`FREE`].  Always `FREE` where `own`.
-    pin: u32,
+/// The dead search states: keys of one fixed width (see
+/// [`SearchEngine::enter`]) stored back to back and found by open
+/// addressing, so neither a lookup nor an insertion allocates per key.
+struct DeadSet {
+    /// Words per key.
+    width: usize,
+    /// The keys, back to back.
+    keys: Vec<u64>,
+    /// A power-of-two table of key numbers plus one (0: an empty slot),
+    /// at most half full.
+    slots: Vec<u32>,
 }
 
-struct TxPlacement {
-    id: TxId,
-    /// Reads in program order.
-    reads: Vec<Read>,
-    /// Dense numbers of the entities written.
-    writes: Vec<usize>,
+impl DeadSet {
+    fn new(width: usize) -> Self {
+        DeadSet {
+            width,
+            keys: Vec::with_capacity(16 * width),
+            slots: Vec::new(),
+        }
+    }
+
+    /// The first slot to probe for `key` in a table of `mask + 1` slots.
+    fn home(key: &[u64], mask: usize) -> usize {
+        let mut hasher = StateHasher::default();
+        key.iter().for_each(|&word| hasher.mix(word));
+        hasher.finish() as usize & mask
+    }
+
+    /// The slot holding `key`, or the empty slot where it would go.
+    fn slot(&self, key: &[u64]) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(key, mask);
+        while let Some(k) = self.slots[i].checked_sub(1) {
+            let at = k as usize * self.width;
+            if self.keys[at..at + self.width] == *key {
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn contains(&self, key: &[u64]) -> bool {
+        !self.slots.is_empty() && self.slots[self.slot(key)] != 0
+    }
+
+    fn insert(&mut self, key: &[u64]) {
+        let len = self.keys.len() / self.width;
+        if 2 * (len + 1) > self.slots.len() {
+            let mut slots = vec![0u32; (2 * self.slots.len()).max(32)];
+            let mask = slots.len() - 1;
+            for (k, old) in self.keys.chunks_exact(self.width).enumerate() {
+                let mut i = Self::home(old, mask);
+                while slots[i] != 0 {
+                    i = (i + 1) & mask;
+                }
+                slots[i] = k as u32 + 1;
+            }
+            self.slots = slots;
+        }
+        let i = self.slot(key);
+        if self.slots[i] == 0 {
+            self.keys.extend_from_slice(key);
+            self.slots[i] = len as u32 + 1;
+        }
+    }
 }
 
-/// The search state, every table an array over dense numbers: transactions
-/// are numbered by first appearance in `s` (which is also the candidate
-/// order), entities by ascending id.
-struct SearchEngine {
-    txs: Vec<TxPlacement>,
-    /// `(id, dense number)` of every transaction, ascending by id.
-    tx_numbers: Vec<(TxId, u32)>,
-    /// The entities of `s`, ascending: position = dense number.
-    entity_ids: Vec<mvcc_core::EntityId>,
-    /// Position of the first write of entity `e` by transaction `t` at
-    /// `e * txs.len() + t` (`usize::MAX`: none): a read at `pos` can be
-    /// served by `t` iff that position is below `pos`.
-    first_write: Vec<usize>,
+/// The search state over a [`DenseSchedule`].  Transactions are tried by
+/// their dense number, i.e. by first appearance in `s`: serial witnesses of
+/// near-serial and reduction-generated schedules correlate strongly with
+/// schedule order, so the search finds them with little backtracking.
+struct SearchEngine<'d> {
+    dense: &'d DenseSchedule,
+    tables: &'d Tables,
     limit: Option<usize>,
     /// The partial serial order, the last placed writer of each entity
     /// ([`NONE`] before any), and the entries `last_writer` held before the
@@ -469,21 +504,28 @@ struct SearchEngine {
     undo: Vec<u32>,
     /// The serial orders found so far.
     out: Vec<Vec<TxId>>,
-    /// States (placed set, last writer per entity) with no acceptable
-    /// completion.  Only populated while the transaction count fits the
-    /// bitmask; beyond that the search still runs, just without memoization.
-    dead: StateSet<(u128, Vec<u32>)>,
-    /// Hard precedence constraints derived from a `required` map:
-    /// `pred[i]` is the set of transactions that must precede `txs[i]` in
-    /// every acceptable serial order.  Empty unless `apply_required` ran.
+    /// Per read of the dense schedule: the source a requirement pins it to
+    /// (a transaction's dense number, or [`NONE`] for the initial version),
+    /// [`UNSERVABLE`], or [`FREE`].  Always `FREE` where the read is `own`.
+    pins: Vec<u32>,
+    /// States with no acceptable completion.  Only populated while the
+    /// transaction count fits the bitmask; beyond that the search still
+    /// runs, just without memoization.
+    dead: DeadSet,
+    /// The memo keys of the states on the current path, `dead.width` words
+    /// each.
+    path: Vec<u64>,
+    /// Hard precedence constraints derived from the pins: `pred[i]` is the
+    /// set of transactions that must precede transaction `i` in every
+    /// acceptable serial order.  All empty unless something is required.
     pred: Vec<u128>,
     /// Set when the precedence constraints are cyclic, or a read served by
     /// its transaction's own earlier write is pinned elsewhere: no serial
-    /// order can satisfy the `required` map at all.
+    /// order satisfies the requirement at all.
     infeasible: bool,
     /// When set, only orders whose last writer of every entity is exactly
-    /// this table are explored (see [`SearchEngine::apply_required`]).
-    final_writers: Option<Vec<u32>>,
+    /// this table are explored (see [`SearchEngine::require`]).
+    final_writers: Option<&'d [u32]>,
     /// Remaining search-node budget (`u64::MAX` = unbounded).  When it runs
     /// out the search unwinds without an answer and sets
     /// `budget_exhausted`; dead-state memos recorded so far stay valid.
@@ -509,75 +551,24 @@ thread_local! {
     pub(crate) static NODES_VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-impl SearchEngine {
-    /// Prepares the placement tables for `s` in one pass over its steps:
-    /// the dense numbering, per-transaction reads and write sets,
-    /// first-write positions and the availability masks.
-    ///
-    /// Candidates are tried by first appearance in the schedule.  Serial
-    /// witnesses of near-serial and reduction-generated schedules correlate
-    /// strongly with schedule order, so the search finds them with little
-    /// backtracking (enumeration semantics are unaffected).
-    fn build(s: &Schedule, limit: Option<usize>) -> Self {
-        let steps = s.steps();
-        let entity_ids = distinct(steps.iter().map(|step| step.entity));
-        let mut tx_numbers: Vec<(TxId, u32)> = distinct(steps.iter().map(|step| step.tx))
-            .into_iter()
-            .map(|id| (id, NONE))
-            .collect();
-        let n = tx_numbers.len();
-        let masked = n <= 128;
-
-        let mut txs: Vec<TxPlacement> = Vec::with_capacity(n);
-        let mut first_write = vec![usize::MAX; entity_ids.len() * n];
-        // Per entity: the transactions that wrote it so far.
-        let mut writers = vec![0u128; entity_ids.len()];
-        for (pos, step) in steps.iter().enumerate() {
-            let (Ok(rank), Ok(entity)) = (
-                tx_numbers.binary_search_by_key(&step.tx, |&(id, _)| id),
-                entity_ids.binary_search(&step.entity),
-            ) else {
-                unreachable!("both tables were collected from these steps");
-            };
-            if tx_numbers[rank].1 == NONE {
-                tx_numbers[rank].1 = txs.len() as u32;
-                txs.push(TxPlacement {
-                    id: step.tx,
-                    reads: Vec::new(),
-                    writes: Vec::new(),
-                });
-            }
-            let t = tx_numbers[rank].1 as usize;
-            let first = &mut first_write[entity * n + t];
-            if step.is_read() {
-                txs[t].reads.push(Read {
-                    pos,
-                    entity,
-                    own: *first != usize::MAX,
-                    avail: writers[entity],
-                    pin: FREE,
-                });
-            } else if *first == usize::MAX {
-                *first = pos;
-                txs[t].writes.push(entity);
-                if masked {
-                    writers[entity] |= bit(t);
-                }
-            }
-        }
-
+impl<'d> SearchEngine<'d> {
+    fn new(dense: &'d DenseSchedule, limit: Option<usize>) -> Self {
+        let n = dense.txs();
+        let tables = dense.tables();
+        // The memo key: the placed set, then a bit per read.
+        let width = 2 + tables.reads.len().div_ceil(64);
         SearchEngine {
-            pred: vec![0; n],
-            order: Vec::with_capacity(n),
-            last_writer: vec![NONE; entity_ids.len()],
-            undo: Vec::new(),
-            txs,
-            tx_numbers,
-            entity_ids,
-            first_write,
+            dense,
+            tables,
             limit,
+            order: Vec::with_capacity(n),
+            last_writer: vec![NONE; tables.entities()],
+            undo: Vec::new(),
             out: Vec::new(),
-            dead: StateSet::default(),
+            pins: vec![FREE; tables.reads.len()],
+            dead: DeadSet::new(width),
+            path: Vec::with_capacity((n + 1) * width),
+            pred: vec![0; n],
             infeasible: false,
             final_writers: None,
             budget: u64::MAX,
@@ -585,103 +576,87 @@ impl SearchEngine {
         }
     }
 
-    /// Dense number of transaction `id`, if `s` has it.
-    fn tx_number(&self, id: TxId) -> Option<usize> {
-        let rank = self
-            .tx_numbers
-            .binary_search_by_key(&id, |&(id, _)| id)
-            .ok()?;
-        Some(self.tx_numbers[rank].1 as usize)
-    }
-
     /// The version source a dense source number stands for.
     fn source(&self, number: u32) -> VersionSource {
         if number == NONE {
             VersionSource::Initial
         } else {
-            VersionSource::Tx(self.txs[number as usize].id)
+            VersionSource::Tx(self.dense.tx_ids[number as usize])
         }
     }
 
-    /// Registers a `required` read-from map: each read it mentions is
-    /// pinned ([`Read::pin`]), which [`SearchEngine::can_place`] enforces at
-    /// placement time and the forward check propagates — a read pinned to
-    /// `Initial` dies as soon as any writer of its entity is placed before
-    /// its reader, and a read pinned to `Tx(w)` dies as soon as `w` stops
-    /// being the entity's last writer while the reader is still unplaced.
+    /// Pins every read `required` names ([`SearchEngine::pins`]), which
+    /// placement enforces and the forward check propagates — a read pinned
+    /// to `Initial` dies as soon as any writer of its entity is placed
+    /// before its reader, and a read pinned to `Tx(w)` dies as soon as `w`
+    /// stops being the entity's last writer while the reader is still
+    /// unplaced.  A caller's map is converted to the same dense pins the
+    /// standard sources are.
     ///
-    /// `final_writers`, when given, additionally requires the serial order's
-    /// last writer of every entity to be the one named (a writer of that
-    /// entity).  That condition is enforced at placement time (see
-    /// [`SearchEngine::can_place`]), so it holds beyond the bitmask too;
-    /// within the bitmask it also becomes precedence edges — the final
-    /// writer of `x` follows every other writer of `x` — so the cycle check
-    /// and the candidate filter prune with it.
-    fn apply_required(
-        &mut self,
-        required: &HashMap<usize, VersionSource>,
-        final_writers: Option<&BTreeMap<mvcc_core::EntityId, TxId>>,
-    ) {
-        if required.is_empty() && final_writers.is_none() {
-            return;
+    /// [`Required::Standard`] additionally requires the serial order's last
+    /// writer of every entity to be the schedule's.  That condition is
+    /// enforced at placement time (see [`SearchEngine::overwrites_a_final`]),
+    /// so it holds beyond the bitmask too; within the bitmask it also
+    /// becomes precedence edges — the final writer of `x` follows every
+    /// other writer of `x` — so the cycle check and the candidate filter
+    /// prune with it.
+    fn require(&mut self, required: Required<'_>) {
+        let (dense, tables) = (self.dense, self.tables);
+        match required {
+            Required::Nothing => return,
+            Required::Map(map) if map.is_empty() => return,
+            Required::Standard => self.final_writers = Some(&tables.final_writer),
+            Required::Map(_) => {}
         }
-        for i in 0..self.txs.len() {
-            for k in 0..self.txs[i].reads.len() {
-                let read = &self.txs[i].reads[k];
-                let Some(&src) = required.get(&read.pos) else {
+        // The pinned source of a read, as a dense number, if any.
+        let source_of = |read: &Read| match required {
+            Required::Nothing => None,
+            Required::Standard => Some(read.standard),
+            Required::Map(map) => map.get(&(read.pos as usize)).map(|&src| match src {
+                VersionSource::Initial => NONE,
+                VersionSource::Tx(w) => dense.tx_number(w).unwrap_or(UNSERVABLE),
+            }),
+        };
+        let n = dense.txs();
+        for i in 0..n {
+            for r in tables.reads_of(i) {
+                let read = &tables.reads[r];
+                let Some(src) = source_of(read) else {
                     continue;
                 };
                 if read.own {
                     // Serially the read sees its transaction's own earlier
                     // write, whatever the order.
-                    self.infeasible |= src != VersionSource::Tx(self.txs[i].id);
-                    continue;
-                }
-                let pin = match src {
-                    VersionSource::Initial => NONE,
-                    VersionSource::Tx(w) => match self.tx_number(w) {
-                        Some(wi) if wi != i => wi as u32,
-                        _ => UNSERVABLE,
-                    },
-                };
-                self.txs[i].reads[k].pin = pin;
-            }
-        }
-        if let Some(named) = final_writers {
-            let mut table = vec![NONE; self.entity_ids.len()];
-            for (entity, &last) in named {
-                if let (Ok(e), Some(li)) =
-                    (self.entity_ids.binary_search(entity), self.tx_number(last))
-                {
-                    table[e] = li as u32;
+                    self.infeasible |= src != i as u32;
+                } else {
+                    self.pins[r] = if src == i as u32 { UNSERVABLE } else { src };
                 }
             }
-            self.final_writers = Some(table);
         }
-        let n = self.txs.len();
         if self.infeasible || n > 128 {
             return;
         }
 
         // Hard precedence edges: a read pinned to `Tx(w)` puts `w` before
         // its reader; a read pinned to `Initial` puts its reader before
-        // every writer of the entity.  A cycle among these proves the map
-        // unsatisfiable outright — this is exactly how the Theorem 4/5
-        // constructions encode polygraph arcs, so refutations that would
-        // otherwise need exhaustive search fall out of a linear check.
-        let mut writers_of = vec![0u128; self.entity_ids.len()];
-        for (j, tx) in self.txs.iter().enumerate() {
-            for &e in &tx.writes {
-                writers_of[e] |= bit(j);
+        // every writer of the entity.  A cycle among these proves the
+        // requirement unsatisfiable outright — this is exactly how the
+        // Theorem 4/5 constructions encode polygraph arcs, so refutations
+        // that would otherwise need exhaustive search fall out of a linear
+        // check.
+        let mut writers_of = vec![0u128; tables.entities()];
+        for j in 0..n {
+            for write in tables.writes_of(j) {
+                writers_of[write.entity as usize] |= bit(j);
             }
         }
-        for (i, tx) in self.txs.iter().enumerate() {
-            for read in &tx.reads {
-                match read.pin {
+        for i in 0..n {
+            for r in tables.reads_of(i) {
+                match self.pins[r] {
                     FREE | UNSERVABLE => {}
                     NONE => {
-                        for j in (0..n).filter(|&j| j != i && writers_of[read.entity] & bit(j) != 0)
-                        {
+                        let entity = tables.reads[r].entity as usize;
+                        for j in (0..n).filter(|&j| j != i && writers_of[entity] & bit(j) != 0) {
                             self.pred[j] |= bit(i);
                         }
                     }
@@ -689,14 +664,14 @@ impl SearchEngine {
                 }
             }
         }
-        for (e, &last) in self.final_writers.iter().flatten().enumerate() {
+        for (e, &last) in self.final_writers.iter().copied().flatten().enumerate() {
             if last != NONE {
                 self.pred[last as usize] |= writers_of[e] & !bit(last as usize);
             }
         }
 
         // Kahn's algorithm: if the precedence graph has a cycle, no serial
-        // order satisfies `required`.
+        // order satisfies the requirement.
         let mut placed = 0u128;
         let mut progressed = true;
         let mut count = 0;
@@ -715,10 +690,11 @@ impl SearchEngine {
         }
     }
 
-    /// Makes `txs[i]` the last writer of everything it writes, remembering
-    /// what it overwrote.
+    /// Makes transaction `i` the last writer of everything it writes,
+    /// remembering what it overwrote.
     fn place(&mut self, i: usize) {
-        for &e in &self.txs[i].writes {
+        for write in self.tables.writes_of(i) {
+            let e = write.entity as usize;
             self.undo.push(self.last_writer[e]);
             self.last_writer[e] = i as u32;
         }
@@ -726,27 +702,133 @@ impl SearchEngine {
 
     /// Undoes the latest [`SearchEngine::place`], which must have been of `i`.
     fn unplace(&mut self, i: usize) {
-        let writes = &self.txs[i].writes;
+        let writes = self.tables.writes_of(i);
         let mark = self.undo.len() - writes.len();
-        for (&e, &old) in writes.iter().zip(&self.undo[mark..]) {
-            self.last_writer[e] = old;
+        for (write, &old) in writes.iter().zip(&self.undo[mark..]) {
+            self.last_writer[write.entity as usize] = old;
         }
         self.undo.truncate(mark);
     }
 
-    /// The memo key of the current state — or `None` when the state is
-    /// dead: recorded as such, or failing the forward check (and recorded
-    /// now).
-    fn live_key(&mut self, used: u128) -> Option<(u128, Vec<u32>)> {
-        let key = (used, self.last_writer.clone());
-        if self.dead.contains(&key) {
+    /// For read `r`: the current last writer of its entity, whether that
+    /// writer can serve the read (it is the initial version, or its first
+    /// write precedes the read), and whether it *serves* it — can, and as
+    /// the read's pin requires.
+    fn serving(&self, r: usize, masked: bool) -> (u32, bool, bool) {
+        let read = &self.tables.reads[r];
+        let last = self.last_writer[read.entity as usize];
+        let realizable = last == NONE
+            || if masked {
+                read.avail & bit(last as usize) != 0
+            } else {
+                self.tables
+                    .first_write_before(last as usize, read.entity, read.pos)
+            };
+        let pin = self.pins[r];
+        (last, realizable, realizable && (pin == FREE || pin == last))
+    }
+
+    /// Whether placing transaction `i` next would overwrite an entity whose
+    /// required final writer is already placed.  No writer is ever placed
+    /// over a required final writer, so "placed" and "still the last
+    /// writer" coincide for it.
+    fn overwrites_a_final(&self, i: usize) -> bool {
+        self.final_writers.is_some_and(|named| {
+            self.tables.writes_of(i).iter().any(|write| {
+                let e = write.entity as usize;
+                named[e] != NONE && named[e] != i as u32 && self.last_writer[e] == named[e]
+            })
+        })
+    }
+
+    /// Whether transaction `i` can be placed next: each of its own-less
+    /// reads is served by the current last writer of its entity (placed
+    /// now, the read sees that writer), and it overwrites no placed
+    /// required final writer.
+    fn can_place(&self, i: usize) -> bool {
+        let masked = self.dense.txs() <= 128;
+        !self.overwrites_a_final(i)
+            && self
+                .tables
+                .reads_of(i)
+                .all(|r| self.tables.reads[r].own || self.serving(r, masked).2)
+    }
+
+    /// Enters the state with placed set `used` (within the bitmask): pushes
+    /// its memo key onto [`SearchEngine::path`] and returns the unplaced
+    /// transactions whose reads the current last writers all serve — the
+    /// candidates — or `None` for a dead state, which leaves nothing on
+    /// the path: recorded as dead, or failing the forward check.
+    ///
+    /// The key is the placed set, then one bit per read of an unplaced
+    /// transaction: whether the current last writer of its entity *serves*
+    /// it ([`SearchEngine::serving`]).  That is exact.  Placed later, a
+    /// transaction's read sees either a writer placed after now, which does
+    /// not depend on the current last writers, or the current last writer,
+    /// which is acceptable exactly when it serves the read; a required final
+    /// writer is never overwritten, so "still the last writer" is "placed"
+    /// for it; and the hard predecessors depend on the placed set alone.  So
+    /// two states with one key have the same acceptable completions.  The
+    /// forward check — every unplaced read must still be servable by *some*
+    /// completion — runs in the same pass and leaves it at the first read
+    /// that fails it; such a state is not recorded, since failing the check
+    /// again costs no more than finding the key.
+    fn enter(&mut self, used: u128) -> Option<u128> {
+        let tables = self.tables;
+        let n = self.dense.txs();
+        let base = self.path.len();
+        self.path.resize(base + self.dead.width, 0);
+        self.path[base] = used as u64;
+        self.path[base + 1] = (used >> 64) as u64;
+        let all = if n == 128 { u128::MAX } else { bit(n) - 1 };
+        let mut candidates = all & !used;
+        let mut rest = candidates;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            for r in tables.reads_of(i) {
+                let read = &tables.reads[r];
+                if read.own {
+                    continue;
+                }
+                let (last, realizable, served) = self.serving(r, true);
+                if served {
+                    self.path[base + 2 + r / 64] |= 1 << (r % 64);
+                } else {
+                    candidates &= !bit(i);
+                }
+                // Servable later: by an available writer still unplaced,
+                // and (pin propagation) `Initial` is unreachable once any
+                // writer was placed, and `Tx(w)` once `w` is placed but no
+                // longer the last writer.
+                let viable = (realizable || read.avail & !used != 0)
+                    && match self.pins[r] {
+                        FREE => true,
+                        UNSERVABLE => false,
+                        NONE => last == NONE,
+                        w => used & bit(w as usize) == 0 || last == w,
+                    };
+                if !viable {
+                    self.path.truncate(base);
+                    return None;
+                }
+            }
+        }
+        if self.dead.contains(&self.path[base..]) {
+            self.path.truncate(base);
             return None;
         }
-        if !self.forward_check(used) {
-            self.dead.insert(key);
-            return None;
+        Some(candidates)
+    }
+
+    /// Leaves the state [`SearchEngine::enter`] entered last, recording it
+    /// as dead when `dead`.
+    fn leave(&mut self, dead: bool) {
+        let base = self.path.len() - self.dead.width;
+        if dead {
+            self.dead.insert(&self.path[base..]);
         }
-        Some(key)
+        self.path.truncate(base);
     }
 
     fn dfs(&mut self, used: u128) -> Dfs {
@@ -757,16 +839,15 @@ impl SearchEngine {
             return Dfs::Stop;
         }
         self.budget -= 1;
-        let n = self.txs.len();
+        let n = self.dense.txs();
         if self.order.len() == n {
             // Every placement was checked incrementally, so the induced
             // assignment is realizable and accepted, and no required final
             // writer was overwritten, by construction.
             debug_assert!(self
                 .final_writers
-                .as_ref()
                 .map_or(true, |named| *named == self.last_writer));
-            let order = self.order.iter().map(|&i| self.txs[i as usize].id);
+            let order = self.order.iter().map(|&i| self.dense.tx_ids[i as usize]);
             self.out.push(order.collect());
             return match self.limit {
                 Some(l) if self.out.len() >= l => Dfs::Stop,
@@ -774,28 +855,27 @@ impl SearchEngine {
             };
         }
 
-        // Forward check: every read of every unplaced transaction must still
-        // be servable by SOME completion (see `forward_check`); a failed
-        // check proves the whole subtree dead.
+        // Within the bitmask: the memo, and the forward check, whose failure
+        // proves the whole subtree dead; the same pass finds the candidates.
         let memoize = n <= 128;
-        let key = if memoize {
-            let Some(key) = self.live_key(used) else {
+        let candidates = if memoize {
+            let Some(candidates) = self.enter(used) else {
                 return Dfs::Nothing;
             };
-            Some(key)
+            candidates
         } else {
-            None
+            u128::MAX
         };
 
         let mut found = false;
         for i in 0..n {
-            let placed = if memoize {
-                used & bit(i) != 0
+            let placeable = if memoize {
+                // `pred`: a hard predecessor is still unplaced.
+                candidates & bit(i) != 0 && self.pred[i] & !used == 0 && !self.overwrites_a_final(i)
             } else {
-                self.order.contains(&(i as u32))
+                !self.order.contains(&(i as u32)) && self.can_place(i)
             };
-            // `pred`: a hard predecessor is still unplaced.
-            if placed || self.pred[i] & !used != 0 || !self.can_place(i) {
+            if !placeable {
                 continue;
             }
             self.order.push(i as u32);
@@ -804,48 +884,25 @@ impl SearchEngine {
             self.unplace(i);
             self.order.pop();
             match result {
-                Dfs::Stop => return Dfs::Stop,
+                Dfs::Stop => {
+                    if memoize {
+                        self.leave(false);
+                    }
+                    return Dfs::Stop;
+                }
                 Dfs::FoundSome => found = true,
                 Dfs::Nothing => {}
             }
         }
 
+        if memoize {
+            self.leave(!found);
+        }
         if found {
             Dfs::FoundSome
         } else {
-            if let Some(key) = key {
-                self.dead.insert(key);
-            }
             Dfs::Nothing
         }
-    }
-
-    /// Whether transaction `i` can be placed next: each of its reads must be
-    /// servable (the serially-determined source exists before the read in
-    /// `s`) and agree with its pin, and it must not overwrite an entity
-    /// whose required final writer is already placed.
-    fn can_place(&self, i: usize) -> bool {
-        let tx = &self.txs[i];
-        if let Some(named) = &self.final_writers {
-            // No writer is ever placed over a required final writer, so
-            // "placed" and "still the last writer" coincide for it.
-            let overwrites_a_final = tx.writes.iter().any(|&e| {
-                named[e] != NONE && named[e] != i as u32 && self.last_writer[e] == named[e]
-            });
-            if overwrites_a_final {
-                return false;
-            }
-        }
-        let n = self.txs.len();
-        tx.reads.iter().all(|read| {
-            if read.own {
-                return true;
-            }
-            let source = self.last_writer[read.entity];
-            let realizable =
-                source == NONE || self.first_write[read.entity * n + source as usize] < read.pos;
-            realizable && (read.pin == FREE || read.pin == source)
-        })
     }
 }
 
@@ -861,65 +918,31 @@ struct RestrictionWalk {
     found: StateSet<Vec<u32>>,
 }
 
-impl SearchEngine {
+impl SearchEngine<'_> {
     /// Whether the partial state can be completed to a full realizable
     /// serialization (existence only, nothing emitted).  Shares the dead
     /// memo with the other search modes; must only be called with nothing
     /// required, so "dead" keeps one meaning throughout.
     fn completes(&mut self, placed: usize, used: u128) -> bool {
-        if placed == self.txs.len() {
+        if placed == self.dense.txs() {
             return true;
         }
-        let Some(key) = self.live_key(used) else {
+        let Some(mut candidates) = self.enter(used) else {
             return false;
         };
-        for i in 0..self.txs.len() {
-            if used & bit(i) != 0 || !self.can_place(i) {
-                continue;
-            }
+        while candidates != 0 {
+            let i = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
             self.place(i);
             let done = self.completes(placed + 1, used | bit(i));
             self.unplace(i);
             if done {
+                self.leave(false);
                 return true;
             }
         }
-        self.dead.insert(key);
+        self.leave(true);
         false
-    }
-
-    /// Necessary condition for any completion: each unplaced read without an
-    /// own earlier write must still be servable — by the current last writer
-    /// (if its write is early enough), by `Initial` (if no writer of the
-    /// entity was placed yet), or by an available unplaced writer placed in
-    /// between.
-    fn forward_check(&self, used: u128) -> bool {
-        for (i, tx) in self.txs.iter().enumerate() {
-            if used & bit(i) != 0 {
-                continue;
-            }
-            for read in tx.reads.iter().filter(|read| !read.own) {
-                let last = self.last_writer[read.entity];
-                let last_serves = last == NONE || read.avail & bit(last as usize) != 0;
-                if !last_serves && read.avail & !used == 0 {
-                    return false;
-                }
-                // Pin propagation (all `FREE` unless `apply_required` ran):
-                // `Initial` is unreachable once any writer was placed, and
-                // `Tx(w)` is unreachable once `w` is placed but no longer
-                // the last writer.
-                let reachable = match read.pin {
-                    FREE => true,
-                    UNSERVABLE => false,
-                    NONE => last == NONE,
-                    w => used & bit(w as usize) == 0 || last == w,
-                };
-                if !reachable {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Enumerates the achievable restrictions of the serializing read-from
@@ -930,9 +953,11 @@ impl SearchEngine {
     /// Explores serial orders only until every prefix reader is placed
     /// (which pins the restriction), then validates new restrictions with
     /// one memoized [`SearchEngine::completes`] call.  Distinct search
-    /// states are deduped on (placed set, last writers, restriction so far):
-    /// revisiting one cannot contribute restrictions the first visit did
-    /// not.  Only correct with nothing required.
+    /// states are deduped on (placed set, last writers, restriction so far)
+    /// — the last writers themselves, not the memo key, because the
+    /// restriction records them: revisiting a state cannot contribute
+    /// restrictions the first visit did not.  Only correct with nothing
+    /// required.
     fn restriction_dfs(
         &mut self,
         walk: &mut RestrictionWalk,
@@ -947,31 +972,33 @@ impl SearchEngine {
             }
             return false;
         }
-        let Some((_, last_writers)) = self.live_key(used) else {
+        let Some(mut candidates) = self.enter(used) else {
             return false;
         };
+        self.leave(false);
         if !walk
             .visited
-            .insert((used, last_writers, walk.restriction.clone()))
+            .insert((used, self.last_writer.clone(), walk.restriction.clone()))
         {
             return false;
         }
 
+        let tables = self.tables;
         let prefix_len = walk.restriction.len();
-        for i in 0..self.txs.len() {
-            if used & bit(i) != 0 || !self.can_place(i) {
-                continue;
-            }
+        let in_prefix = |r: &&Read| (r.pos as usize) < prefix_len;
+        while candidates != 0 {
+            let i = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
             // Record the sources of this transaction's prefix reads; they
             // are pinned at placement time (only earlier transactions can
             // serve them).
             let mut reads_in_prefix = false;
-            for read in self.txs[i].reads.iter().filter(|r| r.pos < prefix_len) {
+            for read in tables.reads[tables.reads_of(i)].iter().filter(in_prefix) {
                 reads_in_prefix = true;
-                walk.restriction[read.pos] = if read.own {
+                walk.restriction[read.pos as usize] = if read.own {
                     i as u32
                 } else {
-                    self.last_writer[read.entity]
+                    self.last_writer[read.entity as usize]
                 };
             }
             self.place(i);
@@ -982,8 +1009,8 @@ impl SearchEngine {
                 used | bit(i),
             );
             self.unplace(i);
-            for read in self.txs[i].reads.iter().filter(|r| r.pos < prefix_len) {
-                walk.restriction[read.pos] = FREE;
+            for read in tables.reads[tables.reads_of(i)].iter().filter(in_prefix) {
+                walk.restriction[read.pos as usize] = FREE;
             }
             if stop {
                 return true;

@@ -1,10 +1,10 @@
 //! The combined classification and the region map of the paper's Figure 1.
 
+use crate::arcs::DenseSchedule;
 use crate::{csr, dmvsr, mvcsr, mvsr, vsr};
 use mvcc_core::examples::Figure1Region;
 use mvcc_core::Schedule;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Membership of one schedule in every class the paper discusses.
@@ -78,13 +78,15 @@ impl fmt::Display for Classification {
 /// use the exact (exponential worst-case) search — keep schedules small,
 /// exactly as in the paper's examples and reductions.
 pub fn classify(schedule: &Schedule) -> Classification {
+    // One index for all six tests; each verdict is still its own test.
+    let dense = DenseSchedule::of(schedule);
     Classification {
-        serial: schedule.is_serial(),
-        csr: csr::is_csr(schedule),
-        vsr: vsr::is_vsr(schedule),
-        mvcsr: mvcsr::is_mvcsr(schedule),
-        mvsr: mvsr::is_mvsr(schedule),
-        dmvsr: dmvsr::is_dmvsr(schedule),
+        serial: dense.serial,
+        csr: csr::decide(&dense),
+        vsr: vsr::decide(&dense),
+        mvcsr: mvcsr::decide(&dense),
+        mvsr: mvsr::decide(&dense),
+        dmvsr: dmvsr::decide(schedule, &dense),
     }
 }
 
@@ -93,12 +95,23 @@ pub fn classify(schedule: &Schedule) -> Classification {
 /// topography over exhaustive/random schedule populations).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Census {
-    counts: BTreeMap<String, usize>,
+    /// Schedules per region, indexed in the order of [`Figure1Region::all`].
+    counts: [usize; 6],
     total: usize,
     /// Number of schedules violating the containments of Figure 1 (must be
     /// zero; recorded so the harness can prove it looked).
     pub containment_violations: usize,
 }
+
+/// Every region with its name, in alphabetical order of the names.
+const BY_NAME: [(Figure1Region, &str); 6] = [
+    (Figure1Region::MvcsrAndSrNotCsr, "MvcsrAndSrNotCsr"),
+    (Figure1Region::MvcsrNotSr, "MvcsrNotSr"),
+    (Figure1Region::MvsrOnly, "MvsrOnly"),
+    (Figure1Region::NotMvsr, "NotMvsr"),
+    (Figure1Region::Serial, "Serial"),
+    (Figure1Region::SrNotMvcsr, "SrNotMvcsr"),
+];
 
 impl Census {
     /// Classifies every schedule of the iterator and tallies the regions.
@@ -109,10 +122,7 @@ impl Census {
             if !c.respects_containments() {
                 census.containment_violations += 1;
             }
-            *census
-                .counts
-                .entry(format!("{:?}", c.region()))
-                .or_insert(0) += 1;
+            census.counts[c.region() as usize] += 1;
             census.total += 1;
         }
         census
@@ -125,15 +135,16 @@ impl Census {
 
     /// Count for a region (0 when the region was never seen).
     pub fn count(&self, region: Figure1Region) -> usize {
-        self.counts
-            .get(&format!("{region:?}"))
-            .copied()
-            .unwrap_or(0)
+        self.counts[region as usize]
     }
 
-    /// Iterates `(region name, count)` in alphabetical order.
+    /// Iterates `(region name, count)` over the regions seen, in
+    /// alphabetical order of the names.
     pub fn iter(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.counts.iter().map(|(k, &v)| (k.as_str(), v))
+        BY_NAME
+            .iter()
+            .map(|&(region, name)| (name, self.count(region)))
+            .filter(|&(_, count)| count > 0)
     }
 }
 
@@ -202,6 +213,18 @@ mod tests {
         let census = Census::build(std::iter::empty());
         assert_eq!(census.total(), 0);
         assert!(census.to_string().contains("0 schedules"));
+    }
+
+    #[test]
+    fn census_names_are_the_region_names_in_alphabetical_order() {
+        let names: Vec<&str> = BY_NAME.iter().map(|&(_, name)| name).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted);
+        for (region, name) in BY_NAME {
+            assert_eq!(format!("{region:?}"), name);
+            assert_eq!(Figure1Region::all()[region as usize], region);
+        }
     }
 
     #[test]

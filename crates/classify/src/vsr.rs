@@ -17,34 +17,34 @@
 //!   agree on every input; the test-suite cross-checks them, and both
 //!   against the definition ([`is_vsr_by_definition`]).
 
-use crate::serialization::serial_order_extending;
+use crate::arcs::DenseSchedule;
+use crate::serialization::{serial_orders, Required};
 use mvcc_core::{EntityId, ReadFromRelation, Schedule, TxId, VersionSource};
 use mvcc_graph::poly_acyclic::solve_polygraph;
 use mvcc_graph::{NodeId, Polygraph};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// `true` iff `schedule` is view-serializable.
 pub fn is_vsr(schedule: &Schedule) -> bool {
-    vsr_witness(schedule).is_some()
+    decide(&DenseSchedule::of(schedule))
+}
+
+/// The VSR test on a schedule's dense index.
+pub(crate) fn decide(dense: &DenseSchedule) -> bool {
+    witness(dense).is_some()
 }
 
 /// Returns a serial order to which `schedule` is view-equivalent, or `None`.
 pub fn vsr_witness(schedule: &Schedule) -> Option<Vec<TxId>> {
-    // What a single-version database serves: every read sees the last write
-    // before it, and the last write of all is the final version.
-    let mut standard_reads = HashMap::new();
-    let mut last_writer: BTreeMap<EntityId, TxId> = BTreeMap::new();
-    for (pos, step) in schedule.steps().iter().enumerate() {
-        if step.is_write() {
-            last_writer.insert(step.entity, step.tx);
-        } else {
-            let source = last_writer
-                .get(&step.entity)
-                .map_or(VersionSource::Initial, |&w| VersionSource::Tx(w));
-            standard_reads.insert(pos, source);
-        }
-    }
-    serial_order_extending(schedule, &standard_reads, &last_writer)
+    witness(&DenseSchedule::of(schedule))
+}
+
+/// The first serial order (in search order) serving every read its
+/// standard source — what a single-version database serves it, the last
+/// write before it — and leaving every entity's last write of the schedule
+/// last.
+fn witness(dense: &DenseSchedule) -> Option<Vec<TxId>> {
+    serial_orders(dense, Required::Standard, Some(1)).pop()
 }
 
 /// Reference implementation used by tests: VSR straight from the definition

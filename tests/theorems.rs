@@ -8,6 +8,8 @@ use mvcc_repro::core::equivalence::full_view_equivalent;
 use mvcc_repro::core::examples::{figure1, section4_pair, Figure1Region};
 use mvcc_repro::prelude::*;
 use mvcc_repro::reductions::ols::{is_ols, ols_violation};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Experiment E1: every example of Figure 1 lands in the region the paper
 /// claims for it.
@@ -40,13 +42,11 @@ fn figure1_census_respects_containments() {
     assert!(census.count(Figure1Region::Serial) >= 6);
 }
 
-/// The verdict freeze: the first 250 schedules of the benchmark's `classify`
-/// corpus at seed 1 (`benchmark/…/fixed.rs::corpus_config`) fall into the
-/// Figure 1 regions the benchmark froze, so a classifier whose verdicts
-/// change fails `cargo test` and not only the benchmark.
-#[test]
-fn benchmark_corpus_census_is_frozen() {
-    let corpus = mvcc_repro::workload::random_interleavings(
+/// The first `len` schedules of the benchmark's `classify` corpus at seed 1
+/// (`benchmark/…/fixed.rs::corpus_config`): 8 transactions x 4 steps over 8
+/// entities, half reads, no skew.
+fn benchmark_corpus(len: usize) -> Vec<Schedule> {
+    mvcc_repro::workload::random_interleavings(
         &WorkloadConfig {
             transactions: 8,
             steps_per_transaction: 4,
@@ -55,9 +55,17 @@ fn benchmark_corpus_census_is_frozen() {
             zipf_theta: 0.0,
             seed: 1u64.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         },
-        250,
-    );
-    let census = Census::build(corpus.iter());
+        len,
+    )
+}
+
+/// The verdict freeze: the first 250 schedules of the benchmark's `classify`
+/// corpus at seed 1 (`benchmark/…/fixed.rs::corpus_config`) fall into the
+/// Figure 1 regions the benchmark froze, so a classifier whose verdicts
+/// change fails `cargo test` and not only the benchmark.
+#[test]
+fn benchmark_corpus_census_is_frozen() {
+    let census = Census::build(benchmark_corpus(250).iter());
     assert_eq!(census.containment_violations, 0);
     let counts: Vec<(&str, usize)> = census.iter().collect();
     assert_eq!(
@@ -188,19 +196,8 @@ fn mvcsr_witness_is_topological() {
 /// DMVSR to the MVCG test; any verdict that flips moves one of them.
 #[test]
 fn benchmark_corpus_verdict_totals_are_frozen() {
-    let corpus = mvcc_repro::workload::random_interleavings(
-        &WorkloadConfig {
-            transactions: 8,
-            steps_per_transaction: 4,
-            entities: 8,
-            read_ratio: 0.5,
-            zipf_theta: 0.0,
-            seed: 0x9e37_79b9_7f4a_7c15,
-        },
-        3000,
-    );
     let mut totals = [0usize; 5];
-    for s in &corpus {
+    for s in &benchmark_corpus(3000) {
         let c = classify(s);
         assert!(c.respects_containments(), "schedule {s}: {c}");
         for (total, member) in totals
@@ -212,6 +209,57 @@ fn benchmark_corpus_verdict_totals_are_frozen() {
     }
     // csr, vsr, mvcsr, mvsr, dmvsr
     assert_eq!(totals, [1, 2, 1233, 2122, 80]);
+}
+
+/// The witness freeze: the serial orders `csr_witness`, `mvcsr_witness`,
+/// `vsr_witness` and `mvsr_witness` return on the first 500 corpus
+/// schedules, folded into one FNV-1a digest (a missing witness folds as
+/// `u32::MAX`).  The digest was recorded with the classifiers as they stood
+/// when each test still built its own index of the schedule, so a change to
+/// the search order or to the graphs' node order moves it.
+#[test]
+fn benchmark_corpus_witnesses_are_frozen() {
+    use mvcc_repro::classify::vsr::vsr_witness;
+    use mvcc_repro::classify::{csr_witness, mvsr_witness};
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u32| digest = (digest ^ u64::from(word)).wrapping_mul(0x0100_0000_01b3);
+    for s in &benchmark_corpus(500) {
+        let witnesses = [
+            csr_witness(s),
+            mvcsr_witness(s),
+            vsr_witness(s),
+            mvsr_witness(s).map(|(order, _)| order),
+        ];
+        for witness in witnesses {
+            match witness {
+                None => fold(u32::MAX),
+                Some(order) => {
+                    fold(order.len() as u32);
+                    order.iter().for_each(|tx| fold(tx.0));
+                }
+            }
+        }
+    }
+    assert_eq!(digest, 0x6177_1d67_ba36_d611);
+}
+
+/// `classify` decides its six verdicts on one index of the schedule; each
+/// must still equal its standalone test, on all 3 000 corpus schedules.
+#[test]
+fn classify_equals_the_six_standalone_tests_on_the_benchmark_corpus() {
+    use mvcc_repro::classify::dmvsr::is_dmvsr;
+    use mvcc_repro::classify::Classification;
+    for s in &benchmark_corpus(3000) {
+        let standalone = Classification {
+            serial: s.is_serial(),
+            csr: is_csr(s),
+            vsr: is_vsr(s),
+            mvcsr: is_mvcsr(s),
+            mvsr: is_mvsr(s),
+            dmvsr: is_dmvsr(s),
+        };
+        assert_eq!(classify(s), standalone, "schedule {s}");
+    }
 }
 
 /// The exact classifiers against the definitions, on every interleaving of
@@ -245,14 +293,151 @@ fn exact_classifiers_agree_with_the_definitions_exhaustively() {
     }
 }
 
+/// A random interleaving of `txns` transactions of `steps` steps each over
+/// `entities` entities, reads and writes equally likely: with so few
+/// entities, transactions that write an entity twice and that read their
+/// own writes are dense.
+fn dense_random_schedule(rng: &mut SmallRng, txns: usize, steps: usize, entities: u32) -> Schedule {
+    let mut left = vec![steps; txns];
+    let mut out = Vec::with_capacity(txns * steps);
+    while out.len() < txns * steps {
+        let t = rng.gen_range(0..txns);
+        if left[t] == 0 {
+            continue;
+        }
+        left[t] -= 1;
+        let (tx, entity) = (TxId(t as u32 + 1), EntityId(rng.gen_range(0..entities)));
+        out.push(if rng.gen_bool(0.5) {
+            Step::read(tx, entity)
+        } else {
+            Step::write(tx, entity)
+        });
+    }
+    Schedule::from_steps(out)
+}
+
+/// Every order of `txs`, lexicographic in the order given: the order in
+/// which the search tries candidates when `txs` is by first appearance.
+fn orders_of(txs: &[TxId]) -> Vec<Vec<TxId>> {
+    if txs.is_empty() {
+        return vec![vec![]];
+    }
+    let mut out = Vec::new();
+    for (i, &first) in txs.iter().enumerate() {
+        let mut rest = txs.to_vec();
+        rest.remove(i);
+        for mut order in orders_of(&rest) {
+            order.insert(0, first);
+            out.push(order);
+        }
+    }
+    out
+}
+
+/// The search's dead-state memo is exact: every enumeration equals the
+/// brute force over all orders — each order's serial read-froms, kept when
+/// realizable and agreeing with the pins — in the same sequence.  Pins come
+/// three ways: half the reads pinned to what a random order serves them
+/// (one in five to an arbitrary source instead, an unknown writer
+/// included), every read pinned to its standard source, and the standard
+/// sources plus the standard final writers, which is `vsr_witness`.  The
+/// schedules are the dense random ones of the DMVSR test below, where
+/// repeated writes and own reads are common.
+#[test]
+fn the_search_memo_is_exact_on_dense_random_schedules() {
+    use mvcc_repro::classify::serialization::{
+        is_realizable, serial_read_froms_of_system, serializations, serializations_extending,
+    };
+    use mvcc_repro::classify::vsr::vsr_witness;
+    use std::collections::HashMap;
+    let mut rng = SmallRng::seed_from_u64(34);
+    let (mut pinned_found, mut witnesses) = (0, 0);
+    for (txns, steps, entities, cases) in [
+        (2usize, 4usize, 1u32, 300),
+        (3, 3, 1, 300),
+        (3, 4, 2, 300),
+        (4, 3, 2, 200),
+        (4, 4, 3, 200),
+        (5, 3, 3, 60),
+        (6, 3, 2, 12),
+        (6, 3, 3, 12),
+    ] {
+        for _ in 0..cases {
+            let s = dense_random_schedule(&mut rng, txns, steps, entities);
+            let sys = s.tx_system();
+            let every: Vec<_> = orders_of(&s.tx_ids())
+                .iter()
+                .map(|order| serial_read_froms_of_system(&s, &sys, order))
+                .collect();
+            let realizable: Vec<_> = every.iter().filter(|rf| is_realizable(&s, rf)).collect();
+            let agreeing = |pins: &HashMap<usize, VersionSource>| -> Vec<_> {
+                realizable
+                    .iter()
+                    .filter(|rf| pins.iter().all(|(pos, src)| rf.read_sources[pos] == *src))
+                    .map(|&rf| rf.clone())
+                    .collect()
+            };
+            assert_eq!(serializations(&s, None), agreeing(&HashMap::new()), "{s}");
+
+            let template = &every[rng.gen_range(0..every.len())];
+            let mut pins = HashMap::new();
+            for pos in s.all_read_positions() {
+                if rng.gen_bool(0.5) {
+                    let source = if rng.gen_bool(0.2) {
+                        match rng.gen_range(0..=txns as u32 + 1) {
+                            0 => VersionSource::Initial,
+                            t => VersionSource::Tx(TxId(t)),
+                        }
+                    } else {
+                        template.read_sources[&pos]
+                    };
+                    pins.insert(pos, source);
+                }
+            }
+            let pinned = agreeing(&pins);
+            pinned_found += usize::from(!pinned.is_empty());
+            assert_eq!(
+                serializations_extending(&s, &pins, None),
+                pinned,
+                "{s} {pins:?}"
+            );
+
+            let mut standard = HashMap::new();
+            let mut final_writers = HashMap::new();
+            for (pos, step) in s.steps().iter().enumerate() {
+                let last: &mut Option<TxId> = final_writers.entry(step.entity).or_default();
+                if step.is_write() {
+                    *last = Some(step.tx);
+                } else {
+                    standard.insert(pos, last.map_or(VersionSource::Initial, VersionSource::Tx));
+                }
+            }
+            let views = agreeing(&standard);
+            assert_eq!(serializations_extending(&s, &standard, None), views, "{s}");
+            let view_equivalent = views
+                .into_iter()
+                .find(|rf| rf.final_writers == final_writers);
+            witnesses += usize::from(view_equivalent.is_some());
+            assert_eq!(vsr_witness(&s), view_equivalent.map(|rf| rf.order), "{s}");
+        }
+    }
+    // Both pinned searches say yes and no often.
+    assert!(
+        pinned_found > 400 && pinned_found < 1000,
+        "{pinned_found} pinned"
+    );
+    assert!(
+        witnesses > 200 && witnesses < 1000,
+        "{witnesses} VSR witnesses"
+    );
+}
+
 /// `is_dmvsr` is MVSR of the patched schedule on 56 000 seeded random
 /// schedules over one to three entities, where transactions writing an
 /// entity twice (the search branch) and reading their own writes are dense.
 #[test]
 fn dmvsr_is_mvsr_of_the_patched_schedule_on_dense_random_schedules() {
     use mvcc_repro::classify::dmvsr::{is_dmvsr, patch_readless_writes};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(24);
     let (mut members, mut repeated_writes) = (0, 0);
     for (txns, steps, entities) in [
@@ -265,22 +450,7 @@ fn dmvsr_is_mvsr_of_the_patched_schedule_on_dense_random_schedules() {
         (5, 3, 3),
     ] {
         for _ in 0..8000 {
-            let mut left = vec![steps; txns];
-            let mut out = Vec::with_capacity(txns * steps);
-            while out.len() < txns * steps {
-                let t = rng.gen_range(0..txns);
-                if left[t] == 0 {
-                    continue;
-                }
-                left[t] -= 1;
-                let (tx, entity) = (TxId(t as u32 + 1), EntityId(rng.gen_range(0..entities)));
-                out.push(if rng.gen_bool(0.5) {
-                    Step::read(tx, entity)
-                } else {
-                    Step::write(tx, entity)
-                });
-            }
-            let s = Schedule::from_steps(out);
+            let s = dense_random_schedule(&mut rng, txns, steps, entities);
             let patched = patch_readless_writes(&s);
             let (dmvsr, mvsr) = (is_dmvsr(&s), is_mvsr(&patched));
             assert_eq!(dmvsr, mvsr, "schedule {s}");
