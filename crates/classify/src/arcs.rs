@@ -14,7 +14,7 @@
 //!   MVSR ([`crate::serialization`]): per transaction its reads — each with
 //!   `own`, its `avail` mask and its *standard source*, the last writer
 //!   before it — and its first writes, and per entity the standard final
-//!   writer.
+//!   writer and the mask of its writers.
 //!
 //! A standalone test pays for what it reads; [`crate::taxonomy::classify`]
 //! builds one `DenseSchedule` for all six verdicts, so the runs, the masks
@@ -110,6 +110,9 @@ pub(crate) struct Tables {
     groups: Vec<Group>,
     /// Per entity: its last writer in the schedule ([`NONE`]: unwritten).
     pub(crate) final_writer: Vec<u32>,
+    /// Per entity: the transactions that write it.  Only filled while the
+    /// transaction count fits the mask.
+    pub(crate) writers: Vec<u128>,
 }
 
 impl Tables {
@@ -308,6 +311,7 @@ impl DenseSchedule {
             // Room for every write; only first writes are kept.
             let mut writes = vec![FirstWrite::default(); groups[n].writes as usize];
             let mut final_writer = vec![NONE; entities];
+            let mut writers_of = vec![0; entities];
             // Per transaction: where its next read goes, and the last run
             // (entity number + 1) in which it wrote the run's entity.
             let mut cursor: Vec<(u32, u32)> = groups[..n].iter().map(|g| (g.reads, 0)).collect();
@@ -343,12 +347,14 @@ impl DenseSchedule {
                         *next_read += 1;
                     }
                 }
+                writers_of[e as usize] = writers;
             }
             Tables {
                 reads,
                 writes,
                 groups,
                 final_writer,
+                writers: writers_of,
             }
         })
     }

@@ -78,6 +78,7 @@ pub(crate) fn decide(schedule: &Schedule, dense: &DenseSchedule) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serialization::search_nodes;
     use mvcc_core::TxId;
 
     #[test]
@@ -100,14 +101,6 @@ mod tests {
         let s = Schedule::parse("Wa(x) Wb(x) Wc(y) Rc(x) Wc(x)").unwrap();
         let patched = patch_readless_writes(&s);
         assert!(patched.tx_system().is_restricted_model());
-    }
-
-    /// Nodes the exact search visits on this thread while `f` runs.
-    fn search_nodes(f: impl FnOnce()) -> u64 {
-        use crate::serialization::NODES_VISITED;
-        let before = NODES_VISITED.with(|nodes| nodes.get());
-        f();
-        NODES_VISITED.with(|nodes| nodes.get()) - before
     }
 
     #[test]

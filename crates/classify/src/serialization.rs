@@ -23,14 +23,20 @@
 //! which reads the schedule's dense index (`arcs.rs`): serial orders
 //! are grown one transaction at a time, a placement is checked against the
 //! reads it determines, failed states are memoized, and what is required —
-//! nothing for MVSR, the standard read-froms plus the final writers for
-//! VSR, a committed prefix's read-from map for the OLS and scheduler
-//! callers — becomes dense pins on the reads, which turn into precedence
-//! edges, an up-front cycle check and forward-check propagation.  A failed
-//! state is memoized on its placed set and on which unplaced reads the
-//! current last writers serve, an exact key of fixed width (see
-//! `SearchEngine::enter`).  There is no second search anywhere in the
-//! crate.
+//! the standard read-froms plus the final writers for VSR, a committed
+//! prefix's read-from map for the OLS and scheduler callers — becomes dense
+//! pins on the reads, which turn into precedence edges, an up-front cycle
+//! check and forward-check propagation.  Whatever is required, MVSR's
+//! nothing included, a read that no write of its entity precedes is pinned
+//! to the initial version, the only one that can serve it: its reader then
+//! precedes every other writer of the entity, and the cycle check refutes
+//! most schedules that are not MVSR before the first node.  The search
+//! state is sets of reads, one bit each, that a placement updates a word
+//! at a time: which reads the current last writers serve, and which
+//! belong to unplaced transactions.  A failed state is memoized on its
+//! placed set and on which unplaced reads the current last writers serve,
+//! an exact key of fixed width (see `SearchEngine::enter`).  There is no
+//! second search anywhere in the crate.
 
 use crate::arcs::{DenseSchedule, Read, Tables, NONE};
 use mvcc_core::{Schedule, TransactionSystem, TxId, VersionFunction, VersionSource};
@@ -235,8 +241,7 @@ pub(crate) fn serial_orders(
     required: Required<'_>,
     limit: Option<usize>,
 ) -> Vec<Vec<TxId>> {
-    let mut engine = SearchEngine::new(dense, limit);
-    engine.require(required);
+    let mut engine = SearchEngine::new(dense, required, limit);
     if !engine.infeasible {
         engine.dfs(0);
     }
@@ -260,8 +265,7 @@ pub fn has_serialization_extending_budgeted(
     node_budget: u64,
 ) -> Option<bool> {
     let dense = DenseSchedule::of(s);
-    let mut engine = SearchEngine::new(&dense, Some(1));
-    engine.require(Required::Map(required));
+    let mut engine = SearchEngine::new(&dense, Required::Map(required), Some(1));
     if engine.infeasible {
         return Some(false);
     }
@@ -357,7 +361,10 @@ pub fn achievable_prefix_restrictions_bounded(
         })
         .count();
 
-    let mut engine = SearchEngine::new(&dense, None);
+    let mut engine = SearchEngine::new(&dense, Required::Nothing, None);
+    if engine.infeasible {
+        return BTreeSet::new();
+    }
     let mut walk = RestrictionWalk {
         max,
         restriction: vec![FREE; prefix_len],
@@ -488,6 +495,54 @@ impl DeadSet {
     }
 }
 
+/// Per transaction, sets of reads: bitsets over [`Tables::reads`], `words`
+/// words each.  Only `own`-less reads are members: an `own` read is served
+/// by its reader's earlier write whatever the order.
+#[derive(Default)]
+struct ReadSets {
+    words: usize,
+    /// Transaction by transaction, its [`TX_SETS`] sets: set `k` of
+    /// transaction `i` is the `i * TX_SETS + k`-th run of `words` words.
+    of_tx: Vec<u64>,
+    /// Across all transactions, which check the forward check runs on a
+    /// read: [`CHECK_INITIAL`], [`CHECK_UNSERVABLE`] or [`CHECK_AVAIL`].
+    check: Vec<u64>,
+}
+
+/// The sets of a transaction `i` in [`ReadSets::of_tx`].  [`NEED`]: the
+/// reads of `i`, which it can be placed once the current last writers
+/// serve; [`TOUCHES`]: the reads of the entities `i` writes, which placing
+/// it decides anew; [`REALIZES`]: of those, the reads `i` can serve (its
+/// first write precedes them); [`SERVES`]: the reads `i` serves as their
+/// last writer — can, and as the read's pin requires; [`PINNED_TO`]: the
+/// reads pinned to `i`.
+const NEED: usize = 0;
+const TOUCHES: usize = 1;
+const REALIZES: usize = 2;
+const SERVES: usize = 3;
+const PINNED_TO: usize = 4;
+const TX_SETS: usize = 5;
+
+/// The read sets of one search state (see [`SearchEngine::state`]).
+const SERVED: usize = 0;
+const REALIZABLE: usize = 1;
+const OPEN: usize = 2;
+const PLACED_PINS: usize = 3;
+const LOST: usize = 4;
+const FRAME: usize = 5;
+
+/// The forward checks of [`ReadSets::check`]: reads pinned to the initial
+/// version, reads pinned to what no order serves, and the rest, which need a
+/// servable writer left.
+const CHECK_INITIAL: usize = 0;
+const CHECK_UNSERVABLE: usize = 1;
+const CHECK_AVAIL: usize = 2;
+
+/// Adds read `r` to the `k`-th of the sets of `words` words in `sets`.
+fn add(sets: &mut [u64], words: usize, k: usize, r: usize) {
+    sets[k * words + r / 64] |= 1 << (r % 64);
+}
+
 /// The search state over a [`DenseSchedule`].  Transactions are tried by
 /// their dense number, i.e. by first appearance in `s`: serial witnesses of
 /// near-serial and reduction-generated schedules correlate strongly with
@@ -496,6 +551,10 @@ struct SearchEngine<'d> {
     dense: &'d DenseSchedule,
     tables: &'d Tables,
     limit: Option<usize>,
+    /// Whether the transaction count fits the `u128` bitmask: the memo, the
+    /// precedence edges, the forward check and the read sets apply only
+    /// then; beyond, the search still runs, without them.
+    masked: bool,
     /// The partial serial order, the last placed writer of each entity
     /// ([`NONE`] before any), and the entries `last_writer` held before the
     /// placements on the current path overwrote them.
@@ -508,23 +567,33 @@ struct SearchEngine<'d> {
     /// (a transaction's dense number, or [`NONE`] for the initial version),
     /// [`UNSERVABLE`], or [`FREE`].  Always `FREE` where the read is `own`.
     pins: Vec<u32>,
+    /// The read sets of each transaction, from the pins.
+    sets: ReadSets,
+    /// One frame of [`FRAME`] read sets per placement on the current path,
+    /// plus the root's; [`SearchEngine::place`] pushes one, `unplace` pops
+    /// it.  In the top frame, [`SERVED`]: the reads the current last
+    /// writer of their entity serves; [`REALIZABLE`]: can serve, pin or
+    /// not; [`OPEN`]: the reads of unplaced transactions; [`PLACED_PINS`]:
+    /// the reads pinned to a placed transaction; [`LOST`]: of those, the
+    /// ones whose pin is no longer its entity's last writer, which no
+    /// completion can make it again.
+    state: Vec<u64>,
     /// States with no acceptable completion.  Only populated while the
-    /// transaction count fits the bitmask; beyond that the search still
-    /// runs, just without memoization.
+    /// transaction count fits the bitmask.
     dead: DeadSet,
     /// The memo keys of the states on the current path, `dead.width` words
     /// each.
     path: Vec<u64>,
     /// Hard precedence constraints derived from the pins: `pred[i]` is the
     /// set of transactions that must precede transaction `i` in every
-    /// acceptable serial order.  All empty unless something is required.
+    /// acceptable serial order.
     pred: Vec<u128>,
     /// Set when the precedence constraints are cyclic, or a read served by
     /// its transaction's own earlier write is pinned elsewhere: no serial
     /// order satisfies the requirement at all.
     infeasible: bool,
     /// When set, only orders whose last writer of every entity is exactly
-    /// this table are explored (see [`SearchEngine::require`]).
+    /// this table are explored (see [`SearchEngine::new`]).
     final_writers: Option<&'d [u32]>,
     /// Remaining search-node budget (`u64::MAX` = unbounded).  When it runs
     /// out the search unwinds without an answer and sets
@@ -548,24 +617,59 @@ enum Dfs {
 thread_local! {
     /// Nodes [`SearchEngine::dfs`] visited on this thread: lets tests tell
     /// whether a classifier ran the search at all.
-    pub(crate) static NODES_VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static NODES_VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Nodes the search visits on this thread while `f` runs.
+#[cfg(test)]
+pub(crate) fn search_nodes(f: impl FnOnce()) -> u64 {
+    let before = NODES_VISITED.with(|nodes| nodes.get());
+    f();
+    NODES_VISITED.with(|nodes| nodes.get()) - before
 }
 
 impl<'d> SearchEngine<'d> {
-    fn new(dense: &'d DenseSchedule, limit: Option<usize>) -> Self {
+    /// The search for the serial orders of `dense` that meet `required`.
+    ///
+    /// Every read `required` names is pinned ([`SearchEngine::pins`]),
+    /// which placement enforces and the forward check propagates — a read
+    /// pinned to `Initial` dies as soon as any writer of its entity is
+    /// placed before its reader, and a read pinned to `Tx(w)` dies as soon
+    /// as `w` stops being the entity's last writer while the reader is
+    /// still unplaced.  A caller's map is converted to the same dense pins
+    /// the standard sources are.  Whatever is required, a read that no
+    /// write of its entity precedes is pinned to `Initial` too: only the
+    /// initial version can serve it, so every serialization puts its reader
+    /// before every other writer of the entity — Theorem 1's read→write
+    /// arcs, which on such reads are necessary, not only sufficient.  The
+    /// forward check and the memo key already treat such a read exactly
+    /// like an `Initial` pin; the pin adds its precedence edges.
+    ///
+    /// [`Required::Standard`] additionally requires the serial order's last
+    /// writer of every entity to be the schedule's.  That condition is
+    /// enforced at placement time (see [`SearchEngine::overwrites_a_final`]),
+    /// so it holds beyond the bitmask too; within the bitmask it also
+    /// becomes precedence edges — the final writer of `x` follows every
+    /// other writer of `x` — so the cycle check and the candidate filter
+    /// prune with it.
+    fn new(dense: &'d DenseSchedule, required: Required<'_>, limit: Option<usize>) -> Self {
         let n = dense.txs();
         let tables = dense.tables();
+        let reads = tables.reads.len();
         // The memo key: the placed set, then a bit per read.
-        let width = 2 + tables.reads.len().div_ceil(64);
-        SearchEngine {
+        let width = 2 + reads.div_ceil(64);
+        let mut engine = SearchEngine {
             dense,
             tables,
             limit,
+            masked: n <= 128,
             order: Vec::with_capacity(n),
             last_writer: vec![NONE; tables.entities()],
             undo: Vec::new(),
             out: Vec::new(),
-            pins: vec![FREE; tables.reads.len()],
+            pins: vec![FREE; reads],
+            sets: ReadSets::default(),
+            state: Vec::new(),
             dead: DeadSet::new(width),
             path: Vec::with_capacity((n + 1) * width),
             pred: vec![0; n],
@@ -573,7 +677,12 @@ impl<'d> SearchEngine<'d> {
             final_writers: None,
             budget: u64::MAX,
             budget_exhausted: false,
+        };
+        engine.require(required);
+        if engine.masked && !engine.infeasible {
+            engine.build_sets();
         }
+        engine
     }
 
     /// The version source a dense source number stands for.
@@ -585,28 +694,12 @@ impl<'d> SearchEngine<'d> {
         }
     }
 
-    /// Pins every read `required` names ([`SearchEngine::pins`]), which
-    /// placement enforces and the forward check propagates — a read pinned
-    /// to `Initial` dies as soon as any writer of its entity is placed
-    /// before its reader, and a read pinned to `Tx(w)` dies as soon as `w`
-    /// stops being the entity's last writer while the reader is still
-    /// unplaced.  A caller's map is converted to the same dense pins the
-    /// standard sources are.
-    ///
-    /// [`Required::Standard`] additionally requires the serial order's last
-    /// writer of every entity to be the schedule's.  That condition is
-    /// enforced at placement time (see [`SearchEngine::overwrites_a_final`]),
-    /// so it holds beyond the bitmask too; within the bitmask it also
-    /// becomes precedence edges — the final writer of `x` follows every
-    /// other writer of `x` — so the cycle check and the candidate filter
-    /// prune with it.
+    /// The pins, then (within the bitmask) the precedence edges and the
+    /// cycle check — see [`SearchEngine::new`].
     fn require(&mut self, required: Required<'_>) {
         let (dense, tables) = (self.dense, self.tables);
-        match required {
-            Required::Nothing => return,
-            Required::Map(map) if map.is_empty() => return,
-            Required::Standard => self.final_writers = Some(&tables.final_writer),
-            Required::Map(_) => {}
+        if let Required::Standard = required {
+            self.final_writers = Some(&tables.final_writer);
         }
         // The pinned source of a read, as a dense number, if any.
         let source_of = |read: &Read| match required {
@@ -617,56 +710,55 @@ impl<'d> SearchEngine<'d> {
                 VersionSource::Tx(w) => dense.tx_number(w).unwrap_or(UNSERVABLE),
             }),
         };
+        // Hard precedence edges, within the bitmask: a read pinned to
+        // `Tx(w)` puts `w` before its reader; a read pinned to `Initial`
+        // puts its reader before every other writer of the entity.  A cycle
+        // among these proves the requirement unsatisfiable outright — this
+        // is exactly how the Theorem 4/5 constructions encode polygraph
+        // arcs, and how most schedules that are not MVSR are refuted, so
+        // refutations that would otherwise need exhaustive search fall out
+        // of a linear check.
         let n = dense.txs();
         for i in 0..n {
             for r in tables.reads_of(i) {
                 let read = &tables.reads[r];
-                let Some(src) = source_of(read) else {
-                    continue;
-                };
-                if read.own {
+                let pin = match source_of(read) {
                     // Serially the read sees its transaction's own earlier
                     // write, whatever the order.
-                    self.infeasible |= src != i as u32;
-                } else {
-                    self.pins[r] = if src == i as u32 { UNSERVABLE } else { src };
+                    Some(src) if read.own => {
+                        self.infeasible |= src != i as u32;
+                        continue;
+                    }
+                    Some(src) if src == i as u32 => UNSERVABLE,
+                    Some(src) => src,
+                    // No write of the entity precedes the read: only the
+                    // initial version can serve it, in every serial order.
+                    None if !read.own && read.standard == NONE => NONE,
+                    None => continue,
+                };
+                self.pins[r] = pin;
+                if !self.masked {
+                    continue;
                 }
-            }
-        }
-        if self.infeasible || n > 128 {
-            return;
-        }
-
-        // Hard precedence edges: a read pinned to `Tx(w)` puts `w` before
-        // its reader; a read pinned to `Initial` puts its reader before
-        // every writer of the entity.  A cycle among these proves the
-        // requirement unsatisfiable outright — this is exactly how the
-        // Theorem 4/5 constructions encode polygraph arcs, so refutations
-        // that would otherwise need exhaustive search fall out of a linear
-        // check.
-        let mut writers_of = vec![0u128; tables.entities()];
-        for j in 0..n {
-            for write in tables.writes_of(j) {
-                writers_of[write.entity as usize] |= bit(j);
-            }
-        }
-        for i in 0..n {
-            for r in tables.reads_of(i) {
-                match self.pins[r] {
-                    FREE | UNSERVABLE => {}
+                match pin {
+                    UNSERVABLE => {}
                     NONE => {
-                        let entity = tables.reads[r].entity as usize;
-                        for j in (0..n).filter(|&j| j != i && writers_of[entity] & bit(j) != 0) {
-                            self.pred[j] |= bit(i);
+                        let mut later = tables.writers[read.entity as usize] & !bit(i);
+                        while later != 0 {
+                            self.pred[later.trailing_zeros() as usize] |= bit(i);
+                            later &= later - 1;
                         }
                     }
                     w => self.pred[i] |= bit(w as usize),
                 }
             }
         }
+        if self.infeasible || !self.masked {
+            return;
+        }
         for (e, &last) in self.final_writers.iter().copied().flatten().enumerate() {
             if last != NONE {
-                self.pred[last as usize] |= writers_of[e] & !bit(last as usize);
+                self.pred[last as usize] |= tables.writers[e] & !bit(last as usize);
             }
         }
 
@@ -690,13 +782,92 @@ impl<'d> SearchEngine<'d> {
         }
     }
 
+    /// The read sets of every transaction, from the pins, and the root's
+    /// frame: nothing placed, so the initial version is every entity's last
+    /// writer, which can serve every read and serves those pinned to it or
+    /// to nothing.
+    fn build_sets(&mut self) {
+        let (n, tables) = (self.dense.txs(), self.tables);
+        let words = tables.reads.len().div_ceil(64);
+        let mut of_tx = vec![0; n * TX_SETS * words];
+        let mut check = vec![0; 3 * words];
+        // Room for a frame per placement, so no placement reallocates.
+        let mut root = Vec::with_capacity((n + 1) * FRAME * words);
+        root.resize(FRAME * words, 0);
+        for i in 0..n {
+            for r in tables.reads_of(i) {
+                let read = &tables.reads[r];
+                if read.own {
+                    continue;
+                }
+                let pin = self.pins[r];
+                add(&mut of_tx, words, i * TX_SETS + NEED, r);
+                add(&mut root, words, REALIZABLE, r);
+                add(&mut root, words, OPEN, r);
+                let kind = match pin {
+                    FREE => CHECK_AVAIL,
+                    NONE => CHECK_INITIAL,
+                    UNSERVABLE => CHECK_UNSERVABLE,
+                    w => {
+                        add(&mut of_tx, words, w as usize * TX_SETS + PINNED_TO, r);
+                        CHECK_AVAIL
+                    }
+                };
+                add(&mut check, words, kind, r);
+                if pin == FREE || pin == NONE {
+                    add(&mut root, words, SERVED, r);
+                }
+                let mut writers = tables.writers[read.entity as usize];
+                while writers != 0 {
+                    let w = writers.trailing_zeros() as usize;
+                    writers &= writers - 1;
+                    add(&mut of_tx, words, w * TX_SETS + TOUCHES, r);
+                    if read.avail & bit(w) != 0 {
+                        add(&mut of_tx, words, w * TX_SETS + REALIZES, r);
+                        if pin == FREE || pin == w as u32 {
+                            add(&mut of_tx, words, w * TX_SETS + SERVES, r);
+                        }
+                    }
+                }
+            }
+        }
+        self.sets = ReadSets {
+            words,
+            of_tx,
+            check,
+        };
+        self.state = root;
+    }
+
     /// Makes transaction `i` the last writer of everything it writes,
-    /// remembering what it overwrote.
+    /// remembering what it overwrote, and (within the bitmask) pushes the
+    /// read sets of the new state.
     fn place(&mut self, i: usize) {
         for write in self.tables.writes_of(i) {
             let e = write.entity as usize;
             self.undo.push(self.last_writer[e]);
             self.last_writer[e] = i as u32;
+        }
+        if !self.masked {
+            return;
+        }
+        let words = self.sets.words;
+        let top = self.state.len();
+        self.state.extend_from_within(top - FRAME * words..);
+        let frame = &mut self.state[top..];
+        let sets = &self.sets.of_tx[i * TX_SETS * words..(i + 1) * TX_SETS * words];
+        for k in 0..words {
+            let of_i = |set: usize| sets[set * words + k];
+            let touched = of_i(TOUCHES);
+            let placed_pins = frame[PLACED_PINS * words + k];
+            frame[SERVED * words + k] = frame[SERVED * words + k] & !touched | of_i(SERVES);
+            frame[REALIZABLE * words + k] =
+                frame[REALIZABLE * words + k] & !touched | of_i(REALIZES);
+            frame[OPEN * words + k] &= !of_i(NEED);
+            // A placed pin loses its entity to `i`; a pin on `i` itself is
+            // lost unless `i` writes the entity.
+            frame[LOST * words + k] |= touched & placed_pins | of_i(PINNED_TO) & !touched;
+            frame[PLACED_PINS * words + k] |= of_i(PINNED_TO);
         }
     }
 
@@ -708,24 +879,10 @@ impl<'d> SearchEngine<'d> {
             self.last_writer[write.entity as usize] = old;
         }
         self.undo.truncate(mark);
-    }
-
-    /// For read `r`: the current last writer of its entity, whether that
-    /// writer can serve the read (it is the initial version, or its first
-    /// write precedes the read), and whether it *serves* it — can, and as
-    /// the read's pin requires.
-    fn serving(&self, r: usize, masked: bool) -> (u32, bool, bool) {
-        let read = &self.tables.reads[r];
-        let last = self.last_writer[read.entity as usize];
-        let realizable = last == NONE
-            || if masked {
-                read.avail & bit(last as usize) != 0
-            } else {
-                self.tables
-                    .first_write_before(last as usize, read.entity, read.pos)
-            };
-        let pin = self.pins[r];
-        (last, realizable, realizable && (pin == FREE || pin == last))
+        if self.masked {
+            self.state
+                .truncate(self.state.len() - FRAME * self.sets.words);
+        }
     }
 
     /// Whether placing transaction `i` next would overwrite an entity whose
@@ -741,82 +898,96 @@ impl<'d> SearchEngine<'d> {
         })
     }
 
-    /// Whether transaction `i` can be placed next: each of its own-less
-    /// reads is served by the current last writer of its entity (placed
-    /// now, the read sees that writer), and it overwrites no placed
-    /// required final writer.
+    /// Beyond the bitmask: whether transaction `i` can be placed next —
+    /// each of its own-less reads is served by the current last writer of
+    /// its entity (it is the initial version, or its first write precedes
+    /// the read, and the read's pin accepts it), and it overwrites no
+    /// placed required final writer.
     fn can_place(&self, i: usize) -> bool {
-        let masked = self.dense.txs() <= 128;
+        let tables = self.tables;
         !self.overwrites_a_final(i)
-            && self
-                .tables
-                .reads_of(i)
-                .all(|r| self.tables.reads[r].own || self.serving(r, masked).2)
+            && tables.reads_of(i).all(|r| {
+                let read = &tables.reads[r];
+                let last = self.last_writer[read.entity as usize];
+                let pin = self.pins[r];
+                read.own
+                    || (last == NONE
+                        || tables.first_write_before(last as usize, read.entity, read.pos))
+                        && (pin == FREE || pin == last)
+            })
     }
 
     /// Enters the state with placed set `used` (within the bitmask): pushes
     /// its memo key onto [`SearchEngine::path`] and returns the unplaced
-    /// transactions whose reads the current last writers all serve — the
-    /// candidates — or `None` for a dead state, which leaves nothing on
-    /// the path: recorded as dead, or failing the forward check.
+    /// transactions whose hard predecessors are all placed and whose reads
+    /// the current last writers all serve — the candidates — or `None` for
+    /// a dead state, which leaves nothing on the path: failing the forward
+    /// check, or recorded as dead.
     ///
-    /// The key is the placed set, then one bit per read of an unplaced
-    /// transaction: whether the current last writer of its entity *serves*
-    /// it ([`SearchEngine::serving`]).  That is exact.  Placed later, a
-    /// transaction's read sees either a writer placed after now, which does
-    /// not depend on the current last writers, or the current last writer,
-    /// which is acceptable exactly when it serves the read; a required final
-    /// writer is never overwritten, so "still the last writer" is "placed"
-    /// for it; and the hard predecessors depend on the placed set alone.  So
-    /// two states with one key have the same acceptable completions.  The
-    /// forward check — every unplaced read must still be servable by *some*
-    /// completion — runs in the same pass and leaves it at the first read
-    /// that fails it; such a state is not recorded, since failing the check
-    /// again costs no more than finding the key.
+    /// The forward check: every unplaced read must still be servable by
+    /// *some* completion.  A read pinned to `Initial` is, exactly while the
+    /// initial version is its entity's last writer, i.e. while it is
+    /// served; an [`UNSERVABLE`] one never is; a read pinned to `Tx(w)`
+    /// not once it is [`LOST`]; and every other read needs its current
+    /// last writer to be able to serve it, or an available writer still
+    /// unplaced — the one test left per read, on the few reads whose last
+    /// writer cannot.  A state failing it is not recorded, since failing
+    /// the check again costs no more than finding the key.
+    ///
+    /// The key is the placed set, then the [`SERVED`] reads of unplaced
+    /// transactions.  That is exact.  Placed later, a transaction's read
+    /// sees either a writer placed after now, which does not depend on the
+    /// current last writers, or the current last writer, which is
+    /// acceptable exactly when it serves the read; a required final writer
+    /// is never overwritten, so "still the last writer" is "placed" for it;
+    /// and the hard predecessors depend on the placed set alone.  So two
+    /// states with one key have the same acceptable completions.
     fn enter(&mut self, used: u128) -> Option<u128> {
-        let tables = self.tables;
-        let n = self.dense.txs();
+        let (tables, sets) = (self.tables, &self.sets);
+        let words = sets.words;
+        let frame = &self.state[self.state.len() - FRAME * words..];
+        let read_set = |s: usize, k: usize| frame[s * words + k];
+        let check = |c: usize, k: usize| sets.check[c * words + k];
+        for k in 0..words {
+            let open = read_set(OPEN, k);
+            let served = read_set(SERVED, k);
+            if open
+                & (check(CHECK_UNSERVABLE, k)
+                    | check(CHECK_INITIAL, k) & !served
+                    | read_set(LOST, k))
+                != 0
+            {
+                return None;
+            }
+            let mut unrealizable = open & check(CHECK_AVAIL, k) & !read_set(REALIZABLE, k);
+            while unrealizable != 0 {
+                let r = k * 64 + unrealizable.trailing_zeros() as usize;
+                unrealizable &= unrealizable - 1;
+                if tables.reads[r].avail & !used == 0 {
+                    return None;
+                }
+            }
+        }
         let base = self.path.len();
-        self.path.resize(base + self.dead.width, 0);
-        self.path[base] = used as u64;
-        self.path[base + 1] = (used >> 64) as u64;
+        self.path.extend([used as u64, (used >> 64) as u64]);
+        self.path
+            .extend((0..words).map(|k| read_set(SERVED, k) & read_set(OPEN, k)));
+        if self.dead.contains(&self.path[base..]) {
+            self.path.truncate(base);
+            return None;
+        }
+        let n = self.dense.txs();
         let all = if n == 128 { u128::MAX } else { bit(n) - 1 };
         let mut candidates = all & !used;
         let mut rest = candidates;
         while rest != 0 {
             let i = rest.trailing_zeros() as usize;
             rest &= rest - 1;
-            for r in tables.reads_of(i) {
-                let read = &tables.reads[r];
-                if read.own {
-                    continue;
-                }
-                let (last, realizable, served) = self.serving(r, true);
-                if served {
-                    self.path[base + 2 + r / 64] |= 1 << (r % 64);
-                } else {
-                    candidates &= !bit(i);
-                }
-                // Servable later: by an available writer still unplaced,
-                // and (pin propagation) `Initial` is unreachable once any
-                // writer was placed, and `Tx(w)` once `w` is placed but no
-                // longer the last writer.
-                let viable = (realizable || read.avail & !used != 0)
-                    && match self.pins[r] {
-                        FREE => true,
-                        UNSERVABLE => false,
-                        NONE => last == NONE,
-                        w => used & bit(w as usize) == 0 || last == w,
-                    };
-                if !viable {
-                    self.path.truncate(base);
-                    return None;
-                }
+            let need = &sets.of_tx[(i * TX_SETS + NEED) * words..][..words];
+            if self.pred[i] & !used != 0 || (0..words).any(|k| need[k] & !read_set(SERVED, k) != 0)
+            {
+                candidates &= !bit(i);
             }
-        }
-        if self.dead.contains(&self.path[base..]) {
-            self.path.truncate(base);
-            return None;
         }
         Some(candidates)
     }
@@ -857,8 +1028,8 @@ impl<'d> SearchEngine<'d> {
 
         // Within the bitmask: the memo, and the forward check, whose failure
         // proves the whole subtree dead; the same pass finds the candidates.
-        let memoize = n <= 128;
-        let candidates = if memoize {
+        let masked = self.masked;
+        let candidates = if masked {
             let Some(candidates) = self.enter(used) else {
                 return Dfs::Nothing;
             };
@@ -869,9 +1040,8 @@ impl<'d> SearchEngine<'d> {
 
         let mut found = false;
         for i in 0..n {
-            let placeable = if memoize {
-                // `pred`: a hard predecessor is still unplaced.
-                candidates & bit(i) != 0 && self.pred[i] & !used == 0 && !self.overwrites_a_final(i)
+            let placeable = if masked {
+                candidates & bit(i) != 0 && !self.overwrites_a_final(i)
             } else {
                 !self.order.contains(&(i as u32)) && self.can_place(i)
             };
@@ -880,12 +1050,12 @@ impl<'d> SearchEngine<'d> {
             }
             self.order.push(i as u32);
             self.place(i);
-            let result = self.dfs(if memoize { used | bit(i) } else { used });
+            let result = self.dfs(if masked { used | bit(i) } else { used });
             self.unplace(i);
             self.order.pop();
             match result {
                 Dfs::Stop => {
-                    if memoize {
+                    if masked {
                         self.leave(false);
                     }
                     return Dfs::Stop;
@@ -895,7 +1065,7 @@ impl<'d> SearchEngine<'d> {
             }
         }
 
-        if memoize {
+        if masked {
             self.leave(!found);
         }
         if found {
@@ -1184,8 +1354,33 @@ mod tests {
             has_serialization_extending_budgeted(&crowd, &HashMap::new(), 130),
             None
         );
-        // Within the mask the forward check refutes each first placement.
+        // Within the mask the pins refute it before the search.
         assert!(serializations(&everyone_reads_then_writes(128), Some(1)).is_empty());
+    }
+
+    #[test]
+    fn reads_only_the_initial_version_serves_refute_before_the_search() {
+        // Figure 1's example (1): both reads precede every write of `x`, so
+        // each reader precedes the other's write, a cycle.
+        let example_1 = &mvcc_core::examples::figure1()[0].schedule;
+        let crowds = [2, 8, 128].map(everyone_reads_then_writes);
+        for s in std::iter::once(example_1).chain(&crowds) {
+            assert_eq!(search_nodes(|| assert!(!crate::mvsr::is_mvsr(s))), 0, "{s}");
+            assert_eq!(
+                has_serialization_extending_budgeted(s, &HashMap::new(), 0),
+                Some(false)
+            );
+            assert!(achievable_prefix_restrictions(s, s.len()).is_empty());
+        }
+        // The pins are exact: a read with no write before it, alone with
+        // a writer that comes after it, still serializes (reader first).
+        let s = Schedule::parse("Ra(x) Wb(x) Rc(x)").unwrap();
+        let found = serializations(&s, None);
+        assert!(!found.is_empty());
+        assert!(found
+            .iter()
+            .all(|rf| rf.order.iter().position(|&t| t == TxId(1))
+                < rf.order.iter().position(|&t| t == TxId(2))));
     }
 
     #[test]
@@ -1246,24 +1441,23 @@ mod tests {
 
     #[test]
     fn node_budget_counts_every_search_node() {
-        // Not MVSR; the refutation takes 45 nodes (counted with the search
-        // as it stood before the dense tables, and unchanged by them).
+        // Not MVSR, and the reads only the initial version serves (R6(z),
+        // R4(y)) close no precedence cycle: the refutation takes 44 nodes.
         let s = Schedule::parse(
-            "R8(w) R17(x) R14(w) R11(x) R11(w) R14(w) W17(w) W8(x) \
-             R5(w) R20(x) W20(x) W2(w) R5(x) R2(x)",
+            "R6(z) R4(y) W5(z) R1(z) R2(z) R3(z) W1(z) W5(z) W4(y) W2(z) R6(y) W3(z)",
         )
         .unwrap();
         let nothing = HashMap::new();
-        assert_eq!(has_serialization_extending_budgeted(&s, &nothing, 44), None);
+        assert_eq!(has_serialization_extending_budgeted(&s, &nothing, 43), None);
         assert_eq!(
-            has_serialization_extending_budgeted(&s, &nothing, 45),
+            has_serialization_extending_budgeted(&s, &nothing, 44),
             Some(false)
         );
-        // Pinning R5(w) to T2 puts T2 before T5 and prunes it to 21.
-        let pinned = HashMap::from([(8, VersionSource::Tx(TxId(2)))]);
-        assert_eq!(has_serialization_extending_budgeted(&s, &pinned, 20), None);
+        // Pinning R6(y) to T4 puts T4 before T6 and prunes it to 19.
+        let pinned = HashMap::from([(10, VersionSource::Tx(TxId(4)))]);
+        assert_eq!(has_serialization_extending_budgeted(&s, &pinned, 18), None);
         assert_eq!(
-            has_serialization_extending_budgeted(&s, &pinned, 21),
+            has_serialization_extending_budgeted(&s, &pinned, 19),
             Some(false)
         );
         // MVSR, the first witness 16 nodes away (8 of them its own path).

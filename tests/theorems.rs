@@ -262,6 +262,59 @@ fn classify_equals_the_six_standalone_tests_on_the_benchmark_corpus() {
     }
 }
 
+/// Search nodes the MVSR test visits on `s`: the smallest node budget with
+/// which the search settles whether `s` has a serialization at all.
+fn mvsr_search_nodes(s: &Schedule) -> u64 {
+    use mvcc_repro::classify::serialization::has_serialization_extending_budgeted;
+    let settled =
+        |budget| has_serialization_extending_budgeted(s, &Default::default(), budget).is_some();
+    if settled(0) {
+        return 0;
+    }
+    let mut high = 1;
+    while !settled(high) {
+        high *= 2;
+    }
+    let mut low = high / 2 + 1;
+    while low < high {
+        let mid = (low + high) / 2;
+        if settled(mid) {
+            high = mid;
+        } else {
+            low = mid + 1;
+        }
+    }
+    low
+}
+
+/// A read that no write of its entity precedes can only be served the
+/// initial version, so its reader precedes every other writer of the entity
+/// in every serialization; the search pins such reads before it starts, and
+/// the precedence cycle they close refutes most schedules that are not MVSR
+/// without a single node.  Over the first 500 corpus schedules the MVSR
+/// search visits at most 10.5 nodes a call (33.1 before the pins), and over
+/// all 3 000 at least 790 of the 878 that are not MVSR are refuted in at
+/// most one node (none before).
+#[test]
+fn mvsr_refutes_most_of_the_benchmark_corpus_before_it_searches() {
+    let corpus = benchmark_corpus(3000);
+    let nodes: Vec<u64> = corpus.iter().map(mvsr_search_nodes).collect();
+    let first: u64 = nodes[..500].iter().sum();
+    assert!(first * 10 <= 105 * 500, "{first} nodes over 500 calls");
+    let (mut refuted, mut early) = (0, 0);
+    for (s, &n) in corpus.iter().zip(&nodes) {
+        if !is_mvsr(s) {
+            refuted += 1;
+            early += usize::from(n <= 1);
+        }
+    }
+    assert_eq!(refuted, 878);
+    assert!(
+        early >= 790,
+        "{early} of {refuted} refuted in at most one node"
+    );
+}
+
 /// The exact classifiers against the definitions, on every interleaving of
 /// three small systems: a plain one, one whose `T_b` writes `x` twice (where
 /// DMVSR needs the search), one whose `T_a` reads its own earlier write.
@@ -296,8 +349,17 @@ fn exact_classifiers_agree_with_the_definitions_exhaustively() {
 /// A random interleaving of `txns` transactions of `steps` steps each over
 /// `entities` entities, reads and writes equally likely: with so few
 /// entities, transactions that write an entity twice and that read their
-/// own writes are dense.
-fn dense_random_schedule(rng: &mut SmallRng, txns: usize, steps: usize, entities: u32) -> Schedule {
+/// own writes are dense.  With `reads_lead`, nine steps in ten of the
+/// first half are reads and one in ten of the second half: most reads then
+/// precede every write of their entity, so only the initial version can
+/// serve them.
+fn dense_random_schedule(
+    rng: &mut SmallRng,
+    txns: usize,
+    steps: usize,
+    entities: u32,
+    reads_lead: bool,
+) -> Schedule {
     let mut left = vec![steps; txns];
     let mut out = Vec::with_capacity(txns * steps);
     while out.len() < txns * steps {
@@ -307,7 +369,12 @@ fn dense_random_schedule(rng: &mut SmallRng, txns: usize, steps: usize, entities
         }
         left[t] -= 1;
         let (tx, entity) = (TxId(t as u32 + 1), EntityId(rng.gen_range(0..entities)));
-        out.push(if rng.gen_bool(0.5) {
+        let read_share = match (reads_lead, 2 * out.len() < txns * steps) {
+            (false, _) => 0.5,
+            (true, true) => 0.9,
+            (true, false) => 0.1,
+        };
+        out.push(if rng.gen_bool(read_share) {
             Step::read(tx, entity)
         } else {
             Step::write(tx, entity)
@@ -342,7 +409,8 @@ fn orders_of(txs: &[TxId]) -> Vec<Vec<TxId>> {
 /// included), every read pinned to its standard source, and the standard
 /// sources plus the standard final writers, which is `vsr_witness`.  The
 /// schedules are the dense random ones of the DMVSR test below, where
-/// repeated writes and own reads are common.
+/// repeated writes and own reads are common, then ones whose reads lead,
+/// where most reads are pinned to the initial version before the search.
 #[test]
 fn the_search_memo_is_exact_on_dense_random_schedules() {
     use mvcc_repro::classify::serialization::{
@@ -352,18 +420,24 @@ fn the_search_memo_is_exact_on_dense_random_schedules() {
     use std::collections::HashMap;
     let mut rng = SmallRng::seed_from_u64(34);
     let (mut pinned_found, mut witnesses) = (0, 0);
-    for (txns, steps, entities, cases) in [
-        (2usize, 4usize, 1u32, 300),
-        (3, 3, 1, 300),
-        (3, 4, 2, 300),
-        (4, 3, 2, 200),
-        (4, 4, 3, 200),
-        (5, 3, 3, 60),
-        (6, 3, 2, 12),
-        (6, 3, 3, 12),
+    let (mut leading, mut leading_mvsr) = (0, 0);
+    for (txns, steps, entities, cases, reads_lead) in [
+        (2usize, 4usize, 1u32, 300, false),
+        (3, 3, 1, 300, false),
+        (3, 4, 2, 300, false),
+        (4, 3, 2, 200, false),
+        (4, 4, 3, 200, false),
+        (5, 3, 3, 60, false),
+        (6, 3, 2, 12, false),
+        (6, 3, 3, 12, false),
+        (3, 3, 1, 200, true),
+        (4, 3, 2, 200, true),
+        (4, 4, 3, 100, true),
+        (5, 3, 2, 60, true),
+        (6, 3, 3, 12, true),
     ] {
         for _ in 0..cases {
-            let s = dense_random_schedule(&mut rng, txns, steps, entities);
+            let s = dense_random_schedule(&mut rng, txns, steps, entities, reads_lead);
             let sys = s.tx_system();
             let every: Vec<_> = orders_of(&s.tx_ids())
                 .iter()
@@ -377,7 +451,12 @@ fn the_search_memo_is_exact_on_dense_random_schedules() {
                     .map(|&rf| rf.clone())
                     .collect()
             };
-            assert_eq!(serializations(&s, None), agreeing(&HashMap::new()), "{s}");
+            let unpinned = agreeing(&HashMap::new());
+            assert_eq!(serializations(&s, None), unpinned, "{s}");
+            if reads_lead {
+                leading += 1;
+                leading_mvsr += usize::from(!unpinned.is_empty());
+            }
 
             let template = &every[rng.gen_range(0..every.len())];
             let mut pins = HashMap::new();
@@ -395,7 +474,7 @@ fn the_search_memo_is_exact_on_dense_random_schedules() {
                 }
             }
             let pinned = agreeing(&pins);
-            pinned_found += usize::from(!pinned.is_empty());
+            pinned_found += usize::from(!pinned.is_empty() && !reads_lead);
             assert_eq!(
                 serializations_extending(&s, &pins, None),
                 pinned,
@@ -417,7 +496,7 @@ fn the_search_memo_is_exact_on_dense_random_schedules() {
             let view_equivalent = views
                 .into_iter()
                 .find(|rf| rf.final_writers == final_writers);
-            witnesses += usize::from(view_equivalent.is_some());
+            witnesses += usize::from(view_equivalent.is_some() && !reads_lead);
             assert_eq!(vsr_witness(&s), view_equivalent.map(|rf| rf.order), "{s}");
         }
     }
@@ -429,6 +508,11 @@ fn the_search_memo_is_exact_on_dense_random_schedules() {
     assert!(
         witnesses > 200 && witnesses < 1000,
         "{witnesses} VSR witnesses"
+    );
+    // Where reads lead, MVSR says yes and no often too.
+    assert!(
+        leading_mvsr > leading / 10 && leading_mvsr < leading * 9 / 10,
+        "{leading_mvsr} of {leading} MVSR"
     );
 }
 
@@ -450,7 +534,7 @@ fn dmvsr_is_mvsr_of_the_patched_schedule_on_dense_random_schedules() {
         (5, 3, 3),
     ] {
         for _ in 0..8000 {
-            let s = dense_random_schedule(&mut rng, txns, steps, entities);
+            let s = dense_random_schedule(&mut rng, txns, steps, entities, false);
             let patched = patch_readless_writes(&s);
             let (dmvsr, mvsr) = (is_dmvsr(&s), is_mvsr(&patched));
             assert_eq!(dmvsr, mvsr, "schedule {s}");
