@@ -13,11 +13,11 @@
 //!   with a higher epoch means another writer promoted over them, and
 //!   the flush is refused ([`std::io::ErrorKind::PermissionDenied`], see
 //!   [`crate::wal::WalWriter`]).
-//! * Readers ([`crate::scan_log`], [`crate::read_tail`]) treat records
-//!   at or past `fence_lsn` inside pre-`start_segment` segments as
-//!   *fenced residue* — bytes a deposed primary managed to buffer after
-//!   the promotion scan — and resubscribe to the new lineage instead of
-//!   delivering them.
+//! * Readers ([`crate::scan_log`], [`crate::read_tail`]: their one segment
+//!   walk) treat records at or past `fence_lsn` in pre-`start_segment`
+//!   segments as *fenced residue* — bytes a deposed primary managed to
+//!   buffer after the promotion scan — and resubscribe to the new lineage
+//!   instead of delivering them.
 //!
 //! The marker is written atomically (temp file + rename + directory
 //! sync) and carries a CRC, so readers either see the previous marker or

@@ -16,7 +16,7 @@
 //! * [`wal`] — [`WalWriter`]: monotonically numbered segments with
 //!   rotation, group appends, and one flush (at most one fsync) per
 //!   group-commit batch ([`DurabilityMode::Buffered`] vs
-//!   [`DurabilityMode::Fsync`]);
+//!   [`DurabilityMode::Fsync`]); [`scan_log`], the at-rest read;
 //! * [`checkpoint`] — snapshot files of the committed store state (with
 //!   the GC watermark each was cut at) bounding data replay;
 //! * [`fold`] — [`LogFold`]: the one walk of WAL records into the
@@ -28,7 +28,8 @@
 //!   committed projection the offline `mvcc-classify` checkers certify;
 //! * [`tail`] — [`read_tail`] over a resumable [`WalCursor`]: the
 //!   log-shipping read path (`mvcc-replica`) — whole CRC-valid records
-//!   only, parking on cold tails, LSN-continuity checked;
+//!   only, parking on cold tails; it and [`scan_log`] are two stop
+//!   policies over one private segment walk holding every trust rule;
 //! * [`epoch`] — primary epochs and the fencing marker: promotion
 //!   ([`WalWriter::promote_open`]) bumps the epoch and cuts a fence so a
 //!   deposed primary's late appends are refused by the log and skipped by
@@ -39,7 +40,8 @@
 //! The engine's certifier guarantees that the committed projection of
 //! *every prefix* of its admission history lies in its class.  A crash
 //! realizes a prefix (the valid log prefix, CRC-truncated at the first
-//! torn record), and recovery takes that prefix's committed projection:
+//! torn record; a log with an LSN gap is no prefix and is refused), and
+//! recovery takes that prefix's committed projection:
 //! transactions without a durable commit record are discarded wholesale.
 //! Because the engine enforces ACA — no committed transaction ever read
 //! an uncommitted version — discarding the losers never invalidates a
@@ -57,6 +59,7 @@ pub mod record;
 pub mod recovery;
 pub mod tail;
 pub mod wal;
+mod walk;
 
 pub use checkpoint::{
     latest_checkpoint, read_checkpoint, write_checkpoint, CheckpointData, CommittedVersion,

@@ -26,10 +26,11 @@
 //! fold a replica runs on open and on every shipping poll; `recover` only
 //! writes what it yields into per-shard chains and the history.
 //!
-//! Torn or corrupt tail records are detected by CRC ([`crate::wal::scan_log`])
-//! and everything from the first bad byte on is ignored; [`crate::wal::WalWriter::open`]
-//! physically truncates the same prefix before the engine resumes
-//! appending.
+//! Torn or corrupt tail records are detected by CRC ([`crate::wal::scan_log`],
+//! over the segment walk the tailer shares) and everything from the first
+//! bad byte on is ignored; [`crate::wal::WalWriter::open`] physically
+//! truncates the same prefix before the engine resumes appending.  A log
+//! with an LSN gap is no prefix: recovery refuses it.
 
 use crate::checkpoint::{latest_checkpoint, CommittedVersion, ShardCheckpoint};
 use crate::fold::{Folded, LogFold};
@@ -406,6 +407,46 @@ mod tests {
             Bytes::from_static(b"durable")
         );
         assert_eq!(state.report.discarded, vec![TxId(2)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_with_an_lsn_gap_is_refused_not_recovered() {
+        // Six commits over 64-byte segments, then the middle segment
+        // vanishes.  The commits after it were acknowledged, so what is
+        // left is not a prefix of the log: recovery and both writer opens
+        // (which would append past the gap) refuse it, and every
+        // surviving segment stays as it was.
+        let dir = temp_dir("gap");
+        {
+            let wal = WalWriter::open(&dir, DurabilityMode::Buffered, 64).unwrap();
+            for tx in 1..=6u32 {
+                wal.append_and_flush(&[write(tx, 0, b"acked"), commit(tx, vec![(0, tx.into())])])
+                    .unwrap();
+            }
+        }
+        let segments = crate::wal::list_segments(&dir).unwrap();
+        assert!(segments.len() >= 5, "need a middle segment");
+        std::fs::remove_file(&segments[segments.len() / 2].1).unwrap();
+        let on_disk = || {
+            crate::wal::list_segments(&dir)
+                .unwrap()
+                .into_iter()
+                .map(|(seq, path)| (seq, std::fs::read(path).unwrap()))
+                .collect::<Vec<_>>()
+        };
+        let before = on_disk();
+        let refusals = [
+            recover(&dir, &opts()).map(drop),
+            WalWriter::open(&dir, DurabilityMode::Buffered, 64).map(drop),
+            WalWriter::promote_open(&dir, DurabilityMode::Buffered, 64).map(drop),
+        ];
+        for refusal in refusals {
+            let err = refusal.unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("LSN gap"), "{err}");
+        }
+        assert_eq!(on_disk(), before, "a refused log is left untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

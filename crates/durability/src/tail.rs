@@ -1,27 +1,16 @@
 //! Tailing the write-ahead log: the resumable cursor a log shipper reads
 //! the primary's segments through.
 //!
-//! Recovery ([`crate::recovery`]) reads the log once, at rest.  A read
-//! replica instead *follows* the log while the primary keeps appending:
-//! it needs a cursor it can poll, that
-//!
-//! * yields only whole, CRC-checked records (the same trust boundary as
-//!   recovery — a record the CRC rejects is never shipped);
-//! * **parks** on every cold-tail shape a live log can present — a torn
-//!   record at the physical tail (a flush landed mid-record), a
-//!   zero-length or header-less freshly rotated segment, an empty or
-//!   not-yet-created log directory — and resumes cleanly once the writer
-//!   catches up, instead of erroring;
-//! * detects real damage: a CRC mismatch with more log after it, or a
-//!   gap in the LSN sequence (a record the shipper would otherwise
-//!   silently skip), is an error, not a park;
-//! * can **seek**: [`WalCursor::from_lsn`] positions past records a
-//!   restarted replica already applied (its local checkpoint names the
-//!   LSN), re-reading but not re-delivering the prefix.
-//!
+//! Recovery reads the log once, at rest; a read replica *follows* it while
+//! the primary keeps appending.  [`read_tail`] is the live policy over the
+//! one segment walk both read through (`walk.rs`: the same trust boundary
+//! as recovery — a record the CRC rejects is never shipped).  A poll
+//! **parks** on every cold-tail shape a live log can present and resumes
+//! once the writer catches up; it errors on damage; and
+//! [`WalCursor::from_lsn`] lets a restarted replica seek past the records
+//! its checkpoint already holds, re-reading but not re-delivering them.
 //! The cursor is plain data (`segment`, byte `offset`, `next_lsn`), so a
-//! replica can persist it alongside its checkpoint and resume exactly
-//! where it stopped.
+//! replica can persist it and resume exactly where it stopped.
 //!
 //! ## Promotions
 //!
@@ -38,12 +27,13 @@
 //! never re-serves residue, which is what bounds the damage to replicas
 //! rebuilt from the log.
 
-use crate::epoch::read_epoch_marker;
-use crate::record::{decode_record, DecodeError};
-use crate::wal::{list_segments, segment_path, ScannedRecord, SEGMENT_HEADER, SEGMENT_MAGIC};
-use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use crate::wal::ScannedRecord;
+use crate::walk::{invalid, SegmentWalk, Stop};
+use std::io;
 use std::path::Path;
+
+#[cfg(test)] // The tests below name these.
+use crate::{wal::*, walk::READ_WINDOW};
 
 /// A resumable read position in a segmented log directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,24 +41,20 @@ pub struct WalCursor {
     /// The segment being read (`None` until the cursor has bound itself to
     /// the first segment that exists — an empty directory has nothing to
     /// bind to yet).
-    segment: Option<u64>,
+    pub(crate) segment: Option<u64>,
     /// Byte offset of the next unread byte inside `segment` (at least
-    /// [`SEGMENT_HEADER`] once the segment's header has been verified).
-    offset: u64,
+    /// the segment header's length once the header has been verified).
+    pub(crate) offset: u64,
     /// LSN the next *delivered* record must carry.  Records below it (a
     /// seek's skip prefix) are decoded and discarded; a record above it
     /// means the log lost a record and is reported as corruption.
-    next_lsn: u64,
+    pub(crate) next_lsn: u64,
 }
 
 impl WalCursor {
     /// A cursor at the very beginning of the log.
     pub fn origin() -> Self {
-        WalCursor {
-            segment: None,
-            offset: 0,
-            next_lsn: 0,
-        }
+        WalCursor::from_lsn(0)
     }
 
     /// A cursor that delivers records starting at `lsn`: the physical scan
@@ -103,251 +89,35 @@ pub struct TailBatch {
     /// `true` when the poll consumed everything currently readable: the
     /// cursor stands at the physical end of the last segment, or at a
     /// cold tail (torn record / unwritten segment) that only the writer
-    /// can extend.  `false` means more is readable right now (the batch
-    /// limit stopped the poll) — poll again without sleeping.
+    /// can extend.  `false` means more may be readable right now (the
+    /// batch limit or the read window stopped the poll) — poll again
+    /// without sleeping.
     pub caught_up: bool,
 }
 
-/// Why the tail is unreadable *as corruption* (parking conditions are not
-/// errors — they surface as an empty, caught-up [`TailBatch`]).
-fn corrupt(what: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what.into())
-}
-
-/// Bytes read from a segment per poll.  Large enough to amortize the
-/// syscalls, small enough that a shipper catching up through multi-MB
-/// segments does not re-read them quadratically (and does not stall
-/// whoever waits on the caller's apply lock).
-const READ_WINDOW: u64 = 256 * 1024;
-
 /// Polls the log under `dir` from `cursor`, delivering at most
 /// `max_records` records and advancing the cursor past everything it
-/// consumed (delivered or skipped).
+/// consumed (delivered or skipped).  One poll reads at most one window of
+/// each segment it visits.
 ///
-/// Cold-tail shapes — an absent or empty directory, a zero-length or
-/// half-written tail segment, a torn record at the physical end — return
-/// an empty (or short) batch with `caught_up = true` and leave the cursor
-/// where it can resume; they are the normal states of a live log between
-/// flushes.  A CRC-invalid record *followed by more log* (a later segment
-/// exists), an LSN gap, or a vanished segment the cursor still needs are
-/// real corruption and return an error.
+/// Cold tails — an absent or empty directory, a zero-length or
+/// half-written newest segment, a torn record at the physical end, a
+/// fenced lineage not listed yet — are the normal states of a live log
+/// between flushes: the batch comes back (maybe empty) with `caught_up`
+/// and the cursor where the next poll resumes.  Damage — a CRC-invalid
+/// record or a bad header anywhere, a torn one with a later segment
+/// listed, an LSN gap, a vanished segment — is an `InvalidData` error,
+/// and the cursor is left as it was.
 pub fn read_tail(dir: &Path, cursor: &mut WalCursor, max_records: usize) -> io::Result<TailBatch> {
-    let mut batch = TailBatch {
-        records: Vec::new(),
-        caught_up: true,
+    let mut walk = SegmentWalk::new(dir, *cursor)?;
+    let mut records = Vec::new();
+    let caught_up = match walk.read(&mut records, max_records)? {
+        Stop::Full | Stop::Window => false,
+        Stop::End | Stop::Unlisted(_) | Stop::Torn => true,
+        Stop::Corrupt(what) | Stop::Gap(what) => return Err(invalid(what)),
     };
-    let segments = list_segments(dir)?;
-    if segments.is_empty() {
-        // The log does not exist yet (or the directory is empty
-        // mid-stream, before the writer's first segment lands): park.
-        return Ok(batch);
-    }
-    // Sampled once per poll: a fence published mid-poll is seen next poll.
-    let fence = read_epoch_marker(dir)?.filter(|m| m.has_fence());
-    // Rebinds the cursor to the first segment of the fenced lineage;
-    // `false` when it is not listed yet (park and re-list next poll).
-    let rebind_to_new_lineage =
-        |cursor: &mut WalCursor, start_segment: u64, segments: &[(u64, std::path::PathBuf)]| {
-            match segments.iter().find(|&&(s, _)| s >= start_segment) {
-                Some(&(s, _)) => {
-                    cursor.segment = Some(s);
-                    cursor.offset = 0;
-                    true
-                }
-                None => false,
-            }
-        };
-    // Bind an unbound cursor to the first segment that exists.
-    if cursor.segment.is_none() {
-        cursor.segment = Some(segments[0].0);
-        cursor.offset = 0;
-    }
-    loop {
-        // lint: allow(unwrap) — cursor.segment is Some on this branch, checked above
-        let seq = cursor.segment.expect("cursor bound above");
-        let Some(position) = segments.iter().position(|&(s, _)| s == seq) else {
-            if let Some(f) = fence {
-                if seq < f.start_segment {
-                    // Not "vanished": the segment was an old-epoch one
-                    // superseded by a promotion (healing deletes segments
-                    // that held nothing but a deposed primary's residue).
-                    // Resubscribe to the new lineage instead of erroring.
-                    if rebind_to_new_lineage(cursor, f.start_segment, &segments) {
-                        continue;
-                    }
-                    break;
-                }
-            }
-            if segments.last().is_some_and(|&(s, _)| s > seq) {
-                // The cursor's segment is gone while *later* segments
-                // exist (whether or not earlier ones survive): the log
-                // lost records the cursor still needed.  This must be an
-                // error, not a park — parking here would stall the
-                // shipper forever while reporting success.
-                return Err(corrupt(format!("segment {seq} vanished under the cursor")));
-            }
-            // The cursor points one past the newest segment (it advanced
-            // eagerly after finishing the previous one): park until the
-            // writer rotates.
-            break;
-        };
-        let old_lineage = fence.is_some_and(|f| seq < f.start_segment);
-        let has_successor = position + 1 < segments.len();
-        let path = segment_path(dir, seq);
-        let mut bytes = Vec::new();
-        let mut file = File::open(&path)?;
-        // Bound each poll's read to a window: re-reading a whole 8 MB
-        // segment per poll while catching up would be quadratic I/O (and
-        // the caller may hold a lock across this call).  `file_len` is
-        // sampled first so a decode failure at the window edge can be
-        // told apart from a genuinely torn tail — the file may grow
-        // after the sample, which only errs on the side of re-polling.
-        let file_len = file.metadata()?.len();
-        if cursor.offset > 0 {
-            file.seek(SeekFrom::Start(cursor.offset))?;
-        }
-        let window_base = cursor.offset;
-        (&mut file).take(READ_WINDOW).read_to_end(&mut bytes)?;
-        let mut local = 0usize;
-        if cursor.offset < SEGMENT_HEADER as u64 {
-            // Header not yet verified.  A segment shorter than its header
-            // (zero-length file, header torn mid-write) is a cold tail if
-            // it is the newest segment; with a successor present the
-            // writer is long past it, so a short header is damage.
-            if (bytes.len() as u64) < SEGMENT_HEADER as u64 - cursor.offset {
-                if has_successor {
-                    return Err(corrupt(format!("segment {seq} has a torn header")));
-                }
-                break;
-            }
-            if cursor.offset == 0 {
-                if &bytes[0..8] != SEGMENT_MAGIC {
-                    return Err(corrupt(format!("segment {seq} has bad magic")));
-                }
-                // lint: allow(unwrap) — slice length fixed by the on-disk format
-                let stamped = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-                if stamped != seq {
-                    return Err(corrupt(format!(
-                        "segment file {seq} claims sequence {stamped}"
-                    )));
-                }
-            }
-            local = (SEGMENT_HEADER as u64 - cursor.offset) as usize;
-            cursor.offset = SEGMENT_HEADER as u64;
-        }
-        let mut parked = false;
-        let mut rebind = false;
-        while local < bytes.len() {
-            if batch.records.len() >= max_records {
-                batch.caught_up = false;
-                return Ok(batch);
-            }
-            match decode_record(&bytes[local..]) {
-                Ok((consumed, lsn, epoch, record)) => {
-                    if old_lineage {
-                        // lint: allow(unwrap) — fence presence established by the enclosing branch
-                        let f = fence.expect("old_lineage implies a fence");
-                        if lsn >= f.fence_lsn && epoch < f.epoch {
-                            // A deposed primary's residue at the fence cut:
-                            // do not advance past it — jump to the new
-                            // lineage, which owns this LSN onward.
-                            rebind = true;
-                            break;
-                        }
-                    }
-                    local += consumed;
-                    cursor.offset += consumed as u64;
-                    if lsn < cursor.next_lsn {
-                        // The seek prefix: already applied, not delivered.
-                        continue;
-                    }
-                    if lsn > cursor.next_lsn {
-                        return Err(corrupt(format!(
-                            "LSN gap at segment {seq}: expected {}, found {lsn}",
-                            cursor.next_lsn
-                        )));
-                    }
-                    cursor.next_lsn = lsn + 1;
-                    batch.records.push(ScannedRecord { lsn, epoch, record });
-                }
-                Err(_) if old_lineage && fence.is_some_and(|f| cursor.next_lsn >= f.fence_lsn) => {
-                    // Every record up to the fence has been consumed, so a
-                    // torn or corrupt frame here is residue the deposed
-                    // primary left mid-write (a pre-fence problem would
-                    // have surfaced while `next_lsn` was still below the
-                    // fence).  Resubscribe to the new lineage.
-                    rebind = true;
-                    break;
-                }
-                Err(DecodeError::Truncated) if window_base + (bytes.len() as u64) < file_len => {
-                    // The record crosses the read window while more of the
-                    // file exists beyond it — not a tail shape.  Extend
-                    // the buffer far enough to cover the record (its frame
-                    // header declares the length once 4 bytes are visible;
-                    // records may legitimately exceed READ_WINDOW) and
-                    // retry the same decode.  Returning without progress
-                    // here would livelock the shipper on any record larger
-                    // than the window.
-                    let avail = bytes.len() - local;
-                    let needed = if avail >= 4 {
-                        let len = u32::from_le_bytes(
-                            // lint: allow(unwrap) — slice length fixed by the on-disk format
-                            bytes[local..local + 4].try_into().expect("4 bytes"),
-                        );
-                        (crate::record::FRAME_OVERHEAD as u64 + u64::from(len))
-                            .saturating_sub(avail as u64)
-                    } else {
-                        crate::record::FRAME_OVERHEAD as u64
-                    };
-                    let room = file_len - (window_base + bytes.len() as u64);
-                    let grow = needed.max(4096).min(room);
-                    (&mut file).take(grow).read_to_end(&mut bytes)?;
-                    continue;
-                }
-                Err(DecodeError::Truncated) if !has_successor => {
-                    // A torn record at the physical tail: the writer's
-                    // flush landed mid-record.  Park; the next poll
-                    // re-reads from this offset.
-                    parked = true;
-                    break;
-                }
-                Err(e) => {
-                    // Torn with a successor (the writer finished this
-                    // segment long ago) or CRC-invalid anywhere: damage.
-                    return Err(corrupt(format!(
-                        "segment {seq} offset {}: {e}",
-                        cursor.offset
-                    )));
-                }
-            }
-        }
-        if rebind {
-            // lint: allow(unwrap) — fence presence established by the enclosing branch
-            let f = fence.expect("rebind implies a fence");
-            if rebind_to_new_lineage(cursor, f.start_segment, &segments) {
-                continue;
-            }
-            // The new lineage's first segment is not listed yet (the poll
-            // raced the promotion's directory update): park, re-list next
-            // poll.
-            break;
-        }
-        if !parked && window_base + (bytes.len() as u64) < file_len {
-            // The window ended exactly on a record boundary with more
-            // file behind it: keep reading the same segment right away.
-            batch.caught_up = false;
-            return Ok(batch);
-        }
-        if parked || !has_successor {
-            // Either a cold tail, or the newest segment read to its
-            // physical end: caught up.
-            break;
-        }
-        // Finished a completed segment: advance to its successor.
-        cursor.segment = Some(segments[position + 1].0);
-        cursor.offset = 0;
-    }
-    Ok(batch)
+    *cursor = walk.cursor;
+    Ok(TailBatch { records, caught_up })
 }
 
 #[cfg(test)]

@@ -19,10 +19,12 @@
 //! in fsync mode exactly one fsync) regardless of batch size — durability
 //! rides the same amortization as the storage group commit.
 //!
-//! Opening a log that ends in a torn record (the normal crash shape)
-//! truncates the tail back to the last whole record before appending;
-//! segments after a corrupt record are discarded, so the on-disk log is
-//! always one valid prefix.
+//! [`scan_log`] reads the log at rest, through the one segment walk every
+//! log read goes through (`walk.rs`).  Opening a log that ends in a torn
+//! record (the normal crash shape) truncates the tail back to the last
+//! whole record before appending; segments after a corrupt record are
+//! discarded, so the on-disk log is always one valid prefix.  A log with
+//! an LSN gap is not a prefix, and both opens refuse it.
 //!
 //! ## Epochs and fencing
 //!
@@ -40,11 +42,13 @@
 //! resurrect into recovered state.
 
 use crate::epoch::{read_epoch_marker, write_epoch_marker, EpochMarker};
-use crate::record::{decode_record, encode_record, WalRecord};
+use crate::record::{encode_record, WalRecord};
+use crate::tail::WalCursor;
+use crate::walk::{invalid, SegmentWalk, Stop};
 use mvcc_analysis::lock_class;
 use mvcc_analysis::lockdep::TrackedMutex;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
@@ -187,7 +191,8 @@ pub struct LogScan {
     /// The segment holding the end of the valid prefix (`None` when the
     /// log is empty).
     pub last_segment: Option<u64>,
-    /// Byte offset of the end of the valid prefix inside `last_segment`.
+    /// Byte offset of the end of the valid prefix inside `last_segment`
+    /// (0 when that segment's header itself is torn or bad).
     pub valid_len: u64,
     /// `true` when the scan stopped at a torn or corrupt record rather
     /// than the physical end of the log.
@@ -214,126 +219,52 @@ impl LogScan {
 /// CRC-correct record up to the first torn or corrupt one.  Records past
 /// that point — including whole segments — are not trusted (the log's
 /// guarantees are prefix-shaped), and are reported as truncated/orphaned.
+/// This is the at-rest policy over the segment walk `read_tail` shares.
 ///
 /// When the directory carries an epoch marker with a completed fence,
 /// the scan additionally refuses a deposed primary's residue: inside
 /// segments older than the fenced lineage, any record at or past the
 /// fence LSN carrying a stale epoch (and anything after it) is reported
 /// in [`LogScan::fenced`] instead of delivered, and the scan resumes in
-/// the new lineage.
+/// the new lineage.  A log that is no prefix — an LSN gap, corruption
+/// before the fence — is refused with `InvalidData`.
 pub fn scan_log(dir: &Path) -> io::Result<LogScan> {
-    let marker = read_epoch_marker(dir)?;
-    let fence = marker.filter(|m| m.has_fence());
-    let mut scan = LogScan {
-        records: Vec::new(),
-        last_segment: None,
-        valid_len: 0,
-        truncated_tail: false,
-        orphaned_segments: Vec::new(),
-        fenced: Vec::new(),
+    let mut walk = SegmentWalk::new(dir, WalCursor::origin())?;
+    let mut records = Vec::new();
+    let truncated_tail = loop {
+        match walk.read(&mut records, usize::MAX)? {
+            Stop::Full | Stop::Window => {}
+            Stop::End => break false,
+            Stop::Torn | Stop::Corrupt(_) => break true,
+            Stop::Gap(what) => return Err(invalid(what)),
+            Stop::Unlisted(seq) => {
+                let what = format!("epoch marker fences into segment {seq}, which does not exist");
+                return Err(invalid(what));
+            }
+        }
     };
-    let segments = list_segments(dir)?;
-    if let Some(f) = fence {
-        if !segments.iter().any(|&(seq, _)| seq >= f.start_segment) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "epoch marker fences into segment {} but no such segment exists",
-                    f.start_segment
-                ),
-            ));
+    let last_segment = walk.cursor.segment;
+    if let Some(f) = walk.fence {
+        if truncated_tail && last_segment.is_some_and(|seq| seq < f.start_segment) {
+            // The prefix the promotion certified is lost, and healing
+            // here would orphan (delete) the whole fenced lineage.
+            return Err(invalid(format!(
+                "log corrupt before the promotion fence (lsn {}); \
+                 the certified prefix cannot be reconstructed",
+                f.fence_lsn
+            )));
         }
     }
-    let mut stopped = false;
-    let mut entered_new_lineage = false;
-    for (seq, path) in segments {
-        if stopped {
-            scan.orphaned_segments.push(seq);
-            continue;
-        }
-        let old_lineage = fence.is_some_and(|f| seq < f.start_segment);
-        if old_lineage && !scan.fenced.is_empty() {
-            // Once residue has been cut, every remaining old-lineage
-            // segment is entirely the deposed primary's.
-            scan.fenced.push((seq, SEGMENT_HEADER as u64));
-            continue;
-        }
-        if let Some(f) = fence {
-            if !old_lineage && !entered_new_lineage {
-                entered_new_lineage = true;
-                if scan.next_lsn() != f.fence_lsn {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "promotion fence cut at lsn {} but the surviving prefix ends at lsn {}",
-                            f.fence_lsn,
-                            scan.next_lsn()
-                        ),
-                    ));
-                }
-            }
-        }
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        scan.last_segment = Some(seq);
-        if bytes.len() < SEGMENT_HEADER || &bytes[0..8] != SEGMENT_MAGIC {
-            // A header torn mid-write: the segment holds nothing usable.
-            scan.valid_len = bytes.len().min(SEGMENT_HEADER) as u64;
-            scan.truncated_tail = true;
-            stopped = true;
-            continue;
-        }
-        let mut offset = SEGMENT_HEADER;
-        while offset < bytes.len() {
-            match decode_record(&bytes[offset..]) {
-                Ok((consumed, lsn, epoch, record)) => {
-                    if old_lineage {
-                        // lint: allow(unwrap) — fence presence established by the enclosing branch
-                        let f = fence.expect("old_lineage implies a fence");
-                        if lsn >= f.fence_lsn && epoch < f.epoch {
-                            // A deposed primary's late append landed after
-                            // the promotion scan: residue, not log.
-                            scan.fenced.push((seq, offset as u64));
-                            break;
-                        }
-                    }
-                    scan.records.push(ScannedRecord { lsn, epoch, record });
-                    offset += consumed;
-                }
-                Err(_) => {
-                    if old_lineage && fence.is_some_and(|f| scan.next_lsn() >= f.fence_lsn) {
-                        // The whole prefix up to the fence survived; a torn
-                        // frame past it is the deposed primary's residue.
-                        scan.fenced.push((seq, offset as u64));
-                    } else {
-                        // Torn (`DecodeError::Truncated`) or corrupt — either
-                        // way the valid prefix ends here.
-                        scan.truncated_tail = true;
-                        stopped = true;
-                    }
-                    break;
-                }
-            }
-        }
-        scan.valid_len = offset as u64;
-    }
-    if let Some(f) = fence {
-        if stopped && scan.last_segment.is_some_and(|seq| seq < f.start_segment) {
-            // Corruption *before* the fence cut: the committed prefix the
-            // promotion certified can no longer be reconstructed, and
-            // healing here would orphan (and delete) the entire fenced
-            // lineage.  Fail loudly instead.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "log corrupt before the promotion fence (lsn {}); \
-                     the certified prefix cannot be reconstructed",
-                    f.fence_lsn
-                ),
-            ));
-        }
-    }
-    Ok(scan)
+    let listed = walk.segments.iter().map(|&(seq, _)| seq);
+    let orphaned_segments = listed.filter(|&seq| truncated_tail && last_segment < Some(seq));
+    Ok(LogScan {
+        records,
+        last_segment,
+        valid_len: walk.cursor.offset,
+        truncated_tail,
+        orphaned_segments: orphaned_segments.collect(),
+        fenced: walk.fenced,
+    })
 }
 
 struct WalInner {
@@ -411,73 +342,38 @@ impl WalWriter {
         );
         std::fs::create_dir_all(dir)?;
         let marker = read_epoch_marker(dir)?;
-        if let Some(m) = marker {
-            if m.provisional {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "epoch {} promotion is in progress or crashed mid-way; \
-                         complete it with promote_open",
-                        m.epoch
-                    ),
-                ));
-            }
+        if let Some(m) = marker.filter(|m| m.provisional) {
+            return Err(invalid(format!(
+                "epoch {} promotion is in progress or crashed mid-way; \
+                 complete it with promote_open",
+                m.epoch
+            )));
         }
         let epoch = marker.map_or(0, |m| m.epoch);
-        let scan = scan_log(dir)?;
-        for seq in &scan.orphaned_segments {
-            std::fs::remove_file(segment_path(dir, *seq))?;
-        }
-        heal_fenced_residue(dir, &scan.fenced)?;
+        let scan = scan_and_heal(dir)?;
         let (segment_seq, file) = match scan.last_segment {
             Some(seq) => {
                 let path = segment_path(dir, seq);
-                let file = OpenOptions::new().read(true).write(true).open(&path)?;
-                let keep = scan.valid_len.max(SEGMENT_HEADER as u64);
-                if file.metadata()?.len() > keep || scan.valid_len < SEGMENT_HEADER as u64 {
-                    file.set_len(keep)?;
-                }
-                let mut file = file;
-                // A segment whose header itself was torn is rewritten.
+                let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
                 if scan.valid_len < SEGMENT_HEADER as u64 {
-                    file.seek(SeekFrom::Start(0))?;
+                    // A segment whose header itself was torn is rewritten.
+                    file.set_len(0)?;
                     write_segment_header(&mut file, seq, epoch)?;
                 } else {
-                    file.seek(SeekFrom::Start(keep))?;
+                    file.seek(SeekFrom::End(0))?;
                 }
                 (seq, file)
             }
             None => {
-                let path = segment_path(dir, 0);
-                let mut file = OpenOptions::new()
-                    .create_new(true)
-                    .read(true)
-                    .write(true)
-                    .open(&path)?;
-                write_segment_header(&mut file, 0, epoch)?;
+                let file = create_segment(dir, 0, epoch)?;
                 if mode == DurabilityMode::Fsync {
                     sync_dir(dir)?;
                 }
                 (0, file)
             }
         };
-        let written = file.metadata()?.len();
-        Ok(WalWriter {
-            dir: dir.to_path_buf(),
-            mode,
-            epoch,
-            inner: TrackedMutex::new(
-                lock_class!("wal.writer"),
-                WalInner {
-                    writer: BufWriter::new(file),
-                    segment_seq,
-                    segment_bytes: segment_bytes.max(SEGMENT_HEADER as u64 + 1),
-                    segment_bytes_written: written,
-                    next_lsn: scan.next_lsn(),
-                    scratch: Vec::with_capacity(4096),
-                },
-            ),
-        })
+        let next_lsn = scan.next_lsn();
+        WalWriter::appending(dir, mode, epoch, segment_bytes, segment_seq, file, next_lsn)
     }
 
     /// Opens the log under `dir` as the **next primary epoch**: the
@@ -523,34 +419,17 @@ impl WalWriter {
         // Every older writer is now fenced; the log can no longer grow
         // under our feet (modulo the in-flight-write window documented in
         // `crate::epoch`).  Scan and heal it.
-        let scan = scan_log(dir)?;
-        for seq in &scan.orphaned_segments {
-            std::fs::remove_file(segment_path(dir, *seq))?;
-        }
-        heal_fenced_residue(dir, &scan.fenced)?;
+        let scan = scan_and_heal(dir)?;
         if let Some(seq) = scan.last_segment {
-            let path = segment_path(dir, seq);
             if scan.valid_len < SEGMENT_HEADER as u64 {
                 // A torn header holds nothing usable, and the new lineage
                 // starts in a fresh segment anyway.
-                std::fs::remove_file(&path)?;
-            } else {
-                let file = OpenOptions::new().write(true).open(&path)?;
-                if file.metadata()?.len() > scan.valid_len {
-                    file.set_len(scan.valid_len)?;
-                    file.sync_all()?;
-                }
+                std::fs::remove_file(segment_path(dir, seq))?;
             }
         }
         let fence_lsn = scan.next_lsn();
         let start_segment = list_segments(dir)?.last().map_or(0, |&(seq, _)| seq + 1);
-        let path = segment_path(dir, start_segment);
-        let mut file = OpenOptions::new()
-            .create_new(true)
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        write_segment_header(&mut file, start_segment, new_epoch)?;
+        let file = create_segment(dir, start_segment, new_epoch)?;
         file.sync_all()?;
         // Promotion is rare; make the lineage switch durable regardless of
         // mode before publishing the fence.
@@ -564,21 +443,36 @@ impl WalWriter {
                 provisional: false,
             },
         )?;
+        let (seq, epoch) = (start_segment, new_epoch);
+        WalWriter::appending(dir, mode, epoch, segment_bytes, seq, file, fence_lsn)
+    }
+
+    /// The writer appending `next_lsn` on to `file`, segment `segment_seq`:
+    /// both opens end here.
+    fn appending(
+        dir: &Path,
+        mode: DurabilityMode,
+        epoch: u64,
+        segment_bytes: u64,
+        segment_seq: u64,
+        file: File,
+        next_lsn: u64,
+    ) -> io::Result<Self> {
+        let inner = WalInner {
+            segment_bytes_written: file.metadata()?.len(),
+            writer: BufWriter::new(file),
+            segment_seq,
+            segment_bytes: segment_bytes.max(SEGMENT_HEADER as u64 + 1),
+            next_lsn,
+            scratch: Vec::with_capacity(4096),
+        };
+        let inner = TrackedMutex::new(lock_class!("wal.writer"), inner);
+        let dir = dir.to_path_buf();
         Ok(WalWriter {
-            dir: dir.to_path_buf(),
+            dir,
             mode,
-            epoch: new_epoch,
-            inner: TrackedMutex::new(
-                lock_class!("wal.writer"),
-                WalInner {
-                    writer: BufWriter::new(file),
-                    segment_seq: start_segment,
-                    segment_bytes: segment_bytes.max(SEGMENT_HEADER as u64 + 1),
-                    segment_bytes_written: SEGMENT_HEADER as u64,
-                    next_lsn: fence_lsn,
-                    scratch: Vec::with_capacity(4096),
-                },
-            ),
+            epoch,
+            inner,
         })
     }
 
@@ -709,13 +603,7 @@ impl WalWriter {
             inner.writer.get_ref().sync_data()?;
         }
         inner.segment_seq += 1;
-        let path = segment_path(&self.dir, inner.segment_seq);
-        let mut file = OpenOptions::new()
-            .create_new(true)
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        write_segment_header(&mut file, inner.segment_seq, self.epoch)?;
+        let file = create_segment(&self.dir, inner.segment_seq, self.epoch)?;
         if self.mode == DurabilityMode::Fsync {
             // The new segment's directory entry must be as durable as the
             // records about to be fsynced into it.
@@ -727,27 +615,56 @@ impl WalWriter {
     }
 }
 
+/// Creates segment `seq` under `dir`, its header stamped with `epoch`.
+fn create_segment(dir: &Path, seq: u64, epoch: u64) -> io::Result<File> {
+    let path = segment_path(dir, seq);
+    let mut file = OpenOptions::new()
+        .create_new(true)
+        .read(true)
+        .write(true)
+        .open(path)?;
+    write_segment_header(&mut file, seq, epoch)?;
+    Ok(file)
+}
+
 fn write_segment_header(file: &mut File, seq: u64, epoch: u64) -> io::Result<()> {
     file.write_all(SEGMENT_MAGIC)?;
     file.write_all(&seq.to_le_bytes())?;
     file.write_all(&epoch.to_le_bytes())
 }
 
-/// Physically removes a deposed primary's residue reported by
-/// [`scan_log`]: each fenced segment is truncated back to its cut, or
-/// deleted outright when nothing but the header would remain.
-fn heal_fenced_residue(dir: &Path, fenced: &[(u64, u64)]) -> io::Result<()> {
-    for &(seq, keep) in fenced {
-        let path = segment_path(dir, seq);
-        if keep <= SEGMENT_HEADER as u64 {
-            std::fs::remove_file(&path)?;
-        } else {
-            let file = OpenOptions::new().write(true).open(&path)?;
+/// The heal both writer opens run: scans the log and cuts it on disk to
+/// the prefix the scan trusts (orphans and residue-only segments deleted,
+/// residue and a torn or corrupt tail truncated away).  A torn header is
+/// left to the caller; a log the scan refuses is left untouched.
+fn scan_and_heal(dir: &Path) -> io::Result<LogScan> {
+    let scan = scan_log(dir)?;
+    for seq in &scan.orphaned_segments {
+        std::fs::remove_file(segment_path(dir, *seq))?;
+    }
+    let cut = |seq: u64, keep: u64| -> io::Result<()> {
+        let file = OpenOptions::new()
+            .write(true)
+            .open(segment_path(dir, seq))?;
+        if file.metadata()?.len() > keep {
             file.set_len(keep)?;
             file.sync_all()?;
         }
+        Ok(())
+    };
+    for &(seq, keep) in &scan.fenced {
+        if keep <= SEGMENT_HEADER as u64 {
+            std::fs::remove_file(segment_path(dir, seq))?;
+        } else {
+            cut(seq, keep)?;
+        }
     }
-    Ok(())
+    if let Some(seq) = scan.last_segment {
+        if scan.valid_len >= SEGMENT_HEADER as u64 {
+            cut(seq, scan.valid_len)?;
+        }
+    }
+    Ok(scan)
 }
 
 /// Fsyncs a directory so freshly created (or renamed) entries survive a
@@ -958,6 +875,45 @@ mod tests {
         assert!(!rescan.truncated_tail);
         assert_eq!(rescan.records.len(), surviving + 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bad_segment_header_stops_the_scan_and_open_rewrites_it() {
+        // Two shapes of a damaged header on the newest segment: the magic
+        // flipped, and a sequence number naming another segment.
+        for (at, flip) in [(0, 0x01), (8, 0x40)] {
+            let dir = temp_dir("bad-header");
+            {
+                let wal = WalWriter::open(&dir, DurabilityMode::Buffered, 64).unwrap();
+                for i in 0..3u32 {
+                    wal.append_and_flush(&[write_rec(i, 0, &[2u8; 48])])
+                        .unwrap();
+                }
+            }
+            // The newest segment holds a record too.
+            let wal = WalWriter::open(&dir, DurabilityMode::Buffered, 8 << 20).unwrap();
+            wal.append_and_flush(&[write_rec(3, 0, b"last")]).unwrap();
+            drop(wal);
+            let (seq, path) = list_segments(&dir).unwrap().pop().unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[at] ^= flip;
+            std::fs::write(&path, &bytes).unwrap();
+            let scan = scan_log(&dir).unwrap();
+            assert!(scan.truncated_tail);
+            assert_eq!((scan.last_segment, scan.valid_len), (Some(seq), 0));
+            assert_eq!(scan.records.len(), 3, "only the earlier segments count");
+            // Open rewrites the header, so what it appends is readable.
+            let wal = WalWriter::open(&dir, DurabilityMode::Buffered, 8 << 20).unwrap();
+            wal.append_and_flush(&[write_rec(9, 0, b"after-heal")])
+                .unwrap();
+            let rescan = scan_log(&dir).unwrap();
+            assert!(!rescan.truncated_tail);
+            assert_eq!(
+                rescan.records.iter().map(|r| r.lsn).collect::<Vec<_>>(),
+                vec![0, 1, 2, 3]
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Offset of the first payload byte after a segment header.

@@ -20,11 +20,16 @@
 //! A second pass flips bits across the tail instead of truncating,
 //! checking the CRC rejects in-place corruption the same way.
 //!
+//! Both readers of the log go through one segment walk, and every
+//! artifact checks that they agree: tailing it from the origin until the
+//! tailer parks or errors delivers exactly the records the scan returns.
+//!
 //! These loops run a few thousand full recoveries, so they are
 //! `#[ignore]`d in debug builds; the CI release-test job runs them.
 
 use mvcc_repro::durability::{
-    list_segments, recover, scan_log, DurabilityConfig, DurabilityMode, RecoveryOptions, WalRecord,
+    list_segments, read_tail, recover, scan_log, DurabilityConfig, DurabilityMode, RecoveryOptions,
+    WalCursor, WalRecord,
 };
 use mvcc_repro::engine::load::drive_closed_loop;
 use mvcc_repro::engine::{CertifierKind, Engine, EngineConfig, Session};
@@ -165,6 +170,22 @@ fn assert_sound(
         state.admitted[..],
         full_admitted[..state.admitted.len()],
         "{context}: admitted history diverged"
+    );
+    // One reader, two stop policies: the live tailer delivers exactly the
+    // at-rest scan's records before it parks or errors.
+    let mut cursor = WalCursor::origin();
+    let mut tailed = Vec::new();
+    while let Ok(batch) = read_tail(dir, &mut cursor, 1) {
+        let parked = batch.caught_up;
+        tailed.extend(batch.records);
+        if parked {
+            break;
+        }
+    }
+    assert_eq!(
+        tailed,
+        scan_log(dir).unwrap().records,
+        "{context}: the tailer and the scan disagree"
     );
 }
 
