@@ -24,10 +24,14 @@
 //! Within an entity's run an earlier step puts an arc from its transaction
 //! to a later step's, never to itself, when the pair conflicts under a
 //! [`Rule`].  Up to 64 transactions one sweep of each run yields the `u64`
-//! predecessor masks of all three rules, and acyclicity is decided on them;
-//! beyond, the arcs of the one rule asked are enumerated pair by pair for
-//! Kahn's in-degree pass.  The labelled graphs (`conflict_graph`,
-//! `mv_conflict_graph`) and the witnesses read the same arcs.
+//! predecessor masks of all three rules, and Kahn's pass removes the nodes
+//! left without a predecessor from them round by round; beyond, the arcs of
+//! the one rule asked are enumerated pair by pair for Kahn's in-degree
+//! pass.  Either way the pass returns the order it removed the nodes in:
+//! all of them iff the graph is acyclic, and then a topological order,
+//! which the MVSR test checks as a candidate serialization.  The labelled
+//! graphs (`conflict_graph`, `mv_conflict_graph`) and the witnesses read
+//! the same arcs.
 
 use mvcc_core::{EntityId, Schedule, TxId};
 use mvcc_graph::{DiGraph, NodeId};
@@ -428,10 +432,13 @@ impl DenseSchedule {
         })
     }
 
-    /// Whether the graph of `rule`'s arcs is acyclic; `None` when
+    /// Kahn's pass over the graph of `rule`'s arcs: the transactions (dense
+    /// numbers) in the order it removes them, every one of them iff the
+    /// graph is acyclic — then a topological order.  `None` when
     /// [`Rule::Patched`] meets a transaction writing an entity twice.
-    pub(crate) fn acyclic(&self, rule: Rule) -> Option<bool> {
+    pub(crate) fn removal_order(&self, rule: Rule) -> Option<Vec<u32>> {
         let n = self.txs();
+        let mut order = Vec::with_capacity(n);
         if n <= 64 {
             let masks = self.masks();
             if rule == Rule::Patched && masks.rewrites {
@@ -448,6 +455,7 @@ impl DenseSchedule {
                     rest &= rest - 1;
                     if masks.preds[v as usize][k] & left == 0 {
                         free |= 1 << v;
+                        order.push(v);
                     }
                 }
                 if free == 0 {
@@ -455,7 +463,7 @@ impl DenseSchedule {
                 }
                 left &= !free;
             }
-            return Some(left == 0);
+            return Some(order);
         }
         let mut arcs: Vec<(u32, u32)> = Vec::new();
         if !self.for_each_arc(rule, |from, to| arcs.push((from.node, to.node))) {
@@ -479,9 +487,8 @@ impl DenseSchedule {
         let mut ready: Vec<u32> = (0..n as u32)
             .filter(|&v| in_degree[v as usize] == 0)
             .collect();
-        let mut removed = 0;
         while let Some(v) = ready.pop() {
-            removed += 1;
+            order.push(v);
             for &to in &succ[first[v as usize]..first[v as usize + 1]] {
                 in_degree[to as usize] -= 1;
                 if in_degree[to as usize] == 0 {
@@ -489,7 +496,15 @@ impl DenseSchedule {
                 }
             }
         }
-        Some(removed == n)
+        Some(order)
+    }
+
+    /// Whether the graph of `rule`'s arcs is acyclic: Kahn's pass removes
+    /// every transaction ([`DenseSchedule::removal_order`]).  `None` when
+    /// [`Rule::Patched`] meets a transaction writing an entity twice.
+    pub(crate) fn acyclic(&self, rule: Rule) -> Option<bool> {
+        self.removal_order(rule)
+            .map(|order| order.len() == self.txs())
     }
 }
 

@@ -20,7 +20,8 @@
 //! every other step, so it conflicts with the same later writes).
 //!
 //! * MVCSR ⊆ MVSR always (Theorem 3: a topological order of the MVCG serves
-//!   every read an earlier write).
+//!   every read an earlier write — argued in [`crate::mvsr`], whose test
+//!   checks that order before it searches).
 //! * Conversely, let the serial order `r` serialize a restricted-model,
 //!   writes-once schedule and suppose `R_i(x)` precedes `W_j(x)` although
 //!   `T_j <_r T_i`.  Take `T_i`'s *first* read `R` of `x`: it has no own

@@ -34,7 +34,10 @@
 //! cross-validation.  The three polynomial tests decide acyclicity of the
 //! conflict arcs on bitmasks — one sweep yields all three rules' masks — or
 //! by Kahn's pass beyond 64 transactions; the labelled graphs read the same
-//! arcs.  [`taxonomy`] combines the classifiers into the region map of the
+//! arcs.  Before it searches, MVSR checks the MVCG's topological order
+//! (Theorem 3's certificate) against its own definition in one pass over
+//! the reads, which settles every MVCSR schedule without a search node.
+//! [`taxonomy`] combines the classifiers into the region map of the
 //! paper's Figure 1, and [`swaps`] provides the swap-characterisation of
 //! MVCSR (Theorem 2).
 //!

@@ -74,11 +74,17 @@ impl fmt::Display for Classification {
 /// Classifies `schedule` with respect to every class of the paper.
 ///
 /// CSR and MVCSR use the polynomial graph tests, and so does DMVSR unless a
-/// transaction writes an entity twice (see [`crate::dmvsr`]); VSR and MVSR
-/// use the exact (exponential worst-case) search — keep schedules small,
-/// exactly as in the paper's examples and reductions.
+/// transaction writes an entity twice (see [`crate::dmvsr`]).  MVSR checks
+/// the MVCG's topological order as a serialization in one pass over the
+/// reads, which settles every MVCSR schedule (Theorem 3, see
+/// [`crate::mvsr`]); VSR and the rest of MVSR use the exact (exponential
+/// worst-case) search — keep schedules small, exactly as in the paper's
+/// examples and reductions.
 pub fn classify(schedule: &Schedule) -> Classification {
-    // One index for all six tests; each verdict is still its own test.
+    // One index for all six tests; each verdict is still its own test.  The
+    // MVCSR test's Kahn pass is MVSR's candidate order, but MVSR checks it
+    // against its own definition and searches when it fails: no verdict is
+    // derived from another.
     let dense = DenseSchedule::of(schedule);
     Classification {
         serial: dense.serial,

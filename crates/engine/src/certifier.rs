@@ -96,10 +96,11 @@ pub enum HistoryClass {
 
 impl HistoryClass {
     /// Checks a committed history against the class with the offline
-    /// `mvcc-classify` checkers.  [`HistoryClass::Mvsr`] runs the exact
-    /// NP-complete search — keep such histories small.
-    /// [`HistoryClass::SnapshotIsolation`] claims nothing and always
-    /// passes.
+    /// `mvcc-classify` checkers.  [`HistoryClass::Mvsr`] decides an MVCSR
+    /// history by the MVCG test plus one pass over its reads, which checks
+    /// the MVCG's topological order as a serialization; any other history
+    /// runs the exact NP-complete search, so keep those small.  [`HistoryClass::SnapshotIsolation`] claims
+    /// nothing and always passes.
     pub fn check(&self, history: &Schedule) -> bool {
         match self {
             HistoryClass::Csr => mvcc_classify::is_csr(history),
