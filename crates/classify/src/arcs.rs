@@ -9,29 +9,31 @@
 //! and kept in the same `DenseSchedule`:
 //!
 //! * the three rules' predecessor masks (up to 64 transactions), for CSR,
-//!   MVCSR (Theorem 1) and DMVSR;
+//!   MVCSR (Theorem 1) and DMVSR, and two more rows, the [`Forced`] arcs
+//!   every serialization respects, on which VSR and MVSR refute before
+//!   they search;
 //! * the search tables ([`Tables`]) for the serialization search of VSR and
 //!   MVSR ([`crate::serialization`]): per transaction its reads — each with
 //!   `own`, its `avail` mask and its *standard source*, the last writer
 //!   before it — and its first writes, and per entity the standard final
-//!   writer and the mask of its writers.
+//!   writer and the mask of its writers.  Only a search builds them.
 //!
 //! A standalone test pays for what it reads; [`crate::taxonomy::classify`]
 //! builds one `DenseSchedule` for all six verdicts, so the runs, the masks
-//! and the tables are built once per call.  Nothing on the decision path
-//! hashes, formats a label or builds a [`DiGraph`].
+//! and the tables are built at most once per call.  Nothing on the
+//! decision path hashes, formats a label or builds a [`DiGraph`].
 //!
 //! Within an entity's run an earlier step puts an arc from its transaction
 //! to a later step's, never to itself, when the pair conflicts under a
 //! [`Rule`].  Up to 64 transactions one sweep of each run yields the `u64`
-//! predecessor masks of all three rules, and Kahn's pass removes the nodes
-//! left without a predecessor from them round by round; beyond, the arcs of
-//! the one rule asked are enumerated pair by pair for Kahn's in-degree
-//! pass.  Either way the pass returns the order it removed the nodes in:
-//! all of them iff the graph is acyclic, and then a topological order,
-//! which the MVSR test checks as a candidate serialization.  The labelled
-//! graphs (`conflict_graph`, `mv_conflict_graph`) and the witnesses read
-//! the same arcs.
+//! predecessor masks of all three rules and the forced rows, and Kahn's
+//! pass removes the nodes left without a predecessor from them round by
+//! round; beyond, the arcs of the one rule asked are enumerated pair by
+//! pair for Kahn's in-degree pass.  Either way the pass returns the order
+//! it removed the nodes in: all of them iff the graph is acyclic, and then
+//! a topological order, which the MVSR test checks as a candidate
+//! serialization on the runs.  The labelled graphs (`conflict_graph`,
+//! `mv_conflict_graph`) and the witnesses read the same arcs.
 
 use mvcc_core::{EntityId, Schedule, TxId};
 use mvcc_graph::{DiGraph, NodeId};
@@ -55,15 +57,29 @@ pub(crate) enum Rule {
     Patched,
 }
 
+/// Arcs every serialization must respect, whatever else it does: the
+/// fixed arcs a search adds before its first node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Forced {
+    /// MVSR's: a read that no write of its entity precedes, which only the
+    /// initial version can serve, puts its reader before every other writer
+    /// of the entity.
+    Mvsr,
+    /// VSR's, the fixed arcs of \[P79\]'s polygraph: MVSR's, plus each
+    /// read's standard source before its reader, plus every other writer of
+    /// an entity before the entity's final writer.
+    Vsr,
+}
+
 /// One step, as the index sees it.
 #[derive(Debug, Clone, Copy)]
-struct Access {
-    entity: EntityId,
+pub(crate) struct Access {
+    pub(crate) entity: EntityId,
     /// Position in the schedule.
-    pos: u32,
+    pub(crate) pos: u32,
     /// Dense number of the step's transaction.
-    node: u32,
-    write: bool,
+    pub(crate) node: u32,
+    pub(crate) write: bool,
 }
 
 /// One read step, as the search sees it.
@@ -146,13 +162,43 @@ impl Tables {
     }
 }
 
-/// Up to 64 transactions: the predecessor masks of the three rules.
+/// Up to 64 transactions: the predecessor masks of the three rules and of
+/// the forced arcs.
 struct Masks {
     /// Per transaction, its predecessors under [`Rule::Sv`], [`Rule::Mv`]
-    /// and [`Rule::Patched`].
-    preds: Vec<[u64; 3]>,
+    /// and [`Rule::Patched`], then under [`Forced::Mvsr`] and
+    /// [`Forced::Vsr`].
+    preds: Vec<[u64; 5]>,
     /// Whether some transaction writes an entity twice.
     rewrites: bool,
+    /// Whether some read follows its transaction's own write of the entity
+    /// but its standard source is another transaction's: serially the read
+    /// sees the own write, so no serial order gives it its standard source.
+    own_elsewhere: bool,
+}
+
+/// Kahn's pass on masks over the `n ≤ 64` nodes whose predecessors `pred`
+/// gives: removes the nodes left without a remaining predecessor, round by
+/// round, calling `removed` on each, and returns the nodes it could not
+/// remove — a cycle is what is left when no node can go.
+fn peel(n: usize, pred: impl Fn(usize) -> u64, mut removed: impl FnMut(u32)) -> u64 {
+    let mut left = if n == 64 { u64::MAX } else { (1 << n) - 1 };
+    while left != 0 {
+        let (mut rest, mut free) = (left, 0);
+        while rest != 0 {
+            let v = rest.trailing_zeros();
+            rest &= rest - 1;
+            if pred(v as usize) & left == 0 {
+                free |= 1 << v;
+                removed(v);
+            }
+        }
+        if free == 0 {
+            break;
+        }
+        left &= !free;
+    }
+    left
 }
 
 /// Transaction id → dense number: open addressing with linear probing, at
@@ -277,7 +323,7 @@ impl DenseSchedule {
     }
 
     /// The runs of the entities, in ascending entity order.
-    fn runs(&self) -> impl Iterator<Item = &[Access]> {
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &[Access]> {
         let mut rest = &self.accesses[..];
         std::iter::from_fn(move || {
             let entity = rest.first()?.entity;
@@ -285,6 +331,12 @@ impl DenseSchedule {
             rest = tail;
             Some(run)
         })
+    }
+
+    /// Whether the search tables have been built.
+    #[cfg(test)]
+    pub(crate) fn tables_built(&self) -> bool {
+        self.tables.get().is_some()
     }
 
     /// The search tables, built from the runs on first use: one counting
@@ -398,15 +450,19 @@ impl DenseSchedule {
         true
     }
 
-    /// Up to 64 transactions: the predecessor masks of all three rules, in
-    /// one sweep of each run that keeps the transactions seen so far, the
-    /// writers, the readers and the patched readers.
+    /// Up to 64 transactions: the predecessor masks of all three rules and
+    /// of the forced arcs, in one sweep of each run that keeps the
+    /// transactions seen so far, the writers, the readers, the patched
+    /// readers, the readers no write precedes and the last writer.
     fn masks(&self) -> &Masks {
         self.masks.get_or_init(|| {
-            let mut preds = vec![[0u64; 3]; self.txs()];
-            let mut rewrites = false;
+            let mut preds = vec![[0u64; 5]; self.txs()];
+            let (mut rewrites, mut own_elsewhere) = (false, false);
             for run in self.runs() {
                 let (mut seen, mut writers, mut readers, mut patched) = (0u64, 0u64, 0u64, 0u64);
+                // The readers only the initial version can serve.
+                let mut initial = 0u64;
+                let mut last = NONE;
                 for step in run {
                     let me = 1u64 << step.node;
                     let pred = &mut preds[step.node as usize];
@@ -414,8 +470,13 @@ impl DenseSchedule {
                         pred[0] |= seen & !me;
                         pred[1] |= readers & !me;
                         pred[2] |= patched & !me;
+                        // No write precedes those readers, so they are all
+                        // in by the run's first write.
+                        pred[3] |= initial & !me;
+                        pred[4] |= initial & !me;
                         rewrites |= writers & me != 0;
                         writers |= me;
+                        last = step.node;
                         // The patching's read, right before a first access.
                         if seen & me == 0 {
                             patched |= me;
@@ -424,12 +485,56 @@ impl DenseSchedule {
                         pred[0] |= writers & !me;
                         readers |= me;
                         patched |= me;
+                        if last == NONE {
+                            initial |= me;
+                        } else if writers & me == 0 {
+                            // The standard source precedes the reader.
+                            pred[4] |= 1 << last;
+                        } else {
+                            own_elsewhere |= last != step.node;
+                        }
                     }
                     seen |= me;
                 }
+                // Under VSR every other writer precedes the final writer.
+                if last != NONE {
+                    preds[last as usize][4] |= writers & !(1 << last);
+                }
             }
-            Masks { preds, rewrites }
+            Masks {
+                preds,
+                rewrites,
+                own_elsewhere,
+            }
         })
+    }
+
+    /// Whether the [`Forced`] arcs refute every serial order up to 64
+    /// transactions: they close a cycle, or, for VSR, a read's standard
+    /// source is not its transaction's own earlier write.  Beyond 64 it
+    /// answers `false` and leaves the question to the search, whose
+    /// precedence check adds the same arcs.
+    pub(crate) fn refuted_by(&self, forced: Forced) -> bool {
+        let n = self.txs();
+        if n > 64 {
+            return false;
+        }
+        let masks = self.masks();
+        let k = 3 + forced as usize;
+        forced == Forced::Vsr && masks.own_elsewhere || peel(n, |v| masks.preds[v][k], |_| {}) != 0
+    }
+
+    /// Up to 64 transactions: Kahn's pass on the masks of `rule`, calling
+    /// `removed` on each node it removes, and the nodes it could not
+    /// remove.  `None` when [`Rule::Patched`] meets a transaction writing
+    /// an entity twice.
+    fn peel_masks(&self, rule: Rule, removed: impl FnMut(u32)) -> Option<u64> {
+        let masks = self.masks();
+        if rule == Rule::Patched && masks.rewrites {
+            return None;
+        }
+        let k = rule as usize;
+        Some(peel(self.txs(), |v| masks.preds[v][k], removed))
     }
 
     /// Kahn's pass over the graph of `rule`'s arcs: the transactions (dense
@@ -440,30 +545,7 @@ impl DenseSchedule {
         let n = self.txs();
         let mut order = Vec::with_capacity(n);
         if n <= 64 {
-            let masks = self.masks();
-            if rule == Rule::Patched && masks.rewrites {
-                return None;
-            }
-            let k = rule as usize;
-            // Remove the nodes left without a remaining predecessor, round by
-            // round; a cycle is what is left when no node can go.
-            let mut left = if n == 64 { u64::MAX } else { (1 << n) - 1 };
-            while left != 0 {
-                let (mut rest, mut free) = (left, 0);
-                while rest != 0 {
-                    let v = rest.trailing_zeros();
-                    rest &= rest - 1;
-                    if masks.preds[v as usize][k] & left == 0 {
-                        free |= 1 << v;
-                        order.push(v);
-                    }
-                }
-                if free == 0 {
-                    break;
-                }
-                left &= !free;
-            }
-            return Some(order);
+            return self.peel_masks(rule, |v| order.push(v)).map(|_| order);
         }
         let mut arcs: Vec<(u32, u32)> = Vec::new();
         if !self.for_each_arc(rule, |from, to| arcs.push((from.node, to.node))) {
@@ -500,9 +582,13 @@ impl DenseSchedule {
     }
 
     /// Whether the graph of `rule`'s arcs is acyclic: Kahn's pass removes
-    /// every transaction ([`DenseSchedule::removal_order`]).  `None` when
-    /// [`Rule::Patched`] meets a transaction writing an entity twice.
+    /// every transaction ([`DenseSchedule::removal_order`]; on the masks
+    /// without keeping the order).  `None` when [`Rule::Patched`] meets a
+    /// transaction writing an entity twice.
     pub(crate) fn acyclic(&self, rule: Rule) -> Option<bool> {
+        if self.txs() <= 64 {
+            return self.peel_masks(rule, |_| {}).map(|left| left == 0);
+        }
         self.removal_order(rule)
             .map(|order| order.len() == self.txs())
     }

@@ -16,11 +16,11 @@
 //! Every test reads one dense index of the schedule: transactions numbered
 //! by first appearance, entities in ascending order, each entity's steps
 //! one sorted run, and — derived from the runs when a test first needs
-//! them — the conflict masks and the search tables (each transaction's
-//! reads with their standard sources, its first writes, each entity's
-//! final writer).  A standalone `is_*` builds the index and runs its one
-//! test; [`taxonomy::classify`] builds it once and runs all six tests on it,
-//! each verdict still its own test.
+//! them — the conflict masks and, only for a search, the search tables
+//! (each transaction's reads with their standard sources, its first
+//! writes, each entity's final writer).  A standalone `is_*` builds the
+//! index and runs its one test; [`taxonomy::classify`] builds it once and
+//! runs all six tests on it, each verdict still its own test.
 //!
 //! The NP-complete classifiers are clients of one exact pruned search over
 //! serial orders ([`serialization`]): MVSR with nothing required, VSR with
@@ -35,8 +35,12 @@
 //! conflict arcs on bitmasks — one sweep yields all three rules' masks — or
 //! by Kahn's pass beyond 64 transactions; the labelled graphs read the same
 //! arcs.  Before it searches, MVSR checks the MVCG's topological order
-//! (Theorem 3's certificate) against its own definition in one pass over
-//! the reads, which settles every MVCSR schedule without a search node.
+//! (Theorem 3's certificate) against its own definition on the entity
+//! runs, which settles every MVCSR schedule without a search node.  Up to
+//! 64 transactions VSR and MVSR then refute on the masks of their forced
+//! arcs — the precedence edges their search would cycle-check before its
+//! first node — so most schedules outside either class never build a
+//! search.
 //! [`taxonomy`] combines the classifiers into the region map of the
 //! paper's Figure 1, and [`swaps`] provides the swap-characterisation of
 //! MVCSR (Theorem 2).

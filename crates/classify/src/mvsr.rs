@@ -14,62 +14,82 @@
 //! `T_k` of `x` before `T_i` in the order, and were all of `T_k`'s writes of
 //! `x` after `R_i(x)`, the MVCG would have the arc `T_i → T_k`.  The verdict
 //! does not take that on trust: the candidate is checked against the
-//! definition, and only a passing check answers `true`.  Otherwise — the
-//! MVCG is cyclic, or the candidate failed — the exact search over serial
-//! orders with pruning decides (see [`crate::serialization`]).
+//! definition on the entity runs, and only a passing check answers `true`.
+//! Otherwise — the MVCG is cyclic, or the candidate failed — up to 64
+//! transactions the forced arcs refute when they close a cycle: a read that
+//! no write of its entity precedes can only be served the initial version,
+//! so its reader precedes every other writer of the entity in every
+//! serialization.  Those are the edges the search would cycle-check before
+//! its first node.  What is left, the exact search over serial orders with
+//! pruning decides (see [`crate::serialization`]).
 //! [`mvsr_witness`] and [`all_serializations`] always search, and return
 //! complete witnesses — the serial order *and* the version function.
 
-use crate::arcs::{DenseSchedule, Rule, NONE};
+use crate::arcs::{DenseSchedule, Forced, Rule, NONE};
 use crate::serialization::{serial_orders, serializations, Required, SerialReadFroms};
 use mvcc_core::{Schedule, TxId, VersionFunction};
 
 /// `true` iff `schedule` is multiversion serializable: the MVCG's
-/// topological order serves every read, or the search with nothing
-/// required finds a serial order (the witness's read-from assignment is
-/// only spelled out by [`mvsr_witness`]).
+/// topological order serves every read, or the forced arcs close no cycle
+/// and the search with nothing required finds a serial order (the
+/// witness's read-from assignment is only spelled out by [`mvsr_witness`]).
 pub fn is_mvsr(schedule: &Schedule) -> bool {
     decide(&DenseSchedule::of(schedule))
 }
 
 /// The MVSR test on a schedule's dense index: the MVCG's removal order as a
-/// certificate, then the search.
+/// certificate, then the forced arcs as a refutation, then the search.
 pub(crate) fn decide(dense: &DenseSchedule) -> bool {
-    dense
+    if dense
         .removal_order(Rule::Mv)
         .is_some_and(|order| serves_every_read(dense, &order))
-        || !serial_orders(dense, Required::Nothing, Some(1)).is_empty()
+    {
+        return true;
+    }
+    !dense.refuted_by(Forced::Mvsr) && !serial_orders(dense, Required::Nothing, Some(1)).is_empty()
 }
 
 /// Whether `order` (dense numbers) is a serialization: it holds every
 /// transaction, and run serially it serves each read a version that is
 /// available at the read's position in the schedule.  A read after its
 /// transaction's own write of the entity sees that write in any order;
-/// any other read sees the entity's last writer placed before its
-/// transaction, which serves it if it is the initial version or its first
-/// write of the entity precedes the read.
+/// any other read sees the writer of the entity ranked last before its
+/// transaction in `order`, which serves it if there is none (the initial
+/// version) or its first write of the entity precedes the read.  Checked
+/// on the entity runs: per run the writers sorted by rank, each with its
+/// first write's position, and a binary search per read — O(k log k) for a
+/// run of k steps.
 fn serves_every_read(dense: &DenseSchedule, order: &[u32]) -> bool {
     if order.len() != dense.txs() {
         return false;
     }
-    let tables = dense.tables();
-    let mut last_writer = vec![NONE; tables.entities()];
-    for &t in order {
-        let t = t as usize;
-        for read in &tables.reads[tables.reads_of(t)] {
-            let last = last_writer[read.entity as usize];
-            if !read.own
-                && last != NONE
-                && !tables.first_write_before(last as usize, read.entity, read.pos)
-            {
-                return false;
-            }
-        }
-        for write in tables.writes_of(t) {
-            last_writer[write.entity as usize] = t as u32;
-        }
+    let mut rank = vec![NONE; order.len()];
+    for (k, &t) in order.iter().enumerate() {
+        rank[t as usize] = k as u32;
     }
-    true
+    if rank.contains(&NONE) {
+        return false;
+    }
+    // `(rank, first write's position)` of each writer of the run's entity.
+    let mut writers: Vec<(u32, u32)> = Vec::new();
+    dense.runs().all(|run| {
+        writers.clear();
+        writers.extend(
+            run.iter()
+                .filter(|step| step.write)
+                .map(|step| (rank[step.node as usize], step.pos)),
+        );
+        writers.sort_unstable();
+        writers.dedup_by_key(|writer| writer.0);
+        run.iter().filter(|step| !step.write).all(|read| {
+            let r = rank[read.node as usize];
+            let k = writers.partition_point(|writer| writer.0 < r);
+            let own = writers
+                .get(k)
+                .is_some_and(|&(w, pos)| w == r && pos < read.pos);
+            own || k == 0 || writers[k - 1].1 < read.pos
+        })
+    })
 }
 
 /// Returns a witness of MVSR membership: a serial order and a version

@@ -1193,6 +1193,7 @@ impl SearchEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arcs::Forced;
     use mvcc_core::{EntityId, Schedule};
 
     #[test]
@@ -1471,6 +1472,132 @@ mod tests {
             has_serialization_extending_budgeted(&s, &nothing, 16),
             Some(true)
         );
+    }
+
+    /// A random interleaving of `txns` transactions of `steps` steps each
+    /// over `entities` entities, drawn from the xorshift stream `state`
+    /// (the shape of `tests/theorems.rs`'s `dense_random_schedule`): reads
+    /// and writes equally likely, or, with `reads_lead`, nine steps in ten
+    /// of the first half reads and one in ten of the second half.
+    fn dense_random_schedule(
+        state: &mut u64,
+        txns: usize,
+        steps: usize,
+        entities: u32,
+        reads_lead: bool,
+    ) -> Schedule {
+        let mut next = |bound: usize| {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            (*state % bound as u64) as usize
+        };
+        let mut left = vec![steps; txns];
+        let mut out = Vec::with_capacity(txns * steps);
+        while out.len() < txns * steps {
+            let t = next(txns);
+            if left[t] == 0 {
+                continue;
+            }
+            left[t] -= 1;
+            let (tx, entity) = (TxId(t as u32 + 1), EntityId(next(entities as usize) as u32));
+            let reads_in_ten = match (reads_lead, 2 * out.len() < txns * steps) {
+                (false, _) => 5,
+                (true, true) => 9,
+                (true, false) => 1,
+            };
+            out.push(if next(10) < reads_in_ten {
+                mvcc_core::Step::read(tx, entity)
+            } else {
+                mvcc_core::Step::write(tx, entity)
+            });
+        }
+        Schedule::from_steps(out)
+    }
+
+    #[test]
+    fn the_forced_arcs_refute_exactly_where_the_search_is_infeasible() {
+        // The benchmark's seed-1 corpus, every interleaving of small
+        // systems (a plain one, one writing an entity twice, ones reading
+        // their own writes), and dense random schedules on both sides of
+        // the masks' 64 transactions.
+        let corpus = mvcc_workload::random_interleavings(
+            &mvcc_workload::WorkloadConfig {
+                transactions: 8,
+                steps_per_transaction: 4,
+                entities: 8,
+                read_ratio: 0.5,
+                zipf_theta: 0.0,
+                seed: 1u64.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            },
+            3000,
+        );
+        let mut others = Vec::new();
+        for system in [
+            "Ra(x) Wa(x) Ra(y) Wa(y) Rb(x) Rb(y) Wb(y)",
+            "Ra(x) Wa(y) Rb(y) Wb(x) Wc(y)",
+            "Ra(x) Wa(y) Rb(y) Wb(x) Wc(x)",
+            "Rb(x) Rb(y) Wb(x) Wb(x) Ra(x) Ra(y) Wa(y)",
+            "Wa(x) Ra(x) Wa(y) Rb(y) Wb(x) Rc(x)",
+        ] {
+            let sys = Schedule::parse(system).unwrap().tx_system();
+            others.extend(Schedule::all_interleavings(&sys));
+        }
+        // At 64 and 65 transactions, where a search that has to refute can
+        // take millions of nodes: over 512 entities most schedules are MVSR
+        // and VSR; over 8 entities with the reads leading, forced arcs
+        // refute nearly all of them.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for (txns, entities, reads_lead, cases) in [
+            (8, 3, false, 300),
+            (8, 3, true, 300),
+            (64, 512, false, 40),
+            (64, 512, true, 40),
+            (64, 8, true, 40),
+            (65, 512, false, 40),
+            (65, 512, true, 40),
+            (65, 8, true, 40),
+        ] {
+            for _ in 0..cases {
+                others.push(dense_random_schedule(
+                    &mut state, txns, 4, entities, reads_lead,
+                ));
+            }
+        }
+        // Per test: refuted on the masks, out of the schedules not in the
+        // class, over the corpus.
+        let mut corpus_counts = [(0, 0); 2];
+        for (k, s) in corpus.iter().chain(&others).enumerate() {
+            for (t, (forced, required)) in [
+                (Forced::Mvsr, Required::Nothing),
+                (Forced::Vsr, Required::Standard),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let dense = DenseSchedule::of(s);
+                let refuted = dense.refuted_by(forced);
+                let infeasible = SearchEngine::new(&dense, required, Some(1)).infeasible;
+                if dense.txs() <= 64 {
+                    assert_eq!(refuted, infeasible, "{forced:?} on {s}");
+                } else {
+                    assert!(!refuted, "{forced:?} on {s}");
+                }
+                let searched = !serial_orders(&dense, required, Some(1)).is_empty();
+                let fresh = DenseSchedule::of(s);
+                let decided = match forced {
+                    Forced::Mvsr => crate::mvsr::decide(&fresh),
+                    Forced::Vsr => crate::vsr::decide(&fresh),
+                };
+                assert_eq!(decided, searched, "{forced:?} on {s}");
+                if k < corpus.len() && !searched {
+                    corpus_counts[t].0 += usize::from(refuted);
+                    corpus_counts[t].1 += 1;
+                }
+            }
+        }
+        // MVSR: 792 of the 878 not MVSR; VSR: 2 990 of the 2 998 not VSR.
+        assert_eq!(corpus_counts, [(792, 878), (2990, 2998)]);
     }
 
     #[test]

@@ -75,24 +75,30 @@ impl fmt::Display for Classification {
 ///
 /// CSR and MVCSR use the polynomial graph tests, and so does DMVSR unless a
 /// transaction writes an entity twice (see [`crate::dmvsr`]).  MVSR checks
-/// the MVCG's topological order as a serialization in one pass over the
-/// reads, which settles every MVCSR schedule (Theorem 3, see
-/// [`crate::mvsr`]); VSR and the rest of MVSR use the exact (exponential
-/// worst-case) search — keep schedules small, exactly as in the paper's
+/// the MVCG's topological order as a serialization on the entity runs,
+/// which settles every MVCSR schedule (Theorem 3, see [`crate::mvsr`]).
+/// VSR and the rest of MVSR first refute on the conflict masks where their
+/// forced arcs close a cycle (up to 64 transactions), and only then use
+/// the exact (exponential worst-case) search, which alone builds the
+/// search tables — keep schedules small, exactly as in the paper's
 /// examples and reductions.
 pub fn classify(schedule: &Schedule) -> Classification {
     // One index for all six tests; each verdict is still its own test.  The
     // MVCSR test's Kahn pass is MVSR's candidate order, but MVSR checks it
     // against its own definition and searches when it fails: no verdict is
     // derived from another.
-    let dense = DenseSchedule::of(schedule);
+    classify_on(schedule, &DenseSchedule::of(schedule))
+}
+
+/// The six verdicts on `schedule` and its dense index.
+fn classify_on(schedule: &Schedule, dense: &DenseSchedule) -> Classification {
     Classification {
         serial: dense.serial,
-        csr: csr::decide(&dense),
-        vsr: vsr::decide(&dense),
-        mvcsr: mvcsr::decide(&dense),
-        mvsr: mvsr::decide(&dense),
-        dmvsr: dmvsr::decide(schedule, &dense),
+        csr: csr::decide(dense),
+        vsr: vsr::decide(dense),
+        mvcsr: mvcsr::decide(dense),
+        mvsr: mvsr::decide(dense),
+        dmvsr: dmvsr::decide(schedule, dense),
     }
 }
 
@@ -231,6 +237,56 @@ mod tests {
             assert_eq!(format!("{region:?}"), name);
             assert_eq!(Figure1Region::all()[region as usize], region);
         }
+    }
+
+    #[test]
+    fn only_a_search_builds_the_search_tables() {
+        use crate::arcs::Forced;
+        use crate::serialization::search_nodes;
+        let corpus = mvcc_workload::random_interleavings(
+            &mvcc_workload::WorkloadConfig {
+                transactions: 8,
+                steps_per_transaction: 4,
+                entities: 8,
+                read_ratio: 0.5,
+                zipf_theta: 0.0,
+                seed: 1u64.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            },
+            500,
+        );
+        // Schedules built the tables for: all, MvcsrNotSr, refuted by
+        // MVSR's forced arcs; and the non-VSR ones, refuted by VSR's.
+        let mut built = [(0, 0); 3];
+        let mut vsr_refuted = (0, 0);
+        for s in &corpus {
+            let dense = DenseSchedule::of(s);
+            let mut c = None;
+            let nodes = search_nodes(|| c = Some(classify_on(s, &dense)));
+            let c = c.unwrap();
+            // A search visits its root, and nothing else builds the tables.
+            let tables = dense.tables_built();
+            assert_eq!(tables, nodes > 0, "schedule {s}");
+            let kinds = [
+                true,
+                c.region() == Figure1Region::MvcsrNotSr,
+                dense.refuted_by(Forced::Mvsr),
+            ];
+            for (count, kind) in built.iter_mut().zip(kinds) {
+                if kind {
+                    count.0 += usize::from(tables);
+                    count.1 += 1;
+                }
+            }
+            if !c.vsr {
+                vsr_refuted.0 += usize::from(dense.refuted_by(Forced::Vsr));
+                vsr_refuted.1 += 1;
+            }
+        }
+        assert_eq!(vsr_refuted, (499, 500));
+        // None of the 500 is VSR, and VSR's forced arcs refute all but one.
+        // That one is MVCSR: the one MvcsrNotSr schedule built for, where
+        // the VSR search refutes.
+        assert_eq!(built, [(163, 500), (1, 189), (0, 149)]);
     }
 
     #[test]

@@ -10,14 +10,21 @@
 //!   nothing required, here with every read pinned to the schedule's
 //!   *standard* source and every entity's final writer pinned to the
 //!   schedule's, so the precedence edges, the cycle check and the forward
-//!   check of that search do the pruning;
+//!   check of that search do the pruning.  Up to 64 transactions the
+//!   cycle check runs first on the conflict masks, without the search:
+//!   the forced arcs (each read's standard source before its reader, a
+//!   reader no write precedes before every other writer, every other
+//!   writer before the final writer) closing a cycle, or a read after its
+//!   own write whose standard source is another transaction, refute the
+//!   schedule — exactly where the search would refute before its first
+//!   node;
 //! * [`vsr_polygraph`] / [`is_vsr_polygraph`]: the polygraph formulation of
 //!   \[P79\] (one choice per read-from/interfering-writer pair), solved with
 //!   the exact polygraph solver of `mvcc-graph`.  The two share no code and
 //!   agree on every input; the test-suite cross-checks them, and both
 //!   against the definition ([`is_vsr_by_definition`]).
 
-use crate::arcs::DenseSchedule;
+use crate::arcs::{DenseSchedule, Forced};
 use crate::serialization::{serial_orders, Required};
 use mvcc_core::{EntityId, ReadFromRelation, Schedule, TxId, VersionSource};
 use mvcc_graph::poly_acyclic::solve_polygraph;
@@ -42,8 +49,11 @@ pub fn vsr_witness(schedule: &Schedule) -> Option<Vec<TxId>> {
 /// The first serial order (in search order) serving every read its
 /// standard source — what a single-version database serves it, the last
 /// write before it — and leaving every entity's last write of the schedule
-/// last.
+/// last: none when the forced arcs refute every order, else the search's.
 fn witness(dense: &DenseSchedule) -> Option<Vec<TxId>> {
+    if dense.refuted_by(Forced::Vsr) {
+        return None;
+    }
     serial_orders(dense, Required::Standard, Some(1)).pop()
 }
 
