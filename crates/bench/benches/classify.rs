@@ -7,7 +7,8 @@
 //! boundary of the acyclicity test (bitmasks up to 64×8, Kahn's pass from
 //! 65×8), and `classify_corpus/*` times each test and `taxonomy::classify`
 //! on 256 schedules of the end-to-end benchmark's corpus shape (divide a
-//! reading by 256 for the per-call cost).
+//! reading by 256 for the per-call cost), the latter also per Figure 1
+//! region (`classify_corpus/by_region/*`; divide by the region's count).
 //!
 //! Also covers experiment E1/E2/E3 costs: classifying the Figure 1 examples
 //! and checking Theorem 1 / Theorem 2 on a fixed small schedule.
@@ -16,6 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mvcc_classify::dmvsr::is_dmvsr;
 use mvcc_classify::swaps::serial_reachable_by_swaps;
 use mvcc_classify::{is_csr, is_mvcsr, is_mvsr, is_vsr, taxonomy};
+use mvcc_core::examples::Figure1Region;
 use mvcc_core::{EntityId, Schedule, Step, TxId};
 use mvcc_graph::topo::is_acyclic;
 use mvcc_graph::{DiGraph, NodeId};
@@ -156,6 +158,8 @@ fn vsr_forced_cycle(s: &Schedule) -> bool {
 /// the certificate, checked in one pass, no search), `mvsr_only` over the
 /// other MVSR schedules (the search finds a witness), `mvsr_out` over the
 /// rest (the refutations, most of them on the masks, before a search).
+/// The `by_region/*` rows time `taxonomy::classify` on the schedules of one
+/// Figure 1 region each: `mvcsr_not_sr`, `mvsr_only` and `not_mvsr`.
 fn bench_corpus(c: &mut Criterion) {
     let mut group = c.benchmark_group("classify_corpus");
     group
@@ -195,6 +199,28 @@ fn bench_corpus(c: &mut Criterion) {
     for (name, schedules, test) in tests {
         group.bench_function(name, |b| {
             b.iter(|| schedules.iter().filter(|s| test(s)).count())
+        });
+    }
+    // `taxonomy::classify` per Figure 1 region of the 256 (the corpus has
+    // no other region worth a row): what a call costs where the MVCG
+    // certificate answers MVSR, where the search does, and where MVSR is
+    // refuted.
+    for (name, region) in [
+        ("mvcsr_not_sr", Figure1Region::MvcsrNotSr),
+        ("mvsr_only", Figure1Region::MvsrOnly),
+        ("not_mvsr", Figure1Region::NotMvsr),
+    ] {
+        let schedules: Vec<&Schedule> = corpus
+            .iter()
+            .filter(|s| taxonomy::classify(s).region() == region)
+            .collect();
+        group.bench_function(format!("by_region/{name}"), |b| {
+            b.iter(|| {
+                schedules
+                    .iter()
+                    .filter(|s| taxonomy::classify(s).mvsr)
+                    .count()
+            })
         });
     }
     group.finish();

@@ -1,5 +1,5 @@
-//! The dense schedule every classifier reads, one per call, and the one
-//! definition of a conflict arc on it.
+//! The dense schedule every classifier reads, and the one definition of a
+//! conflict arc on it.
 //!
 //! One pass over the steps numbers the transactions by first appearance
 //! (through a small hash table of ids), and a radix sort by entity gathers
@@ -11,7 +11,9 @@
 //! * the three rules' predecessor masks (up to 64 transactions), for CSR,
 //!   MVCSR (Theorem 1) and DMVSR, and two more rows, the [`Forced`] arcs
 //!   every serialization respects, on which VSR and MVSR refute before
-//!   they search;
+//!   they search — and which are the search's precedence edges;
+//! * the MVCG's removal order ([`DenseSchedule::mvcg`]): Kahn's pass runs
+//!   once, and decides MVCSR and hands MVSR its certificate candidate;
 //! * the search tables ([`Tables`]) for the serialization search of VSR and
 //!   MVSR ([`crate::serialization`]): per transaction its reads — each with
 //!   `own`, its `avail` mask and its *standard source*, the last writer
@@ -19,9 +21,17 @@
 //!   writer and the mask of its writers.  Only a search builds them.
 //!
 //! A standalone test pays for what it reads; [`crate::taxonomy::classify`]
-//! builds one `DenseSchedule` for all six verdicts, so the runs, the masks
-//! and the tables are built at most once per call.  Nothing on the
+//! builds one index for all six verdicts, so the runs, the masks, the MVCG
+//! order and the tables are built at most once per call.  Nothing on the
 //! decision path hashes, formats a label or builds a [`DiGraph`].
+//!
+//! The index is a per-thread workspace ([`with_dense`]): each call refills
+//! the thread's one `DenseSchedule` in place, so its tables, masks, search
+//! buffers and memo keep their capacity from call to call and a classifier
+//! call on a small schedule allocates nothing.  A call made while the
+//! workspace is in use — DMVSR's fallback to `is_mvsr` on the patched
+//! schedule — builds a fresh one, and a buffer grown past [`RETAINED`] by
+//! a long history is freed when its call ends.
 //!
 //! Within an entity's run an earlier step puts an arc from its transaction
 //! to a later step's, never to itself, when the pair conflicts under a
@@ -35,14 +45,80 @@
 //! serialization on the runs.  The labelled graphs (`conflict_graph`,
 //! `mv_conflict_graph`) and the witnesses read the same arcs.
 
+use crate::serialization::SearchBuffers;
 use mvcc_core::{EntityId, Schedule, TxId};
 use mvcc_graph::{DiGraph, NodeId};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 
 /// In the dense tables: no transaction — the initial version as a read's
 /// source, nobody as an entity's writer.
 pub(crate) const NONE: u32 = u32::MAX;
+
+/// The most bytes one buffer of the per-thread workspace keeps once its
+/// call ends: enough for every table of a schedule of about a thousand
+/// steps, so the workspace of a thread that once audited a 200 000-step
+/// history holds kilobytes, not megabytes.
+pub(crate) const RETAINED: usize = 64 << 10;
+
+/// A buffer of the workspace: its capacity, and a way to free it.
+pub(crate) trait Buffer {
+    /// Capacity in bytes.
+    fn bytes(&self) -> usize;
+    /// Frees the storage.
+    fn release(&mut self);
+}
+
+impl<T> Buffer for Vec<T> {
+    fn bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<T>()
+    }
+
+    fn release(&mut self) {
+        *self = Vec::new();
+    }
+}
+
+/// A part of the index derived on first use, whose storage outlives the
+/// value: [`Derived::reset`] forgets the value and keeps its buffers for
+/// the next build.
+struct Derived<T> {
+    value: OnceCell<T>,
+    spare: Cell<Option<T>>,
+}
+
+impl<T> Default for Derived<T> {
+    fn default() -> Self {
+        Derived {
+            value: OnceCell::new(),
+            spare: Cell::new(None),
+        }
+    }
+}
+
+impl<T: Default> Derived<T> {
+    /// The value, built on first use by `fill` in the storage of the last
+    /// one (stale contents, which `fill` overwrites).
+    fn get_or_fill(&self, fill: impl FnOnce(&mut T)) -> &T {
+        self.value.get_or_init(|| {
+            let mut value = self.spare.take().unwrap_or_default();
+            fill(&mut value);
+            value
+        })
+    }
+
+    /// Forgets the value; its storage is kept.
+    fn reset(&mut self) {
+        if let Some(value) = self.value.take() {
+            *self.spare.get_mut() = Some(value);
+        }
+    }
+
+    /// The storage the last [`Derived::reset`] kept.
+    fn storage(&mut self) -> Option<&mut T> {
+        self.spare.get_mut().as_mut()
+    }
+}
 
 /// Which same-entity step pairs conflict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +196,7 @@ struct Group {
 }
 
 /// What the serialization search reads, over dense numbers.
+#[derive(Default)]
 pub(crate) struct Tables {
     /// Every read, grouped by transaction ([`Tables::reads_of`]), ascending
     /// by entity within a transaction.
@@ -133,9 +210,21 @@ pub(crate) struct Tables {
     /// Per entity: the transactions that write it.  Only filled while the
     /// transaction count fits the mask.
     pub(crate) writers: Vec<u128>,
+    /// Scratch of the build: per transaction, where its next read goes
+    /// and the last run (entity number + 1) in which it wrote the entity.
+    cursor: Vec<(u32, u32)>,
 }
 
 impl Tables {
+    fn buffers(&mut self, f: &mut dyn FnMut(&mut dyn Buffer)) {
+        f(&mut self.reads);
+        f(&mut self.writes);
+        f(&mut self.groups);
+        f(&mut self.final_writer);
+        f(&mut self.writers);
+        f(&mut self.cursor);
+    }
+
     /// Indices into [`Tables::reads`] of transaction `t`'s reads.
     pub(crate) fn reads_of(&self, t: usize) -> std::ops::Range<usize> {
         self.groups[t].reads as usize..self.groups[t + 1].reads as usize
@@ -164,6 +253,7 @@ impl Tables {
 
 /// Up to 64 transactions: the predecessor masks of the three rules and of
 /// the forced arcs.
+#[derive(Default)]
 struct Masks {
     /// Per transaction, its predecessors under [`Rule::Sv`], [`Rule::Mv`]
     /// and [`Rule::Patched`], then under [`Forced::Mvsr`] and
@@ -203,17 +293,18 @@ fn peel(n: usize, pred: impl Fn(usize) -> u64, mut removed: impl FnMut(u32)) -> 
 
 /// Transaction id → dense number: open addressing with linear probing, at
 /// most half full, so numbering a step is one multiply and a probe or two.
+#[derive(Default)]
 struct TxNumbers {
     /// `(id, number)`; a number of [`NONE`] marks an empty slot.
     slots: Vec<(TxId, u32)>,
 }
 
 impl TxNumbers {
-    /// Room for `n` transactions.
-    fn with_room(n: usize) -> Self {
-        TxNumbers {
-            slots: vec![(TxId(0), NONE); (2 * n).next_power_of_two().max(2)],
-        }
+    /// Empties the table, with room for `n` transactions.
+    fn reset(&mut self, n: usize) {
+        self.slots.clear();
+        self.slots
+            .resize((2 * n).next_power_of_two().max(2), (TxId(0), NONE));
     }
 
     /// The slot holding `id`, or the empty slot where it would go.
@@ -232,34 +323,82 @@ impl TxNumbers {
 /// `accesses`, which arrive in position order, sorted by entity — stably,
 /// so each entity's steps form one run in position order: a
 /// least-significant-digit radix sort over the bytes of the entity ids, as
-/// many bytes as the largest id has.
-fn sort_by_entity(mut accesses: Vec<Access>) -> Vec<Access> {
+/// many bytes as the largest id has, through `spare`.  Each pass sums the
+/// counts only up to its largest digit: over 8 entities, 8 buckets of 256.
+fn sort_by_entity(accesses: &mut Vec<Access>, spare: &mut Vec<Access>) {
     let largest = accesses.iter().map(|a| a.entity.0).max().unwrap_or(0);
-    let mut spare = accesses.clone();
+    spare.clear();
+    spare.extend_from_slice(accesses);
+    let mut next = [0u32; 257];
     let mut shift = 0;
     loop {
+        let top = (largest >> shift).min(0xff) as usize;
         let digit = |a: &Access| (a.entity.0 >> shift) as usize & 0xff;
-        let mut next = [0u32; 257];
-        for access in &accesses {
+        next[..top + 2].fill(0);
+        for access in accesses.iter() {
             next[digit(access) + 1] += 1;
         }
-        for d in 0..256 {
+        for d in 0..top {
             next[d + 1] += next[d];
         }
-        for access in &accesses {
+        for access in accesses.iter() {
             let slot = &mut next[digit(access)];
             spare[*slot as usize] = *access;
             *slot += 1;
         }
-        std::mem::swap(&mut accesses, &mut spare);
+        std::mem::swap(accesses, spare);
         shift += 8;
         if shift == 32 || largest >> shift == 0 {
-            return accesses;
+            return;
         }
     }
 }
 
+thread_local! {
+    /// This thread's workspace between two calls of [`with_dense`]; empty
+    /// while a call uses it.
+    static WORKSPACE: Cell<Option<Box<DenseSchedule>>> = const { Cell::new(None) };
+}
+
+/// Runs `f` on the dense index of `schedule`, built in this thread's
+/// workspace: the index of the previous call is refilled in place, so its
+/// buffers are reused, not reallocated.  A call nested in another finds
+/// the workspace taken and builds a fresh one.  When `f` returns, the
+/// derived parts are forgotten and every buffer over [`RETAINED`] bytes is
+/// freed before the workspace goes back.
+pub(crate) fn with_dense<R>(schedule: &Schedule, f: impl FnOnce(&DenseSchedule) -> R) -> R {
+    let mut dense: Box<DenseSchedule> = WORKSPACE
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    dense.refill(schedule);
+    let out = f(&dense);
+    dense.reset();
+    dense.buffers(&mut |buffer| {
+        if buffer.bytes() > RETAINED {
+            buffer.release();
+        }
+    });
+    // At thread exit there is no workspace to return it to.
+    let _ = WORKSPACE.try_with(|slot| slot.set(Some(dense)));
+    out
+}
+
+/// The capacities, in bytes, of the buffers of this thread's workspace
+/// (none while a call uses it).
+#[cfg(test)]
+pub(crate) fn workspace_buffers() -> Vec<usize> {
+    let mut bytes = Vec::new();
+    if let Some(mut dense) = WORKSPACE.with(Cell::take) {
+        dense.buffers(&mut |buffer| bytes.push(buffer.bytes()));
+        WORKSPACE.with(|slot| slot.set(Some(dense)));
+    }
+    bytes
+}
+
 /// A schedule over dense numbers: what every classifier reads.
+#[derive(Default)]
 pub(crate) struct DenseSchedule {
     /// Transaction of each dense number (by first appearance).
     pub(crate) tx_ids: Vec<TxId>,
@@ -267,48 +406,80 @@ pub(crate) struct DenseSchedule {
     /// Every step, sorted by (entity, position): each entity's steps form
     /// one run.
     accesses: Vec<Access>,
+    /// The radix sort's second buffer.
+    spare: Vec<Access>,
     /// Whether every transaction's steps are contiguous.
     pub(crate) serial: bool,
-    masks: OnceCell<Masks>,
-    tables: OnceCell<Tables>,
+    masks: Derived<Masks>,
+    mvcg: Derived<Vec<u32>>,
+    tables: Derived<Tables>,
+    /// The serialization search's buffers and memo between two searches:
+    /// a search takes them and gives them back when it is dropped.
+    pub(crate) search: Cell<SearchBuffers>,
 }
 
 impl DenseSchedule {
+    /// A fresh index of `schedule`, outside the workspace.
+    #[cfg(test)]
     pub(crate) fn of(schedule: &Schedule) -> Self {
+        let mut dense = DenseSchedule::default();
+        dense.refill(schedule);
+        dense
+    }
+
+    /// Makes this the index of `schedule`, in the storage it has.
+    fn refill(&mut self, schedule: &Schedule) {
         let steps = schedule.steps();
-        let mut tx_numbers = TxNumbers::with_room(steps.len());
-        let mut tx_ids = Vec::new();
+        self.reset();
+        self.tx_numbers.reset(steps.len());
+        self.tx_ids.clear();
+        self.accesses.clear();
         let mut serial = true;
-        let accesses = steps
-            .iter()
-            .enumerate()
-            .map(|(pos, step)| {
-                let slot = tx_numbers.slot(step.tx);
-                let (id, node) = &mut tx_numbers.slots[slot];
-                if *node == NONE {
-                    *id = step.tx;
-                    *node = tx_ids.len() as u32;
-                    tx_ids.push(step.tx);
-                }
-                // Numbered by first appearance, a serial schedule only ever
-                // steps the newest transaction.
-                serial &= *node as usize + 1 == tx_ids.len();
-                Access {
-                    entity: step.entity,
-                    pos: pos as u32,
-                    node: *node,
-                    write: step.is_write(),
-                }
-            })
-            .collect();
-        DenseSchedule {
-            tx_ids,
-            tx_numbers,
-            accesses: sort_by_entity(accesses),
-            serial,
-            masks: OnceCell::new(),
-            tables: OnceCell::new(),
+        for (pos, step) in steps.iter().enumerate() {
+            let slot = self.tx_numbers.slot(step.tx);
+            let (id, node) = &mut self.tx_numbers.slots[slot];
+            if *node == NONE {
+                *id = step.tx;
+                *node = self.tx_ids.len() as u32;
+                self.tx_ids.push(step.tx);
+            }
+            // Numbered by first appearance, a serial schedule only ever
+            // steps the newest transaction.
+            serial &= *node as usize + 1 == self.tx_ids.len();
+            self.accesses.push(Access {
+                entity: step.entity,
+                pos: pos as u32,
+                node: *node,
+                write: step.is_write(),
+            });
         }
+        sort_by_entity(&mut self.accesses, &mut self.spare);
+        self.serial = serial;
+    }
+
+    /// Forgets what was derived from the runs, keeping its storage.
+    fn reset(&mut self) {
+        self.masks.reset();
+        self.mvcg.reset();
+        self.tables.reset();
+    }
+
+    /// Calls `f` on every buffer the index keeps, once it is reset.
+    fn buffers(&mut self, f: &mut dyn FnMut(&mut dyn Buffer)) {
+        f(&mut self.tx_ids);
+        f(&mut self.tx_numbers.slots);
+        f(&mut self.accesses);
+        f(&mut self.spare);
+        if let Some(masks) = self.masks.storage() {
+            f(&mut masks.preds);
+        }
+        if let Some(order) = self.mvcg.storage() {
+            f(order);
+        }
+        if let Some(tables) = self.tables.storage() {
+            tables.buffers(f);
+        }
+        self.search.get_mut().buffers(f);
     }
 
     /// The number of transactions.
@@ -336,16 +507,25 @@ impl DenseSchedule {
     /// Whether the search tables have been built.
     #[cfg(test)]
     pub(crate) fn tables_built(&self) -> bool {
-        self.tables.get().is_some()
+        self.tables.value.get().is_some()
     }
 
     /// The search tables, built from the runs on first use: one counting
     /// pass for the group sizes, then one sweep that keeps, per run, the
     /// transactions that wrote the entity so far and its last writer.
     pub(crate) fn tables(&self) -> &Tables {
-        self.tables.get_or_init(|| {
+        self.tables.get_or_fill(|tables| {
+            let Tables {
+                reads,
+                writes,
+                groups,
+                final_writer,
+                writers: writers_of,
+                cursor,
+            } = tables;
             let n = self.txs();
-            let mut groups = vec![Group::default(); n + 1];
+            groups.clear();
+            groups.resize(n + 1, Group::default());
             let mut entities = 0;
             for (k, access) in self.accesses.iter().enumerate() {
                 entities += usize::from(k == 0 || self.accesses[k - 1].entity != access.entity);
@@ -360,17 +540,20 @@ impl DenseSchedule {
                 groups[t + 1].reads += groups[t].reads;
                 groups[t + 1].writes += groups[t].writes;
             }
-            for group in &mut groups {
+            for group in groups.iter_mut() {
                 group.writes_end = group.writes;
             }
-            let mut reads = vec![Read::default(); groups[n].reads as usize];
+            reads.clear();
+            reads.resize(groups[n].reads as usize, Read::default());
             // Room for every write; only first writes are kept.
-            let mut writes = vec![FirstWrite::default(); groups[n].writes as usize];
-            let mut final_writer = vec![NONE; entities];
-            let mut writers_of = vec![0; entities];
-            // Per transaction: where its next read goes, and the last run
-            // (entity number + 1) in which it wrote the run's entity.
-            let mut cursor: Vec<(u32, u32)> = groups[..n].iter().map(|g| (g.reads, 0)).collect();
+            writes.clear();
+            writes.resize(groups[n].writes as usize, FirstWrite::default());
+            final_writer.clear();
+            final_writer.resize(entities, NONE);
+            writers_of.clear();
+            writers_of.resize(entities, 0);
+            cursor.clear();
+            cursor.extend(groups[..n].iter().map(|g| (g.reads, 0)));
             let masked = n <= 128;
             for (e, run) in self.runs().enumerate() {
                 let e = e as u32;
@@ -404,13 +587,6 @@ impl DenseSchedule {
                     }
                 }
                 writers_of[e as usize] = writers;
-            }
-            Tables {
-                reads,
-                writes,
-                groups,
-                final_writer,
-                writers: writers_of,
             }
         })
     }
@@ -455,8 +631,10 @@ impl DenseSchedule {
     /// transactions seen so far, the writers, the readers, the patched
     /// readers, the readers no write precedes and the last writer.
     fn masks(&self) -> &Masks {
-        self.masks.get_or_init(|| {
-            let mut preds = vec![[0u64; 5]; self.txs()];
+        self.masks.get_or_fill(|masks| {
+            let preds = &mut masks.preds;
+            preds.clear();
+            preds.resize(self.txs(), [0; 5]);
             let (mut rewrites, mut own_elsewhere) = (false, false);
             for run in self.runs() {
                 let (mut seen, mut writers, mut readers, mut patched) = (0u64, 0u64, 0u64, 0u64);
@@ -501,11 +679,8 @@ impl DenseSchedule {
                     preds[last as usize][4] |= writers & !(1 << last);
                 }
             }
-            Masks {
-                preds,
-                rewrites,
-                own_elsewhere,
-            }
+            masks.rewrites = rewrites;
+            masks.own_elsewhere = own_elsewhere;
         })
     }
 
@@ -524,6 +699,14 @@ impl DenseSchedule {
         forced == Forced::Vsr && masks.own_elsewhere || peel(n, |v| masks.preds[v][k], |_| {}) != 0
     }
 
+    /// Up to 64 transactions: each transaction's predecessors under the
+    /// [`Forced`] arcs — the precedence edges the serialization search
+    /// starts from, in dense order.
+    pub(crate) fn forced_preds(&self, forced: Forced) -> impl Iterator<Item = u64> + '_ {
+        let k = 3 + forced as usize;
+        self.masks().preds.iter().map(move |pred| pred[k])
+    }
+
     /// Up to 64 transactions: Kahn's pass on the masks of `rule`, calling
     /// `removed` on each node it removes, and the nodes it could not
     /// remove.  `None` when [`Rule::Patched`] meets a transaction writing
@@ -537,19 +720,30 @@ impl DenseSchedule {
         Some(peel(self.txs(), |v| masks.preds[v][k], removed))
     }
 
-    /// Kahn's pass over the graph of `rule`'s arcs: the transactions (dense
-    /// numbers) in the order it removes them, every one of them iff the
-    /// graph is acyclic — then a topological order.  `None` when
-    /// [`Rule::Patched`] meets a transaction writing an entity twice.
-    pub(crate) fn removal_order(&self, rule: Rule) -> Option<Vec<u32>> {
+    /// The MVCG's removal order, from one Kahn pass kept in the index: the
+    /// transactions (dense numbers) in the order the pass removed them,
+    /// all of them iff the MVCG is acyclic (Theorem 1) — then a
+    /// topological order, Theorem 3's certificate candidate.
+    pub(crate) fn mvcg(&self) -> &[u32] {
+        self.mvcg.get_or_fill(|order| {
+            order.clear();
+            self.removal_order(Rule::Mv, order);
+        })
+    }
+
+    /// Kahn's pass over the graph of `rule`'s arcs: pushes onto `order` the
+    /// transactions (dense numbers) in the order it removes them, every one
+    /// of them iff the graph is acyclic — then a topological order.
+    /// `false` when [`Rule::Patched`] meets a transaction writing an entity
+    /// twice.
+    fn removal_order(&self, rule: Rule, order: &mut Vec<u32>) -> bool {
         let n = self.txs();
-        let mut order = Vec::with_capacity(n);
         if n <= 64 {
-            return self.peel_masks(rule, |v| order.push(v)).map(|_| order);
+            return self.peel_masks(rule, |v| order.push(v)).is_some();
         }
         let mut arcs: Vec<(u32, u32)> = Vec::new();
         if !self.for_each_arc(rule, |from, to| arcs.push((from.node, to.node))) {
-            return None;
+            return false;
         }
         // Successor lists by counting sort: `first[v]..first[v + 1]`.
         let mut first = vec![0usize; n + 1];
@@ -578,19 +772,21 @@ impl DenseSchedule {
                 }
             }
         }
-        Some(order)
+        true
     }
 
     /// Whether the graph of `rule`'s arcs is acyclic: Kahn's pass removes
     /// every transaction ([`DenseSchedule::removal_order`]; on the masks
     /// without keeping the order).  `None` when [`Rule::Patched`] meets a
-    /// transaction writing an entity twice.
+    /// transaction writing an entity twice.  The MVCG's pass is
+    /// [`DenseSchedule::mvcg`], kept for the MVSR test.
     pub(crate) fn acyclic(&self, rule: Rule) -> Option<bool> {
         if self.txs() <= 64 {
             return self.peel_masks(rule, |_| {}).map(|left| left == 0);
         }
-        self.removal_order(rule)
-            .map(|order| order.len() == self.txs())
+        let mut order = Vec::new();
+        self.removal_order(rule, &mut order)
+            .then(|| order.len() == self.txs())
     }
 }
 
@@ -607,13 +803,14 @@ pub(crate) struct Labelled {
 
 /// The graph of `rule`'s arcs (not [`Rule::Patched`]) with its labels.
 pub(crate) fn labelled(schedule: &Schedule, rule: Rule) -> Labelled {
-    let dense = DenseSchedule::of(schedule);
     let mut pairs = Vec::new();
-    dense.for_each_arc(rule, |earlier, later| {
-        pairs.push((earlier.pos, later.pos, earlier.node, later.node));
+    let tx_of_node = with_dense(schedule, |dense| {
+        dense.for_each_arc(rule, |earlier, later| {
+            pairs.push((earlier.pos, later.pos, earlier.node, later.node));
+        });
+        dense.tx_ids.clone()
     });
     pairs.sort_unstable();
-    let tx_of_node = dense.tx_ids;
     let mut graph = DiGraph::new();
     for tx in &tx_of_node {
         graph.add_node(tx.to_string());

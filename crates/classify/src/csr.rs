@@ -8,7 +8,7 @@
 //! locking schedulers [Yannakakis 1981], which is why the paper treats CSR as
 //! the single-version yardstick that MVCSR generalises.
 
-use crate::arcs::{self, DenseSchedule, Rule};
+use crate::arcs::{self, with_dense, DenseSchedule, Rule};
 use mvcc_core::{Schedule, TxId};
 use mvcc_graph::topo::topological_sort;
 use mvcc_graph::{DiGraph, NodeId};
@@ -45,7 +45,7 @@ pub fn conflict_graph(schedule: &Schedule) -> ConflictGraph {
 
 /// `true` iff `schedule` is conflict-serializable.
 pub fn is_csr(schedule: &Schedule) -> bool {
-    decide(&DenseSchedule::of(schedule))
+    with_dense(schedule, decide)
 }
 
 /// The CSR test on a schedule's dense index: its conflict graph is acyclic.

@@ -42,7 +42,7 @@
 //! (`Classification::respects_containments`, the Figure 1 census) and
 //! `DMVSR ⊆ MVCSR` on writes-once schedules (the tests below).
 
-use crate::arcs::{DenseSchedule, Rule};
+use crate::arcs::{with_dense, DenseSchedule, Rule};
 use mvcc_core::{Schedule, Step};
 use std::collections::HashSet;
 
@@ -65,7 +65,7 @@ pub fn patch_readless_writes(schedule: &Schedule) -> Schedule {
 /// decided by the patched MVCG, without building the patching, unless a
 /// transaction writes an entity twice (see the module docs).
 pub fn is_dmvsr(schedule: &Schedule) -> bool {
-    decide(schedule, &DenseSchedule::of(schedule))
+    with_dense(schedule, |dense| decide(schedule, dense))
 }
 
 /// The DMVSR test on `schedule` and its dense index: the patched MVCG, or

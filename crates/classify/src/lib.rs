@@ -16,11 +16,14 @@
 //! Every test reads one dense index of the schedule: transactions numbered
 //! by first appearance, entities in ascending order, each entity's steps
 //! one sorted run, and — derived from the runs when a test first needs
-//! them — the conflict masks and, only for a search, the search tables
-//! (each transaction's reads with their standard sources, its first
-//! writes, each entity's final writer).  A standalone `is_*` builds the
-//! index and runs its one test; [`taxonomy::classify`] builds it once and
-//! runs all six tests on it, each verdict still its own test.
+//! them — the conflict masks, the MVCG's removal order and, only for a
+//! search, the search tables (each transaction's reads with their standard
+//! sources, its first writes, each entity's final writer).  A standalone
+//! `is_*` builds the index and runs its one test; [`taxonomy::classify`]
+//! builds it once and runs all six tests on it, each verdict still its own
+//! test.  The index is one workspace per thread, refilled in place by each
+//! call, so its tables, the search's buffers and its memo keep their
+//! capacity: a call on a small schedule allocates nothing.
 //!
 //! The NP-complete classifiers are clients of one exact pruned search over
 //! serial orders ([`serialization`]): MVSR with nothing required, VSR with
@@ -36,11 +39,12 @@
 //! by Kahn's pass beyond 64 transactions; the labelled graphs read the same
 //! arcs.  Before it searches, MVSR checks the MVCG's topological order
 //! (Theorem 3's certificate) against its own definition on the entity
-//! runs, which settles every MVCSR schedule without a search node.  Up to
-//! 64 transactions VSR and MVSR then refute on the masks of their forced
-//! arcs — the precedence edges their search would cycle-check before its
-//! first node — so most schedules outside either class never build a
-//! search.
+//! runs — on masks over the ranks in the order up to 64 transactions —
+//! which settles every MVCSR schedule without a search node.  Up to 64
+//! transactions VSR and MVSR then refute on the masks of their forced
+//! arcs — the precedence edges their search starts from, which it takes
+//! from the same masks — so most schedules outside either class never
+//! build a search.
 //! [`taxonomy`] combines the classifiers into the region map of the
 //! paper's Figure 1, and [`swaps`] provides the swap-characterisation of
 //! MVCSR (Theorem 2).
@@ -66,6 +70,8 @@ pub mod mvsr;
 pub mod serialization;
 pub mod swaps;
 pub mod taxonomy;
+#[cfg(test)]
+mod testing;
 pub mod vsr;
 
 pub use csr::{conflict_graph, csr_witness, is_csr};

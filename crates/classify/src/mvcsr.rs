@@ -12,7 +12,7 @@
 //! MVSR") is realised by [`mvcsr_version_function`], which builds a version
 //! function serializing the schedule in that order.
 
-use crate::arcs::{self, DenseSchedule, Rule};
+use crate::arcs::{self, with_dense, DenseSchedule, Rule};
 use mvcc_core::{Schedule, TxId, VersionFunction};
 use mvcc_graph::topo::topological_sort;
 use mvcc_graph::{DiGraph, NodeId};
@@ -59,12 +59,13 @@ pub fn mv_conflict_graph(schedule: &Schedule) -> MvConflictGraph {
 
 /// **Theorem 1** test: `true` iff `schedule` is MVCSR (its MVCG is acyclic).
 pub fn is_mvcsr(schedule: &Schedule) -> bool {
-    decide(&DenseSchedule::of(schedule))
+    with_dense(schedule, decide)
 }
 
-/// The Theorem 1 test on a schedule's dense index: its MVCG is acyclic.
+/// The Theorem 1 test on a schedule's dense index: its MVCG is acyclic,
+/// i.e. Kahn's pass removed every transaction.
 pub(crate) fn decide(dense: &DenseSchedule) -> bool {
-    dense.acyclic(Rule::Mv) == Some(true)
+    dense.mvcg().len() == dense.txs()
 }
 
 /// Returns the serial order witnessing MVCSR membership (a topological sort

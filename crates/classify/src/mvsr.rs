@@ -9,12 +9,19 @@
 //! the reads.
 //!
 //! [`is_mvsr`] first checks one candidate, a topological order of the MVCG,
-//! which Kahn's pass of the MVCSR test yields.  Theorem 3 says it always
-//! serves: a read `R_i(x)` without an own earlier write sees the last writer
-//! `T_k` of `x` before `T_i` in the order, and were all of `T_k`'s writes of
-//! `x` after `R_i(x)`, the MVCG would have the arc `T_i → T_k`.  The verdict
+//! from the one Kahn pass the index keeps for the MVCSR test too.  Theorem
+//! 3 says it always serves: a read `R_i(x)` without an own earlier write
+//! sees the last writer `T_k` of `x` before `T_i` in the order, and were
+//! all of `T_k`'s writes of `x` after `R_i(x)`, the MVCG would have the arc
+//! `T_i → T_k`.  The verdict
 //! does not take that on trust: the candidate is checked against the
 //! definition on the entity runs, and only a passing check answers `true`.
+//! Up to 64 transactions the check works in rank space: per run one mask of
+//! its writers' ranks and one of the ranks that have written so far, and a
+//! read passes when its own rank has written, or no writer ranks below it,
+//! or the highest-ranked writer below it has written — exactly the
+//! definition, with no sort.  Beyond 64 each run's writers are sorted by
+//! rank and each read binary-searches them.
 //! Otherwise — the MVCG is cyclic, or the candidate failed — up to 64
 //! transactions the forced arcs refute when they close a cycle: a read that
 //! no write of its entity precedes can only be served the initial version,
@@ -25,8 +32,8 @@
 //! [`mvsr_witness`] and [`all_serializations`] always search, and return
 //! complete witnesses — the serial order *and* the version function.
 
-use crate::arcs::{DenseSchedule, Forced, Rule, NONE};
-use crate::serialization::{serial_orders, serializations, Required, SerialReadFroms};
+use crate::arcs::{with_dense, DenseSchedule, Forced, NONE};
+use crate::serialization::{has_serial_order, serializations, Required, SerialReadFroms};
 use mvcc_core::{Schedule, TxId, VersionFunction};
 
 /// `true` iff `schedule` is multiversion serializable: the MVCG's
@@ -34,19 +41,14 @@ use mvcc_core::{Schedule, TxId, VersionFunction};
 /// and the search with nothing required finds a serial order (the
 /// witness's read-from assignment is only spelled out by [`mvsr_witness`]).
 pub fn is_mvsr(schedule: &Schedule) -> bool {
-    decide(&DenseSchedule::of(schedule))
+    with_dense(schedule, decide)
 }
 
 /// The MVSR test on a schedule's dense index: the MVCG's removal order as a
 /// certificate, then the forced arcs as a refutation, then the search.
 pub(crate) fn decide(dense: &DenseSchedule) -> bool {
-    if dense
-        .removal_order(Rule::Mv)
-        .is_some_and(|order| serves_every_read(dense, &order))
-    {
-        return true;
-    }
-    !dense.refuted_by(Forced::Mvsr) && !serial_orders(dense, Required::Nothing, Some(1)).is_empty()
+    serves_every_read(dense, dense.mvcg())
+        || !dense.refuted_by(Forced::Mvsr) && has_serial_order(dense, Required::Nothing)
 }
 
 /// Whether `order` (dense numbers) is a serialization: it holds every
@@ -56,15 +58,71 @@ pub(crate) fn decide(dense: &DenseSchedule) -> bool {
 /// any other read sees the writer of the entity ranked last before its
 /// transaction in `order`, which serves it if there is none (the initial
 /// version) or its first write of the entity precedes the read.  Checked
-/// on the entity runs: per run the writers sorted by rank, each with its
-/// first write's position, and a binary search per read — O(k log k) for a
-/// run of k steps.
+/// on the entity runs, in rank space up to 64 transactions
+/// ([`serves_in_rank_space`]), by sorting each run's writers beyond
+/// ([`serves_by_sorting`]).
 fn serves_every_read(dense: &DenseSchedule, order: &[u32]) -> bool {
+    if dense.txs() <= 64 {
+        serves_in_rank_space(dense, order)
+    } else {
+        serves_by_sorting(dense, order)
+    }
+}
+
+/// [`serves_every_read`] up to 64 transactions, on masks over the ranks in
+/// `order`: per run the mask of its writers' ranks, and, swept in
+/// position order, the mask of the ranks that have written the entity so
+/// far.  A read of rank `r` passes when `r` has written (its own write),
+/// or no writer ranks below `r` (the initial version), or the writer
+/// ranked highest below `r` — the top bit of the writers below — has
+/// written.  A few mask operations a step, no sort and no allocation.
+fn serves_in_rank_space(dense: &DenseSchedule, order: &[u32]) -> bool {
+    let n = dense.txs();
+    if order.len() != n {
+        return false;
+    }
+    let mut rank = [0u8; 64];
+    let mut ranked = 0u64;
+    for (k, &t) in order.iter().enumerate() {
+        if t as usize >= n {
+            return false;
+        }
+        rank[t as usize] = k as u8;
+        ranked |= 1 << t;
+    }
+    if ranked.count_ones() as usize != n {
+        return false;
+    }
+    dense.runs().all(|run| {
+        let writers = run
+            .iter()
+            .filter(|step| step.write)
+            .fold(0u64, |mask, step| mask | 1 << rank[step.node as usize]);
+        let mut written = 0u64;
+        run.iter().all(|step| {
+            let me = 1u64 << rank[step.node as usize];
+            if step.write {
+                written |= me;
+                return true;
+            }
+            let below = writers & (me - 1);
+            written & me != 0 || below == 0 || written & 1 << (63 - below.leading_zeros()) != 0
+        })
+    })
+}
+
+/// [`serves_every_read`] at any size: each transaction's rank in `order`,
+/// per run the writers sorted by rank with their first write's position,
+/// and a binary search per read — O(k log k) for a run of k steps.
+fn serves_by_sorting(dense: &DenseSchedule, order: &[u32]) -> bool {
     if order.len() != dense.txs() {
         return false;
     }
     let mut rank = vec![NONE; order.len()];
     for (k, &t) in order.iter().enumerate() {
+        if t as usize >= rank.len() {
+            return false;
+        }
         rank[t as usize] = k as u32;
     }
     if rank.contains(&NONE) {
@@ -135,25 +193,10 @@ mod tests {
     use crate::serialization::{
         has_serialization_extending, is_realizable, search_nodes, serial_read_froms,
     };
+    use crate::testing::{benchmark_corpus, dense_random_schedule};
     use mvcc_core::equivalence::full_view_equivalent;
     use mvcc_core::{EntityId, Step};
     use std::collections::HashMap;
-
-    /// The first `len` schedules of the benchmark's `classify` corpus at
-    /// seed 1: 8 transactions x 4 steps over 8 entities, half reads.
-    fn benchmark_corpus(len: usize) -> Vec<Schedule> {
-        mvcc_workload::random_interleavings(
-            &mvcc_workload::WorkloadConfig {
-                transactions: 8,
-                steps_per_transaction: 4,
-                entities: 8,
-                read_ratio: 0.5,
-                zipf_theta: 0.0,
-                seed: 1u64.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            },
-            len,
-        )
-    }
 
     /// The definition's side of the certificate check: whether the serial
     /// order `order` (dense numbers) induces a realizable read-from map.
@@ -189,10 +232,10 @@ mod tests {
         for s in &benchmark_corpus(3000) {
             let dense = DenseSchedule::of(s);
             own_reads += usize::from(dense.tables().reads.iter().any(|read| read.own));
-            let mvcg = dense.removal_order(Rule::Mv).unwrap();
+            let mvcg = dense.mvcg();
             if mvcg.len() == dense.txs() {
-                assert!(serves_every_read(&dense, &mvcg), "schedule {s}");
-                assert!(realizable(s, &dense, &mvcg), "schedule {s}");
+                assert!(serves_every_read(&dense, mvcg), "schedule {s}");
+                assert!(realizable(s, &dense, mvcg), "schedule {s}");
                 certified += 1;
             }
             let mut order: Vec<u32> = (0..dense.txs() as u32).collect();
@@ -231,6 +274,60 @@ mod tests {
     }
 
     #[test]
+    fn the_rank_space_check_is_the_sort_based_check() {
+        // Dense random schedules of 1 to 65 transactions — over 3 entities
+        // (many own reads), 8 with the reads leading, and 64 — each checked
+        // on the MVCG's order, on Fisher–Yates shuffles and on an order
+        // missing its last transaction.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut schedule_state = 0x2545_f491_4f6c_dd1du64;
+        let mut served = [0usize; 2];
+        for txns in (1..=16).chain([31, 32, 33, 63, 64, 65]) {
+            for (entities, reads_lead) in [(3, false), (8, true), (64, false)] {
+                for _ in 0..4 {
+                    let s =
+                        dense_random_schedule(&mut schedule_state, txns, 4, entities, reads_lead);
+                    let dense = DenseSchedule::of(&s);
+                    let mut orders = vec![dense.mvcg().to_vec()];
+                    let mut order: Vec<u32> = (0..txns as u32).collect();
+                    for _ in 0..3 {
+                        for i in (1..order.len()).rev() {
+                            order.swap(i, next(i + 1));
+                        }
+                        orders.push(order.clone());
+                    }
+                    orders.push(order[1..].to_vec());
+                    for order in &orders {
+                        let sorted = serves_by_sorting(&dense, order);
+                        if txns <= 64 {
+                            assert_eq!(
+                                serves_in_rank_space(&dense, order),
+                                sorted,
+                                "schedule {s}, order {order:?}"
+                            );
+                        }
+                        assert_eq!(serves_every_read(&dense, order), sorted);
+                        if order.len() == txns {
+                            assert_eq!(sorted, realizable(&s, &dense, order), "schedule {s}");
+                            served[usize::from(sorted)] += 1;
+                        } else {
+                            assert!(!sorted, "schedule {s}, order {order:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // Both answers are common.
+        assert!(served.iter().all(|&count| count > 100), "{served:?}");
+    }
+
+    #[test]
     fn the_certificate_holds_beyond_the_masks() {
         // 130 transactions, `T_t` reading `x_(t+1)` up front and then, in
         // turn, `x_(t-1)` before writing `x_t`: the MVCG is the chain
@@ -245,7 +342,7 @@ mod tests {
         let dense = DenseSchedule::of(&s);
         assert!(dense.tables().reads.iter().all(|read| read.avail == 0));
         let chain: Vec<u32> = (0..n).collect();
-        assert_eq!(dense.removal_order(Rule::Mv).unwrap(), chain);
+        assert_eq!(dense.mvcg(), chain);
         assert!(serves_every_read(&dense, &chain));
         assert_eq!(search_nodes(|| assert!(is_mvsr(&s))), 0);
         assert!(search_nodes(|| assert!(has_serialization_extending(&s, &HashMap::new()))) > 0);

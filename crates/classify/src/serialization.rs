@@ -37,8 +37,18 @@
 //! placed set and on which unplaced reads the current last writers serve,
 //! an exact key of fixed width (see `SearchEngine::enter`).  There is no
 //! second search anywhere in the crate.
+//!
+//! Up to 64 transactions, with nothing or the standard sources required,
+//! the precedence edges are exactly the forced rows of the index's masks
+//! sweep, and their cycle check is the index's refutation: the search takes
+//! both from there instead of deriving them again.  Its buffers — the
+//! pins, the read sets, the frames, the memo and the path — belong to the
+//! index and keep their storage from one search to the next, and a
+//! verdict's search counts the orders it finds without spelling them out,
+//! so deciding allocates nothing once the per-thread index has grown to
+//! the schedule's size.
 
-use crate::arcs::{DenseSchedule, Read, Tables, NONE};
+use crate::arcs::{with_dense, Buffer, DenseSchedule, Forced, Read, Tables, NONE};
 use mvcc_core::{Schedule, TransactionSystem, TxId, VersionFunction, VersionSource};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -214,7 +224,9 @@ pub fn serializations_extending(
 ) -> Vec<SerialReadFroms> {
     // The search deals in serial orders only; the read-from assignment of
     // each is spelled out here, for the callers that return it.
-    let orders = serial_orders(&DenseSchedule::of(s), Required::Map(required), limit);
+    let orders = with_dense(s, |dense| {
+        serial_orders(dense, Required::Map(required), limit)
+    });
     let sys = s.tx_system();
     orders
         .iter()
@@ -245,12 +257,23 @@ pub(crate) fn serial_orders(
     if !engine.infeasible {
         engine.dfs(0);
     }
-    engine.out
+    std::mem::take(&mut engine.out)
+}
+
+/// Whether [`serial_orders`] would find an order, without spelling one
+/// out: the verdicts' search, which allocates nothing.
+pub(crate) fn has_serial_order(dense: &DenseSchedule, required: Required<'_>) -> bool {
+    let mut engine = SearchEngine::new(dense, required, Some(1));
+    engine.keep = false;
+    if !engine.infeasible {
+        engine.dfs(0);
+    }
+    engine.found > 0
 }
 
 /// `true` iff `s` has at least one serialization agreeing with `required`.
 pub fn has_serialization_extending(s: &Schedule, required: &HashMap<usize, VersionSource>) -> bool {
-    !serial_orders(&DenseSchedule::of(s), Required::Map(required), Some(1)).is_empty()
+    with_dense(s, |dense| has_serial_order(dense, Required::Map(required)))
 }
 
 /// As [`has_serialization_extending`], but giving up after `node_budget`
@@ -264,20 +287,22 @@ pub fn has_serialization_extending_budgeted(
     required: &HashMap<usize, VersionSource>,
     node_budget: u64,
 ) -> Option<bool> {
-    let dense = DenseSchedule::of(s);
-    let mut engine = SearchEngine::new(&dense, Required::Map(required), Some(1));
-    if engine.infeasible {
-        return Some(false);
-    }
-    engine.budget = node_budget;
-    engine.dfs(0);
-    if !engine.out.is_empty() {
-        Some(true)
-    } else if engine.budget_exhausted {
-        None
-    } else {
-        Some(false)
-    }
+    with_dense(s, |dense| {
+        let mut engine = SearchEngine::new(dense, Required::Map(required), Some(1));
+        if engine.infeasible {
+            return Some(false);
+        }
+        engine.keep = false;
+        engine.budget = node_budget;
+        engine.dfs(0);
+        if engine.found > 0 {
+            Some(true)
+        } else if engine.budget_exhausted {
+            None
+        } else {
+            Some(false)
+        }
+    })
 }
 
 /// Enumerates the distinct restrictions to the first `prefix_len` steps of
@@ -312,44 +337,54 @@ pub fn achievable_prefix_restrictions_bounded(
     prefix_len: usize,
     max: Option<usize>,
 ) -> BTreeSet<BTreeMap<usize, VersionSource>> {
-    let dense = DenseSchedule::of(s);
     let prefix_len = prefix_len.min(s.len());
-
-    if dense.txs() > 128 {
-        // Beyond the bitmask the dedup machinery does not apply; fall back
-        // to projecting plain enumeration (instances this big are out of
-        // reach for every exact NP checker in this crate anyway).  `max` is
-        // honored with a growing enumeration limit, so a small bound stops
-        // long before the (potentially factorial) full enumeration.
-        let mut limit = max.unwrap_or(usize::MAX).max(1);
-        loop {
-            let sers = serializations(
-                s,
-                if limit == usize::MAX {
-                    None
-                } else {
-                    Some(limit)
-                },
-            );
-            let exhausted = sers.len() < limit;
-            let out: BTreeSet<_> = sers
-                .into_iter()
-                .map(|rf| {
-                    rf.read_sources
-                        .iter()
-                        .filter(|(&pos, _)| pos < prefix_len)
-                        .map(|(&pos, &src)| (pos, src))
-                        .collect()
-                })
-                .collect();
-            let satisfied = max.is_some_and(|m| out.len() >= m);
-            if exhausted || satisfied {
-                return out;
-            }
-            limit = limit.saturating_mul(2);
-        }
+    let masked = with_dense(s, |dense| {
+        (dense.txs() <= 128).then(|| prefix_restrictions(dense, prefix_len, max))
+    });
+    if let Some(found) = masked {
+        return found;
     }
+    // Beyond the bitmask the dedup machinery does not apply; fall back to
+    // projecting plain enumeration (instances this big are out of reach
+    // for every exact NP checker in this crate anyway).  `max` is honored
+    // with a growing enumeration limit, so a small bound stops long before
+    // the (potentially factorial) full enumeration.
+    let mut limit = max.unwrap_or(usize::MAX).max(1);
+    loop {
+        let sers = serializations(
+            s,
+            if limit == usize::MAX {
+                None
+            } else {
+                Some(limit)
+            },
+        );
+        let exhausted = sers.len() < limit;
+        let out: BTreeSet<_> = sers
+            .into_iter()
+            .map(|rf| {
+                rf.read_sources
+                    .iter()
+                    .filter(|(&pos, _)| pos < prefix_len)
+                    .map(|(&pos, &src)| (pos, src))
+                    .collect()
+            })
+            .collect();
+        let satisfied = max.is_some_and(|m| out.len() >= m);
+        if exhausted || satisfied {
+            return out;
+        }
+        limit = limit.saturating_mul(2);
+    }
+}
 
+/// [`achievable_prefix_restrictions_bounded`] within the bitmask, on the
+/// schedule's dense index.
+fn prefix_restrictions(
+    dense: &DenseSchedule,
+    prefix_len: usize,
+    max: Option<usize>,
+) -> BTreeSet<BTreeMap<usize, VersionSource>> {
     // Transactions that read inside the prefix: the restriction is fully
     // determined exactly when all of them have been placed.
     let tables = dense.tables();
@@ -361,7 +396,7 @@ pub fn achievable_prefix_restrictions_bounded(
         })
         .count();
 
-    let mut engine = SearchEngine::new(&dense, Required::Nothing, None);
+    let mut engine = SearchEngine::new(dense, Required::Nothing, None);
     if engine.infeasible {
         return BTreeSet::new();
     }
@@ -429,6 +464,7 @@ type StateSet<K> = HashSet<K, BuildHasherDefault<StateHasher>>;
 /// The dead search states: keys of one fixed width (see
 /// [`SearchEngine::enter`]) stored back to back and found by open
 /// addressing, so neither a lookup nor an insertion allocates per key.
+#[derive(Default)]
 struct DeadSet {
     /// Words per key.
     width: usize,
@@ -440,12 +476,11 @@ struct DeadSet {
 }
 
 impl DeadSet {
-    fn new(width: usize) -> Self {
-        DeadSet {
-            width,
-            keys: Vec::with_capacity(16 * width),
-            slots: Vec::new(),
-        }
+    /// Empties the set, for keys of `width` words; the storage is kept.
+    fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.keys.clear();
+        self.slots.clear();
     }
 
     /// The first slot to probe for `key` in a table of `mask + 1` slots.
@@ -476,16 +511,18 @@ impl DeadSet {
     fn insert(&mut self, key: &[u64]) {
         let len = self.keys.len() / self.width;
         if 2 * (len + 1) > self.slots.len() {
-            let mut slots = vec![0u32; (2 * self.slots.len()).max(32)];
-            let mask = slots.len() - 1;
+            // Rehashed from the keys, in place.
+            let size = (2 * self.slots.len()).max(32);
+            self.slots.clear();
+            self.slots.resize(size, 0);
+            let mask = size - 1;
             for (k, old) in self.keys.chunks_exact(self.width).enumerate() {
                 let mut i = Self::home(old, mask);
-                while slots[i] != 0 {
+                while self.slots[i] != 0 {
                     i = (i + 1) & mask;
                 }
-                slots[i] = k as u32 + 1;
+                self.slots[i] = k as u32 + 1;
             }
-            self.slots = slots;
         }
         let i = self.slot(key);
         if self.slots[i] == 0 {
@@ -507,6 +544,39 @@ struct ReadSets {
     /// Across all transactions, which check the forward check runs on a
     /// read: [`CHECK_INITIAL`], [`CHECK_UNSERVABLE`] or [`CHECK_AVAIL`].
     check: Vec<u64>,
+}
+
+/// The search's buffers between two searches on one index (see
+/// [`crate::arcs::with_dense`]): a [`SearchEngine`] takes them from the
+/// index, reuses their storage and gives them back when dropped.
+#[derive(Default)]
+pub(crate) struct SearchBuffers {
+    order: Vec<u32>,
+    last_writer: Vec<u32>,
+    undo: Vec<u32>,
+    pins: Vec<u32>,
+    sets: ReadSets,
+    state: Vec<u64>,
+    dead: DeadSet,
+    path: Vec<u64>,
+    pred: Vec<u128>,
+}
+
+impl SearchBuffers {
+    /// Calls `f` on every buffer.
+    pub(crate) fn buffers(&mut self, f: &mut dyn FnMut(&mut dyn Buffer)) {
+        f(&mut self.order);
+        f(&mut self.last_writer);
+        f(&mut self.undo);
+        f(&mut self.pins);
+        f(&mut self.sets.of_tx);
+        f(&mut self.sets.check);
+        f(&mut self.state);
+        f(&mut self.dead.keys);
+        f(&mut self.dead.slots);
+        f(&mut self.path);
+        f(&mut self.pred);
+    }
 }
 
 /// The sets of a transaction `i` in [`ReadSets::of_tx`].  [`NEED`]: the
@@ -561,8 +631,12 @@ struct SearchEngine<'d> {
     order: Vec<u32>,
     last_writer: Vec<u32>,
     undo: Vec<u32>,
-    /// The serial orders found so far.
+    /// The serial orders found so far, when `keep`.
     out: Vec<Vec<TxId>>,
+    /// Whether found orders are kept in `out`, or only counted.
+    keep: bool,
+    /// How many serial orders were found.
+    found: usize,
     /// Per read of the dense schedule: the source a requirement pins it to
     /// (a transaction's dense number, or [`NONE`] for the initial version),
     /// [`UNSERVABLE`], or [`FREE`].  Always `FREE` where the read is `own`.
@@ -584,9 +658,10 @@ struct SearchEngine<'d> {
     /// The memo keys of the states on the current path, `dead.width` words
     /// each.
     path: Vec<u64>,
-    /// Hard precedence constraints derived from the pins: `pred[i]` is the
-    /// set of transactions that must precede transaction `i` in every
-    /// acceptable serial order.
+    /// Hard precedence constraints of the pins and the required final
+    /// writers (see [`SearchEngine::precedence`]): `pred[i]` is the set of
+    /// transactions that must precede transaction `i` in every acceptable
+    /// serial order.
     pred: Vec<u128>,
     /// Set when the precedence constraints are cyclic, or a read served by
     /// its transaction's own earlier write is pinned elsewhere: no serial
@@ -601,6 +676,24 @@ struct SearchEngine<'d> {
     budget: u64,
     /// Whether the last run was cut short by the node budget.
     budget_exhausted: bool,
+}
+
+impl Drop for SearchEngine<'_> {
+    /// Gives the buffers back to the index, for the next search.
+    fn drop(&mut self) {
+        let take = std::mem::take::<Vec<u32>>;
+        self.dense.search.set(SearchBuffers {
+            order: take(&mut self.order),
+            last_writer: take(&mut self.last_writer),
+            undo: take(&mut self.undo),
+            pins: take(&mut self.pins),
+            sets: std::mem::take(&mut self.sets),
+            state: std::mem::take(&mut self.state),
+            dead: std::mem::take(&mut self.dead),
+            path: std::mem::take(&mut self.path),
+            pred: std::mem::take(&mut self.pred),
+        });
+    }
 }
 
 /// Outcome of a search subtree.
@@ -652,27 +745,62 @@ impl<'d> SearchEngine<'d> {
     /// becomes precedence edges — the final writer of `x` follows every
     /// other writer of `x` — so the cycle check and the candidate filter
     /// prune with it.
+    /// Within the bitmask the edges are the pins' and the final writers';
+    /// up to 64 transactions, with nothing or the standard sources
+    /// required, they are exactly the [`Forced`] rows the index's masks
+    /// sweep already holds, and their cycle check is
+    /// [`DenseSchedule::refuted_by`]: both are taken from there.
+    ///
+    /// The engine's buffers are the index's, taken for the search and given
+    /// back when it is dropped, so a search allocates nothing once the
+    /// workspace has grown to the schedule's size.
     fn new(dense: &'d DenseSchedule, required: Required<'_>, limit: Option<usize>) -> Self {
         let n = dense.txs();
         let tables = dense.tables();
         let reads = tables.reads.len();
         // The memo key: the placed set, then a bit per read.
         let width = 2 + reads.div_ceil(64);
+        let SearchBuffers {
+            mut order,
+            mut last_writer,
+            mut undo,
+            mut pins,
+            sets,
+            mut state,
+            mut dead,
+            mut path,
+            mut pred,
+        } = dense.search.take();
+        order.clear();
+        order.reserve(n);
+        last_writer.clear();
+        last_writer.resize(tables.entities(), NONE);
+        undo.clear();
+        pins.clear();
+        pins.resize(reads, FREE);
+        state.clear();
+        dead.reset(width);
+        path.clear();
+        path.reserve((n + 1) * width);
+        pred.clear();
+        pred.resize(n, 0);
         let mut engine = SearchEngine {
             dense,
             tables,
             limit,
             masked: n <= 128,
-            order: Vec::with_capacity(n),
-            last_writer: vec![NONE; tables.entities()],
-            undo: Vec::new(),
+            order,
+            last_writer,
+            undo,
             out: Vec::new(),
-            pins: vec![FREE; reads],
-            sets: ReadSets::default(),
-            state: Vec::new(),
-            dead: DeadSet::new(width),
-            path: Vec::with_capacity((n + 1) * width),
-            pred: vec![0; n],
+            keep: true,
+            found: 0,
+            pins,
+            sets,
+            state,
+            dead,
+            path,
+            pred,
             infeasible: false,
             final_writers: None,
             budget: u64::MAX,
@@ -710,19 +838,11 @@ impl<'d> SearchEngine<'d> {
                 VersionSource::Tx(w) => dense.tx_number(w).unwrap_or(UNSERVABLE),
             }),
         };
-        // Hard precedence edges, within the bitmask: a read pinned to
-        // `Tx(w)` puts `w` before its reader; a read pinned to `Initial`
-        // puts its reader before every other writer of the entity.  A cycle
-        // among these proves the requirement unsatisfiable outright — this
-        // is exactly how the Theorem 4/5 constructions encode polygraph
-        // arcs, and how most schedules that are not MVSR are refuted, so
-        // refutations that would otherwise need exhaustive search fall out
-        // of a linear check.
         let n = dense.txs();
         for i in 0..n {
             for r in tables.reads_of(i) {
                 let read = &tables.reads[r];
-                let pin = match source_of(read) {
+                self.pins[r] = match source_of(read) {
                     // Serially the read sees its transaction's own earlier
                     // write, whatever the order.
                     Some(src) if read.own => {
@@ -736,50 +856,77 @@ impl<'d> SearchEngine<'d> {
                     None if !read.own && read.standard == NONE => NONE,
                     None => continue,
                 };
-                self.pins[r] = pin;
-                if !self.masked {
-                    continue;
-                }
-                match pin {
-                    UNSERVABLE => {}
+            }
+        }
+        if !self.masked {
+            return;
+        }
+        let forced = match required {
+            Required::Nothing => Some(Forced::Mvsr),
+            Required::Standard => Some(Forced::Vsr),
+            Required::Map(_) => None,
+        };
+        match forced {
+            Some(forced) if n <= 64 => {
+                self.pred.clear();
+                self.pred.extend(dense.forced_preds(forced).map(u128::from));
+                self.infeasible = dense.refuted_by(forced);
+            }
+            _ => {
+                let mut pred = std::mem::take(&mut self.pred);
+                self.infeasible |= !self.precedence(&mut pred);
+                self.pred = pred;
+            }
+        }
+    }
+
+    /// Fills `pred` (zeroed, one entry per transaction) with the hard
+    /// precedence edges of the pins and the required final writers, and
+    /// answers whether they are acyclic.  A read pinned to `Tx(w)` puts
+    /// `w` before its reader; a read pinned to `Initial` puts its reader
+    /// before every other writer of the entity; a required final writer of
+    /// `x` follows every other writer of `x`.  A cycle among these proves
+    /// the requirement unsatisfiable outright — this is exactly how the
+    /// Theorem 4/5 constructions encode polygraph arcs, and how most
+    /// schedules that are not MVSR are refuted, so refutations that would
+    /// otherwise need exhaustive search fall out of a linear check.
+    fn precedence(&self, pred: &mut [u128]) -> bool {
+        let (n, tables) = (self.dense.txs(), self.tables);
+        for i in 0..n {
+            for r in tables.reads_of(i) {
+                match self.pins[r] {
+                    FREE | UNSERVABLE => {}
                     NONE => {
-                        let mut later = tables.writers[read.entity as usize] & !bit(i);
+                        let mut later = tables.writers[tables.reads[r].entity as usize] & !bit(i);
                         while later != 0 {
-                            self.pred[later.trailing_zeros() as usize] |= bit(i);
+                            pred[later.trailing_zeros() as usize] |= bit(i);
                             later &= later - 1;
                         }
                     }
-                    w => self.pred[i] |= bit(w as usize),
+                    w => pred[i] |= bit(w as usize),
                 }
             }
         }
-        if self.infeasible || !self.masked {
-            return;
-        }
         for (e, &last) in self.final_writers.iter().copied().flatten().enumerate() {
             if last != NONE {
-                self.pred[last as usize] |= tables.writers[e] & !bit(last as usize);
+                pred[last as usize] |= tables.writers[e] & !bit(last as usize);
             }
         }
-
-        // Kahn's algorithm: if the precedence graph has a cycle, no serial
-        // order satisfies the requirement.
+        // Kahn's algorithm: what no round can remove is a cycle.
         let mut placed = 0u128;
         let mut progressed = true;
         let mut count = 0;
         while progressed {
             progressed = false;
-            for i in 0..n {
-                if placed & bit(i) == 0 && self.pred[i] & !placed == 0 {
+            for (i, &before) in pred.iter().enumerate() {
+                if placed & bit(i) == 0 && before & !placed == 0 {
                     placed |= bit(i);
                     count += 1;
                     progressed = true;
                 }
             }
         }
-        if count < n {
-            self.infeasible = true;
-        }
+        count == n
     }
 
     /// The read sets of every transaction, from the pins, and the root's
@@ -789,10 +936,15 @@ impl<'d> SearchEngine<'d> {
     fn build_sets(&mut self) {
         let (n, tables) = (self.dense.txs(), self.tables);
         let words = tables.reads.len().div_ceil(64);
-        let mut of_tx = vec![0; n * TX_SETS * words];
-        let mut check = vec![0; 3 * words];
+        let ReadSets { of_tx, check, .. } = &mut self.sets;
+        of_tx.clear();
+        of_tx.resize(n * TX_SETS * words, 0);
+        check.clear();
+        check.resize(3 * words, 0);
         // Room for a frame per placement, so no placement reallocates.
-        let mut root = Vec::with_capacity((n + 1) * FRAME * words);
+        let root = &mut self.state;
+        root.clear();
+        root.reserve((n + 1) * FRAME * words);
         root.resize(FRAME * words, 0);
         for i in 0..n {
             for r in tables.reads_of(i) {
@@ -801,42 +953,37 @@ impl<'d> SearchEngine<'d> {
                     continue;
                 }
                 let pin = self.pins[r];
-                add(&mut of_tx, words, i * TX_SETS + NEED, r);
-                add(&mut root, words, REALIZABLE, r);
-                add(&mut root, words, OPEN, r);
+                add(of_tx, words, i * TX_SETS + NEED, r);
+                add(root, words, REALIZABLE, r);
+                add(root, words, OPEN, r);
                 let kind = match pin {
                     FREE => CHECK_AVAIL,
                     NONE => CHECK_INITIAL,
                     UNSERVABLE => CHECK_UNSERVABLE,
                     w => {
-                        add(&mut of_tx, words, w as usize * TX_SETS + PINNED_TO, r);
+                        add(of_tx, words, w as usize * TX_SETS + PINNED_TO, r);
                         CHECK_AVAIL
                     }
                 };
-                add(&mut check, words, kind, r);
+                add(check, words, kind, r);
                 if pin == FREE || pin == NONE {
-                    add(&mut root, words, SERVED, r);
+                    add(root, words, SERVED, r);
                 }
                 let mut writers = tables.writers[read.entity as usize];
                 while writers != 0 {
                     let w = writers.trailing_zeros() as usize;
                     writers &= writers - 1;
-                    add(&mut of_tx, words, w * TX_SETS + TOUCHES, r);
+                    add(of_tx, words, w * TX_SETS + TOUCHES, r);
                     if read.avail & bit(w) != 0 {
-                        add(&mut of_tx, words, w * TX_SETS + REALIZES, r);
+                        add(of_tx, words, w * TX_SETS + REALIZES, r);
                         if pin == FREE || pin == w as u32 {
-                            add(&mut of_tx, words, w * TX_SETS + SERVES, r);
+                            add(of_tx, words, w * TX_SETS + SERVES, r);
                         }
                     }
                 }
             }
         }
-        self.sets = ReadSets {
-            words,
-            of_tx,
-            check,
-        };
-        self.state = root;
+        self.sets.words = words;
     }
 
     /// Makes transaction `i` the last writer of everything it writes,
@@ -1018,10 +1165,13 @@ impl<'d> SearchEngine<'d> {
             debug_assert!(self
                 .final_writers
                 .map_or(true, |named| *named == self.last_writer));
-            let order = self.order.iter().map(|&i| self.dense.tx_ids[i as usize]);
-            self.out.push(order.collect());
+            self.found += 1;
+            if self.keep {
+                let order = self.order.iter().map(|&i| self.dense.tx_ids[i as usize]);
+                self.out.push(order.collect());
+            }
             return match self.limit {
-                Some(l) if self.out.len() >= l => Dfs::Stop,
+                Some(l) if self.found >= l => Dfs::Stop,
                 _ => Dfs::FoundSome,
             };
         }
@@ -1193,7 +1343,7 @@ impl SearchEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arcs::Forced;
+    use crate::testing::{benchmark_corpus, dense_random_schedule};
     use mvcc_core::{EntityId, Schedule};
 
     #[test]
@@ -1474,47 +1624,6 @@ mod tests {
         );
     }
 
-    /// A random interleaving of `txns` transactions of `steps` steps each
-    /// over `entities` entities, drawn from the xorshift stream `state`
-    /// (the shape of `tests/theorems.rs`'s `dense_random_schedule`): reads
-    /// and writes equally likely, or, with `reads_lead`, nine steps in ten
-    /// of the first half reads and one in ten of the second half.
-    fn dense_random_schedule(
-        state: &mut u64,
-        txns: usize,
-        steps: usize,
-        entities: u32,
-        reads_lead: bool,
-    ) -> Schedule {
-        let mut next = |bound: usize| {
-            *state ^= *state << 13;
-            *state ^= *state >> 7;
-            *state ^= *state << 17;
-            (*state % bound as u64) as usize
-        };
-        let mut left = vec![steps; txns];
-        let mut out = Vec::with_capacity(txns * steps);
-        while out.len() < txns * steps {
-            let t = next(txns);
-            if left[t] == 0 {
-                continue;
-            }
-            left[t] -= 1;
-            let (tx, entity) = (TxId(t as u32 + 1), EntityId(next(entities as usize) as u32));
-            let reads_in_ten = match (reads_lead, 2 * out.len() < txns * steps) {
-                (false, _) => 5,
-                (true, true) => 9,
-                (true, false) => 1,
-            };
-            out.push(if next(10) < reads_in_ten {
-                mvcc_core::Step::read(tx, entity)
-            } else {
-                mvcc_core::Step::write(tx, entity)
-            });
-        }
-        Schedule::from_steps(out)
-    }
-
     #[test]
     fn the_forced_arcs_refute_exactly_where_the_search_is_infeasible() {
         // The benchmark's seed-1 corpus, every interleaving of small
@@ -1598,6 +1707,115 @@ mod tests {
         }
         // MVSR: 792 of the 878 not MVSR; VSR: 2 990 of the 2 998 not VSR.
         assert_eq!(corpus_counts, [(792, 878), (2990, 2998)]);
+    }
+
+    /// The [`Forced`] arcs of `s` from their definition, on the steps and
+    /// at any size: per transaction (numbered by first appearance) its
+    /// predecessors, and whether a read after its own write has another
+    /// transaction as its standard source (refutes VSR).
+    fn forced_arcs_by_definition(s: &Schedule, forced: Forced) -> (Vec<u128>, bool) {
+        let txs = s.tx_ids();
+        let node = |tx: TxId| txs.iter().position(|&t| t == tx).unwrap();
+        let steps = s.steps();
+        let writers = |entity: EntityId, before: usize| {
+            steps[..before]
+                .iter()
+                .filter(move |w| w.is_write() && w.entity == entity)
+        };
+        let mut pred = vec![0u128; txs.len()];
+        let mut own_elsewhere = false;
+        for (pos, read) in steps.iter().enumerate().filter(|(_, step)| step.is_read()) {
+            let i = node(read.tx);
+            let own = writers(read.entity, pos).any(|w| w.tx == read.tx);
+            match writers(read.entity, pos).next_back() {
+                None => {
+                    for w in writers(read.entity, steps.len()).filter(|w| w.tx != read.tx) {
+                        pred[node(w.tx)] |= bit(i);
+                    }
+                }
+                Some(standard) if forced == Forced::Vsr => {
+                    if !own {
+                        pred[i] |= bit(node(standard.tx));
+                    }
+                    own_elsewhere |= own && standard.tx != read.tx;
+                }
+                Some(_) => {}
+            }
+        }
+        if forced == Forced::Vsr {
+            for entity in s.entities_accessed() {
+                if let Some(last) = writers(entity, steps.len()).next_back() {
+                    for w in writers(entity, steps.len()).filter(|w| w.tx != last.tx) {
+                        pred[node(last.tx)] |= bit(node(w.tx));
+                    }
+                }
+            }
+        }
+        (pred, own_elsewhere)
+    }
+
+    /// Whether the arcs `pred` close a cycle: what repeated removal of the
+    /// nodes without a remaining predecessor cannot remove.
+    fn cyclic(pred: &[u128]) -> bool {
+        let mut left: Vec<usize> = (0..pred.len()).collect();
+        let mut gone = 0u128;
+        while let Some(k) = left.iter().position(|&v| pred[v] & !gone == 0) {
+            gone |= bit(left.swap_remove(k));
+        }
+        !left.is_empty()
+    }
+
+    #[test]
+    fn the_search_takes_its_edges_from_the_forced_rows() {
+        // The benchmark's seed-1 corpus, and dense random schedules of 8
+        // and 64 transactions (the masks' rows) and of 65 (past them, the
+        // edges derived from the pins).
+        let mut schedules = benchmark_corpus(3000);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for (txns, entities, reads_lead, cases) in [
+            (8, 3, false, 200),
+            (8, 3, true, 200),
+            (64, 512, false, 30),
+            (64, 8, true, 30),
+            (65, 512, false, 30),
+            (65, 8, true, 30),
+        ] {
+            for _ in 0..cases {
+                schedules.push(dense_random_schedule(
+                    &mut state, txns, 4, entities, reads_lead,
+                ));
+            }
+        }
+        let mut beyond = [0usize; 2];
+        for s in &schedules {
+            let dense = DenseSchedule::of(s);
+            let n = dense.txs();
+            for (forced, required) in [
+                (Forced::Mvsr, Required::Nothing),
+                (Forced::Vsr, Required::Standard),
+            ] {
+                let engine = SearchEngine::new(&dense, required, Some(1));
+                let (pred, own_elsewhere) = forced_arcs_by_definition(s, forced);
+                assert_eq!(engine.pred, pred, "{forced:?} on {s}");
+                let infeasible = own_elsewhere || cyclic(&pred);
+                assert_eq!(engine.infeasible, infeasible, "{forced:?} on {s}");
+                // The derivation from the pins, which runs for a caller's
+                // map and past 64 transactions, gives the same rows.
+                let mut derived = vec![0; n];
+                let acyclic = engine.precedence(&mut derived);
+                assert_eq!(derived, pred, "{forced:?} on {s}");
+                assert_eq!(own_elsewhere || !acyclic, infeasible, "{forced:?} on {s}");
+                if n <= 64 {
+                    let rows: Vec<u128> = dense.forced_preds(forced).map(u128::from).collect();
+                    assert_eq!(rows, pred, "{forced:?} on {s}");
+                    assert_eq!(dense.refuted_by(forced), infeasible, "{forced:?} on {s}");
+                } else {
+                    beyond[usize::from(infeasible)] += 1;
+                }
+            }
+        }
+        // Past the masks the derived edges both pass and refute.
+        assert!(beyond.iter().all(|&count| count > 0), "{beyond:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The combined classification and the region map of the paper's Figure 1.
 
-use crate::arcs::DenseSchedule;
+use crate::arcs::{with_dense, DenseSchedule};
 use crate::{csr, dmvsr, mvcsr, mvsr, vsr};
 use mvcc_core::examples::Figure1Region;
 use mvcc_core::Schedule;
@@ -83,11 +83,11 @@ impl fmt::Display for Classification {
 /// search tables — keep schedules small, exactly as in the paper's
 /// examples and reductions.
 pub fn classify(schedule: &Schedule) -> Classification {
-    // One index for all six tests; each verdict is still its own test.  The
-    // MVCSR test's Kahn pass is MVSR's candidate order, but MVSR checks it
-    // against its own definition and searches when it fails: no verdict is
-    // derived from another.
-    classify_on(schedule, &DenseSchedule::of(schedule))
+    // One index for all six tests, in this thread's workspace; each verdict
+    // is still its own test.  The MVCSR test's Kahn pass, run once, is
+    // MVSR's candidate order, but MVSR checks it against its own definition
+    // and searches when it fails: no verdict is derived from another.
+    with_dense(schedule, |dense| classify_on(schedule, dense))
 }
 
 /// The six verdicts on `schedule` and its dense index.
@@ -287,6 +287,105 @@ mod tests {
         // That one is MVCSR: the one MvcsrNotSr schedule built for, where
         // the VSR search refutes.
         assert_eq!(built, [(163, 500), (1, 189), (0, 149)]);
+    }
+
+    /// A committed history of the shape an SGT certifier admits, about
+    /// `steps` long: transactions of 4 steps in rounds of 8 sessions
+    /// interleaved step by step, each round's transactions on entities of
+    /// their own out of 4 096 — conflict-serializable in round order.
+    fn sgt_style_history(steps: usize) -> Schedule {
+        use mvcc_core::{EntityId, Step, TxId};
+        let mut out = Vec::with_capacity(steps);
+        for round in 0..steps / 32 {
+            for k in 0..4 {
+                for session in 0..8 {
+                    let tx = TxId((round * 8 + session + 1) as u32);
+                    let entity = EntityId(((round * 32 + session * 4 + k) * 7 % 4096) as u32);
+                    out.push(if k % 2 == 0 {
+                        Step::read(tx, entity)
+                    } else {
+                        Step::write(tx, entity)
+                    });
+                }
+            }
+        }
+        Schedule::from_steps(out)
+    }
+
+    #[test]
+    fn a_reused_workspace_answers_like_a_fresh_index() {
+        use crate::arcs::{workspace_buffers, RETAINED};
+        use crate::serialization::{search_nodes, serial_orders, Required};
+        use crate::testing::{benchmark_corpus, dense_random_schedule};
+        // On this thread, through the workspace and against a fresh index:
+        // every verdict, both witnesses, the search's node count and
+        // whether the search tables were built.
+        let same_as_fresh = |s: &Schedule| {
+            let fresh = DenseSchedule::of(s);
+            let mut expected = None;
+            let expected_nodes = search_nodes(|| expected = Some(classify_on(s, &fresh)));
+            let mut reused = None;
+            let nodes = search_nodes(|| {
+                reused = Some(with_dense(s, |dense| {
+                    (classify_on(s, dense), dense.tables_built())
+                }));
+            });
+            assert_eq!(
+                reused,
+                Some((expected.unwrap(), fresh.tables_built())),
+                "{s}"
+            );
+            assert_eq!(nodes, expected_nodes, "{s}");
+            assert_eq!(
+                search_nodes(|| assert_eq!(classify(s), expected.unwrap())),
+                nodes
+            );
+            let witness = |required| serial_orders(&DenseSchedule::of(s), required, Some(1)).pop();
+            let mvsr = crate::mvsr::mvsr_witness(s).map(|(order, _)| order);
+            assert_eq!(mvsr, witness(Required::Nothing), "{s}");
+            assert_eq!(
+                crate::vsr::vsr_witness(s),
+                witness(Required::Standard),
+                "{s}"
+            );
+        };
+        let corpus = benchmark_corpus(300);
+        corpus.iter().for_each(same_as_fresh);
+        // Past the masks: 65 transactions, and 130 in a chain (`T_t` reads
+        // `x_(t+1)` up front, then `x_(t-1)` before writing `x_t`).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        same_as_fresh(&dense_random_schedule(&mut state, 65, 4, 512, false));
+        let x = mvcc_core::EntityId;
+        let ahead = (1..=130).map(|t| mvcc_core::Step::read(mvcc_core::TxId(t), x(t + 1)));
+        let turns = (1..=130).flat_map(|t| {
+            let tx = mvcc_core::TxId(t);
+            [
+                mvcc_core::Step::read(tx, x(t - 1)),
+                mvcc_core::Step::write(tx, x(t)),
+            ]
+        });
+        same_as_fresh(&Schedule::from_steps(ahead.chain(turns).collect()));
+        // A 20 000-step history through the polynomial audits; what it grew
+        // past the retention bound is freed when each call ends.
+        let history = sgt_style_history(20_000);
+        let fresh = DenseSchedule::of(&history);
+        assert!(crate::csr::decide(&fresh) && crate::mvcsr::decide(&fresh));
+        assert!(crate::csr::is_csr(&history));
+        let retained = workspace_buffers();
+        assert!(!retained.is_empty(), "the workspace went back to its slot");
+        assert!(
+            retained.iter().all(|&bytes| bytes <= RETAINED),
+            "{retained:?}"
+        );
+        assert!(crate::mvcsr::is_mvcsr(&history));
+        assert!(workspace_buffers().iter().all(|&bytes| bytes <= RETAINED));
+        // A transaction writing `x` twice sends DMVSR to `is_mvsr` on the
+        // patching, a call nested in the one holding the workspace.
+        let repeated = Schedule::parse("Rb(x) Rb(y) Wb(x) Ra(x) Wb(x) Ra(y) Wa(y)").unwrap();
+        assert!(search_nodes(|| assert!(crate::dmvsr::is_dmvsr(&repeated))) > 0);
+        same_as_fresh(&repeated);
+        assert!(!workspace_buffers().is_empty());
+        corpus.iter().for_each(same_as_fresh);
     }
 
     #[test]

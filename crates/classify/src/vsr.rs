@@ -24,8 +24,8 @@
 //!   agree on every input; the test-suite cross-checks them, and both
 //!   against the definition ([`is_vsr_by_definition`]).
 
-use crate::arcs::{DenseSchedule, Forced};
-use crate::serialization::{serial_orders, Required};
+use crate::arcs::{with_dense, DenseSchedule, Forced};
+use crate::serialization::{has_serial_order, serial_orders, Required};
 use mvcc_core::{EntityId, ReadFromRelation, Schedule, TxId, VersionSource};
 use mvcc_graph::poly_acyclic::solve_polygraph;
 use mvcc_graph::{NodeId, Polygraph};
@@ -33,17 +33,18 @@ use std::collections::{BTreeSet, HashMap};
 
 /// `true` iff `schedule` is view-serializable.
 pub fn is_vsr(schedule: &Schedule) -> bool {
-    decide(&DenseSchedule::of(schedule))
+    with_dense(schedule, decide)
 }
 
-/// The VSR test on a schedule's dense index.
+/// The VSR test on a schedule's dense index: [`witness`]'s question,
+/// without spelling the order out.
 pub(crate) fn decide(dense: &DenseSchedule) -> bool {
-    witness(dense).is_some()
+    !dense.refuted_by(Forced::Vsr) && has_serial_order(dense, Required::Standard)
 }
 
 /// Returns a serial order to which `schedule` is view-equivalent, or `None`.
 pub fn vsr_witness(schedule: &Schedule) -> Option<Vec<TxId>> {
-    witness(&DenseSchedule::of(schedule))
+    with_dense(schedule, witness)
 }
 
 /// The first serial order (in search order) serving every read its
