@@ -11,14 +11,14 @@
 //!
 //! This turns the repo's prose concurrency claims into executed checks:
 //!
-//! * `assert_ordered("wal_append", "certifier_notify")` — PR 4's
-//!   "durability is prefix-shaped": the WAL append for an admission
-//!   batch happens-before every certifier notification for it;
+//! * `require_ordered("wal_append", "certifier_notify")` — the log is
+//!   prefix-shaped: the WAL append for an admission batch
+//!   happens-before every certifier notification for it;
 //! * `sync_events_between(..)` — PR 7's "telemetry adds no
 //!   synchronization edges": a hot-path recording burst contains zero
 //!   lock events (meaningful because `mvcc-lint` forbids
 //!   untracked locks workspace-wide, so an untracked edge can't hide);
-//! * `assert_same_critical_section(..)` — the PR 3 race fix:
+//! * `require_same_critical_section(..)` — the store's begin rule:
 //!   `MvStore::begin` chooses its snapshot and registers the tx under
 //!   *one* acquisition of the tx-table lock.
 //!
@@ -172,7 +172,7 @@ fn join(into: &mut Clock, other: &Clock) {
 /// instance, and *which acquisition* of it (so two marks can be proven
 /// to sit in the same critical section, not merely under the same lock).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeldSection {
+pub(crate) struct HeldSection {
     /// Lock class name.
     pub class: &'static str,
     /// Lock instance id.
@@ -279,14 +279,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// The keys recorded for marks of `label`, in key order.
-    pub fn mark_keys(&self, label: &str) -> Vec<u64> {
-        self.marks
-            .get(label)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default()
-    }
-
     fn mark(&self, label: &str, key: u64) -> Result<&MarkInfo, String> {
         self.marks
             .get(label)
@@ -326,13 +318,6 @@ impl Trace {
             ));
         }
         Ok(checked)
-    }
-
-    /// Panicking form of [`Trace::require_ordered`].
-    pub fn assert_ordered(&self, earlier: &str, later: &str) {
-        if let Err(msg) = self.require_ordered(earlier, later) {
-            panic!("{msg}");
-        }
     }
 
     /// Checks that for every key carried by both labels, the two marks
@@ -376,13 +361,6 @@ impl Trace {
             ));
         }
         Ok(checked)
-    }
-
-    /// Panicking form of [`Trace::require_same_critical_section`].
-    pub fn assert_same_critical_section(&self, first: &str, second: &str, class: &str) {
-        if let Err(msg) = self.require_same_critical_section(first, second, class) {
-            panic!("{msg}");
-        }
     }
 
     /// Counts synchronization events (lock acquire/release) performed
@@ -446,7 +424,7 @@ mod tests {
         .join()
         .expect("reader thread");
         let trace = recording.finish();
-        trace.assert_ordered("hb.write", "hb.read");
+        trace.require_ordered("hb.write", "hb.read").unwrap();
     }
 
     #[test]
@@ -483,7 +461,9 @@ mod tests {
             probe("hb.split.b", 2);
         }
         let trace = recording.finish();
-        trace.assert_same_critical_section("hb.sec.a", "hb.sec.b", "test.hb.section");
+        trace
+            .require_same_critical_section("hb.sec.a", "hb.sec.b", "test.hb.section")
+            .unwrap();
         let err = trace
             .require_same_critical_section("hb.split.a", "hb.split.b", "test.hb.section")
             .expect_err("separate acquisitions are not one critical section");

@@ -40,7 +40,7 @@ pub const RULES: [&str; 5] = ["raw-lock", "clock", "unwrap", "static-mut", "unsa
 
 /// What kind of code a file (or region) is, for rule applicability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Context {
+pub(crate) enum Context {
     /// Non-test, non-binary library source.
     Library,
     /// Binary targets: `src/bin/*`, `src/main.rs`, `build.rs`.
@@ -311,7 +311,7 @@ fn cfg_test_regions(lines: &[LineInfo]) -> Vec<bool> {
 }
 
 /// Derives the scanning [`Context`] from a file path.
-pub fn context_for(path: &Path) -> Context {
+pub(crate) fn context_for(path: &Path) -> Context {
     let s = path.to_string_lossy().replace('\\', "/");
     let in_tree =
         |tree: &str| s.contains(&format!("/{tree}/")) || s.starts_with(&format!("{tree}/"));

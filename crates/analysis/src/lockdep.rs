@@ -21,14 +21,12 @@
 //! the recorded relation), applied to the locking hierarchy itself.
 //!
 //! Deliberate exceptions are *declared*, never silently ignored:
-//!
-//! * [`allow_same_class`] sanctions ordered same-class re-acquisition
-//!   (e.g. per-shard store locks taken in shard-index order), which
-//!   would otherwise be a self-arc and thus a cycle;
-//! * [`declare_order`] documents a sanctioned nesting with a reason; the
-//!   declared arcs are excluded from the cycle search but listed in
-//!   every [`LockOrderReport`], so an intentional inversion stays
-//!   visible in the analysis output instead of vanishing.
+//! [`declare_order`] documents a sanctioned nesting with a reason; the
+//! declared arcs are excluded from the cycle search but listed in every
+//! [`LockOrderReport`], so an intentional inversion stays visible in the
+//! analysis output instead of vanishing.  Holding one lock of a class
+//! while blocking on another of the same class records a self-arc, which
+//! is reported as a cycle.
 //!
 //! `try_lock` acquisitions record no ordering arc — a try-lock cannot
 //! block, so it can never be the waiting edge of a deadlock — but a
@@ -116,8 +114,6 @@ struct Inner {
     ids: BTreeMap<&'static str, u32>,
     names: Vec<&'static str>,
     edges: BTreeMap<(u32, u32), Edge>,
-    /// Classes sanctioned for ordered same-class re-acquisition.
-    self_nesting: BTreeMap<u32, &'static str>,
     /// Sanctioned `outer → inner` orders, with the documented reason.
     declared: BTreeMap<(u32, u32), &'static str>,
 }
@@ -207,14 +203,10 @@ fn on_acquire(
 }
 
 /// Records the arc `from → to` with a witness built from the current
-/// held chain.  A same-class arc is skipped when the class is sanctioned
-/// via [`allow_same_class`]; a declared order is recorded but excluded
-/// from the cycle search (see [`check_prefixes`]).
+/// held chain.  A declared order is recorded but excluded from the cycle
+/// search (see [`check_prefixes`]).
 fn record_edge(held: &[Held], from: u32, to: u32, site: &'static Location<'static>) {
     let mut inner = registry().locked();
-    if from == to && inner.self_nesting.contains_key(&from) {
-        return;
-    }
     let witness = Edge {
         holder_chain: held
             .iter()
@@ -235,16 +227,6 @@ fn on_release(token: u64, class_name: &'static str, instance: u64) {
             held.remove(pos);
         }
     });
-}
-
-/// Sanctions ordered same-class re-acquisition for `class` (e.g.
-/// per-shard stores locked in shard-index order).  Without this, holding
-/// one instance of a class while blocking on another records a self-arc
-/// — reported as a deadlock cycle, which for *ordered* acquisition would
-/// be a false positive.
-pub fn allow_same_class(class: &'static str, reason: &'static str) {
-    let id = registry().class_id(class);
-    registry().locked().self_nesting.insert(id, reason);
 }
 
 /// Declares a sanctioned `outer → inner` nesting with its reason.  The
@@ -382,11 +364,6 @@ pub fn check_prefixes(prefixes: &[&str]) -> Result<LockOrderReport, String> {
     })
 }
 
-/// [`check_prefixes`] over the entire recorded graph.
-pub fn check_all() -> Result<LockOrderReport, String> {
-    check_prefixes(&[])
-}
-
 /// A mutex whose every acquisition feeds the lock-order graph and (when
 /// a happens-before recording is active) the sync-event trace.
 pub struct TrackedMutex<T: ?Sized> {
@@ -403,11 +380,6 @@ impl<T> TrackedMutex<T> {
             instance: next_instance(),
             inner: parking_lot::Mutex::new(value), // lint: allow(raw-lock)
         }
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
     }
 }
 
@@ -447,13 +419,6 @@ impl<T: ?Sized> TrackedMutex<T> {
     /// tracking — `&mut self` proves exclusivity statically).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut()
-    }
-}
-
-impl<T: Default> TrackedMutex<T> {
-    /// A tracked mutex of the given class around `T::default()`.
-    pub fn of_default(class: &'static LockClass) -> Self {
-        Self::new(class, T::default())
     }
 }
 
@@ -517,11 +482,6 @@ impl<T> TrackedRwLock<T> {
             instance: next_instance(),
             inner: parking_lot::RwLock::new(value), // lint: allow(raw-lock)
         }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
     }
 }
 
@@ -676,22 +636,6 @@ mod tests {
         for class in ["test.tri.a", "test.tri.b", "test.tri.c"] {
             assert!(err.contains(class), "{err}");
         }
-    }
-
-    #[test]
-    fn declared_same_class_nesting_is_not_a_false_positive() {
-        // Ordered same-class acquisition (the per-shard store pattern):
-        // sanctioned via allow_same_class, so no self-arc is recorded.
-        allow_same_class("test.samecls.shard", "shards locked in index order");
-        let s0 = TrackedMutex::new(lock_class!("test.samecls.shard"), ());
-        let s1 = TrackedMutex::new(lock_class!("test.samecls.shard"), ());
-        {
-            let _g0 = s0.lock();
-            let _g1 = s1.lock();
-        }
-        let report = check_prefixes(&["test.samecls."]).expect("sanctioned nesting is clean");
-        assert_eq!(report.classes, vec!["test.samecls.shard"]);
-        assert!(report.arcs.is_empty(), "{report}");
     }
 
     #[test]

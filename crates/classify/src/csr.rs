@@ -28,7 +28,7 @@ pub struct ConflictGraph {
 
 impl ConflictGraph {
     /// Converts a topological order of the graph into a transaction order.
-    pub fn order_to_txs(&self, order: &[NodeId]) -> Vec<TxId> {
+    pub(crate) fn order_to_txs(&self, order: &[NodeId]) -> Vec<TxId> {
         order.iter().map(|n| self.tx_of_node[n.index()]).collect()
     }
 }
@@ -63,7 +63,8 @@ pub fn csr_witness(schedule: &Schedule) -> Option<Vec<TxId>> {
 /// Reference implementation used by tests: CSR via the definition, i.e.
 /// "conflict-equivalent to some serial schedule" by enumerating all serial
 /// orders.  Exponential; small inputs only.
-pub fn is_csr_by_definition(schedule: &Schedule) -> bool {
+#[cfg(test)]
+pub(crate) fn is_csr_by_definition(schedule: &Schedule) -> bool {
     let sys = schedule.tx_system();
     let ids = sys.tx_ids();
     permutations(&ids).into_iter().any(|order| {

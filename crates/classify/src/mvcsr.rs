@@ -34,7 +34,7 @@ pub struct MvConflictGraph {
 
 impl MvConflictGraph {
     /// Converts a topological order of the graph into a transaction order.
-    pub fn order_to_txs(&self, order: &[NodeId]) -> Vec<TxId> {
+    pub(crate) fn order_to_txs(&self, order: &[NodeId]) -> Vec<TxId> {
         order.iter().map(|n| self.tx_of_node[n.index()]).collect()
     }
 }

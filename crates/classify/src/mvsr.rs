@@ -29,11 +29,11 @@
 //! serialization.  Those are the edges the search would cycle-check before
 //! its first node.  What is left, the exact search over serial orders with
 //! pruning decides (see [`crate::serialization`]).
-//! [`mvsr_witness`] and [`all_serializations`] always search, and return
-//! complete witnesses — the serial order *and* the version function.
+//! [`mvsr_witness`] always searches, and returns a complete witness — the
+//! serial order *and* the version function.
 
 use crate::arcs::{with_dense, DenseSchedule, Forced, NONE};
-use crate::serialization::{has_serial_order, serializations, Required, SerialReadFroms};
+use crate::serialization::{has_serial_order, serializations, Required};
 use mvcc_core::{Schedule, TxId, VersionFunction};
 
 /// `true` iff `schedule` is multiversion serializable: the MVCG's
@@ -160,12 +160,6 @@ pub fn mvsr_witness(schedule: &Schedule) -> Option<(Vec<TxId>, VersionFunction)>
             let vf = rf.to_version_function(schedule);
             (rf.order, vf)
         })
-}
-
-/// All serializations of the schedule (every serial order whose induced
-/// read-from assignment is realizable), useful for the OLS machinery.
-pub fn all_serializations(schedule: &Schedule) -> Vec<SerialReadFroms> {
-    serializations(schedule, None)
 }
 
 /// Reference implementation used by tests: MVSR by brute force over *all*
@@ -428,6 +422,6 @@ mod tests {
     #[test]
     fn all_serializations_of_independent_transactions() {
         let s = Schedule::parse("Ra(x) Wb(y)").unwrap();
-        assert_eq!(all_serializations(&s).len(), 2);
+        assert_eq!(serializations(&s, None).len(), 2);
     }
 }

@@ -711,6 +711,9 @@ thread_local! {
     /// Nodes [`SearchEngine::dfs`] visited on this thread: lets tests tell
     /// whether a classifier ran the search at all.
     static NODES_VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// The count of [`NODES_VISITED`] past which every search on this
+    /// thread runs out of node budget (see [`search_nodes_within`]).
+    static NODE_CAP: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
 }
 
 /// Nodes the search visits on this thread while `f` runs.
@@ -719,6 +722,21 @@ pub(crate) fn search_nodes(f: impl FnOnce()) -> u64 {
     let before = NODES_VISITED.with(|nodes| nodes.get());
     f();
     NODES_VISITED.with(|nodes| nodes.get()) - before
+}
+
+/// Runs `f` with the searches it makes on this thread sharing a budget of
+/// `budget` nodes: `f`'s result, or `None` when a search ran out of the
+/// budget — it then stopped as a budgeted search stops, so `f`'s result is
+/// not to be trusted.  Lets a test that searches large schedules fail in
+/// seconds where a regression makes a search exponential.
+#[cfg(test)]
+pub(crate) fn search_nodes_within<T>(budget: u64, f: impl FnOnce() -> T) -> Option<T> {
+    let before = NODES_VISITED.with(|nodes| nodes.get());
+    let outer = NODE_CAP.with(|cap| cap.replace(cap.get().min(before.saturating_add(budget))));
+    let out = f();
+    NODE_CAP.with(|cap| cap.set(outer));
+    let nodes = NODES_VISITED.with(|nodes| nodes.get()) - before;
+    (nodes <= budget).then_some(out)
 }
 
 impl<'d> SearchEngine<'d> {
@@ -1151,7 +1169,13 @@ impl<'d> SearchEngine<'d> {
 
     fn dfs(&mut self, used: u128) -> Dfs {
         #[cfg(test)]
-        NODES_VISITED.with(|nodes| nodes.set(nodes.get() + 1));
+        if NODES_VISITED.with(|nodes| {
+            nodes.set(nodes.get() + 1);
+            nodes.get()
+        }) > NODE_CAP.with(|cap| cap.get())
+        {
+            self.budget = 0;
+        }
         if self.budget == 0 {
             self.budget_exhausted = true;
             return Dfs::Stop;
@@ -1676,6 +1700,9 @@ mod tests {
         // Per test: refuted on the masks, out of the schedules not in the
         // class, over the corpus.
         let mut corpus_counts = [(0, 0); 2];
+        // Both searches of one schedule visit at most 624 nodes in a passing
+        // run; the budget is ten times that.
+        const BUDGET: u64 = 6_240;
         for (k, s) in corpus.iter().chain(&others).enumerate() {
             for (t, (forced, required)) in [
                 (Forced::Mvsr, Required::Nothing),
@@ -1692,12 +1719,16 @@ mod tests {
                 } else {
                     assert!(!refuted, "{forced:?} on {s}");
                 }
-                let searched = !serial_orders(&dense, required, Some(1)).is_empty();
                 let fresh = DenseSchedule::of(s);
-                let decided = match forced {
-                    Forced::Mvsr => crate::mvsr::decide(&fresh),
-                    Forced::Vsr => crate::vsr::decide(&fresh),
-                };
+                let (searched, decided) = search_nodes_within(BUDGET, || {
+                    let searched = !serial_orders(&dense, required, Some(1)).is_empty();
+                    let decided = match forced {
+                        Forced::Mvsr => crate::mvsr::decide(&fresh),
+                        Forced::Vsr => crate::vsr::decide(&fresh),
+                    };
+                    (searched, decided)
+                })
+                .unwrap_or_else(|| panic!("schedule {k}: {forced:?} ran past {BUDGET} nodes"));
                 assert_eq!(decided, searched, "{forced:?} on {s}");
                 if k < corpus.len() && !searched {
                     corpus_counts[t].0 += usize::from(refuted);
@@ -1787,22 +1818,30 @@ mod tests {
             }
         }
         let mut beyond = [0usize; 2];
-        for s in &schedules {
+        for (k, s) in schedules.iter().enumerate() {
             let dense = DenseSchedule::of(s);
             let n = dense.txs();
             for (forced, required) in [
                 (Forced::Mvsr, Required::Nothing),
                 (Forced::Vsr, Required::Standard),
             ] {
-                let engine = SearchEngine::new(&dense, required, Some(1));
+                // Building the engine and deriving its edges visit no
+                // search node (0 on every schedule here), so the budget is 0.
+                let (engine_pred, engine_infeasible, derived, acyclic) =
+                    search_nodes_within(0, || {
+                        let engine = SearchEngine::new(&dense, required, Some(1));
+                        // The derivation from the pins, which runs for a
+                        // caller's map and past 64 transactions.
+                        let mut derived = vec![0; n];
+                        let acyclic = engine.precedence(&mut derived);
+                        (engine.pred.clone(), engine.infeasible, derived, acyclic)
+                    })
+                    .unwrap_or_else(|| panic!("schedule {k}: {forced:?} searched"));
                 let (pred, own_elsewhere) = forced_arcs_by_definition(s, forced);
-                assert_eq!(engine.pred, pred, "{forced:?} on {s}");
+                assert_eq!(engine_pred, pred, "{forced:?} on {s}");
                 let infeasible = own_elsewhere || cyclic(&pred);
-                assert_eq!(engine.infeasible, infeasible, "{forced:?} on {s}");
-                // The derivation from the pins, which runs for a caller's
-                // map and past 64 transactions, gives the same rows.
-                let mut derived = vec![0; n];
-                let acyclic = engine.precedence(&mut derived);
+                assert_eq!(engine_infeasible, infeasible, "{forced:?} on {s}");
+                // The derivation gives the same rows.
                 assert_eq!(derived, pred, "{forced:?} on {s}");
                 assert_eq!(own_elsewhere || !acyclic, infeasible, "{forced:?} on {s}");
                 if n <= 64 {

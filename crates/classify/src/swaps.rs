@@ -6,7 +6,7 @@
 //! let `≈` be the transitive closure of `~`.  **Theorem 2**: a schedule is
 //! MVCSR iff `s ≈ r` for some serial schedule `r`.
 //!
-//! [`reachable_by_swaps`] performs the (exponential-state) BFS over `≈` used
+//! `reachable_by_swaps` performs the (exponential-state) BFS over `≈` used
 //! to validate Theorem 2 on small schedules, and [`swap_distance_to_serial`]
 //! reports the length of the shortest swap sequence — the "how far from
 //! serial" metric printed by the Theorem 2 table of the experiment harness.
@@ -40,7 +40,7 @@ pub fn swap_neighbours(s: &Schedule) -> Vec<Schedule> {
 /// reachable schedule, the minimal number of switches needed to reach it.
 /// The state space is bounded by the number of interleavings of the
 /// transaction system, so this is only for small schedules.
-pub fn reachable_by_swaps(s: &Schedule) -> HashMap<Vec<Step>, usize> {
+pub(crate) fn reachable_by_swaps(s: &Schedule) -> HashMap<Vec<Step>, usize> {
     let mut dist: HashMap<Vec<Step>, usize> = HashMap::new();
     let mut queue = VecDeque::new();
     dist.insert(s.steps().to_vec(), 0);

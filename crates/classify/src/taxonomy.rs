@@ -315,46 +315,64 @@ mod tests {
     #[test]
     fn a_reused_workspace_answers_like_a_fresh_index() {
         use crate::arcs::{workspace_buffers, RETAINED};
-        use crate::serialization::{search_nodes, serial_orders, Required};
+        use crate::serialization::{search_nodes, search_nodes_within, serial_orders, Required};
         use crate::testing::{benchmark_corpus, dense_random_schedule};
+        // The searches of one schedule below visit at most 917 nodes in a
+        // passing run; the budget is ten times that.
+        const BUDGET: u64 = 9_170;
         // On this thread, through the workspace and against a fresh index:
         // every verdict, both witnesses, the search's node count and
         // whether the search tables were built.
-        let same_as_fresh = |s: &Schedule| {
+        let same_as_fresh = |what: &str, s: &Schedule| {
             let fresh = DenseSchedule::of(s);
-            let mut expected = None;
-            let expected_nodes = search_nodes(|| expected = Some(classify_on(s, &fresh)));
-            let mut reused = None;
-            let nodes = search_nodes(|| {
-                reused = Some(with_dense(s, |dense| {
-                    (classify_on(s, dense), dense.tables_built())
-                }));
-            });
-            assert_eq!(
-                reused,
-                Some((expected.unwrap(), fresh.tables_built())),
-                "{s}"
-            );
+            let (expected, expected_nodes, reused, nodes, standalone, standalone_nodes, witnesses) =
+                search_nodes_within(BUDGET, || {
+                    let mut expected = None;
+                    let expected_nodes = search_nodes(|| expected = Some(classify_on(s, &fresh)));
+                    let mut reused = None;
+                    let nodes = search_nodes(|| {
+                        reused = Some(with_dense(s, |dense| {
+                            (classify_on(s, dense), dense.tables_built())
+                        }));
+                    });
+                    let mut standalone = None;
+                    let standalone_nodes = search_nodes(|| standalone = Some(classify(s)));
+                    let witness =
+                        |required| serial_orders(&DenseSchedule::of(s), required, Some(1)).pop();
+                    let mvsr = crate::mvsr::mvsr_witness(s).map(|(order, _)| order);
+                    let witnesses = [
+                        (mvsr, witness(Required::Nothing)),
+                        (crate::vsr::vsr_witness(s), witness(Required::Standard)),
+                    ];
+                    (
+                        expected.unwrap(),
+                        expected_nodes,
+                        reused,
+                        nodes,
+                        standalone,
+                        standalone_nodes,
+                        witnesses,
+                    )
+                })
+                .unwrap_or_else(|| panic!("{what}: the searches ran past {BUDGET} nodes"));
+            assert_eq!(reused, Some((expected, fresh.tables_built())), "{s}");
             assert_eq!(nodes, expected_nodes, "{s}");
-            assert_eq!(
-                search_nodes(|| assert_eq!(classify(s), expected.unwrap())),
-                nodes
-            );
-            let witness = |required| serial_orders(&DenseSchedule::of(s), required, Some(1)).pop();
-            let mvsr = crate::mvsr::mvsr_witness(s).map(|(order, _)| order);
-            assert_eq!(mvsr, witness(Required::Nothing), "{s}");
-            assert_eq!(
-                crate::vsr::vsr_witness(s),
-                witness(Required::Standard),
-                "{s}"
-            );
+            assert_eq!(standalone, Some(expected), "{s}");
+            assert_eq!(standalone_nodes, nodes, "{s}");
+            for (witness, searched) in witnesses {
+                assert_eq!(witness, searched, "{s}");
+            }
         };
         let corpus = benchmark_corpus(300);
-        corpus.iter().for_each(same_as_fresh);
+        let each_of_the_corpus = |(k, s)| same_as_fresh(&format!("corpus schedule {k}"), s);
+        corpus.iter().enumerate().for_each(each_of_the_corpus);
         // Past the masks: 65 transactions, and 130 in a chain (`T_t` reads
         // `x_(t+1)` up front, then `x_(t-1)` before writing `x_t`).
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        same_as_fresh(&dense_random_schedule(&mut state, 65, 4, 512, false));
+        same_as_fresh(
+            "the 65-transaction schedule",
+            &dense_random_schedule(&mut state, 65, 4, 512, false),
+        );
         let x = mvcc_core::EntityId;
         let ahead = (1..=130).map(|t| mvcc_core::Step::read(mvcc_core::TxId(t), x(t + 1)));
         let turns = (1..=130).flat_map(|t| {
@@ -364,7 +382,10 @@ mod tests {
                 mvcc_core::Step::write(tx, x(t)),
             ]
         });
-        same_as_fresh(&Schedule::from_steps(ahead.chain(turns).collect()));
+        same_as_fresh(
+            "the 130-transaction chain",
+            &Schedule::from_steps(ahead.chain(turns).collect()),
+        );
         // A 20 000-step history through the polynomial audits; what it grew
         // past the retention bound is freed when each call ends.
         let history = sgt_style_history(20_000);
@@ -383,9 +404,9 @@ mod tests {
         // patching, a call nested in the one holding the workspace.
         let repeated = Schedule::parse("Rb(x) Rb(y) Wb(x) Ra(x) Wb(x) Ra(y) Wa(y)").unwrap();
         assert!(search_nodes(|| assert!(crate::dmvsr::is_dmvsr(&repeated))) > 0);
-        same_as_fresh(&repeated);
+        same_as_fresh("the repeated write", &repeated);
         assert!(!workspace_buffers().is_empty());
-        corpus.iter().for_each(same_as_fresh);
+        corpus.iter().enumerate().for_each(each_of_the_corpus);
     }
 
     #[test]

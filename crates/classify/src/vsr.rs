@@ -18,7 +18,7 @@
 //!   own write whose standard source is another transaction, refute the
 //!   schedule — exactly where the search would refute before its first
 //!   node;
-//! * [`vsr_polygraph`] / [`is_vsr_polygraph`]: the polygraph formulation of
+//! * `vsr_polygraph` / [`is_vsr_polygraph`]: the polygraph formulation of
 //!   \[P79\] (one choice per read-from/interfering-writer pair), solved with
 //!   the exact polygraph solver of `mvcc-graph`.  The two share no code and
 //!   agree on every input; the test-suite cross-checks them, and both
@@ -85,7 +85,7 @@ pub fn is_vsr_by_definition(schedule: &Schedule) -> bool {
 /// so that the acyclicity verdict stays equivalent to view-serializability.
 ///
 /// The schedule is view-serializable iff this polygraph is acyclic.
-pub fn vsr_polygraph(schedule: &Schedule) -> (Polygraph, HashMap<TxId, NodeId>) {
+pub(crate) fn vsr_polygraph(schedule: &Schedule) -> (Polygraph, HashMap<TxId, NodeId>) {
     let txs = schedule.tx_ids();
     let mut p = Polygraph::with_nodes(0);
     let mut node_of: HashMap<TxId, NodeId> = HashMap::new();
@@ -272,7 +272,7 @@ mod tests {
             );
             // VSR ⊆ MVSR, witness for witness.
             assert!(
-                crate::mvsr::all_serializations(&s)
+                crate::serialization::serializations(&s, None)
                     .iter()
                     .any(|rf| rf.order == order),
                 "{order:?} is no serialization of {s}"

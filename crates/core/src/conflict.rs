@@ -34,7 +34,7 @@ pub enum ConflictKind {
 /// Steps of the *same* transaction are never reported as conflicting: their
 /// order is fixed by program order in every schedule of the system, so they
 /// never constrain equivalence.
-pub fn sv_conflict_kind(first: &Step, second: &Step) -> Option<ConflictKind> {
+pub(crate) fn sv_conflict_kind(first: &Step, second: &Step) -> Option<ConflictKind> {
     if first.tx == second.tx || first.entity != second.entity {
         return None;
     }
@@ -73,26 +73,16 @@ pub struct ConflictPair {
 }
 
 /// Enumerates all ordered single-version conflicting pairs of `schedule`
-/// (earlier step first), in `(first, second)` lexicographic order.
-pub fn sv_conflict_pairs(schedule: &Schedule) -> Vec<ConflictPair> {
-    sv_conflict_pairs_iter(schedule).collect()
+/// (earlier step first), in `(first, second)` lexicographic order.  The
+/// classifiers enumerate arcs on their own dense index; this enumeration is
+/// the independent reference their differential test builds graphs from.
+pub fn sv_conflict_pairs_iter(schedule: &Schedule) -> impl Iterator<Item = ConflictPair> + '_ {
+    conflict_pairs_by(schedule, sv_conflicts)
 }
 
 /// Enumerates all ordered multiversion conflicting pairs of `schedule`
 /// (earlier step first; the earlier step is necessarily a read and the later
 /// one a write on the same entity), in `(first, second)` lexicographic order.
-pub fn mv_conflict_pairs(schedule: &Schedule) -> Vec<ConflictPair> {
-    mv_conflict_pairs_iter(schedule).collect()
-}
-
-/// [`sv_conflict_pairs`] without the intermediate vector.  The classifiers
-/// enumerate arcs on their own dense index; this enumeration is the
-/// independent reference their differential test builds graphs from.
-pub fn sv_conflict_pairs_iter(schedule: &Schedule) -> impl Iterator<Item = ConflictPair> + '_ {
-    conflict_pairs_by(schedule, sv_conflicts)
-}
-
-/// [`mv_conflict_pairs`] without the intermediate vector.
 pub fn mv_conflict_pairs_iter(schedule: &Schedule) -> impl Iterator<Item = ConflictPair> + '_ {
     conflict_pairs_by(schedule, mv_conflicts)
 }
@@ -153,6 +143,12 @@ mod tests {
     }
     fn w(tx: u32, e: u32) -> Step {
         Step::write(TxId(tx), EntityId(e))
+    }
+    fn sv_conflict_pairs(s: &Schedule) -> Vec<ConflictPair> {
+        sv_conflict_pairs_iter(s).collect()
+    }
+    fn mv_conflict_pairs(s: &Schedule) -> Vec<ConflictPair> {
+        mv_conflict_pairs_iter(s).collect()
     }
 
     #[test]

@@ -49,17 +49,6 @@ pub fn grid(schedule: &Schedule) -> String {
     out
 }
 
-/// Renders a one-line summary: the linear schedule plus the count of steps
-/// and transactions (used by the experiment tables).
-pub fn summary(schedule: &Schedule) -> String {
-    format!(
-        "{} ({} steps, {} transactions)",
-        schedule,
-        schedule.len(),
-        schedule.num_transactions()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,13 +79,5 @@ mod tests {
     #[test]
     fn empty_schedule_grid() {
         assert_eq!(grid(&Schedule::empty()), "(empty schedule)\n");
-    }
-
-    #[test]
-    fn summary_mentions_counts() {
-        let s = Schedule::parse("Ra(x) Wb(y)").unwrap();
-        let text = summary(&s);
-        assert!(text.contains("2 steps"));
-        assert!(text.contains("2 transactions"));
     }
 }

@@ -52,7 +52,7 @@ impl EntityInterner {
     }
 
     /// Interns `name`, returning its id (existing or fresh).
-    pub fn intern(&mut self, name: &str) -> EntityId {
+    pub(crate) fn intern(&mut self, name: &str) -> EntityId {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
@@ -88,17 +88,6 @@ impl EntityInterner {
             .iter()
             .enumerate()
             .map(|(i, n)| (EntityId(i as u32), n.as_str()))
-    }
-
-    /// Rebuilds the name→id map (needed after deserialization, where the map
-    /// is skipped).
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), EntityId(i as u32)))
-            .collect();
     }
 }
 
@@ -142,20 +131,6 @@ mod tests {
         i.intern("z");
         let names: Vec<&str> = i.iter().map(|(_, n)| n).collect();
         assert_eq!(names, vec!["x", "y", "z"]);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookups() {
-        let mut i = EntityInterner::new();
-        i.intern("x");
-        i.intern("y");
-        let mut clone = EntityInterner {
-            names: i.names.clone(),
-            by_name: HashMap::new(),
-        };
-        assert_eq!(clone.get("y"), None);
-        clone.rebuild_index();
-        assert_eq!(clone.get("y"), Some(EntityId(1)));
     }
 
     #[test]

@@ -53,8 +53,7 @@ pub mod entity;
 pub mod equivalence;
 pub mod error;
 pub mod examples;
-pub mod padding;
-pub mod readfrom;
+mod readfrom;
 pub mod schedule;
 pub mod step;
 pub mod transaction;

@@ -12,7 +12,7 @@
 
 use crate::{EntityId, Schedule, TxId, VersionFunction, VersionSource};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// One entry of a READ-FROM relation: `reader` reads `entity` from `writer`.
@@ -127,27 +127,6 @@ impl ReadFromRelation {
     pub fn of_schedule(schedule: &Schedule) -> Self {
         Self::of_full_schedule(schedule, &VersionFunction::standard(schedule))
     }
-
-    /// The *view* of transaction `tx`: the set of `(entity, writer)` pairs it
-    /// reads (Section 2).
-    pub fn view_of(&self, tx: TxId) -> BTreeSet<(EntityId, TxId)> {
-        self.entries
-            .iter()
-            .filter(|e| e.reader == tx)
-            .map(|e| (e.entity, e.writer))
-            .collect()
-    }
-
-    /// Groups the relation by reader.
-    pub fn by_reader(&self) -> BTreeMap<TxId, BTreeSet<(EntityId, TxId)>> {
-        let mut out: BTreeMap<TxId, BTreeSet<(EntityId, TxId)>> = BTreeMap::new();
-        for e in &self.entries {
-            out.entry(e.reader)
-                .or_default()
-                .insert((e.entity, e.writer));
-        }
-        out
-    }
 }
 
 impl FromIterator<ReadFrom> for ReadFromRelation {
@@ -204,20 +183,6 @@ mod tests {
         assert!(rel.contains(TxId(3), EntityId(0), TxId(1)));
         assert!(rel.contains(TxId::FINAL, EntityId(0), TxId(1)));
         assert!(!rel.contains(TxId(3), EntityId(0), TxId(2)));
-    }
-
-    #[test]
-    fn views_group_by_reader() {
-        let s = Schedule::parse("Wa(x) Wa(y) Rb(x) Rb(y)").unwrap();
-        let rel = ReadFromRelation::of_schedule(&s);
-        let view_b = rel.view_of(TxId(2));
-        assert_eq!(
-            view_b,
-            [(EntityId(0), TxId(1)), (EntityId(1), TxId(1))].into()
-        );
-        let by_reader = rel.by_reader();
-        assert_eq!(by_reader.len(), 2); // B and Tf
-        assert!(rel.view_of(TxId(9)).is_empty());
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl Schedule {
         self.steps.is_empty()
     }
 
-    /// The entity name interner, if the schedule was parsed from text.
-    pub fn entity_names(&self) -> Option<&EntityInterner> {
-        self.entities.as_ref()
-    }
-
     /// The distinct transaction ids, in order of first appearance.
     pub fn tx_ids(&self) -> Vec<TxId> {
         let mut seen = BTreeSet::new();
@@ -207,16 +202,6 @@ impl Schedule {
         true
     }
 
-    /// If the schedule is serial, returns the order in which transactions
-    /// run.
-    pub fn serial_order(&self) -> Option<Vec<TxId>> {
-        if self.is_serial() {
-            Some(self.tx_ids())
-        } else {
-            None
-        }
-    }
-
     /// The prefix consisting of the first `n` steps.
     pub fn prefix(&self, n: usize) -> Schedule {
         Schedule {
@@ -229,11 +214,6 @@ impl Schedule {
     /// schedule.
     pub fn prefixes(&self) -> impl Iterator<Item = Schedule> + '_ {
         (0..=self.steps.len()).map(move |n| self.prefix(n))
-    }
-
-    /// `true` if `other` is a prefix of this schedule.
-    pub fn has_prefix(&self, other: &Schedule) -> bool {
-        other.len() <= self.len() && self.steps[..other.len()] == other.steps[..]
     }
 
     /// Length of the longest common prefix with `other`.
@@ -255,12 +235,6 @@ impl Schedule {
         }
     }
 
-    /// Positions (indices into the schedule) of all write steps on `entity`,
-    /// in schedule order.
-    pub fn write_positions(&self, entity: EntityId) -> Vec<usize> {
-        self.positions(|s| s.is_write() && s.entity == entity)
-    }
-
     /// Positions of all read steps on `entity`, in schedule order.
     pub fn read_positions(&self, entity: EntityId) -> Vec<usize> {
         self.positions(|s| s.is_read() && s.entity == entity)
@@ -269,11 +243,6 @@ impl Schedule {
     /// Positions of all read steps, in schedule order.
     pub fn all_read_positions(&self) -> Vec<usize> {
         self.positions(|s| s.is_read())
-    }
-
-    /// Positions of the steps of transaction `tx`, in schedule order.
-    pub fn tx_positions(&self, tx: TxId) -> Vec<usize> {
-        self.positions(|s| s.tx == tx)
     }
 
     fn positions(&self, pred: impl Fn(&Step) -> bool) -> Vec<usize> {
@@ -288,7 +257,7 @@ impl Schedule {
     /// The position of the last write on `entity` strictly before position
     /// `pos`, or `None` if there is none (the read would read the initial
     /// version written by `T0`).
-    pub fn last_write_before(&self, pos: usize, entity: EntityId) -> Option<usize> {
+    pub(crate) fn last_write_before(&self, pos: usize, entity: EntityId) -> Option<usize> {
         self.steps[..pos.min(self.steps.len())]
             .iter()
             .enumerate()
@@ -453,11 +422,9 @@ mod tests {
     fn serial_detection() {
         let serial = Schedule::parse("Ra(x) Wa(x) Rb(x) Wb(x)").unwrap();
         assert!(serial.is_serial());
-        assert_eq!(serial.serial_order(), Some(vec![TxId(1), TxId(2)]));
 
         let interleaved = Schedule::parse("Ra(x) Rb(x) Wa(x) Wb(x)").unwrap();
         assert!(!interleaved.is_serial());
-        assert_eq!(interleaved.serial_order(), None);
 
         // Returning to an already-finished transaction is not serial.
         let revisit = Schedule::parse("Ra(x) Rb(x) Ra(y)").unwrap();
@@ -483,11 +450,9 @@ mod tests {
         let s = Schedule::parse("Ra(x) Wb(x) Ra(y) Wa(x) Rb(x)").unwrap();
         let x = EntityId(0);
         let y = EntityId(1);
-        assert_eq!(s.write_positions(x), vec![1, 3]);
         assert_eq!(s.read_positions(x), vec![0, 4]);
         assert_eq!(s.read_positions(y), vec![2]);
         assert_eq!(s.all_read_positions(), vec![0, 2, 4]);
-        assert_eq!(s.tx_positions(TxId(1)), vec![0, 2, 3]);
         assert_eq!(s.last_write_before(0, x), None);
         assert_eq!(s.last_write_before(4, x), Some(3));
         assert_eq!(s.last_writer_before(4, x), Some(TxId(1)));
@@ -502,9 +467,6 @@ mod tests {
         let t = Schedule::parse("Ra(x) Wa(x) Wb(y)").unwrap();
         assert_eq!(s.prefixes().count(), 4);
         assert_eq!(s.common_prefix_len(&t), 2);
-        assert!(s.has_prefix(&s.prefix(2)));
-        assert!(!t.has_prefix(&s.prefix(3)));
-        assert!(s.has_prefix(&Schedule::empty()));
     }
 
     #[test]
@@ -536,15 +498,6 @@ mod tests {
         let s2 = s.appended(Step::write(TxId(1), EntityId(0)));
         assert_eq!(s2.to_string(), "R1(x) W1(x)");
         assert_eq!(s.len(), 1, "original is unchanged");
-    }
-
-    #[test]
-    fn entity_names_preserved_by_parse() {
-        let s = Schedule::parse("Ra(balance) Wa(balance)").unwrap();
-        let names = s.entity_names().unwrap();
-        let id = names.get("balance").unwrap();
-        assert_eq!(names.name(id), Some("balance"));
-        assert!(id.index() >= 6, "custom names come after the letter block");
     }
 
     #[test]

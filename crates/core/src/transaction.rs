@@ -108,28 +108,9 @@ impl Transaction {
     /// `true` if the transaction contains a write on an entity it never
     /// reads ("readless write").  The restricted model of \[PK84\] disallows
     /// these; DMVSR is defined by patching them (see `mvcc-classify`).
-    pub fn has_readless_write(&self) -> bool {
+    pub(crate) fn has_readless_write(&self) -> bool {
         let reads = self.read_set();
         self.write_set().iter().any(|e| !reads.contains(e))
-    }
-
-    /// `true` if the transaction reads each entity it writes *before* the
-    /// write (the "two-step" discipline of the restricted model).
-    pub fn reads_before_writes(&self) -> bool {
-        let mut seen_reads: BTreeSet<EntityId> = BTreeSet::new();
-        for &(action, entity) in &self.accesses {
-            match action {
-                Action::Read => {
-                    seen_reads.insert(entity);
-                }
-                Action::Write => {
-                    if !seen_reads.contains(&entity) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
     }
 }
 
@@ -205,7 +186,7 @@ impl TransactionSystem {
 
     /// The serial schedule obtained by running the transactions in the given
     /// order, returned as a step sequence.
-    pub fn serial_steps(&self, order: &[TxId]) -> Vec<Step> {
+    pub(crate) fn serial_steps(&self, order: &[TxId]) -> Vec<Step> {
         let mut steps = Vec::with_capacity(self.total_steps());
         for &id in order {
             if let Some(tx) = self.get(id) {
@@ -260,7 +241,6 @@ mod tests {
         assert_eq!(t.read_set(), [EntityId(0), EntityId(1)].into());
         assert_eq!(t.write_set(), [EntityId(0), EntityId(2)].into());
         assert!(t.has_readless_write()); // writes z without reading it
-        assert!(!t.reads_before_writes());
     }
 
     #[test]
@@ -268,7 +248,6 @@ mod tests {
         let good = tx(1, &[(Action::Read, 0), (Action::Write, 0)]);
         let bad = tx(2, &[(Action::Write, 0)]);
         assert!(!good.has_readless_write());
-        assert!(good.reads_before_writes());
         assert!(bad.has_readless_write());
 
         let sys_good = TransactionSystem::new(vec![good.clone()]);

@@ -59,7 +59,7 @@ impl fmt::Display for VersionSource {
 /// Ordinary read steps are keyed by their position in the schedule.  The
 /// *padded* final transaction `Tf` reads every entity after the schedule
 /// ends; its reads are keyed by entity (see [`VersionFunction::assign_final`]
-/// and [`VersionFunction::get_final`]).
+/// and `VersionFunction::get_final`).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct VersionFunction {
     /// Assignment for each read step position of the schedule.
@@ -90,7 +90,7 @@ impl VersionFunction {
     }
 
     /// The source assigned to the padded final read of `entity`, if any.
-    pub fn get_final(&self, entity: EntityId) -> Option<VersionSource> {
+    pub(crate) fn get_final(&self, entity: EntityId) -> Option<VersionSource> {
         self.final_reads.get(&entity).copied()
     }
 
@@ -100,7 +100,7 @@ impl VersionFunction {
     }
 
     /// Iterates over the padded final read assignments.
-    pub fn iter_final(&self) -> impl Iterator<Item = (EntityId, VersionSource)> + '_ {
+    pub(crate) fn iter_final(&self) -> impl Iterator<Item = (EntityId, VersionSource)> + '_ {
         self.final_reads.iter().map(|(&e, &s)| (e, s))
     }
 
@@ -193,15 +193,6 @@ impl VersionFunction {
         Ok(())
     }
 
-    /// `true` if this version function agrees with `other` on every read
-    /// position both of them assign (used when checking extensions of a
-    /// prefix's version function, Section 4).
-    pub fn agrees_with(&self, other: &VersionFunction) -> bool {
-        self.assignments
-            .iter()
-            .all(|(pos, src)| other.assignments.get(pos).map_or(true, |o| o == src))
-    }
-
     /// `true` if this version function extends `prefix_vf`: every assignment
     /// of `prefix_vf` is present with the same value.
     pub fn extends(&self, prefix_vf: &VersionFunction) -> bool {
@@ -209,20 +200,6 @@ impl VersionFunction {
             .assignments
             .iter()
             .all(|(pos, src)| self.assignments.get(pos) == Some(src))
-    }
-
-    /// Restricts this version function to reads at positions `< len`
-    /// (dropping the padded final reads, which belong to the full schedule).
-    pub fn restrict(&self, len: usize) -> VersionFunction {
-        VersionFunction {
-            assignments: self
-                .assignments
-                .iter()
-                .filter(|(&p, _)| p < len)
-                .map(|(&p, &s)| (p, s))
-                .collect(),
-            final_reads: BTreeMap::new(),
-        }
     }
 
     /// Enumerates every valid version function of `schedule` (all
@@ -410,14 +387,14 @@ mod tests {
     fn extends_and_restrict() {
         let s = Schedule::parse("Wa(x) Rb(x) Rc(x)").unwrap();
         let full = VersionFunction::standard(&s);
-        let prefix = full.restrict(2);
+        // Its restriction to the first two steps: the one read, no finals.
+        let mut prefix = VersionFunction::new();
+        prefix.assign(1, full.get(1).unwrap());
         assert_eq!(prefix.len(), 1);
         assert!(full.extends(&prefix));
         let mut other = prefix.clone();
         other.assign(1, VersionSource::Initial);
         assert!(!full.extends(&other));
-        assert!(full.agrees_with(&prefix));
-        assert!(!other.agrees_with(&full));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"MVCKPT01";
+pub(crate) const CHECKPOINT_MAGIC: &[u8; 8] = b"MVCKPT01";
 
 /// One committed version as persisted by checkpoints and rebuilt by
 /// recovery.
@@ -70,12 +70,12 @@ pub struct CheckpointData {
 }
 
 /// The path of checkpoint `seq` under `dir`.
-pub fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
+pub(crate) fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("checkpoint-{seq:08}.ckpt"))
 }
 
 /// Lists checkpoint files under `dir`, sorted by sequence number.
-pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+pub(crate) fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut checkpoints = Vec::new();
     if !dir.exists() {
         return Ok(checkpoints);

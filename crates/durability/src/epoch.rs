@@ -50,10 +50,10 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 /// Magic bytes opening the epoch marker file.
-pub const EPOCH_MAGIC: &[u8; 8] = b"MVEP0001";
+pub(crate) const EPOCH_MAGIC: &[u8; 8] = b"MVEP0001";
 
 /// File name of the epoch marker inside a log directory.
-pub const EPOCH_FILE: &str = "epoch.mv";
+pub(crate) const EPOCH_FILE: &str = "epoch.mv";
 
 /// Payload bytes after the magic: epoch + fence LSN + start segment +
 /// provisional flag.

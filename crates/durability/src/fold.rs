@@ -162,7 +162,7 @@ impl LogFold {
 
     /// Transactions that logged writes and are still open: at the end of
     /// a recovered prefix, the crash aborted them.
-    pub fn unfinished_writers(&self) -> impl Iterator<Item = TxId> + '_ {
+    pub(crate) fn unfinished_writers(&self) -> impl Iterator<Item = TxId> + '_ {
         self.open
             .iter()
             .filter(|(_, writes)| !writes.is_empty())

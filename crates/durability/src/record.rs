@@ -33,15 +33,15 @@
 //! valid log prefix.
 
 use bytes::Bytes;
-use mvcc_core::{EntityId, Step, TxId};
+use mvcc_core::{EntityId, TxId};
 use std::fmt;
 
 /// Upper bound on a single record's payload (defends the decoder against
 /// interpreting garbage as a multi-gigabyte length).
-pub const MAX_PAYLOAD: u32 = 1 << 26; // 64 MiB
+pub(crate) const MAX_PAYLOAD: u32 = 1 << 26; // 64 MiB
 
 /// Bytes of framing per record (length + CRC).
-pub const FRAME_OVERHEAD: usize = 8;
+pub(crate) const FRAME_OVERHEAD: usize = 8;
 
 const KIND_BEGIN: u8 = 1;
 const KIND_READ: u8 = 2;
@@ -103,17 +103,6 @@ pub enum WalRecord {
         /// The checkpoint sequence number.
         seq: u64,
     },
-}
-
-impl WalRecord {
-    /// The admitted step this record represents, if it is a step record.
-    pub fn as_step(&self) -> Option<Step> {
-        match self {
-            WalRecord::Read { tx, entity } => Some(Step::read(*tx, *entity)),
-            WalRecord::Write { tx, entity, .. } => Some(Step::write(*tx, *entity)),
-            _ => None,
-        }
-    }
 }
 
 /// Why a record failed to decode.
@@ -526,28 +515,6 @@ mod tests {
         buf.extend_from_slice(&crc32(&payload).to_le_bytes());
         buf.extend_from_slice(&payload);
         assert_eq!(decode_record(&buf), Err(DecodeError::UnknownKind(99)));
-    }
-
-    #[test]
-    fn step_records_expose_their_steps() {
-        assert_eq!(
-            WalRecord::Read {
-                tx: TxId(1),
-                entity: EntityId(2)
-            }
-            .as_step(),
-            Some(Step::read(TxId(1), EntityId(2)))
-        );
-        assert_eq!(
-            WalRecord::Write {
-                tx: TxId(1),
-                entity: EntityId(2),
-                value: Bytes::new()
-            }
-            .as_step(),
-            Some(Step::write(TxId(1), EntityId(2)))
-        );
-        assert_eq!(WalRecord::Begin { tx: TxId(1) }.as_step(), None);
     }
 }
 

@@ -52,10 +52,10 @@ use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"MVWAL002";
+pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"MVWAL002";
 
 /// Bytes of segment header (magic + sequence number + primary epoch).
-pub const SEGMENT_HEADER: usize = 24;
+pub(crate) const SEGMENT_HEADER: usize = 24;
 
 /// How durable the engine's log is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,7 +146,7 @@ impl DurabilityConfig {
 }
 
 /// The path of segment `seq` under `dir`.
-pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
+pub(crate) fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("wal-{seq:08}.seg"))
 }
 

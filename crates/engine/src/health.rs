@@ -344,7 +344,7 @@ struct MemberState {
 }
 
 /// The windowed anomaly detector: feed it frames in order
-/// ([`AnomalyDetector::observe`]), read alarms out
+/// (`AnomalyDetector::observe`), read alarms out
 /// ([`AnomalyDetector::alarms`]).  Pure frame-in/verdict-out logic — no
 /// threads, no clocks — so scripted tests and `mvccstat replay` run the
 /// exact detector the live monitor runs.
@@ -389,7 +389,7 @@ impl AnomalyDetector {
     /// Evaluates one frame, updating alarm state; returns the flight
     /// events for this frame's onset/clear transitions (the caller owns
     /// the flight recorder — the detector stays mechanism-free).
-    pub fn observe(&mut self, frame: &TimelineFrame) -> Vec<EventKind> {
+    pub(crate) fn observe(&mut self, frame: &TimelineFrame) -> Vec<EventKind> {
         let mut events = Vec::new();
         let base_abort = self.baseline.iter().sum::<f64>() / self.baseline.len().max(1) as f64;
 

@@ -80,7 +80,7 @@
 pub mod certifier;
 pub mod checkpoint;
 pub mod gc;
-pub mod health;
+mod health;
 pub mod load;
 pub mod metrics;
 pub mod pipeline;

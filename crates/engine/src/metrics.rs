@@ -257,7 +257,7 @@ impl EngineMetrics {
     /// Records the promoted engine's first commit on its new epoch
     /// (elapsed from the engine opening) — the tail of the failover
     /// MTTR timeline.  Idempotent: only the first call records.
-    pub fn record_epoch_first_commit(&self, epoch: u64, since_open: Duration) {
+    pub(crate) fn record_epoch_first_commit(&self, epoch: u64, since_open: Duration) {
         if self
             .epoch_first_commit_done
             .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
@@ -271,24 +271,24 @@ impl EngineMetrics {
     }
 
     /// Records a session begin.
-    pub fn record_begin(&self) {
+    pub(crate) fn record_begin(&self) {
         self.begun.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records an executed read on `shard`.
-    pub fn record_read(&self, shard: usize) {
+    pub(crate) fn record_read(&self, shard: usize) {
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.shards[shard].ops.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records an executed write on `shard`.
-    pub fn record_write(&self, shard: usize) {
+    pub(crate) fn record_write(&self, shard: usize) {
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.shards[shard].ops.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a commit and its latency (begin → commit).
-    pub fn record_commit(&self, latency: Duration) {
+    pub(crate) fn record_commit(&self, latency: Duration) {
         self.committed.fetch_add(1, Ordering::Relaxed);
         // `as_micros` is u128; a plain `as u64` cast would silently wrap
         // absurd durations around to *small* values and file them in fast
@@ -303,7 +303,7 @@ impl EngineMetrics {
 
     /// Records an abort; `shard` is the shard of the entity that triggered
     /// it, when one did.
-    pub fn record_abort(&self, reason: AbortReason, shard: Option<usize>) {
+    pub(crate) fn record_abort(&self, reason: AbortReason, shard: Option<usize>) {
         self.aborted.fetch_add(1, Ordering::Relaxed);
         self.aborts_by_reason[reason.index()].fetch_add(1, Ordering::Relaxed);
         if let Some(s) = shard {
@@ -317,7 +317,7 @@ impl EngineMetrics {
     }
 
     /// Records one GC pass that reclaimed `reclaimed` versions.
-    pub fn record_gc(&self, reclaimed: usize) {
+    pub(crate) fn record_gc(&self, reclaimed: usize) {
         self.gc_passes.fetch_add(1, Ordering::Relaxed);
         self.gc_reclaimed
             .fetch_add(reclaimed as u64, Ordering::Relaxed);
@@ -336,7 +336,7 @@ impl EngineMetrics {
     /// one step per lane lock, so it always passes 1; the counter pair
     /// stays because the mean (`engine.admission_batch`) is a reported
     /// metric.
-    pub fn record_admission_batch(&self, steps: usize) {
+    pub(crate) fn record_admission_batch(&self, steps: usize) {
         self.admission_batches.fetch_add(1, Ordering::Relaxed);
         self.admission_batch_steps
             .fetch_add(steps as u64, Ordering::Relaxed);
@@ -347,7 +347,7 @@ impl EngineMetrics {
     /// nothing and are not recorded — the counter measures how many
     /// commits share one drain, which is also how many share one WAL
     /// flush).
-    pub fn record_commit_batch(&self, txns: usize) {
+    pub(crate) fn record_commit_batch(&self, txns: usize) {
         self.commit_batches.fetch_add(1, Ordering::Relaxed);
         self.commit_batch_txns
             .fetch_add(txns as u64, Ordering::Relaxed);
@@ -355,7 +355,7 @@ impl EngineMetrics {
 
     /// Records one buffered WAL append of `records` records totalling
     /// `bytes` encoded bytes (an admission batch's step records).
-    pub fn record_wal_append(&self, records: usize, bytes: u64) {
+    pub(crate) fn record_wal_append(&self, records: usize, bytes: u64) {
         self.wal_appends.fetch_add(1, Ordering::Relaxed);
         self.wal_records
             .fetch_add(records as u64, Ordering::Relaxed);
@@ -365,7 +365,7 @@ impl EngineMetrics {
     /// Records one WAL flush (a group-commit batch's durability point):
     /// `bytes` appended with the flush, whether it ended in an fsync, and
     /// how many transactions it made durable.
-    pub fn record_wal_flush(&self, bytes: u64, fsynced: bool, txns: usize) {
+    pub(crate) fn record_wal_flush(&self, bytes: u64, fsynced: bool, txns: usize) {
         self.wal_flushes.fetch_add(1, Ordering::Relaxed);
         if fsynced {
             self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -375,13 +375,13 @@ impl EngineMetrics {
     }
 
     /// Records one completed checkpoint.
-    pub fn record_checkpoint(&self) {
+    pub(crate) fn record_checkpoint(&self) {
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Sets the primary-epoch gauge (monotone: a promotion only ever
     /// raises it).
-    pub fn record_epoch(&self, epoch: u64) {
+    pub(crate) fn record_epoch(&self, epoch: u64) {
         self.epoch.fetch_max(epoch, Ordering::Relaxed);
     }
 
@@ -559,7 +559,7 @@ impl MetricsSnapshot {
 
     /// Mean transactions per group-commit batch, or `None` when no batch
     /// was applied.
-    pub fn mean_commit_batch(&self) -> Option<f64> {
+    pub(crate) fn mean_commit_batch(&self) -> Option<f64> {
         (self.commit_batches > 0)
             .then(|| self.commit_batch_txns as f64 / self.commit_batches as f64)
     }
@@ -571,19 +571,19 @@ impl MetricsSnapshot {
     }
 
     /// `true` when the engine ran with a write-ahead log.
-    pub fn durability_on(&self) -> bool {
+    pub(crate) fn durability_on(&self) -> bool {
         self.wal_appends > 0 || self.wal_flushes > 0
     }
 
     /// `true` when replication traffic (shipping, applying or routing)
     /// was recorded.
-    pub fn replication_on(&self) -> bool {
+    pub(crate) fn replication_on(&self) -> bool {
         self.repl_shipped_records > 0 || self.repl_applied_records > 0 || self.repl_routed_reads > 0
     }
 
     /// Mean records per replica apply batch, or `None` when no batch was
     /// applied.
-    pub fn mean_repl_apply_batch(&self) -> Option<f64> {
+    pub(crate) fn mean_repl_apply_batch(&self) -> Option<f64> {
         (self.repl_apply_batches > 0)
             .then(|| self.repl_applied_records as f64 / self.repl_apply_batches as f64)
     }

@@ -13,7 +13,7 @@
 //!   re-proves this per certifier).
 //! * commits go through a **group-commit lane**: whoever takes the drain
 //!   lock applies every parked commit to the shards in groups
-//!   ([`ShardedStore::commit_group`] takes each store's transaction-table
+//!   (`ShardedStore::commit_group` takes each store's transaction-table
 //!   lock once per group), appends one WAL commit record with one flush,
 //!   and only then notifies the certifiers — "shard commits (and their
 //!   durability) before the certifier hears about them".

@@ -191,7 +191,7 @@ pub struct History {
     /// nothing was dropped).  Transaction ids are allocated monotonically,
     /// so every transaction with an id *above* this horizon has all of its
     /// admitted steps still in the window — the projection
-    /// [`History::windowed_schedule`] builds on for online checking.
+    /// `History::windowed_schedule` builds on for online checking.
     pub drop_horizon: Option<TxId>,
     /// Transactions that committed.
     pub committed: BTreeSet<TxId>,
@@ -229,7 +229,7 @@ impl History {
     /// it.  Conflict-graph classes qualify (CSR and MVCSR: a subgraph of
     /// an acyclic conflict graph is acyclic); exact MVSR membership does
     /// not.  The online watchdog restricts itself accordingly.
-    pub fn windowed_schedule(&self) -> Schedule {
+    pub(crate) fn windowed_schedule(&self) -> Schedule {
         match self.drop_horizon {
             None => self.committed_schedule(),
             Some(horizon) => Schedule::from_steps(
@@ -604,12 +604,6 @@ impl Engine {
     /// The class guaranteed for the committed history.
     pub fn class(&self) -> HistoryClass {
         self.kind.class()
-    }
-
-    /// Number of admission lanes (1 unless the certifier only needs
-    /// per-entity ordering and admission is partitioned per shard).
-    pub fn admission_lanes(&self) -> usize {
-        self.pipeline.lane_count()
     }
 
     /// The engine's metrics.
@@ -1079,7 +1073,7 @@ mod tests {
         let e = engine(CertifierKind::SnapshotIsolation);
         // SI only needs per-entity ordering, so the pipeline gives it one
         // admission lane per shard.
-        assert_eq!(e.admission_lanes(), 2);
+        assert_eq!(e.pipeline.lane_count(), 2);
         let mut t1 = e.begin();
         let mut t2 = e.begin();
         // Both write the same entity on shard of X and disjoint ones on

@@ -146,7 +146,7 @@ impl ShardedStore {
     /// independent commit counters).  A member fails if any of its shards
     /// refused the commit (a bug upstream — members are expected to be
     /// active everywhere they begun).
-    pub fn commit_group(
+    pub(crate) fn commit_group(
         &self,
         group: &[(TxHandle, &[bool])],
     ) -> Vec<Result<Vec<(usize, u64)>, StoreError>> {

@@ -19,7 +19,7 @@
 //! checks the *window*: the committed projection restricted to
 //! transactions wholly above [`History::drop_horizon`] (transaction ids
 //! are monotone, so those transactions have every step retained — see
-//! [`History::windowed_schedule`]).  A window is a transaction-subset
+//! `History::windowed_schedule`).  A window is a transaction-subset
 //! projection of the full committed history, which means only properties
 //! *closed under such projections* may be asserted on it:
 //!

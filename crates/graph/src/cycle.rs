@@ -62,7 +62,8 @@ pub fn find_cycle(graph: &DiGraph) -> Option<Vec<NodeId>> {
 
 /// `true` if `nodes` is a cycle of `graph`: non-empty, every consecutive pair
 /// is an arc, and the last node has an arc back to the first.
-pub fn is_cycle(graph: &DiGraph, nodes: &[NodeId]) -> bool {
+#[cfg(test)]
+pub(crate) fn is_cycle(graph: &DiGraph, nodes: &[NodeId]) -> bool {
     if nodes.is_empty() {
         return false;
     }

@@ -77,7 +77,7 @@ impl DiGraph {
     }
 
     /// Sets the label of `node`.
-    pub fn set_label(&mut self, node: NodeId, label: impl Into<String>) {
+    pub(crate) fn set_label(&mut self, node: NodeId, label: impl Into<String>) {
         self.labels[node.index()] = label.into();
     }
 
@@ -89,18 +89,13 @@ impl DiGraph {
         self.succs[from.index()].insert(to);
     }
 
-    /// Removes the arc `from → to` if present.
-    pub fn remove_arc(&mut self, from: NodeId, to: NodeId) {
-        self.succs[from.index()].remove(&to);
-    }
-
     /// `true` if the arc `from → to` is present.
     pub fn has_arc(&self, from: NodeId, to: NodeId) -> bool {
         self.succs[from.index()].contains(&to)
     }
 
     /// The successors of `node` in ascending id order.
-    pub fn successors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn successors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.succs[node.index()].iter().copied()
     }
 
@@ -116,7 +111,7 @@ impl DiGraph {
     }
 
     /// In-degree of every node.
-    pub fn in_degrees(&self) -> Vec<usize> {
+    pub(crate) fn in_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.node_count()];
         for (_, to) in self.arcs() {
             deg[to.index()] += 1;
@@ -126,7 +121,7 @@ impl DiGraph {
 
     /// `true` if there is a path from `from` to `to` (including the empty
     /// path when `from == to`).
-    pub fn has_path(&self, from: NodeId, to: NodeId) -> bool {
+    pub(crate) fn has_path(&self, from: NodeId, to: NodeId) -> bool {
         if from == to {
             return true;
         }
@@ -145,16 +140,6 @@ impl DiGraph {
             }
         }
         false
-    }
-
-    /// Returns the union of this graph with additional arcs (node set
-    /// unchanged).
-    pub fn with_extra_arcs(&self, arcs: &[(NodeId, NodeId)]) -> DiGraph {
-        let mut g = self.clone();
-        for &(a, b) in arcs {
-            g.add_arc(a, b);
-        }
-        g
     }
 }
 
@@ -200,11 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn remove_arc_and_relabel() {
+    fn relabel() {
         let mut g = DiGraph::with_nodes(2);
-        g.add_arc(NodeId(0), NodeId(1));
-        g.remove_arc(NodeId(0), NodeId(1));
-        assert_eq!(g.arc_count(), 0);
         g.set_label(NodeId(0), "start");
         assert_eq!(g.label(NodeId(0)), "start");
     }
@@ -228,14 +210,5 @@ mod tests {
         let arcs: Vec<_> = g.arcs().collect();
         assert_eq!(arcs, vec![(NodeId(0), NodeId(2)), (NodeId(1), NodeId(2))]);
         assert_eq!(g.in_degrees(), vec![0, 0, 2]);
-    }
-
-    #[test]
-    fn with_extra_arcs_leaves_original_untouched() {
-        let mut g = DiGraph::with_nodes(2);
-        g.add_arc(NodeId(0), NodeId(1));
-        let g2 = g.with_extra_arcs(&[(NodeId(1), NodeId(0))]);
-        assert_eq!(g.arc_count(), 1);
-        assert_eq!(g2.arc_count(), 2);
     }
 }

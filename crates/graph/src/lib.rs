@@ -20,7 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod cycle;
-pub mod digraph;
+mod digraph;
 pub mod poly_acyclic;
 pub mod polygraph;
 pub mod topo;

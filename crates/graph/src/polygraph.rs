@@ -32,12 +32,12 @@ pub struct Choice {
 
 impl Choice {
     /// The first branch `(j, k)`.
-    pub fn first_branch(&self) -> (NodeId, NodeId) {
+    pub(crate) fn first_branch(&self) -> (NodeId, NodeId) {
         (self.j, self.k)
     }
 
     /// The second branch `(k, i)`.
-    pub fn second_branch(&self) -> (NodeId, NodeId) {
+    pub(crate) fn second_branch(&self) -> (NodeId, NodeId) {
         (self.k, self.i)
     }
 
@@ -135,7 +135,7 @@ impl Polygraph {
     }
 
     /// The graph `(N, A)` of mandatory arcs.
-    pub fn base_graph(&self) -> DiGraph {
+    pub(crate) fn base_graph(&self) -> DiGraph {
         let mut g = DiGraph::with_nodes(self.node_count);
         for i in 0..self.node_count {
             g.set_label(NodeId(i as u32), self.labels[i].clone());
@@ -148,7 +148,7 @@ impl Polygraph {
 
     /// The graph `(N, C1)` of first branches `(j, k)` of all choices —
     /// assumption (b) of Theorem 4 requires it to be acyclic.
-    pub fn first_branch_graph(&self) -> DiGraph {
+    pub(crate) fn first_branch_graph(&self) -> DiGraph {
         let mut g = DiGraph::with_nodes(self.node_count);
         for c in &self.choices {
             g.add_arc(c.j, c.k);
@@ -176,7 +176,8 @@ impl Polygraph {
     /// Checks the compatibility condition of the paper for an arbitrary
     /// graph over (a superset of) the same nodes: `A ⊆ A'` and every choice
     /// has at least one branch present.
-    pub fn is_compatible(&self, graph: &DiGraph) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_compatible(&self, graph: &DiGraph) -> bool {
         if graph.node_count() < self.node_count {
             return false;
         }

@@ -38,7 +38,8 @@ pub fn is_acyclic(graph: &DiGraph) -> bool {
 
 /// `true` if `order` is a valid topological order of `graph` (contains every
 /// node exactly once and respects every arc).
-pub fn is_topological_order(graph: &DiGraph, order: &[NodeId]) -> bool {
+#[cfg(test)]
+pub(crate) fn is_topological_order(graph: &DiGraph, order: &[NodeId]) -> bool {
     if order.len() != graph.node_count() {
         return false;
     }

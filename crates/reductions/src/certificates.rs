@@ -1,4 +1,4 @@
-//! NP certificates and the Lemma 1 / Corollary 1 helpers.
+//! NP certificates and Corollary 1's forced read-froms.
 //!
 //! * Theorem 4's membership argument: "a succinct certificate of on-line
 //!   schedulability of `{s1, s2}` consists of two version functions
@@ -13,11 +13,11 @@
 
 use mvcc_classify::serialization::{
     achievable_prefix_restrictions, achievable_prefix_restrictions_bounded,
-    has_serialization_extending, serializations_extending,
+    serializations_extending,
 };
 use mvcc_core::equivalence::full_view_equivalent;
 use mvcc_core::{Schedule, TxId, VersionFunction, VersionSource};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A certificate for the on-line schedulability of a pair of schedules.
 #[derive(Debug, Clone)]
@@ -97,24 +97,12 @@ pub fn forced_read_froms(s: &Schedule) -> Option<BTreeMap<usize, VersionSource>>
     Some(first)
 }
 
-/// Lemma 1, as a checkable predicate: a (maximal) scheduler may reject step
-/// `h` after accepting the prefix `p` with read-froms `assigned` only if
-/// `p·h` has no serializable completion extending `assigned`.  This helper
-/// reports whether such a completion of the *offered prefix itself* exists;
-/// the Theorem 6 construction uses it to decide which step a maximal
-/// scheduler must accept.
-pub fn has_serializable_completion(
-    prefix_with_step: &Schedule,
-    assigned: &BTreeMap<usize, VersionSource>,
-) -> bool {
-    let required: HashMap<usize, VersionSource> = assigned.iter().map(|(&p, &v)| (p, v)).collect();
-    has_serialization_extending(prefix_with_step, &required)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvcc_classify::serialization::has_serialization_extending;
     use mvcc_core::examples::section4_pair;
+    use std::collections::HashMap;
 
     #[test]
     fn certificate_found_for_an_ols_pair() {
@@ -168,18 +156,21 @@ mod tests {
 
     #[test]
     fn lemma1_predicate() {
-        // After accepting Wa(x) Rb(x) with R_b(x) <- A, the continuation
-        // exists (serialize A B)...
+        // Lemma 1: a maximal scheduler may reject a step after accepting a
+        // prefix with some read-froms only if the prefix with the step has
+        // no serializable completion extending them.  After accepting
+        // Wa(x) Rb(x) with R_b(x) <- A, the continuation exists (serialize
+        // A B)...
         let prefix = Schedule::parse("Wa(x) Rb(x)").unwrap();
-        let mut assigned = BTreeMap::new();
-        assigned.insert(1usize, VersionSource::Tx(TxId(1)));
-        assert!(has_serializable_completion(&prefix, &assigned));
+        let assigned = HashMap::from([(1, VersionSource::Tx(TxId(1)))]);
+        assert!(has_serialization_extending(&prefix, &assigned));
         // ...but after also seeing W_b(x) R_a(x) with R_a(x) forced to read
         // B's version AND R_b(x) pinned to A's, no serial order works.
         let longer = Schedule::parse("Wa(x) Rb(x) Wb(x) Ra(x)").unwrap();
-        let mut impossible = BTreeMap::new();
-        impossible.insert(1usize, VersionSource::Tx(TxId(1)));
-        impossible.insert(3usize, VersionSource::Tx(TxId(2)));
-        assert!(!has_serializable_completion(&longer, &impossible));
+        let impossible = HashMap::from([
+            (1, VersionSource::Tx(TxId(1))),
+            (3, VersionSource::Tx(TxId(2))),
+        ]);
+        assert!(!has_serialization_extending(&longer, &impossible));
     }
 }

@@ -11,10 +11,10 @@
 //!   mandatory arcs);
 //! * [`ols`] — the definition-level checker for *on-line schedulability*
 //!   (OLS) of a set of schedules;
-//! * [`theorem4`] — the construction mapping a polygraph `P` to a pair of
+//! * `theorem4` — the construction mapping a polygraph `P` to a pair of
 //!   MVCSR schedules `{s1, s2}` that is OLS iff `P` is acyclic
 //!   (NP-completeness of OLS);
-//! * [`theorem5`] — the construction mapping `P` to a single schedule with
+//! * `theorem5` — the construction mapping `P` to a single schedule with
 //!   forced read-froms that is MVSR (and hence accepted by every maximal
 //!   multiversion scheduler) iff `P` is acyclic (NP-hardness of every
 //!   maximal OLS subset of MVSR);
@@ -22,7 +22,7 @@
 //!   scheduler and produces an MVCSR schedule the scheduler accepts iff `P`
 //!   is acyclic (no polynomial maximal MVCSR scheduler unless P = NP);
 //! * [`certificates`] — verification of the succinct certificates used in
-//!   the NP-membership arguments (Lemma 1 / Corollary 1 helpers).
+//!   the NP-membership arguments, and Corollary 1's forced read-froms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,8 +31,8 @@ pub mod certificates;
 pub mod ols;
 pub mod sat;
 pub mod sat_to_polygraph;
-pub mod theorem4;
-pub mod theorem5;
+mod theorem4;
+mod theorem5;
 pub mod theorem6;
 
 pub use ols::{is_ols, ols_violation, OlsViolation};

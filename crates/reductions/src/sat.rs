@@ -41,16 +41,9 @@ impl Literal {
     }
 
     /// Evaluates the literal under an assignment.
-    pub fn eval(&self, assignment: &[bool]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn eval(&self, assignment: &[bool]) -> bool {
         assignment[self.var] == self.positive
-    }
-
-    /// The complementary literal.
-    pub fn negated(&self) -> Literal {
-        Literal {
-            var: self.var,
-            positive: !self.positive,
-        }
     }
 }
 
@@ -90,18 +83,9 @@ impl CnfFormula {
         self.clauses.push(clause);
     }
 
-    /// Number of clauses.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Total number of literal occurrences.
-    pub fn num_literal_occurrences(&self) -> usize {
-        self.clauses.iter().map(|c| c.len()).sum()
-    }
-
     /// Evaluates the formula under a complete assignment.
-    pub fn eval(&self, assignment: &[bool]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn eval(&self, assignment: &[bool]) -> bool {
         self.clauses
             .iter()
             .all(|c| c.iter().any(|l| l.eval(assignment)))
@@ -118,7 +102,8 @@ impl CnfFormula {
     }
 
     /// Brute-force satisfiability check (reference implementation).
-    pub fn satisfiable_brute_force(&self) -> Option<Vec<bool>> {
+    #[cfg(test)]
+    pub(crate) fn satisfiable_brute_force(&self) -> Option<Vec<bool>> {
         assert!(self.num_vars < 24, "brute force is for small formulas");
         for bits in 0..(1u64 << self.num_vars) {
             let assignment: Vec<bool> = (0..self.num_vars).map(|i| bits & (1 << i) != 0).collect();
@@ -307,12 +292,10 @@ mod tests {
     #[test]
     fn display_and_counts() {
         let f = xor_formula();
-        assert_eq!(f.num_clauses(), 2);
-        assert_eq!(f.num_literal_occurrences(), 4);
+        assert_eq!(f.clauses.len(), 2);
         let text = f.to_string();
         assert!(text.contains("∨"));
         assert!(text.contains("¬x1"));
-        assert_eq!(Literal::pos(3).negated(), Literal::neg(3));
     }
 
     #[test]

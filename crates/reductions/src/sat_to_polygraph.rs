@@ -58,14 +58,6 @@ pub struct SatPolygraph {
     pub occurrence_choice: Vec<Vec<usize>>,
 }
 
-impl SatPolygraph {
-    /// Decodes a branch selection of the polygraph into a variable
-    /// assignment (`selection[variable_choice[v]]` = first branch = true).
-    pub fn decode_assignment(&self, selection: &[bool]) -> Vec<bool> {
-        self.variable_choice.iter().map(|&c| selection[c]).collect()
-    }
-}
-
 /// Runs the reduction on `formula`.
 pub fn sat_to_polygraph(formula: &CnfFormula) -> SatPolygraph {
     let mut p = Polygraph::with_nodes(0);
@@ -159,7 +151,7 @@ mod tests {
         // One choice per variable plus one per literal occurrence.
         assert_eq!(
             sp.polygraph.choice_count(),
-            f.num_vars + f.num_literal_occurrences()
+            f.num_vars + f.clauses.iter().map(Vec::len).sum::<usize>()
         );
     }
 
@@ -168,7 +160,12 @@ mod tests {
         let f = formula(2, &[&[1, 2], &[-1, -2]]);
         let sp = sat_to_polygraph(&f);
         let sol = solve_polygraph(&sp.polygraph).expect("acyclic");
-        let assignment = sp.decode_assignment(&sol.selection);
+        // A variable is true when its choice takes the first branch.
+        let assignment: Vec<bool> = sp
+            .variable_choice
+            .iter()
+            .map(|&c| sol.selection[c])
+            .collect();
         assert!(
             f.eval(&assignment),
             "decoded assignment must satisfy the formula"

@@ -64,7 +64,7 @@ impl ReplicaHistory {
     }
 
     /// Records one shipped step record (read or write) at its LSN.
-    pub fn record_shipped(&self, lsn: u64, step: Step) {
+    pub(crate) fn record_shipped(&self, lsn: u64, step: Step) {
         if self.record {
             self.inner.lock().shipped.push((lsn, step));
         }
@@ -74,7 +74,7 @@ impl ReplicaHistory {
     /// commit membership only feeds the committed projections, and a
     /// recording-off replica (long soak runs) must not grow any
     /// per-transaction state without bound.
-    pub fn record_committed(&self, tx: TxId) {
+    pub(crate) fn record_committed(&self, tx: TxId) {
         if self.record {
             self.inner.lock().committed.insert(tx);
         }
@@ -82,7 +82,7 @@ impl ReplicaHistory {
 
     /// Records one finished replica-served read-only transaction pinned
     /// at `watermark`.
-    pub fn record_reader(&self, tx: TxId, watermark: u64, steps: Vec<Step>) {
+    pub(crate) fn record_reader(&self, tx: TxId, watermark: u64, steps: Vec<Step>) {
         if !self.record || steps.is_empty() {
             return;
         }

@@ -341,7 +341,6 @@ mod tests {
         // Never bump the heartbeat: the lease expires and failover runs.
         assert!(driver.wait_for_promotion(Duration::from_secs(10)));
         assert_eq!(router.epoch(), 1, "the promoted engine owns epoch 1");
-        assert!(router.installs() >= 1);
         // The new primary serves the old history and accepts new writes.
         let mut session = router.begin().unwrap();
         assert_eq!(session.read(X).unwrap(), Bytes::from_static(b"committed"));

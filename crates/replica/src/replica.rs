@@ -40,7 +40,7 @@ use mvcc_engine::{
 use mvcc_store::{gc, StoreError, TxHandle};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,7 +48,7 @@ use std::time::Instant;
 /// anything a primary allocates in these workloads, far below the
 /// [`TxId::INITIAL`]/[`TxId::FINAL`] padding ids, so combined schedules
 /// never collide.
-pub const READER_TX_BASE: u32 = 0x4000_0000;
+pub(crate) const READER_TX_BASE: u32 = 0x4000_0000;
 
 /// Replica construction parameters.  Topology (`shards`, `entities`,
 /// `initial`) must match the primary's — the log carries entity ids, not
@@ -135,8 +135,6 @@ pub struct Replica {
     watermark: AtomicU64,
     /// Mirror of the apply state's safe point (lock-free router checks).
     safe_watermark: AtomicU64,
-    /// `true` while the last poll drained the readable log.
-    caught_up: AtomicBool,
     /// When the watermark last advanced (or was last confirmed in sync).
     last_advance: TrackedMutex<Instant>,
     next_reader: AtomicU32,
@@ -233,7 +231,6 @@ impl Replica {
             state: TrackedMutex::new(lock_class!("replica.apply"), state),
             watermark: AtomicU64::new(0),
             safe_watermark: AtomicU64::new(0),
-            caught_up: AtomicBool::new(false),
             // lint: allow(clock) — staleness clock: replica tracks its last apply advance
             last_advance: TrackedMutex::new(lock_class!("replica.staleness-clock"), Instant::now()),
             next_reader: AtomicU32::new(READER_TX_BASE),
@@ -315,19 +312,8 @@ impl Replica {
     /// freshest snapshot the replica can serve without risking a
     /// non-serializable merge.  Trails [`Replica::watermark`] by however
     /// long the oldest in-flight primary transaction has been open.
-    pub fn safe_watermark(&self) -> u64 {
+    pub(crate) fn safe_watermark(&self) -> u64 {
         self.safe_watermark.load(Ordering::Acquire)
-    }
-
-    /// Per-shard commit-timestamp high-water marks at the current
-    /// watermark (the second face of the apply watermark).
-    pub fn shard_timestamps(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.current_ts()).collect()
-    }
-
-    /// `true` while the most recent poll drained everything readable.
-    pub fn is_caught_up(&self) -> bool {
-        self.caught_up.load(Ordering::Acquire)
     }
 
     /// Wall-clock time since the watermark last advanced or was last
@@ -428,7 +414,6 @@ impl Replica {
         }
         state.cursor = cursor;
         drop(state);
-        self.caught_up.store(batch.caught_up, Ordering::Release);
         if records > 0 || batch.caught_up {
             // lint: allow(clock) — staleness clock: replica tracks its last apply advance
             *self.last_advance.lock() = Instant::now();
@@ -466,7 +451,7 @@ impl Replica {
     }
 
     /// Opens a read-only session pinned at the newest
-    /// **transaction-consistent safe point** ([`Replica::safe_watermark`]):
+    /// **transaction-consistent safe point** (`Replica::safe_watermark`):
     /// a committed snapshot, consistent across every shard (pinning holds
     /// the apply lock, so no cross-shard commit can be half-visible),
     /// taken at a cut no in-flight transaction straddles.
@@ -668,7 +653,7 @@ mod tests {
         let receipt = replica.catch_up().unwrap();
         assert!(receipt.records >= 3, "begin rides with steps + commit");
         assert_eq!(receipt.commits, 1);
-        assert!(replica.is_caught_up());
+        assert!(receipt.caught_up);
         assert_eq!(replica.watermark(), engine.durable_lsn().unwrap() + 1);
         // A pinned read sees the committed snapshot across both shards.
         let mut read = replica.begin_read();
@@ -678,7 +663,11 @@ mod tests {
         assert_eq!(replica.history().readers_recorded(), 1);
         // Per-shard timestamps mirror the primary's.
         assert_eq!(
-            replica.shard_timestamps(),
+            replica
+                .shards
+                .iter()
+                .map(|s| s.current_ts())
+                .collect::<Vec<_>>(),
             engine
                 .shards()
                 .iter()

@@ -216,11 +216,6 @@ impl ReadRouter {
         }
     }
 
-    /// Number of replicas attached.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// The primary's durable horizon as a watermark (one past the newest
     /// flushed LSN; 0 before anything flushed or with durability off).
     fn durable_next(&self) -> u64 {
@@ -306,7 +301,7 @@ impl ReadRouter {
 ///   fenced out by a promotion — a stranded writer learns loudly that it
 ///   must wait for (or trigger) failover instead of queueing work on an
 ///   engine that can never commit it.
-/// * [`WriteRouter::install`] swaps in a promoted engine.  Installs are
+/// * `WriteRouter::install` swaps in a promoted engine.  Installs are
 ///   **epoch-monotone**: an install whose epoch does not exceed the
 ///   incumbent's is ignored, so a late or duplicate promotion can never
 ///   roll the routing back to a deposed primary.
@@ -351,16 +346,11 @@ impl WriteRouter {
         self.primary.lock().epoch()
     }
 
-    /// Number of promotions installed so far.
-    pub fn installs(&self) -> usize {
-        self.installs.load(Ordering::Relaxed)
-    }
-
     /// Installs a promoted engine as the new primary.  Ignored (returns
     /// `false`) unless `engine`'s epoch strictly exceeds the incumbent's
     /// — duplicate or out-of-order installs can never reinstate a deposed
     /// primary.
-    pub fn install(&self, engine: Arc<Engine>) -> bool {
+    pub(crate) fn install(&self, engine: Arc<Engine>) -> bool {
         let mut primary = self.primary.lock();
         if engine.epoch() <= primary.epoch() {
             return false;
@@ -508,7 +498,7 @@ mod tests {
         s.write(X, Bytes::from_static(b"p")).unwrap();
         s.commit().unwrap();
         let router = ReadRouter::new(Arc::clone(&engine), Vec::new(), quick_config());
-        assert_eq!(router.replica_count(), 0);
+        assert!(router.replicas.is_empty());
         let mut read = router.begin_read(ReadPolicy::Latest).unwrap();
         assert_eq!(read.snapshot_lsn(), None, "primary reads are never stale");
         assert_eq!(read.read(X).unwrap(), Bytes::from_static(b"p"));

@@ -11,32 +11,32 @@
 //!
 //! | scheduler | class of output schedules | module |
 //! |-----------|---------------------------|--------|
-//! | [`SerialScheduler`] | serial | [`serial_sched`] |
-//! | [`TwoPhaseLockingScheduler`] | CSR (strict 2PL) | [`two_phase_locking`] |
+//! | [`SerialScheduler`] | serial | `serial_sched` |
+//! | [`TwoPhaseLockingScheduler`] | CSR (strict 2PL) | `two_phase_locking` |
 //! | [`TimestampScheduler`] | CSR (timestamp ordering) | [`timestamp`] |
 //! | [`SgtScheduler`] | CSR (serialization-graph testing) | [`sgt`] |
 //! | [`MvSgtScheduler`] | MVCSR (multiversion conflict-graph testing — the paper's generic MVCSR scheduler) | [`mv_sgt`] |
 //! | [`MvtoScheduler`] | MVSR (multiversion timestamp ordering) | [`mvto`] |
 //! | [`GreedyMaximalScheduler`] | a greedy approximation of a maximal MVSR scheduler (exponential; used by the Theorem 6 construction) | [`greedy`] |
 //!
-//! [`harness`] runs a scheduler over an input interleaving in either the
-//! paper's prefix-recognition mode or an abort-and-continue mode, collecting
-//! the acceptance statistics that experiment E9 (the intro's "enhanced
-//! performance" claim) reports.
+//! [`run_prefix`] and [`run_abort`] run a scheduler over an input
+//! interleaving in the paper's prefix-recognition mode or an
+//! abort-and-continue mode, collecting the acceptance statistics that
+//! experiment E9 (the intro's "enhanced performance" claim) reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod decision;
 pub mod greedy;
-pub mod harness;
+mod harness;
 pub mod mv_sgt;
 pub mod mvto;
-pub mod serial_sched;
+mod serial_sched;
 mod serialization_graph;
 pub mod sgt;
 pub mod timestamp;
-pub mod two_phase_locking;
+mod two_phase_locking;
 
 pub use decision::{Decision, Scheduler};
 pub use greedy::GreedyMaximalScheduler;

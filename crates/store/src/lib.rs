@@ -6,7 +6,7 @@
 //! the end"); this crate makes it concrete so that the schedule-level theory
 //! can be exercised against an executable database:
 //!
-//! * [`version_chain`] — per-entity ordered version chains, exactly the
+//! * `version_chain` — per-entity ordered version chains, exactly the
 //!   paper's "ordered set of values";
 //! * [`store`] — the transactional key-value store: begin / read / write /
 //!   commit / abort, with reads served by an explicit version choice (the
@@ -16,7 +16,7 @@
 //!   concurrency control;
 //! * [`gc`] — version garbage collection under a low-watermark of active
 //!   transactions;
-//! * [`executor`] — replays a schedule (with an optional version function or
+//! * `executor` — replays a schedule (with an optional version function or
 //!   an on-line scheduler from `mvcc-scheduler`) against the store and
 //!   reports the realized READ-FROM relation, connecting the theory crates
 //!   to the engine.
@@ -24,11 +24,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod executor;
+mod executor;
 pub mod gc;
 pub mod snapshot;
 pub mod store;
-pub mod version_chain;
+mod version_chain;
 
 pub use executor::{execute_full_schedule, execute_with_scheduler, ExecutionReport};
 pub use store::{CommittedChain, MvStore, StoreError, TxHandle, TxStatus};

@@ -517,7 +517,7 @@ impl MvStore {
     /// Applies [`VersionChain::prune`] to every chain with the given
     /// watermark, returning the number of reclaimed versions (see
     /// [`crate::gc`]).
-    pub fn prune_all(&self, watermark: u64) -> usize {
+    pub(crate) fn prune_all(&self, watermark: u64) -> usize {
         let mut chains = self.chains.write();
         chains.values_mut().map(|c| c.prune(watermark)).sum()
     }

@@ -25,7 +25,7 @@ pub struct Version {
 
 impl Version {
     /// `true` once the writing transaction has committed.
-    pub fn is_committed(&self) -> bool {
+    pub(crate) fn is_committed(&self) -> bool {
         self.commit_ts.is_some()
     }
 }
@@ -48,7 +48,7 @@ pub struct ChainStats {
 impl VersionChain {
     /// Creates a chain holding only the initial version with the given
     /// payload.
-    pub fn with_initial(value: Bytes) -> Self {
+    pub(crate) fn with_initial(value: Bytes) -> Self {
         VersionChain {
             versions: vec![Version {
                 writer: TxId::INITIAL,
@@ -68,7 +68,7 @@ impl VersionChain {
     /// The versions should arrive oldest-first; recovery hands them over
     /// sorted by commit timestamp, which makes the chain's positional
     /// "latest committed" coincide with the max-timestamp version.
-    pub fn from_committed(versions: impl IntoIterator<Item = (TxId, u64, Bytes)>) -> Self {
+    pub(crate) fn from_committed(versions: impl IntoIterator<Item = (TxId, u64, Bytes)>) -> Self {
         VersionChain {
             versions: versions
                 .into_iter()
@@ -89,7 +89,7 @@ impl VersionChain {
     /// establishes and replication apply must preserve.  In the normal
     /// log-shipping case `ts` exceeds every existing timestamp and this
     /// is a plain push.
-    pub fn insert_committed(&mut self, writer: TxId, ts: u64, value: Bytes) -> bool {
+    pub(crate) fn insert_committed(&mut self, writer: TxId, ts: u64, value: Bytes) -> bool {
         if self
             .versions
             .iter()
@@ -123,7 +123,7 @@ impl VersionChain {
     }
 
     /// Marks every version written by `writer` as committed at `ts`.
-    pub fn commit_writer(&mut self, writer: TxId, ts: u64) {
+    pub(crate) fn commit_writer(&mut self, writer: TxId, ts: u64) {
         for v in &mut self.versions {
             if v.writer == writer && v.commit_ts.is_none() {
                 v.commit_ts = Some(ts);
@@ -132,7 +132,7 @@ impl VersionChain {
     }
 
     /// Removes every uncommitted version written by `writer` (abort).
-    pub fn remove_writer(&mut self, writer: TxId) {
+    pub(crate) fn remove_writer(&mut self, writer: TxId) {
         self.versions
             .retain(|v| v.writer != writer || v.commit_ts.is_some());
     }
@@ -148,7 +148,7 @@ impl VersionChain {
     }
 
     /// The latest version written by `writer`, if any.
-    pub fn latest_by(&self, writer: TxId) -> Option<&Version> {
+    pub(crate) fn latest_by(&self, writer: TxId) -> Option<&Version> {
         self.versions.iter().rev().find(|v| v.writer == writer)
     }
 
@@ -156,7 +156,7 @@ impl VersionChain {
     /// (committed with `commit_ts <= snapshot_ts`), optionally also seeing
     /// the uncommitted versions of `own` (a transaction always sees its own
     /// writes).
-    pub fn visible_at(&self, snapshot_ts: u64, own: Option<TxId>) -> Option<&Version> {
+    pub(crate) fn visible_at(&self, snapshot_ts: u64, own: Option<TxId>) -> Option<&Version> {
         self.versions.iter().rev().find(|v| {
             own.is_some_and(|tx| v.writer == tx) || v.commit_ts.is_some_and(|ts| ts <= snapshot_ts)
         })

@@ -6,7 +6,7 @@
 //! the top of a bucket.  This histogram refines that in two ways:
 //!
 //! * **Log-linear buckets.**  Each power-of-two decade is split into
-//!   [`SUB`] (16) linear sub-buckets, so the worst-case relative width
+//!   `SUB` (16) linear sub-buckets, so the worst-case relative width
 //!   of any bucket is 1/16 ≈ 6.25% instead of 2×.  Values below 16 get
 //!   exact unit-width buckets.
 //! * **Interpolated quantiles.**  [`HistogramSnapshot::quantile`]
@@ -24,15 +24,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per power-of-two decade.
-pub const SUB: u64 = 16;
+pub(crate) const SUB: u64 = 16;
 const SUB_BITS: u32 = 4;
 
 /// Recorded values saturate here (2^32 − 1 µs ≈ 71 minutes — far beyond
 /// anything a pipeline stage can legitimately take).
-pub const CLAMP: u64 = (1 << 32) - 1;
+pub(crate) const CLAMP: u64 = (1 << 32) - 1;
 
 /// Total bucket count for the clamped value domain.
-pub const BUCKETS: usize = 464;
+pub(crate) const BUCKETS: usize = 464;
 
 /// Flat bucket index for `value` (callers clamp to [`CLAMP`] first).
 fn bucket_of(value: u64) -> usize {
@@ -83,7 +83,7 @@ impl Histogram {
     }
 
     /// Records one value directly (used off the hot path; hot paths go
-    /// through a [`LocalHistogram`] and [`Histogram::merge`]).
+    /// through a [`LocalHistogram`] and `Histogram::merge`).
     pub fn record(&self, value: u64) {
         let v = value.min(CLAMP);
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
@@ -92,7 +92,7 @@ impl Histogram {
     }
 
     /// Folds a drained thread-local histogram into this one.
-    pub fn merge(&self, local: &LocalHistogram) {
+    pub(crate) fn merge(&self, local: &LocalHistogram) {
         if local.total == 0 {
             return;
         }
@@ -181,7 +181,7 @@ impl Default for LocalHistogram {
 
 /// An owned copy of a histogram's counters, with quantile queries.
 ///
-/// Snapshots are mergeable ([`HistogramSnapshot::merge`]) — merging is
+/// Snapshots subtract exactly ([`HistogramSnapshot::diff`]) — a window is
 /// exact, not an approximation, because all histograms share one bucket
 /// layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -279,21 +279,6 @@ impl HistogramSnapshot {
             total,
             sum: self.sum.saturating_sub(earlier.sum),
         }
-    }
-
-    /// Merges another snapshot into this one (exact — shared layout).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if other.total == 0 {
-            return;
-        }
-        if self.counts.is_empty() {
-            self.counts = vec![0; BUCKETS];
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
     }
 }
 
@@ -429,27 +414,5 @@ mod tests {
         assert!(later.diff(&later).is_empty());
         assert_eq!(later.diff(&HistogramSnapshot::empty()), later);
         assert!(HistogramSnapshot::empty().diff(&earlier).is_empty());
-    }
-
-    #[test]
-    fn snapshot_merge_is_exact() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for v in [1u64, 50, 3000] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [2u64, 50, 70000] {
-            b.record(v);
-            both.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
-        let mut from_empty = HistogramSnapshot::empty();
-        from_empty.merge(&a.snapshot());
-        from_empty.merge(&b.snapshot());
-        assert_eq!(from_empty, both.snapshot());
     }
 }

@@ -9,7 +9,7 @@
 //! relaxed `fetch_add`s) only at batch boundaries: every
 //! [`FLUSH_EVERY`] samples, when the owning thread exits (the
 //! thread-local's `Drop`), or explicitly via
-//! [`Telemetry::flush_current_thread`].  Recording therefore cannot
+//! `Telemetry::flush_current_thread`.  Recording therefore cannot
 //! perturb admission order: it adds no synchronization edges between
 //! worker threads — two sessions that never synchronized before
 //! telemetry still never synchronize, so the interleavings the chaos
@@ -80,7 +80,7 @@ impl Telemetry {
     }
 
     /// A fresh registry whose flight recorder holds `capacity` events.
-    pub fn with_flight_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_flight_capacity(capacity: usize) -> Self {
         Telemetry {
             inner: Arc::new(Shared {
                 id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
@@ -125,7 +125,7 @@ impl Telemetry {
 
     /// Drains the calling thread's buffered samples into the shared
     /// registry.
-    pub fn flush_current_thread(&self) {
+    pub(crate) fn flush_current_thread(&self) {
         let _ = LOCAL.try_with(|local| local.borrow_mut().flush_registry(self.inner.id));
     }
 

@@ -103,7 +103,7 @@ impl TimelineFrame {
 
     /// Serializes the frame as one compact JSON object (one
     /// `timeline.jsonl` line, without the trailing newline).
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str(&format!(
             "{{\"seq\":{},\"at_us\":{},\"committed\":{},\"aborted\":{}",
@@ -141,7 +141,7 @@ impl TimelineFrame {
     }
 
     /// Parses one frame from a parsed JSONL line.
-    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
+    pub(crate) fn from_json(value: &JsonValue) -> Result<Self, String> {
         let seq = require_u64(value, "seq", "frame")?;
         let what = format!("frame {seq}");
         let mut replicas = Vec::new();

@@ -13,11 +13,11 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod perturb;
-pub mod poly_gen;
-pub mod schedule_gen;
+mod perturb;
+mod poly_gen;
+mod schedule_gen;
 pub mod suites;
-pub mod txn_gen;
+mod txn_gen;
 pub mod zipf;
 
 pub use config::{LoadProfile, WorkloadConfig};

@@ -7,7 +7,7 @@
 use crate::WorkloadConfig;
 
 /// The base configuration of experiment E9.
-pub fn e9_base() -> WorkloadConfig {
+pub(crate) fn e9_base() -> WorkloadConfig {
     WorkloadConfig::default()
 }
 

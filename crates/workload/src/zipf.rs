@@ -57,7 +57,8 @@ impl Zipfian {
     }
 
     /// The probability of index `i`.
-    pub fn probability(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn probability(&self, i: usize) -> f64 {
         if i == 0 {
             self.cumulative[0]
         } else {
